@@ -22,6 +22,7 @@
 //! (`--smoke` for a quick CI-sized pass). Results land in
 //! `BENCH_lsm.json`.
 
+use hepnos_bench::percentile;
 use lsmdb::{CompactionMode, Db, DbError, Options, WalSync};
 use std::time::{Duration, Instant};
 
@@ -118,14 +119,6 @@ impl Lcg {
             .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 fn main() {

@@ -18,6 +18,7 @@
 
 use bedrock::DbCounts;
 use hepnos::testing::{local_deployment_replicated, LocalDeployment};
+use hepnos_bench::percentile;
 use std::time::{Duration, Instant};
 use yokan::{DbTarget, YokanClient};
 
@@ -43,11 +44,6 @@ fn routed_client(dep: &LocalDeployment, name: &str) -> YokanClient {
     let client = YokanClient::new(dep.fabric().endpoint(name));
     client.install_replica_routes(&bedrock::deployment_chains(dep.descriptors()));
     client
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Sequential acked puts through the chain head; returns (p50, p99).

@@ -22,6 +22,7 @@ use hepnos::placement::ModuloPlacement;
 use hepnos::rescale::{Migrator, MigratorConfig, PlacementInput};
 use hepnos::testing::local_deployment;
 use hepnos::{DataStore, ProductLabel, WriteBatch};
+use hepnos_bench::percentile;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -104,11 +105,6 @@ fn writer_retry_policy() -> yokan::RetryPolicy {
         max_backoff: Duration::from_millis(10),
         jitter_seed: 1,
     }
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Per-phase latency samples of one writer (indexed by phase constant).

@@ -122,6 +122,13 @@ pub fn loaded_deployment(
     (dep, "bench/nova".to_string(), slices)
 }
 
+/// The `p`-quantile (`0.0..=1.0`) of an ascending, non-empty sample:
+/// the element at rank `round((len - 1) * p)`.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx]
+}
+
 /// Right-align a float with thousands separators for table output.
 pub fn fmt_throughput(v: f64) -> String {
     let n = v.round() as u64;
@@ -144,6 +151,16 @@ mod tests {
     fn calibration_returns_sane_costs() {
         let c = calibrate_slice_cost();
         assert!(c > 0.0 && c < 1e-3, "slice cost {c}");
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&v, 0.0), 1);
+        assert_eq!(percentile(&v, 0.5), 51);
+        assert_eq!(percentile(&v, 0.99), 99);
+        assert_eq!(percentile(&v, 1.0), 100);
+        assert_eq!(percentile(&[7u64], 0.999), 7);
     }
 
     #[test]

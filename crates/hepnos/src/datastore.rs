@@ -181,8 +181,13 @@ impl DataStoreInner {
     }
 
     pub(crate) fn event_db(&self, subrun_key: &[u8]) -> &DbTarget {
-        let idx = self.placement.place(subrun_key, self.topo.event_dbs.len());
-        &self.topo.event_dbs[idx]
+        &self.topo.event_dbs[self.event_db_index(subrun_key)]
+    }
+
+    /// Index of the event database owning `subrun_key`'s events: the home
+    /// the PEP readers check listed event keys against.
+    pub(crate) fn event_db_index(&self, subrun_key: &[u8]) -> usize {
+        self.placement.place(subrun_key, self.topo.event_dbs.len())
     }
 
     pub(crate) fn product_db(&self, container_key: &[u8]) -> &DbTarget {

@@ -535,6 +535,20 @@ impl ReaderCtx<'_> {
         Ok(descriptors)
     }
 
+    /// Drop listed event keys whose home under the store's topology is not
+    /// event database `db_idx`. During a live migration a listing page also
+    /// carries the old owners' keys (dual-read merge), which belong to
+    /// whichever new database their subrun places them in; keeping only
+    /// the ones homed here delivers each event exactly once across readers.
+    /// Keys too short to place are kept for `parse_page` to reject.
+    fn keep_homed(&self, db_idx: usize, page: &mut Vec<Vec<u8>>) {
+        let store = &self.datastore.inner;
+        page.retain(|k| {
+            k.get(..32)
+                .is_none_or(|s| store.event_db_index(s) == db_idx)
+        });
+    }
+
     /// Group the page's product keys by product database into
     /// `scratch.per_db`, reusing pooled buffers throughout.
     fn group_product_keys(&self, page: &[Vec<u8>], scratch: &mut ReaderScratch) {
@@ -655,7 +669,7 @@ impl ReaderCtx<'_> {
             };
             let wait_start = Instant::now();
             let ready = pending.is_ready();
-            let page = match pending.wait() {
+            let mut page = match pending.wait() {
                 Ok(p) => p,
                 Err(e) => break Err(HepnosError::from(e)),
             };
@@ -675,6 +689,7 @@ impl ReaderCtx<'_> {
                 client.list_keys_async(&db, &from, &prefix, self.opts.load_batch_size),
                 Instant::now(),
             ));
+            self.keep_homed(db_idx, &mut page);
             let descriptors = match self.parse_page(&page) {
                 Ok(d) => d,
                 Err(e) => break Err(e),
@@ -731,7 +746,7 @@ impl ReaderCtx<'_> {
                 return Ok(());
             }
             let t = Instant::now();
-            let page = self.datastore.inner.client.list_keys(
+            let mut page = self.datastore.inner.client.list_keys(
                 &db,
                 &from,
                 &prefix,
@@ -745,6 +760,7 @@ impl ReaderCtx<'_> {
                 return Ok(());
             }
             from.clone_from(page.last().expect("page is non-empty"));
+            self.keep_homed(db_idx, &mut page);
             let descriptors = self.parse_page(&page)?;
             stats.events_loaded += descriptors.len() as u64;
             let mut products = scratch.take_products(descriptors.len(), self.labels.len());

@@ -206,10 +206,14 @@ fn classify(
     }
 }
 
-/// Fail when `client` has replica routes installed for any database of the
-/// groups: rescaling addresses physical replicas directly, and a routed
-/// client would forward each write down the chain a second time (and read
-/// scans through the chain tail instead of the addressed member).
+/// Fail when `client` has replica routes or dual-read fallbacks installed
+/// for any database of the groups: rescaling addresses physical replicas
+/// directly. A routed client would forward each write down the chain a
+/// second time (and read scans through the chain tail instead of the
+/// addressed member); a dual-reading one would merge old-owner keys into
+/// its scans and answer the convergence audit of a destination replica
+/// from the old owner's copy — the very copy whose erase the audit
+/// decides.
 fn guard_unrouted(
     client: &YokanClient,
     old: &[Vec<DbTarget>],
@@ -217,14 +221,18 @@ fn guard_unrouted(
 ) -> Result<(), HepnosError> {
     for chain in old.iter().chain(new.iter()) {
         for t in chain {
-            if client.replica_chain(&t.db).is_some() {
-                return Err(HepnosError::Topology(format!(
-                    "rescale requires an un-routed client, but replica routes are \
-                     installed for database {} — use a fresh YokanClient without \
-                     install_replica_routes",
-                    t.db
-                )));
-            }
+            let installed = if client.replica_chain(&t.db).is_some() {
+                "replica routes are"
+            } else if client.dual_read_candidates(&t.db).is_some() {
+                "dual-read fallbacks are"
+            } else {
+                continue;
+            };
+            return Err(HepnosError::Topology(format!(
+                "rescale requires a client addressing physical replicas, but \
+                 {installed} installed for database {} — use a fresh YokanClient",
+                t.db
+            )));
         }
     }
     Ok(())
@@ -449,8 +457,9 @@ pub struct Migrator {
 }
 
 impl Migrator {
-    /// Create a migrator. `client` must be un-routed (enforced, exactly as
-    /// for [`rescale_group_replicated`]): the migrator addresses physical
+    /// Create a migrator. `client` must have neither replica routes nor
+    /// dual-read fallbacks for the groups (enforced, exactly as for
+    /// [`rescale_group_replicated`]): the migrator addresses physical
     /// replicas directly.
     pub fn new(
         client: YokanClient,
@@ -807,7 +816,7 @@ impl Migrator {
                         let mut live = 0usize;
                         let mut dead = false;
                         for replica in dest {
-                            match self.client.exists_multi_direct(replica, &keys) {
+                            match self.client.exists_multi(replica, &keys) {
                                 Ok(flags) => {
                                     live += 1;
                                     for (i, f) in flags.into_iter().enumerate() {

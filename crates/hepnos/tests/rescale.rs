@@ -380,22 +380,28 @@ fn routed_client_is_rejected() {
         matches!(err, hepnos::HepnosError::Topology(_)),
         "routed client must fail with Topology, got {err:?}"
     );
-    // The live Migrator enforces the same contract at construction.
-    let routed2 = {
-        let c = YokanClient::new(dep.fabric().endpoint("routed-client-2"));
-        c.install_replica_routes(&bedrock::deployment_chains(&full));
-        c
-    };
-    let err = hepnos::rescale::Migrator::new(
-        routed2,
-        old_chains,
-        new_chains,
-        std::sync::Arc::new(ModuloPlacement),
-        PlacementInput::Prefix(32),
-        Default::default(),
-    )
-    .err()
-    .expect("Migrator must reject a routed client");
-    assert!(matches!(err, hepnos::HepnosError::Topology(_)));
+    // The live Migrator enforces the same contract at construction, and
+    // also rejects a client with dual-read fallbacks for the groups: its
+    // convergence audit must see exactly what each destination holds.
+    let routed2 = YokanClient::new(dep.fabric().endpoint("routed-client-2"));
+    routed2.install_replica_routes(&bedrock::deployment_chains(&full));
+    let dual = YokanClient::new(dep.fabric().endpoint("dual-read-client"));
+    dual.install_dual_read(&new_chains[3][0].db, old_chains[0].clone());
+    for (what, client) in [("routed", routed2), ("dual-reading", dual)] {
+        let err = hepnos::rescale::Migrator::new(
+            client,
+            old_chains.clone(),
+            new_chains.clone(),
+            std::sync::Arc::new(ModuloPlacement),
+            PlacementInput::Prefix(32),
+            Default::default(),
+        )
+        .err()
+        .unwrap_or_else(|| panic!("Migrator must reject a {what} client"));
+        assert!(
+            matches!(err, hepnos::HepnosError::Topology(_)),
+            "{what} client must fail with Topology, got {err:?}"
+        );
+    }
     dep.shutdown();
 }

@@ -6,8 +6,10 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-fn workdir() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("hepnos-cli-{}", std::process::id()));
+/// A fresh scratch directory per test: the tests of this file run in
+/// parallel in one process, so the name must not depend on the pid alone.
+fn workdir(test: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("hepnos-cli-{}-{test}", std::process::id()));
     std::fs::remove_dir_all(&d).ok();
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -15,7 +17,7 @@ fn workdir() -> PathBuf {
 
 #[test]
 fn serve_ingest_ls_select_pipeline() {
-    let dir = workdir();
+    let dir = workdir("pipeline");
     let descriptor = dir.join("node0.json");
     // 1. Server as a real child process (runs for up to 120 s, killed at
     //    the end of the test).
@@ -129,7 +131,7 @@ fn serve_ingest_ls_select_pipeline() {
 
 #[test]
 fn ls_on_empty_deployment() {
-    let dir = workdir();
+    let dir = workdir("empty");
     let descriptor = dir.join("node.json");
     let mut server = Command::new(env!("CARGO_BIN_EXE_hepnos-serve"))
         .args([

@@ -1,4 +1,11 @@
 //! Client side: remote database handles.
+//!
+//! Every RPC of a [`YokanClient`] is one [`InFlight`] call: issued to the
+//! first member of its route, re-sent under the retry policy, walked on to
+//! the next replica on dead-node errors, and — for reads of a migrating
+//! database — completed from the old owners by the dual-read step. The
+//! blocking methods are that call issued and waited on at once; the
+//! `*_async` methods hand it out as a typed `Pending*` handle.
 
 use crate::backend::KeyValue;
 use crate::encoding::*;
@@ -205,14 +212,7 @@ pub struct YokanClient {
 impl YokanClient {
     /// Create a client with the default 8 KiB bulk threshold.
     pub fn new(endpoint: Arc<dyn Endpoint>) -> YokanClient {
-        YokanClient {
-            endpoint,
-            bulk_threshold: 8 << 10,
-            retry: None,
-            session: ClientSession::new(),
-            routes: Arc::new(RwLock::new(HashMap::new())),
-            dual: Arc::new(RwLock::new(HashMap::new())),
-        }
+        Self::with_bulk_threshold(endpoint, 8 << 10)
     }
 
     /// Override the bulk threshold (`usize::MAX` disables bulk entirely).
@@ -277,7 +277,8 @@ impl YokanClient {
 
     /// Read the topology epoch a service currently accepts.
     pub fn service_epoch(&self, addr: &str, provider_id: u16) -> Result<u64, YokanError> {
-        let mut resp = self.invoke(addr, OP_MIG_EPOCH_GET, provider_id, Bytes::new())?;
+        let provider = DbTarget::new(addr, provider_id, "");
+        let mut resp = self.invoke(&provider, OP_MIG_EPOCH_GET, Bytes::new())?;
         get_u64(&mut resp)
     }
 
@@ -291,7 +292,8 @@ impl YokanClient {
     ) -> Result<u64, YokanError> {
         let mut buf = BytesMut::with_capacity(8);
         buf.put_u64_le(epoch);
-        let mut resp = self.invoke(addr, OP_MIG_EPOCH_SET, provider_id, buf.freeze())?;
+        let provider = DbTarget::new(addr, provider_id, "");
+        let mut resp = self.invoke(&provider, OP_MIG_EPOCH_SET, buf.freeze())?;
         get_u64(&mut resp)
     }
 
@@ -309,12 +311,7 @@ impl YokanClient {
         put_bytes(&mut buf, lo);
         put_bytes(&mut buf, hi);
         buf.put_u32_le(retry_after.as_millis().min(u32::MAX as u128) as u32);
-        self.invoke(
-            &target.addr,
-            OP_MIG_FREEZE,
-            target.provider_id,
-            buf.freeze(),
-        )?;
+        self.invoke(target, OP_MIG_FREEZE, buf.freeze())?;
         Ok(())
     }
 
@@ -359,33 +356,25 @@ impl YokanClient {
             put_bytes(&mut buf, key);
             buf.put_u32_le(*idx as u32);
         }
-        self.invoke(
-            &target.addr,
-            OP_MIG_HANDOFF,
-            target.provider_id,
-            buf.freeze(),
-        )?;
+        self.invoke(target, OP_MIG_HANDOFF, buf.freeze())?;
         Ok(())
     }
 
     /// Tear down all migration state (frozen interval and handoff map) of
     /// `target`'s database on the addressed replica: the range is Done.
     pub fn migration_complete(&self, target: &DbTarget) -> Result<(), YokanError> {
-        let buf = Self::header(target, 0);
-        self.invoke(
-            &target.addr,
-            OP_MIG_COMPLETE,
-            target.provider_id,
-            buf.freeze(),
-        )?;
+        self.invoke(target, OP_MIG_COMPLETE, Self::header(target, 0).freeze())?;
         Ok(())
     }
 
     /// Install dual-read fallbacks for a migrating database: a read of
     /// `db` that misses on its (new) owner falls back to `candidates` —
     /// the old-owner targets — until [`YokanClient::clear_dual_read`].
-    /// Listings merge both sides (deduplicated per call, newest owner
-    /// winning on key collisions). Shared across clones of this client.
+    /// Per-key reads (`get`, `get_multi`, `exists`, `exists_multi`,
+    /// `filter`, and their async forms) fill the slots the new owner
+    /// missed; listings merge both sides (deduplicated per call, newest
+    /// owner winning on key collisions). Shared across clones of this
+    /// client.
     pub fn install_dual_read(&self, db: &str, candidates: Vec<DbTarget>) {
         if candidates.is_empty() {
             self.dual.write().remove(db);
@@ -399,7 +388,8 @@ impl YokanClient {
         self.dual.write().clear();
     }
 
-    fn dual_candidates(&self, db: &str) -> Option<Vec<DbTarget>> {
+    /// The dual-read fallbacks installed for a database name, if any.
+    pub fn dual_read_candidates(&self, db: &str) -> Option<Vec<DbTarget>> {
         let dual = self.dual.read();
         if dual.is_empty() {
             return None;
@@ -446,112 +436,42 @@ impl YokanClient {
         buf
     }
 
-    /// Issue one RPC, riding the retry policy when one is configured.
-    fn invoke(
-        &self,
-        addr: &str,
-        op: u16,
-        provider_id: u16,
-        payload: Bytes,
-    ) -> Result<Bytes, YokanError> {
-        let pending = self
-            .endpoint
-            .call_async(addr, RpcId(op), provider_id, payload.clone());
-        wait_with_retry(
-            &self.endpoint,
-            self.retry.as_ref(),
-            &self.session.counters,
-            addr,
-            RpcId(op),
-            provider_id,
-            &payload,
-            pending,
-        )
-        .map_err(YokanError::from)
+    /// A read request for one key.
+    fn key_request(target: &DbTarget, key: &[u8]) -> Bytes {
+        let mut buf = Self::header(target, 4 + key.len());
+        put_bytes(&mut buf, key);
+        buf.freeze()
     }
 
-    fn call(&self, target: &DbTarget, op: u16, payload: Bytes) -> Result<Bytes, YokanError> {
-        match self.route_for(&target.db) {
-            None => self.invoke(&target.addr, op, target.provider_id, payload),
-            Some(chain) => self.call_read_chain(&chain, op, payload),
-        }
+    /// A read request for a batch of keys.
+    fn keys_request(target: &DbTarget, keys: &[Vec<u8>]) -> Bytes {
+        let mut buf = Self::header(target, keys_encoded_len(keys));
+        encode_keys_into(&mut buf, keys);
+        buf.freeze()
     }
 
-    /// A read against a replica chain: tail-first (the tail is the commit
-    /// point — a value visible there has been applied chain-wide, so a
-    /// read can never observe a mutation the head has not acknowledged),
-    /// falling back toward the head when a replica is unreachable.
-    fn call_read_chain(
-        &self,
-        chain: &ChainState,
-        op: u16,
-        payload: Bytes,
-    ) -> Result<Bytes, YokanError> {
-        let n = chain.replicas.len();
-        let mut last: Option<RpcError> = None;
-        for k in 0..n {
-            let t = &chain.replicas[n - 1 - k];
-            match self.invoke(&t.addr, op, t.provider_id, payload.clone()) {
-                Ok(resp) => {
-                    if k > 0 {
-                        self.session
-                            .counters
-                            .read_fallbacks
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(resp);
-                }
-                Err(YokanError::Rpc(e)) if replica::is_dead_node(&e) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(YokanError::Rpc(last.expect("chain is non-empty")))
+    /// A listing request: keys after `from` matching `prefix`, up to `limit`.
+    fn list_request(target: &DbTarget, from: &[u8], prefix: &[u8], limit: usize) -> Bytes {
+        let mut buf = Self::header(target, 12 + from.len() + prefix.len());
+        put_bytes(&mut buf, from);
+        put_bytes(&mut buf, prefix);
+        buf.put_u32_le(limit as u32);
+        buf.freeze()
     }
 
-    /// A mutation call: like [`YokanClient::call`] but the response carries
-    /// a one-byte replay marker that is stripped (and counted) here. On a
-    /// replica chain the mutation goes to the acting head; if that node is
-    /// dead, the identical payload is re-issued to the next members in
-    /// chain order and the first that accepts is promoted.
-    fn call_mutation(
-        &self,
-        target: &DbTarget,
-        op: u16,
-        payload: Bytes,
-    ) -> Result<Bytes, YokanError> {
-        let resp = match self.route_for(&target.db) {
-            None => self.invoke(&target.addr, op, target.provider_id, payload)?,
-            Some(chain) => {
-                let n = chain.replicas.len();
-                let start = chain.cursor();
-                let mut out: Option<Bytes> = None;
-                let mut last: Option<RpcError> = None;
-                for k in 0..n {
-                    let idx = (start + k) % n;
-                    let t = &chain.replicas[idx];
-                    match self.invoke(&t.addr, op, t.provider_id, payload.clone()) {
-                        Ok(resp) => {
-                            if idx != start {
-                                chain.promote(idx);
-                                self.session
-                                    .counters
-                                    .failovers
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            out = Some(resp);
-                            break;
-                        }
-                        Err(YokanError::Rpc(e)) if replica::is_dead_node(&e) => last = Some(e),
-                        Err(e) => return Err(e),
-                    }
-                }
-                match out {
-                    Some(resp) => resp,
-                    None => return Err(YokanError::Rpc(last.expect("chain is non-empty"))),
-                }
-            }
-        };
-        strip_replay_marker(resp, &self.session.counters)
+    /// Issue a read of `target`'s database.
+    fn read(&self, target: &DbTarget, op: u16, payload: Bytes) -> InFlight {
+        InFlight::issue(self, target, Kind::Read, op, payload)
+    }
+
+    /// Issue a mutation of `target`'s database and wait for its ack.
+    fn mutate(&self, target: &DbTarget, op: u16, payload: Bytes) -> Result<Bytes, YokanError> {
+        InFlight::issue(self, target, Kind::Mutation, op, payload).wait()
+    }
+
+    /// Issue one RPC to exactly `target`, bypassing routes, and wait.
+    fn invoke(&self, target: &DbTarget, op: u16, payload: Bytes) -> Result<Bytes, YokanError> {
+        InFlight::issue(self, target, Kind::Physical, op, payload).wait()
     }
 
     /// Store one pair.
@@ -559,7 +479,7 @@ impl YokanClient {
         let mut buf = self.mutation_header(target, 8 + key.len() + value.len());
         put_bytes(&mut buf, key);
         put_bytes(&mut buf, value);
-        self.call_mutation(target, OP_PUT, buf.freeze())?;
+        self.mutate(target, OP_PUT, buf.freeze())?;
         Ok(())
     }
 
@@ -644,64 +564,19 @@ impl YokanClient {
                 scratch.split_to(header_len + block_len).freeze()
             }
         };
-        // On a replica chain the batch goes to the acting head; the chain
-        // handle rides along so `wait` can fail the identical payload over.
-        let (chain, first) = match self.route_for(&target.db) {
-            Some(c) => {
-                let start = c.cursor();
-                let t = c.replicas[start].clone();
-                (Some((c, start)), t)
-            }
-            None => (None, target.clone()),
-        };
-        let pending = self.endpoint.call_async(
-            &first.addr,
-            RpcId(OP_PUT_MULTI),
-            first.provider_id,
-            payload.clone(),
-        );
-        Ok(PendingPut {
-            pending,
-            bulk,
-            endpoint: Arc::clone(&self.endpoint),
-            addr: first.addr,
-            provider_id: first.provider_id,
-            payload,
-            retry: self.retry.clone(),
-            session: Arc::clone(&self.session),
-            chain,
-        })
+        let mut inner = InFlight::issue(self, target, Kind::Mutation, OP_PUT_MULTI, payload);
+        inner.bulk = bulk;
+        Ok(PendingPut { inner })
     }
 
     /// Fetch one value. During a live migration a miss falls back to the
     /// old-owner candidates (see [`YokanClient::install_dual_read`]) — a
     /// key acked before the rescale is found on one side or the other.
     pub fn get(&self, target: &DbTarget, key: &[u8]) -> Result<Option<Vec<u8>>, YokanError> {
-        if let Some(v) = self.get_raw(target, key)? {
-            return Ok(Some(v));
-        }
-        if let Some(cands) = self.dual_candidates(&target.db) {
-            for c in &cands {
-                if let Some(v) = self.get_raw(c, key)? {
-                    self.session
-                        .counters
-                        .dual_reads
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(Some(v));
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// [`YokanClient::get`] without the dual-read fallback.
-    fn get_raw(&self, target: &DbTarget, key: &[u8]) -> Result<Option<Vec<u8>>, YokanError> {
-        let mut buf = Self::header(target, 4 + key.len());
-        put_bytes(&mut buf, key);
-        let mut resp = self.call(target, OP_GET, buf.freeze())?;
-        let mut vals = decode_optionals(&mut resp)?;
-        vals.pop()
-            .ok_or_else(|| YokanError::Protocol("empty get response".into()))
+        let vals: Vec<Option<Bytes>> = self
+            .read(target, OP_GET, Self::key_request(target, key))
+            .wait_read(1)?;
+        Ok(vals.into_iter().next().flatten().map(|v| v.to_vec()))
     }
 
     /// Fetch a batch of values; one slot per requested key. Missing slots
@@ -711,86 +586,8 @@ impl YokanClient {
         target: &DbTarget,
         keys: &[Vec<u8>],
     ) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        let mut vals = self.get_multi_raw(target, keys)?;
-        if vals.iter().all(|v| v.is_some()) {
-            return Ok(vals);
-        }
-        if let Some(cands) = self.dual_candidates(&target.db) {
-            for c in &cands {
-                let missing: Vec<usize> = vals
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.is_none().then_some(i))
-                    .collect();
-                if missing.is_empty() {
-                    break;
-                }
-                let miss_keys: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].clone()).collect();
-                let filled = self.get_multi_raw(c, &miss_keys)?;
-                for (&i, v) in missing.iter().zip(filled) {
-                    if v.is_some() {
-                        vals[i] = v;
-                        self.session
-                            .counters
-                            .dual_reads
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        Ok(vals)
-    }
-
-    /// [`YokanClient::get_multi`] without the dual-read fallback.
-    fn get_multi_raw(
-        &self,
-        target: &DbTarget,
-        keys: &[Vec<u8>],
-    ) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        let keys_block = encode_keys(keys);
-        let mut buf = Self::header(target, keys_block.len());
-        buf.put_slice(&keys_block);
-        let mut resp = self.call(target, OP_GET_MULTI, buf.freeze())?;
-        decode_optionals(&mut resp)
-    }
-
-    /// Encode and issue a read RPC whose payload is the database header
-    /// followed by a key block, returning the in-flight handle. Shared by
-    /// the asynchronous read path ([`YokanClient::get_multi_async`],
-    /// [`YokanClient::exists_multi_async`]).
-    fn read_call_async(&self, target: &DbTarget, op: u16, keys: &[Vec<u8>]) -> PendingRead {
-        let mut buf = Self::header(target, keys_encoded_len(keys));
-        encode_keys_into(&mut buf, keys);
-        self.issue_read(target, op, buf.freeze())
-    }
-
-    fn issue_read(&self, target: &DbTarget, op: u16, payload: Bytes) -> PendingRead {
-        // Routed databases are read tail-first (see `call_read_chain`);
-        // the remaining replicas, toward the head, become fallbacks.
-        let (first, fallbacks) = match self.route_for(&target.db) {
-            Some(chain) => {
-                let n = chain.replicas.len();
-                let first = chain.replicas[n - 1].clone();
-                let fallbacks: Vec<DbTarget> =
-                    (1..n).map(|k| chain.replicas[n - 1 - k].clone()).collect();
-                (first, fallbacks)
-            }
-            None => (target.clone(), Vec::new()),
-        };
-        let pending =
-            self.endpoint
-                .call_async(&first.addr, RpcId(op), first.provider_id, payload.clone());
-        PendingRead {
-            pending,
-            endpoint: Arc::clone(&self.endpoint),
-            addr: first.addr,
-            provider_id: first.provider_id,
-            op,
-            payload,
-            retry: self.retry.clone(),
-            session: Arc::clone(&self.session),
-            fallbacks,
-        }
+        let vals = self.get_multi_async(target, keys).wait()?;
+        Ok(vals.into_iter().map(|v| v.map(|v| v.to_vec())).collect())
     }
 
     /// Asynchronous [`YokanClient::get_multi`]: the RPC is issued
@@ -800,14 +597,7 @@ impl YokanClient {
     /// [`YokanClient::put_multi_async`].
     pub fn get_multi_async(&self, target: &DbTarget, keys: &[Vec<u8>]) -> PendingGetMulti {
         PendingGetMulti {
-            inner: self.read_call_async(target, OP_GET_MULTI, keys),
-        }
-    }
-
-    /// Asynchronous [`YokanClient::exists_multi`].
-    pub fn exists_multi_async(&self, target: &DbTarget, keys: &[Vec<u8>]) -> PendingExistsMulti {
-        PendingExistsMulti {
-            inner: self.read_call_async(target, OP_EXISTS_MULTI, keys),
+            inner: self.read(target, OP_GET_MULTI, Self::keys_request(target, keys)),
             n_keys: keys.len(),
         }
     }
@@ -821,12 +611,10 @@ impl YokanClient {
         prefix: &[u8],
         limit: usize,
     ) -> PendingListKeys {
-        let mut buf = Self::header(target, 12 + from.len() + prefix.len());
-        put_bytes(&mut buf, from);
-        put_bytes(&mut buf, prefix);
-        buf.put_u32_le(limit as u32);
+        let payload = Self::list_request(target, from, prefix, limit);
         PendingListKeys {
-            inner: self.issue_read(target, OP_LIST_KEYS, buf.freeze()),
+            inner: self.read(target, OP_LIST_KEYS, payload),
+            limit,
         }
     }
 
@@ -838,74 +626,16 @@ impl YokanClient {
         target: &DbTarget,
         keys: &[Vec<u8>],
     ) -> Result<Vec<bool>, YokanError> {
-        let mut flags = self.exists_multi_raw(target, keys)?;
-        if flags.iter().all(|&f| f) {
-            return Ok(flags);
-        }
-        if let Some(cands) = self.dual_candidates(&target.db) {
-            for c in &cands {
-                let missing: Vec<usize> = flags
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &f)| (!f).then_some(i))
-                    .collect();
-                if missing.is_empty() {
-                    break;
-                }
-                let miss_keys: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].clone()).collect();
-                let found = self.exists_multi_raw(c, &miss_keys)?;
-                for (&i, f) in missing.iter().zip(found) {
-                    if f {
-                        flags[i] = true;
-                        self.session
-                            .counters
-                            .dual_reads
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        Ok(flags)
-    }
-
-    /// [`YokanClient::exists_multi`] without the dual-read fallback: the
-    /// flags reflect exactly what the probed member holds. The migrator's
-    /// convergence pass uses this to audit destination replicas one by
-    /// one — with the fallback, a key missing on the destination would be
-    /// reported present from the old owner's copy, the very copy whose
-    /// erase the audit is deciding.
-    pub fn exists_multi_direct(
-        &self,
-        target: &DbTarget,
-        keys: &[Vec<u8>],
-    ) -> Result<Vec<bool>, YokanError> {
-        self.exists_multi_raw(target, keys)
-    }
-
-    /// [`YokanClient::exists_multi`] without the dual-read fallback.
-    fn exists_multi_raw(
-        &self,
-        target: &DbTarget,
-        keys: &[Vec<u8>],
-    ) -> Result<Vec<bool>, YokanError> {
-        let keys_block = encode_keys(keys);
-        let mut buf = Self::header(target, keys_block.len());
-        buf.put_slice(&keys_block);
-        let resp = self.call(target, OP_EXISTS_MULTI, buf.freeze())?;
-        if resp.len() != keys.len() {
-            return Err(YokanError::Protocol(format!(
-                "exists_multi: expected {} flags, got {}",
-                keys.len(),
-                resp.len()
-            )));
-        }
-        Ok(resp.iter().map(|&b| b == 1).collect())
+        self.read(target, OP_EXISTS_MULTI, Self::keys_request(target, keys))
+            .wait_read(keys.len())
     }
 
     /// Run a serialized predicate [`crate::filter::Program`] server-side
     /// against the columnar page blobs stored under `keys`, in one
     /// round-trip. Only surviving row ids (plus a few counters) come back —
-    /// the page bytes themselves never cross the wire. One reply per key.
+    /// the page bytes themselves never cross the wire. One reply per key;
+    /// during a live migration a `Missing` key is re-filtered on the
+    /// dual-read candidates.
     pub fn filter(
         &self,
         target: &DbTarget,
@@ -919,14 +649,418 @@ impl YokanClient {
         let mut buf = Self::header(target, 4 + prog_bytes.len() + keys_block.len());
         put_bytes(&mut buf, &prog_bytes);
         buf.put_slice(&keys_block);
-        let mut resp = self.call(target, OP_FILTER, buf.freeze())?;
-        let n = get_u32(&mut resp)? as usize;
-        if n != keys.len() {
+        self.read(target, OP_FILTER, buf.freeze())
+            .wait_read(keys.len())
+    }
+
+    /// Whether a key exists (with dual-read fallback during a migration).
+    pub fn exists(&self, target: &DbTarget, key: &[u8]) -> Result<bool, YokanError> {
+        let flags: Vec<bool> = self
+            .read(target, OP_EXISTS, Self::key_request(target, key))
+            .wait_read(1)?;
+        Ok(flags[0])
+    }
+
+    /// Delete a key.
+    pub fn erase(&self, target: &DbTarget, key: &[u8]) -> Result<(), YokanError> {
+        let mut buf = self.mutation_header(target, 4 + key.len());
+        put_bytes(&mut buf, key);
+        self.mutate(target, OP_ERASE, buf.freeze())?;
+        Ok(())
+    }
+
+    /// Atomically insert unless present; returns the existing value if the
+    /// key was already set (the server performs the check-and-insert under
+    /// its backend's lock).
+    pub fn put_if_absent(
+        &self,
+        target: &DbTarget,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<Option<Vec<u8>>, YokanError> {
+        let mut buf = self.mutation_header(target, 8 + key.len() + value.len());
+        put_bytes(&mut buf, key);
+        put_bytes(&mut buf, value);
+        let mut resp = self.mutate(target, OP_PUT_IF_ABSENT, buf.freeze())?;
+        let mut vals = decode_optionals(&mut resp)?;
+        vals.pop()
+            .ok_or_else(|| YokanError::Protocol("empty put_if_absent response".into()))
+    }
+
+    /// Delete a batch of keys in one RPC.
+    pub fn erase_multi(&self, target: &DbTarget, keys: &[Vec<u8>]) -> Result<(), YokanError> {
+        let keys_block = encode_keys(keys);
+        let mut buf = self.mutation_header(target, keys_block.len());
+        buf.put_slice(&keys_block);
+        self.mutate(target, OP_ERASE_MULTI, buf.freeze())?;
+        Ok(())
+    }
+
+    /// Keys strictly greater than `from` matching `prefix`, up to `limit`
+    /// (`0` = unlimited). During a live migration the page is merged with
+    /// the dual-read candidates' pages (deduplicated, sorted), so a key
+    /// acked before the rescale appears no matter which side holds it.
+    pub fn list_keys(
+        &self,
+        target: &DbTarget,
+        from: &[u8],
+        prefix: &[u8],
+        limit: usize,
+    ) -> Result<Vec<Vec<u8>>, YokanError> {
+        self.list_keys_async(target, from, prefix, limit).wait()
+    }
+
+    /// Like [`YokanClient::list_keys`] with values (dual-read pages merge
+    /// the same way; on a key held by both sides the new owner wins).
+    pub fn list_keyvals(
+        &self,
+        target: &DbTarget,
+        from: &[u8],
+        prefix: &[u8],
+        limit: usize,
+    ) -> Result<Vec<KeyValue>, YokanError> {
+        let payload = Self::list_request(target, from, prefix, limit);
+        let page: Page<KeyValue> = self
+            .read(target, OP_LIST_KEYVALS, payload)
+            .wait_read(limit)?;
+        Ok(page.entries)
+    }
+
+    /// Number of pairs in the database.
+    pub fn count(&self, target: &DbTarget) -> Result<u64, YokanError> {
+        let payload = Self::header(target, 0).freeze();
+        let mut resp = self.read(target, OP_COUNT, payload).wait()?;
+        get_u64(&mut resp)
+    }
+
+    /// Database names served by a provider.
+    pub fn list_databases(&self, addr: &str, provider_id: u16) -> Result<Vec<String>, YokanError> {
+        let provider = DbTarget::new(addr, provider_id, "");
+        let mut resp = self.invoke(&provider, OP_LIST_DBS, Bytes::new())?;
+        let keys = decode_keys(&mut resp)?;
+        keys.into_iter()
+            .map(|k| {
+                String::from_utf8(k).map_err(|_| YokanError::Protocol("db name not utf8".into()))
+            })
+            .collect()
+    }
+}
+
+/// How an [`InFlight`] call resolves its members.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Exactly the addressed replica: migration control, epoch probes and
+    /// provider-level calls bypass routes.
+    Physical,
+    /// A read: tail first through the database's replica chain.
+    Read,
+    /// A mutation: acting head first, wrapping around the chain; the
+    /// response carries a replay marker.
+    Mutation,
+}
+
+/// The ordered members one call may be answered by.
+struct Route {
+    /// The addressed database: the only member when unrouted, and the name
+    /// dual-read fallbacks are looked up by.
+    target: DbTarget,
+    /// Its replica chain, when routed.
+    chain: Option<Arc<ChainState>>,
+    /// Mutation order (acting head first, wrapping) instead of read order
+    /// (the tail — the chain's commit point — first, toward the head).
+    mutation: bool,
+    /// Chain index of the acting head when the call was issued.
+    start: usize,
+}
+
+impl Route {
+    fn len(&self) -> usize {
+        self.chain.as_ref().map_or(1, |c| c.replicas.len())
+    }
+
+    /// Chain index of the `k`-th member to try.
+    fn index(&self, k: usize) -> usize {
+        let n = self.len();
+        if self.mutation {
+            (self.start + k) % n
+        } else {
+            n - 1 - k
+        }
+    }
+
+    fn member(&self, k: usize) -> &DbTarget {
+        match &self.chain {
+            Some(c) => &c.replicas[self.index(k)],
+            None => &self.target,
+        }
+    }
+
+    /// Wait for `pending` (issued to the first member), riding the retry
+    /// policy on each member and moving the identical payload on to the
+    /// next member on every dead-node error. A later member answering
+    /// counts a read fallback or, for a mutation, a failover that promotes
+    /// it to acting head — so the promoted member's dedup window absorbs
+    /// anything the old head already forwarded.
+    fn walk(
+        &self,
+        client: &YokanClient,
+        op: u16,
+        payload: &Bytes,
+        mut pending: PendingResponse,
+    ) -> Result<Bytes, YokanError> {
+        let counters = &client.session.counters;
+        let mut k = 0;
+        loop {
+            let t = self.member(k);
+            let result = wait_with_retry(
+                &client.endpoint,
+                client.retry.as_ref(),
+                counters,
+                &t.addr,
+                RpcId(op),
+                t.provider_id,
+                payload,
+                pending,
+            );
+            match result {
+                Ok(resp) if k == 0 => return Ok(resp),
+                Ok(resp) => {
+                    if let (true, Some(chain)) = (self.mutation, &self.chain) {
+                        chain.promote(self.index(k));
+                        counters.failovers.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        counters.read_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok(resp);
+                }
+                Err(e) if replica::is_dead_node(&e) && k + 1 < self.len() => {
+                    k += 1;
+                    let t = self.member(k);
+                    pending = client.endpoint.call_async(
+                        &t.addr,
+                        RpcId(op),
+                        t.provider_id,
+                        payload.clone(),
+                    );
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// One RPC of a [`YokanClient`] from issue to reply: its route, the
+/// payload re-sent on retry and failover, the in-flight response, and the
+/// bulk region a `put_multi` exposed. Reads finish through
+/// [`InFlight::wait_read`], which also runs the dual-read step of a live
+/// migration.
+struct InFlight {
+    client: YokanClient,
+    route: Route,
+    op: u16,
+    payload: Bytes,
+    pending: PendingResponse,
+    /// Released once the last attempt is done, so every retry and failover
+    /// target can still pull it.
+    bulk: Option<mercurio::BulkHandle>,
+}
+
+impl InFlight {
+    fn issue(
+        client: &YokanClient,
+        target: &DbTarget,
+        kind: Kind,
+        op: u16,
+        payload: Bytes,
+    ) -> InFlight {
+        let chain = match kind {
+            Kind::Physical => None,
+            Kind::Read | Kind::Mutation => client.route_for(&target.db),
+        };
+        let mutation = kind == Kind::Mutation;
+        let start = match &chain {
+            Some(c) if mutation => c.cursor(),
+            _ => 0,
+        };
+        let route = Route {
+            target: target.clone(),
+            chain,
+            mutation,
+            start,
+        };
+        let first = route.member(0);
+        let pending =
+            client
+                .endpoint
+                .call_async(&first.addr, RpcId(op), first.provider_id, payload.clone());
+        InFlight {
+            client: client.clone(),
+            route,
+            op,
+            payload,
+            pending,
+            bulk: None,
+        }
+    }
+
+    fn is_ready(&self) -> bool {
+        self.pending.is_ready()
+    }
+
+    /// Wait for the raw reply (a mutation's replay marker stripped).
+    fn wait(self) -> Result<Bytes, YokanError> {
+        let resp = self
+            .route
+            .walk(&self.client, self.op, &self.payload, self.pending);
+        if let Some(h) = &self.bulk {
+            self.client.endpoint.release_bulk(h);
+        }
+        let resp = resp?;
+        if self.route.mutation {
+            strip_replay_marker(resp, &self.client.session.counters)
+        } else {
+            Ok(resp)
+        }
+    }
+
+    /// Wait for a read's decoded reply to a request for `n` keys (or a
+    /// page limit of `n`), then apply the dual-read step: while the
+    /// database has old-owner fallbacks installed, whatever the new owner
+    /// could not answer is asked of each candidate in turn (see
+    /// [`ReadReply`]). Candidate replies are taken as they are — never
+    /// dual-read again.
+    fn wait_read<R: ReadReply>(self, n: usize) -> Result<R, YokanError> {
+        let resp = self
+            .route
+            .walk(&self.client, self.op, &self.payload, self.pending)?;
+        let mut out = R::decode(resp, n)?;
+        let target = &self.route.target;
+        let Some(candidates) = self.client.dual_read_candidates(&target.db) else {
+            return Ok(out);
+        };
+        let body = self.payload.slice(4 + target.db.len()..);
+        let mut served = 0;
+        for c in candidates.iter().filter(|c| *c != target) {
+            let wanted = out.wanted();
+            let (sub_body, sub_n) = match &wanted {
+                Some(slots) if slots.is_empty() => break,
+                Some(slots) => (subset_body(self.op, &body, slots)?, slots.len()),
+                None => (body.clone(), n),
+            };
+            let mut buf = YokanClient::header(c, sub_body.len());
+            buf.put_slice(&sub_body);
+            let resp =
+                InFlight::issue(&self.client, c, Kind::Read, self.op, buf.freeze()).wait()?;
+            served += out.absorb(wanted.as_deref(), R::decode(resp, sub_n)?);
+        }
+        self.client
+            .session
+            .counters
+            .dual_reads
+            .fetch_add(served, Ordering::Relaxed);
+        Ok(out)
+    }
+}
+
+/// The body (request minus database header) of a per-key read that asks
+/// only for the keys at `slots`.
+fn subset_body(op: u16, body: &Bytes, slots: &[usize]) -> Result<Bytes, YokanError> {
+    let mut rest = body.clone();
+    let pick =
+        |keys: Vec<Vec<u8>>| -> Vec<Vec<u8>> { slots.iter().map(|&i| keys[i].clone()).collect() };
+    match op {
+        OP_GET_MULTI | OP_EXISTS_MULTI => Ok(encode_keys(&pick(decode_keys(&mut rest)?))),
+        OP_FILTER => {
+            let program = get_bytes(&mut rest)?;
+            let keys = encode_keys_factored(&pick(decode_keys_factored(&mut rest)?));
+            let mut buf = BytesMut::with_capacity(4 + program.len() + keys.len());
+            put_bytes(&mut buf, &program);
+            buf.put_slice(&keys);
+            Ok(buf.freeze())
+        }
+        // Single-key reads: the one slot is the whole request.
+        _ => Ok(rest),
+    }
+}
+
+/// A decoded read reply that the dual-read step of
+/// [`InFlight::wait_read`] can complete from the old owners of a migrating
+/// database. Per-key reads fill the slots the new owner missed; listings
+/// merge the old owners' pages.
+trait ReadReply: Sized {
+    /// Decode a reply to a request for `n` keys (listings: page limit `n`).
+    fn decode(resp: Bytes, n: usize) -> Result<Self, YokanError>;
+    /// What to ask the old owners: the request slots still unanswered, or
+    /// `None` for the whole request again.
+    fn wanted(&self) -> Option<Vec<usize>>;
+    /// Fold in an old owner's reply to the `wanted` request; returns how
+    /// many result entries it supplied (the `dual_reads` count).
+    fn absorb(&mut self, wanted: Option<&[usize]>, old: Self) -> u64;
+}
+
+/// One slot of a per-key read reply.
+trait Slot: Sized {
+    fn decode_all(resp: Bytes) -> Result<Vec<Self>, YokanError>;
+    fn is_miss(&self) -> bool;
+}
+
+impl<S: Slot> ReadReply for Vec<S> {
+    fn decode(resp: Bytes, n: usize) -> Result<Self, YokanError> {
+        let slots = S::decode_all(resp)?;
+        if slots.len() != n {
             return Err(YokanError::Protocol(format!(
-                "filter: expected {} replies, got {n}",
-                keys.len()
+                "expected {n} replies, got {}",
+                slots.len()
             )));
         }
+        Ok(slots)
+    }
+
+    fn wanted(&self) -> Option<Vec<usize>> {
+        Some(
+            self.iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.is_miss().then_some(i))
+                .collect(),
+        )
+    }
+
+    fn absorb(&mut self, wanted: Option<&[usize]>, old: Self) -> u64 {
+        let mut filled = 0;
+        for (&i, s) in wanted.unwrap_or_default().iter().zip(old) {
+            if !s.is_miss() {
+                self[i] = s;
+                filled += 1;
+            }
+        }
+        filled
+    }
+}
+
+impl Slot for Option<Bytes> {
+    /// Present values are zero-copy slices of the response buffer.
+    fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
+        decode_optionals_shared(&mut resp)
+    }
+
+    fn is_miss(&self) -> bool {
+        self.is_none()
+    }
+}
+
+impl Slot for bool {
+    fn decode_all(resp: Bytes) -> Result<Vec<Self>, YokanError> {
+        Ok(resp.iter().map(|&b| b == 1).collect())
+    }
+
+    fn is_miss(&self) -> bool {
+        !*self
+    }
+}
+
+impl Slot for FilterReply {
+    fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
+        let n = get_u32(&mut resp)? as usize;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(match get_u8(&mut resp)? {
@@ -956,307 +1090,91 @@ impl YokanClient {
         Ok(out)
     }
 
-    /// Whether a key exists (with dual-read fallback during a migration).
-    pub fn exists(&self, target: &DbTarget, key: &[u8]) -> Result<bool, YokanError> {
-        if self.exists_raw(target, key)? {
-            return Ok(true);
-        }
-        if let Some(cands) = self.dual_candidates(&target.db) {
-            for c in &cands {
-                if self.exists_raw(c, key)? {
-                    self.session
-                        .counters
-                        .dual_reads
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
+    fn is_miss(&self) -> bool {
+        *self == FilterReply::Missing
     }
+}
 
-    /// [`YokanClient::exists`] without the dual-read fallback.
-    fn exists_raw(&self, target: &DbTarget, key: &[u8]) -> Result<bool, YokanError> {
-        let mut buf = Self::header(target, 4 + key.len());
-        put_bytes(&mut buf, key);
-        let resp = self.call(target, OP_EXISTS, buf.freeze())?;
-        Ok(resp.first().copied() == Some(1))
-    }
+/// One entry of a listing page, ordered by its key.
+trait Entry: Sized {
+    fn decode_all(resp: Bytes) -> Result<Vec<Self>, YokanError>;
+    fn key(&self) -> &[u8];
+}
 
-    /// Delete a key.
-    pub fn erase(&self, target: &DbTarget, key: &[u8]) -> Result<(), YokanError> {
-        let mut buf = self.mutation_header(target, 4 + key.len());
-        put_bytes(&mut buf, key);
-        self.call_mutation(target, OP_ERASE, buf.freeze())?;
-        Ok(())
-    }
-
-    /// Atomically insert unless present; returns the existing value if the
-    /// key was already set (the server performs the check-and-insert under
-    /// its backend's lock).
-    pub fn put_if_absent(
-        &self,
-        target: &DbTarget,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<Option<Vec<u8>>, YokanError> {
-        let mut buf = self.mutation_header(target, 8 + key.len() + value.len());
-        put_bytes(&mut buf, key);
-        put_bytes(&mut buf, value);
-        let mut resp = self.call_mutation(target, OP_PUT_IF_ABSENT, buf.freeze())?;
-        let mut vals = decode_optionals(&mut resp)?;
-        vals.pop()
-            .ok_or_else(|| YokanError::Protocol("empty put_if_absent response".into()))
-    }
-
-    /// Delete a batch of keys in one RPC.
-    pub fn erase_multi(&self, target: &DbTarget, keys: &[Vec<u8>]) -> Result<(), YokanError> {
-        let keys_block = encode_keys(keys);
-        let mut buf = self.mutation_header(target, keys_block.len());
-        buf.put_slice(&keys_block);
-        self.call_mutation(target, OP_ERASE_MULTI, buf.freeze())?;
-        Ok(())
-    }
-
-    /// Keys strictly greater than `from` matching `prefix`, up to `limit`
-    /// (`0` = unlimited). During a live migration the page is merged with
-    /// the dual-read candidates' pages (deduplicated, sorted), so a key
-    /// acked before the rescale appears no matter which side holds it.
-    pub fn list_keys(
-        &self,
-        target: &DbTarget,
-        from: &[u8],
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<Vec<u8>>, YokanError> {
-        let keys = self.list_keys_raw(target, from, prefix, limit)?;
-        let Some(cands) = self.dual_candidates(&target.db) else {
-            return Ok(keys);
-        };
-        let mut merged: std::collections::BTreeSet<Vec<u8>> = keys.iter().cloned().collect();
-        let n_new = merged.len();
-        for c in &cands {
-            merged.extend(self.list_keys_raw(c, from, prefix, limit)?);
-        }
-        if merged.len() > n_new {
-            self.session
-                .counters
-                .dual_reads
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let mut out: Vec<Vec<u8>> = merged.into_iter().collect();
-        if limit > 0 {
-            out.truncate(limit);
-        }
-        Ok(out)
-    }
-
-    /// [`YokanClient::list_keys`] without the dual-read merge.
-    fn list_keys_raw(
-        &self,
-        target: &DbTarget,
-        from: &[u8],
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<Vec<u8>>, YokanError> {
-        let mut buf = Self::header(target, 12 + from.len() + prefix.len());
-        put_bytes(&mut buf, from);
-        put_bytes(&mut buf, prefix);
-        buf.put_u32_le(limit as u32);
-        let mut resp = self.call(target, OP_LIST_KEYS, buf.freeze())?;
+impl Entry for Vec<u8> {
+    fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
         decode_keys(&mut resp)
     }
 
-    /// Like [`YokanClient::list_keys`] with values (dual-read pages merge
-    /// the same way; on a key held by both sides the new owner wins).
-    pub fn list_keyvals(
-        &self,
-        target: &DbTarget,
-        from: &[u8],
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<KeyValue>, YokanError> {
-        let kvs = self.list_keyvals_raw(target, from, prefix, limit)?;
-        let Some(cands) = self.dual_candidates(&target.db) else {
-            return Ok(kvs);
-        };
-        let mut merged: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-            std::collections::BTreeMap::new();
-        for c in &cands {
-            for (k, v) in self.list_keyvals_raw(c, from, prefix, limit)? {
-                merged.insert(k, v);
-            }
-        }
-        let n_old_only = {
-            let new_keys: std::collections::BTreeSet<&[u8]> =
-                kvs.iter().map(|(k, _)| k.as_slice()).collect();
-            merged
-                .keys()
-                .filter(|k| !new_keys.contains(k.as_slice()))
-                .count()
-        };
-        if n_old_only > 0 {
-            self.session
-                .counters
-                .dual_reads
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        for (k, v) in kvs {
-            merged.insert(k, v);
-        }
-        let mut out: Vec<KeyValue> = merged.into_iter().collect();
-        if limit > 0 {
-            out.truncate(limit);
-        }
-        Ok(out)
+    fn key(&self) -> &[u8] {
+        self
     }
+}
 
-    /// [`YokanClient::list_keyvals`] without the dual-read merge.
-    fn list_keyvals_raw(
-        &self,
-        target: &DbTarget,
-        from: &[u8],
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<KeyValue>, YokanError> {
-        let mut buf = Self::header(target, 12 + from.len() + prefix.len());
-        put_bytes(&mut buf, from);
-        put_bytes(&mut buf, prefix);
-        buf.put_u32_le(limit as u32);
-        let mut resp = self.call(target, OP_LIST_KEYVALS, buf.freeze())?;
+impl Entry for KeyValue {
+    fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
         decode_pairs(&mut resp)
     }
 
-    /// Number of pairs in the database.
-    pub fn count(&self, target: &DbTarget) -> Result<u64, YokanError> {
-        let buf = Self::header(target, 0);
-        let mut resp = self.call(target, OP_COUNT, buf.freeze())?;
-        get_u64(&mut resp)
-    }
-
-    /// Database names served by a provider.
-    pub fn list_databases(&self, addr: &str, provider_id: u16) -> Result<Vec<String>, YokanError> {
-        let mut resp = self.invoke(addr, OP_LIST_DBS, provider_id, Bytes::new())?;
-        let keys = decode_keys(&mut resp)?;
-        keys.into_iter()
-            .map(|k| {
-                String::from_utf8(k).map_err(|_| YokanError::Protocol("db name not utf8".into()))
-            })
-            .collect()
+    fn key(&self) -> &[u8] {
+        &self.0
     }
 }
 
-/// An in-flight asynchronous read RPC: the pending response plus
-/// everything needed to re-issue the identical payload under the client's
-/// retry policy. Reads carry no mutation stamp and no replay marker, so
-/// retrying them is always safe.
-struct PendingRead {
-    pending: PendingResponse,
-    endpoint: Arc<dyn Endpoint>,
-    addr: String,
-    provider_id: u16,
-    op: u16,
-    payload: Bytes,
-    retry: Option<RetryPolicy>,
-    session: Arc<ClientSession>,
-    /// Remaining replicas (tail toward head) to try when the issued
-    /// target turns out to be dead. Empty for unrouted databases.
-    fallbacks: Vec<DbTarget>,
+/// A listing page: sorted entries, at most `limit` of them (`0` = no
+/// limit).
+struct Page<E> {
+    entries: Vec<E>,
+    limit: usize,
 }
 
-impl PendingRead {
-    fn wait_raw(self) -> Result<Bytes, YokanError> {
-        let mut result = wait_with_retry(
-            &self.endpoint,
-            self.retry.as_ref(),
-            &self.session.counters,
-            &self.addr,
-            RpcId(self.op),
-            self.provider_id,
-            &self.payload,
-            self.pending,
-        );
-        for t in &self.fallbacks {
-            let dead = matches!(&result, Err(e) if replica::is_dead_node(e));
-            if !dead {
-                break;
-            }
-            let pending = self.endpoint.call_async(
-                &t.addr,
-                RpcId(self.op),
-                t.provider_id,
-                self.payload.clone(),
-            );
-            result = wait_with_retry(
-                &self.endpoint,
-                self.retry.as_ref(),
-                &self.session.counters,
-                &t.addr,
-                RpcId(self.op),
-                t.provider_id,
-                &self.payload,
-                pending,
-            );
-            if result.is_ok() {
-                self.session
-                    .counters
-                    .read_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+impl<E: Entry> ReadReply for Page<E> {
+    fn decode(resp: Bytes, limit: usize) -> Result<Self, YokanError> {
+        Ok(Page {
+            entries: E::decode_all(resp)?,
+            limit,
+        })
+    }
+
+    fn wanted(&self) -> Option<Vec<usize>> {
+        None
+    }
+
+    /// Merge the two pages into the first `limit` entries of their union;
+    /// on a key both hold, the entry already here (the new owner's) wins.
+    /// Each source listed its first `limit` keys after `from`, so the
+    /// merged page is exactly the union's first page.
+    fn absorb(&mut self, _: Option<&[usize]>, old: Self) -> u64 {
+        let mine = self.entries.drain(..).map(|e| (e, false));
+        let mut all: Vec<(E, bool)> = mine
+            .chain(old.entries.into_iter().map(|e| (e, true)))
+            .collect();
+        // Stable: on equal keys the new owner's entry stays first and
+        // survives the dedup.
+        all.sort_by(|a, b| a.0.key().cmp(b.0.key()));
+        all.dedup_by(|later, earlier| later.0.key() == earlier.0.key());
+        if self.limit > 0 {
+            all.truncate(self.limit);
         }
-        result.map_err(YokanError::from)
-    }
-
-    fn is_ready(&self) -> bool {
-        self.pending.is_ready()
+        let supplied = all.iter().filter(|(_, from_old)| *from_old).count();
+        self.entries = all.into_iter().map(|(e, _)| e).collect();
+        supplied as u64
     }
 }
 
 /// In-flight asynchronous `get_multi` (see [`YokanClient::get_multi_async`]).
 pub struct PendingGetMulti {
-    inner: PendingRead,
+    inner: InFlight,
+    n_keys: usize,
 }
 
 impl PendingGetMulti {
     /// Wait for the values: one slot per requested key, in request order.
-    /// Present values are zero-copy `Bytes` slices of the response buffer.
+    /// Present values are zero-copy `Bytes` slices of a response buffer.
+    /// During a live migration, slots the new owner missed are filled from
+    /// the dual-read candidates.
     pub fn wait(self) -> Result<Vec<Option<Bytes>>, YokanError> {
-        let mut resp = self.inner.wait_raw()?;
-        decode_optionals_shared(&mut resp)
-    }
-
-    /// Wait for the values as owned vectors (the historical representation).
-    pub fn wait_owned(self) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        let mut resp = self.inner.wait_raw()?;
-        decode_optionals(&mut resp)
-    }
-
-    /// Whether the response arrived.
-    pub fn is_ready(&self) -> bool {
-        self.inner.is_ready()
-    }
-}
-
-/// In-flight asynchronous `exists_multi`
-/// (see [`YokanClient::exists_multi_async`]).
-pub struct PendingExistsMulti {
-    inner: PendingRead,
-    n_keys: usize,
-}
-
-impl PendingExistsMulti {
-    /// Wait for the flags, one per requested key.
-    pub fn wait(self) -> Result<Vec<bool>, YokanError> {
-        let n_keys = self.n_keys;
-        let resp = self.inner.wait_raw()?;
-        if resp.len() != n_keys {
-            return Err(YokanError::Protocol(format!(
-                "exists_multi: expected {} flags, got {}",
-                n_keys,
-                resp.len()
-            )));
-        }
-        Ok(resp.iter().map(|&b| b == 1).collect())
+        self.inner.wait_read(self.n_keys)
     }
 
     /// Whether the response arrived.
@@ -1267,14 +1185,16 @@ impl PendingExistsMulti {
 
 /// In-flight asynchronous `list_keys` (see [`YokanClient::list_keys_async`]).
 pub struct PendingListKeys {
-    inner: PendingRead,
+    inner: InFlight,
+    limit: usize,
 }
 
 impl PendingListKeys {
-    /// Wait for the key page.
+    /// Wait for the key page (merged with the dual-read candidates' pages
+    /// during a live migration).
     pub fn wait(self) -> Result<Vec<Vec<u8>>, YokanError> {
-        let mut resp = self.inner.wait_raw()?;
-        decode_keys(&mut resp)
+        let page: Page<Vec<u8>> = self.inner.wait_read(self.limit)?;
+        Ok(page.entries)
     }
 
     /// Whether the response arrived.
@@ -1285,18 +1205,7 @@ impl PendingListKeys {
 
 /// In-flight asynchronous `put_multi`.
 pub struct PendingPut {
-    pending: PendingResponse,
-    bulk: Option<mercurio::BulkHandle>,
-    endpoint: Arc<dyn Endpoint>,
-    addr: String,
-    provider_id: u16,
-    payload: Bytes,
-    retry: Option<RetryPolicy>,
-    session: Arc<ClientSession>,
-    /// The replica chain (and the head index the batch was issued to),
-    /// when the target database is routed: `wait` fails the identical
-    /// payload over to the next chain members on dead-node errors.
-    chain: Option<(Arc<ChainState>, usize)>,
+    inner: InFlight,
 }
 
 impl PendingPut {
@@ -1308,60 +1217,12 @@ impl PendingPut {
     /// exposed on this client, so any replica can still pull it), and the
     /// member that accepts is promoted.
     pub fn wait(self) -> Result<(), YokanError> {
-        let mut result = wait_with_retry(
-            &self.endpoint,
-            self.retry.as_ref(),
-            &self.session.counters,
-            &self.addr,
-            RpcId(OP_PUT_MULTI),
-            self.provider_id,
-            &self.payload,
-            self.pending,
-        );
-        if let Some((chain, start)) = &self.chain {
-            let n = chain.replicas.len();
-            for k in 1..n {
-                let dead = matches!(&result, Err(e) if replica::is_dead_node(e));
-                if !dead {
-                    break;
-                }
-                let idx = (start + k) % n;
-                let t = &chain.replicas[idx];
-                let pending = self.endpoint.call_async(
-                    &t.addr,
-                    RpcId(OP_PUT_MULTI),
-                    t.provider_id,
-                    self.payload.clone(),
-                );
-                result = wait_with_retry(
-                    &self.endpoint,
-                    self.retry.as_ref(),
-                    &self.session.counters,
-                    &t.addr,
-                    RpcId(OP_PUT_MULTI),
-                    t.provider_id,
-                    &self.payload,
-                    pending,
-                );
-                if result.is_ok() {
-                    chain.promote(idx);
-                    self.session
-                        .counters
-                        .failovers
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        if let Some(h) = &self.bulk {
-            self.endpoint.release_bulk(h);
-        }
-        let resp = result.map_err(YokanError::from)?;
-        strip_replay_marker(resp, &self.session.counters)?;
+        self.inner.wait()?;
         Ok(())
     }
 
     /// Whether the acknowledgment arrived.
     pub fn is_ready(&self) -> bool {
-        self.pending.is_ready()
+        self.inner.is_ready()
     }
 }

@@ -37,8 +37,7 @@ mod service;
 
 pub use backend::{Backend, BackendStats, LsmBackend, MemBackend, WatermarkConfig};
 pub use client::{
-    DbTarget, FilterReply, PendingExistsMulti, PendingGetMulti, PendingListKeys, PendingPut,
-    YokanClient,
+    DbTarget, FilterReply, PendingGetMulti, PendingListKeys, PendingPut, YokanClient,
 };
 pub use error::YokanError;
 pub use filter::{FilterOutput, Predicate, Program};

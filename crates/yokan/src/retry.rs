@@ -115,9 +115,10 @@ pub struct RetryStats {
     /// Reads answered by a non-tail replica after the tail (or a replica
     /// closer to it) was unreachable.
     pub read_fallbacks: u64,
-    /// Reads answered by the *old* owner of a migrating database after the
-    /// new owner had no value yet (the dual-read window of a live rescale,
-    /// see [`crate::YokanClient::install_dual_read`]).
+    /// Read result entries — values, flags, filter replies, listed keys —
+    /// supplied by the *old* owner of a migrating database because the new
+    /// owner had none yet (the dual-read window of a live rescale, see
+    /// [`crate::YokanClient::install_dual_read`]).
     pub dual_reads: u64,
 }
 

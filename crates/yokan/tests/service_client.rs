@@ -288,6 +288,151 @@ fn exists_multi_and_large_get_multi_fan_out() {
     ts.server.finalize();
 }
 
+/// Dual-read through every read entry point: a client reading database
+/// "new" (provider 0) with database "old" (provider 1) installed as its
+/// migration fallback. A key only on old is filled (or merged) from it and
+/// counted once; a key on both sides reads the new owner's value and
+/// counts nothing; a key on neither stays missing. Values are columnar
+/// blobs so `filter` runs through the same table: an old-only key must
+/// come back as `Ids`, not `Missing`.
+#[test]
+fn dual_read_fills_and_merges_on_every_read_entry_point() {
+    use yokan::pages::{encode_columns, Column};
+    use yokan::{FilterReply, Program};
+
+    let ts = setup(NetworkModel::default());
+    ts.svc.add_database(0, "new", Arc::new(MemBackend::new()));
+    ts.svc.add_database(1, "old", Arc::new(MemBackend::new()));
+    let new = DbTarget::new(ts.server.address(), 0, "new");
+    let old = DbTarget::new(ts.server.address(), 1, "old");
+    let client = YokanClient::new(ts.fabric.endpoint("client"));
+    let blob = |ids: Vec<u64>| encode_columns(&[Column::U64(ids)], 8);
+    let (new_blob, old_blob) = (blob(vec![1, 2]), blob(vec![10, 20]));
+    client.put(&old, b"k-old", &old_blob).unwrap();
+    client.put(&old, b"k-both", &old_blob).unwrap();
+    client.put(&new, b"k-both", &new_blob).unwrap();
+    client.install_dual_read("new", vec![old.clone()]);
+
+    // Each entry point reports which side answered for `key`: "new" or
+    // "old" for value-bearing reads, "present" for existence and key
+    // listings, `None` for a miss.
+    let side = |v: &[u8]| -> String {
+        if v == new_blob.as_slice() {
+            "new".into()
+        } else if v == old_blob.as_slice() {
+            "old".into()
+        } else {
+            format!("unexpected value {v:?}")
+        }
+    };
+    let program = Program {
+        id_column: 0,
+        predicates: Vec::new(),
+    };
+    type Read<'a> = Box<dyn Fn(&[u8]) -> Option<String> + 'a>;
+    let present = |found: bool| found.then(|| "present".to_string());
+    let entry_points: Vec<(&str, Read)> = vec![
+        (
+            "get",
+            Box::new(|k| client.get(&new, k).unwrap().map(|v| side(&v))),
+        ),
+        (
+            "get_multi",
+            Box::new(|k| {
+                let mut vals = client.get_multi(&new, &[k.to_vec()]).unwrap();
+                vals.pop().unwrap().map(|v| side(&v))
+            }),
+        ),
+        (
+            "get_multi_async",
+            Box::new(|k| {
+                let mut vals = client.get_multi_async(&new, &[k.to_vec()]).wait().unwrap();
+                vals.pop().unwrap().map(|v| side(&v))
+            }),
+        ),
+        (
+            "exists",
+            Box::new(|k| present(client.exists(&new, k).unwrap())),
+        ),
+        (
+            "exists_multi",
+            Box::new(|k| present(client.exists_multi(&new, &[k.to_vec()]).unwrap()[0])),
+        ),
+        (
+            "list_keys",
+            Box::new(|k| present(client.list_keys(&new, b"", k, 0).unwrap() == [k.to_vec()])),
+        ),
+        (
+            "list_keys_async",
+            Box::new(|k| {
+                let page = client.list_keys_async(&new, b"", k, 0).wait().unwrap();
+                present(page == [k.to_vec()])
+            }),
+        ),
+        (
+            "list_keyvals",
+            Box::new(|k| {
+                let page = client.list_keyvals(&new, b"", k, 0).unwrap();
+                assert!(page.len() <= 1, "merged page repeats a key: {page:?}");
+                page.first().map(|(_, v)| side(v))
+            }),
+        ),
+        (
+            "filter",
+            Box::new(|k| {
+                match client
+                    .filter(&new, &program, &[k.to_vec()])
+                    .unwrap()
+                    .remove(0)
+                {
+                    FilterReply::Missing => None,
+                    FilterReply::Ids { ids, .. } if ids == [1, 2] => Some("new".into()),
+                    FilterReply::Ids { ids, .. } if ids == [10, 20] => Some("old".into()),
+                    other => Some(format!("unexpected reply {other:?}")),
+                }
+            }),
+        ),
+    ];
+    for (name, read) in &entry_points {
+        let presence_only = name.starts_with("exists") || name.starts_with("list_keys");
+        let found =
+            |value_side: &str| Some(if presence_only { "present" } else { value_side }.to_string());
+        let cases: [(&[u8], Option<String>, u64); 3] = [
+            (b"k-old", found("old"), 1),
+            (b"k-both", found("new"), 0),
+            (b"k-none", None, 0),
+        ];
+        for (key, want, want_dual) in cases {
+            let before = client.retry_stats().dual_reads;
+            let got = read(key);
+            let dual = client.retry_stats().dual_reads - before;
+            let key = String::from_utf8_lossy(key);
+            assert_eq!(got, want, "{name} of {key}");
+            assert_eq!(dual, want_dual, "{name} of {key}: dual_reads delta");
+        }
+    }
+
+    // Paging a merged listing: each page is the first `limit` keys of the
+    // union after `from`, so interleaved sides page through in order.
+    for (k, t) in [
+        (b"p-a", &new),
+        (b"p-b", &old),
+        (b"p-c", &new),
+        (b"p-d", &old),
+    ] {
+        client.put(t, k, b"x").unwrap();
+    }
+    let first = client.list_keys(&new, b"", b"p-", 2).unwrap();
+    assert_eq!(first, [b"p-a".to_vec(), b"p-b".to_vec()]);
+    let second = client.list_keys(&new, &first[1], b"p-", 2).unwrap();
+    assert_eq!(second, [b"p-c".to_vec(), b"p-d".to_vec()]);
+    assert!(client
+        .list_keys(&new, &second[1], b"p-", 2)
+        .unwrap()
+        .is_empty());
+    ts.server.finalize();
+}
+
 #[test]
 fn put_if_absent_is_atomic_under_contention() {
     let ts = setup(NetworkModel::default());

@@ -23,21 +23,23 @@
 //!   stamping the old topology epoch is rejected, not silently accepted.
 //!
 //! Two in-process companions pin the read side: reads through the new
-//! topology during Handoff (dual-read with old-owner fallback) must never
-//! miss an acked key, and a fenced writer recovers by refreshing its
-//! epoch.
+//! topology during Handoff (dual-read with old-owner fallback) — blocking
+//! scans and pipelined PEP passes alike — must never miss an acked key,
+//! and a fenced writer recovers by refreshing its epoch.
 
 use bedrock::{BackendKind, BedrockServer, ConnectionDescriptor, DbCounts, ServiceConfig};
 use hepnos::placement::{ModuloPlacement, Placement};
 use hepnos::rescale::{Migrator, MigratorConfig, PlacementInput};
 use hepnos::testing::local_deployment;
-use hepnos::{DataStore, HepnosError, ProductLabel, WriteBatch};
+use hepnos::{
+    DataStore, HepnosError, ParallelEventProcessor, PepOptions, ProductLabel, WriteBatch,
+};
 use mercurio::fault::{FaultConfig, FaultPlan};
 use mercurio::tcp::TcpEndpoint;
 use nova::loader::{slice_label, summary_label, DataLoader};
 use nova::{EventRecord, NovaGenerator};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use yokan::{DbTarget, YokanClient};
 
@@ -462,7 +464,9 @@ fn live_rescale_under_faulted_ingest_survives_node_kill() {
 /// Dual-read pin: a client of the new topology, reading concurrently with
 /// the copy pass, must never miss an acked key — including keys written
 /// *behind* the copier mid-migration — and must observe handed-off
-/// overwrites. After finalize, a fresh client needs no fallback at all.
+/// overwrites; a PEP pass over it must deliver every event exactly once
+/// with its prefetched product. After finalize, a fresh client needs no
+/// fallback at all.
 #[test]
 fn dual_reads_never_miss_acked_keys_during_handoff() {
     let dep = local_deployment(1, counts_full());
@@ -501,9 +505,24 @@ fn dual_reads_never_miss_acked_keys_during_handoff() {
     for t in group_targets(&full, "products") {
         store_full.install_dual_read(&t.db, group_targets(&small, "products"));
     }
+    // Every scan also runs a PEP pass: its pipelined listing and product
+    // prefetch must deliver exactly the events the blocking scan saw, each
+    // once, with the same payloads.
+    let pep = ParallelEventProcessor::new(
+        store_full.clone(),
+        PepOptions {
+            num_workers: 2,
+            load_batch_size: 16,
+            dispatch_batch_size: 8,
+            prefetch: vec![(label.clone(), "Vec<u32>".to_string())],
+            ..Default::default()
+        },
+    );
     let scan = |expected: &[(u64, usize)], value: &dyn Fn(u64, u64) -> Vec<u32>| {
-        let run = store_full.dataset("pin").unwrap().run(1).unwrap();
+        let ds = store_full.dataset("pin").unwrap();
+        let run = ds.run(1).unwrap();
         let mut seen: Vec<(u64, usize)> = Vec::new();
+        let mut scanned: Vec<(u64, u64, Option<Vec<u32>>)> = Vec::new();
         for sr in run.subruns().unwrap() {
             let events = sr.events().unwrap();
             for ev in &events {
@@ -512,10 +531,26 @@ fn dual_reads_never_miss_acked_keys_during_handoff() {
                     .expect("product read failed during handoff")
                     .expect("acked product missing during handoff");
                 assert_eq!(got, value(sr.number(), ev.number()));
+                scanned.push((sr.number(), ev.number(), Some(got)));
             }
             seen.push((sr.number(), events.len()));
         }
         assert_eq!(seen, expected, "a scan during handoff missed acked keys");
+
+        let delivered = Mutex::new(Vec::new());
+        pep.process(&ds, |_, pe| {
+            let (_, s, e) = pe.event().coordinates();
+            let payload: Option<Vec<u32>> = pe.load(&label).ok().flatten();
+            delivered.lock().unwrap().push((s, e, payload));
+        })
+        .expect("PEP pass failed during handoff");
+        let mut delivered = delivered.into_inner().unwrap();
+        delivered.sort();
+        scanned.sort();
+        assert_eq!(
+            delivered, scanned,
+            "a PEP pass during handoff missed, repeated or misread events"
+        );
     };
     // Before any copying the new owners are empty: everything is served by
     // the old-owner fallback.
