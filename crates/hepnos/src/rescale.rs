@@ -4,25 +4,22 @@
 //! The paper's related work (§V) cites Pufferscale (ref. 27), "a technique that
 //! could further improve HEPnOS's potential by allowing users to add and
 //! remove storage resources to it while HEP applications are using it".
-//! This module implements the data-movement half of that idea twice over:
-//!
-//! * [`rescale_group`] / [`rescale_group_replicated`] — the *offline* pass:
-//!   stop-the-world, requires quiesced writers and an un-routed client;
-//! * [`Migrator`] — the *live* pass: walks each old database in bounded
-//!   key ranges under traffic. Each range goes **Frozen → Copying →
-//!   Handoff → Done**: the range is frozen on the old owner (mutations
-//!   touching it shed `Busy`, bounded by one batch), copied to every
-//!   member of its new replica chain, then registered for handoff — from
-//!   that point the old owner applies mutations locally *and* re-issues
-//!   them at the new owner with the original dedup stamp, so both copies
-//!   stay coherent and a client retry is deduplicated on either side.
-//!   [`Migrator::finalize`] bumps the deployment's topology epoch (fencing
-//!   stale writers with [`yokan::YokanError::WrongEpoch`]), runs an
-//!   idempotent convergence pass for keys that slipped in behind the
-//!   copier, erases the re-homed keys from their old owners, and tears the
-//!   handoff state down. Reads issued while a migration is in flight use
-//!   the client's dual-read fallback (new owner first, old owner on miss —
-//!   see [`yokan::YokanClient::install_dual_read`]).
+//! This module implements the data-movement half of that idea as one live
+//! pass, the [`Migrator`]; an offline rescale is the same pass run with no
+//! traffic. It walks each old database in bounded key ranges. Each range
+//! goes **Frozen → Copying → Handoff → Done**: the range is frozen on the
+//! old owner (mutations touching it shed `Busy`, bounded by one batch),
+//! copied to every member of its new replica chain, then registered for
+//! handoff — from that point the old owner applies mutations locally *and*
+//! re-issues them at the new owner with the original dedup stamp, so both
+//! copies stay coherent and a client retry is deduplicated on either side.
+//! [`Migrator::finalize`] bumps the deployment's topology epoch (fencing
+//! stale writers with [`yokan::YokanError::WrongEpoch`]), runs an
+//! idempotent convergence pass for keys that slipped in behind the copier,
+//! erases the re-homed keys from their old owners, and tears the handoff
+//! state down. Reads issued while a migration is in flight use the
+//! client's dual-read fallback (new owner first, old owner on miss — see
+//! [`yokan::YokanClient::install_dual_read`]).
 //!
 //! Keys are moved in batches (`put_multi` + `erase`), scanning each old
 //! database with the same paging protocol the iterators use.
@@ -76,7 +73,8 @@ fn retry_busy<T>(mut op: impl FnMut() -> Result<T, YokanError>) -> Result<T, Yok
 /// Outcome of one rescale pass over a database group.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RescaleStats {
-    /// Keys examined.
+    /// Keys examined in their old home database. Keys that arrived there
+    /// from another database during the pass are not counted.
     pub keys_scanned: u64,
     /// Keys whose home database changed (moved).
     pub keys_moved: u64,
@@ -163,7 +161,8 @@ pub fn product_parent<'k>(
 /// (also part of the new group, at index `new_self`) is their new home.
 /// Arrivals exist whenever a pass observes its own earlier moves: the live
 /// migrator walks chains under traffic, and a resumed pass re-scans chains
-/// the interrupted one already copied into.
+/// the interrupted one already copied into. A container key is a resident
+/// only if its prefix places it here under the *old* topology.
 ///
 /// For products both interpretations are checked per candidate parent,
 /// longest first: "resident of this old database" (places here under the
@@ -184,7 +183,7 @@ fn classify(
 ) -> Option<usize> {
     match input {
         PlacementInput::Prefix(n) => {
-            if k.len() < n {
+            if k.len() < n || placement.place(&k[..n], n_old) != old_idx {
                 return None;
             }
             Some(placement.place(&k[..n], n_new))
@@ -236,148 +235,6 @@ fn guard_unrouted(
         }
     }
     Ok(())
-}
-
-/// Rescale one database group from `old` to `new` membership.
-///
-/// Both slices must be in the canonical (sorted) order the
-/// [`crate::DataStore`] uses; `new` may be larger (growth) or smaller
-/// (shrink) than `old`. Keys already in the right place are not touched.
-pub fn rescale_group(
-    client: &YokanClient,
-    old: &[DbTarget],
-    new: &[DbTarget],
-    placement: &dyn Placement,
-    input: PlacementInput,
-) -> Result<RescaleStats, HepnosError> {
-    let singleton =
-        |ts: &[DbTarget]| -> Vec<Vec<DbTarget>> { ts.iter().map(|t| vec![t.clone()]).collect() };
-    rescale_group_replicated(client, &singleton(old), &singleton(new), placement, input)
-}
-
-/// Rescale a *replicated* database group: `old` and `new` are replica
-/// chains (head first, as the [`crate::DataStore`] stores them), and a
-/// re-homed key moves to **every** member of its new chain and is erased
-/// from every member of its old chain — so rescaling preserves the
-/// replication factor instead of quietly collapsing moved keys to one
-/// copy.
-///
-/// `client` must have **no replica routes installed**: rescale reads and
-/// writes physical replicas directly (the heads are the authoritative scan
-/// source), and a routed client would forward each write down the chain a
-/// second time. This is enforced — a routed client is rejected with
-/// [`HepnosError::Topology`]. Chain members shared between a key's old and
-/// new chain are written, never erased.
-pub fn rescale_group_replicated(
-    client: &YokanClient,
-    old: &[Vec<DbTarget>],
-    new: &[Vec<DbTarget>],
-    placement: &dyn Placement,
-    input: PlacementInput,
-) -> Result<RescaleStats, HepnosError> {
-    const PAGE: usize = 1024;
-    if old.is_empty()
-        || new.is_empty()
-        || old.iter().any(Vec::is_empty)
-        || new.iter().any(Vec::is_empty)
-    {
-        return Err(HepnosError::Topology(
-            "rescale needs non-empty old and new groups".into(),
-        ));
-    }
-    guard_unrouted(client, old, new)?;
-    let mut stats = RescaleStats::default();
-    // Phase 1: scan every old chain head and classify. Applying moves only
-    // after the full scan keeps the scan a consistent snapshot (a key moved
-    // into a not-yet-scanned old database would otherwise be re-scanned).
-    let mut moves: Vec<(usize, usize, Vec<u8>, Vec<u8>)> = Vec::new(); // (from, to, k, v)
-    for (old_idx, chain) in old.iter().enumerate() {
-        let db = &chain[0];
-        let new_self = new.iter().position(|c| c[0].db == chain[0].db);
-        let mut from: Vec<u8> = Vec::new();
-        loop {
-            let page = client.list_keyvals(db, &from, &[], PAGE)?;
-            if page.is_empty() {
-                break;
-            }
-            from = page.last().expect("page non-empty").0.clone();
-            for (k, v) in page {
-                stats.keys_scanned += 1;
-                let Some(new_idx) = classify(
-                    &k,
-                    old_idx,
-                    old.len(),
-                    new.len(),
-                    new_self,
-                    placement,
-                    input,
-                ) else {
-                    continue;
-                };
-                if new[new_idx] != *chain {
-                    stats.keys_moved += 1;
-                    moves.push((old_idx, new_idx, k, v));
-                }
-            }
-        }
-    }
-    // Phase 2: apply, grouped per destination (one put_multi per replica of
-    // it), then erase the originals from every old replica. Write-before-
-    // erase means a crash in between leaves duplicates, never losses;
-    // re-running the rescale converges.
-    moves.sort_by_key(|(_, to, _, _)| *to);
-    let mut i = 0;
-    while i < moves.len() {
-        let to = moves[i].1;
-        let mut batch = Vec::new();
-        let start = i;
-        while i < moves.len() && moves[i].1 == to {
-            batch.push((moves[i].2.clone(), moves[i].3.clone()));
-            i += 1;
-        }
-        let batch_bytes: u64 = batch.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
-        for replica in &new[to] {
-            client.put_multi(replica, &batch)?;
-            stats.bytes_moved += batch_bytes;
-        }
-        // Erase the originals, batched per source chain; a replica that is
-        // also a member of the destination chain keeps the keys.
-        let mut by_src: std::collections::HashMap<usize, Vec<Vec<u8>>> =
-            std::collections::HashMap::new();
-        for (from_idx, _, k, _) in &moves[start..i] {
-            by_src.entry(*from_idx).or_default().push(k.clone());
-        }
-        for (from_idx, keys) in by_src {
-            for replica in &old[from_idx] {
-                if new[to].contains(replica) {
-                    continue;
-                }
-                client.erase_multi(replica, &keys)?;
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// Convenience: rescale the *event* group (placement input = 32-byte subrun
-/// prefix).
-pub fn rescale_events(
-    client: &YokanClient,
-    old: &[DbTarget],
-    new: &[DbTarget],
-    placement: &dyn Placement,
-) -> Result<RescaleStats, HepnosError> {
-    rescale_group(client, old, new, placement, PlacementInput::Prefix(32))
-}
-
-/// Convenience: rescale the *product* group.
-pub fn rescale_products(
-    client: &YokanClient,
-    old: &[DbTarget],
-    new: &[DbTarget],
-    placement: &dyn Placement,
-) -> Result<RescaleStats, HepnosError> {
-    rescale_group(client, old, new, placement, PlacementInput::Product)
 }
 
 /// Tuning for the live [`Migrator`].
@@ -458,9 +315,8 @@ pub struct Migrator {
 
 impl Migrator {
     /// Create a migrator. `client` must have neither replica routes nor
-    /// dual-read fallbacks for the groups (enforced, exactly as for
-    /// [`rescale_group_replicated`]): the migrator addresses physical
-    /// replicas directly.
+    /// dual-read fallbacks for the groups (enforced by `guard_unrouted`):
+    /// the migrator addresses physical replicas directly.
     pub fn new(
         client: YokanClient,
         old: Vec<Vec<DbTarget>>,
@@ -614,6 +470,7 @@ impl Migrator {
         let chain = &self.old[old_idx];
         let new_self = self.new.iter().position(|c| c[0].db == chain[0].db);
         let mut by_dest: BatchByDest = std::collections::BTreeMap::new();
+        let mut scanned = 0u64;
         // Re-list under the freeze, paging until past `hi`: the earlier key
         // listing only *bounded* the interval, and writers may have landed
         // more keys inside it in between — the frozen snapshot is the
@@ -630,7 +487,6 @@ impl Migrator {
                 if k.as_slice() > hi {
                     break 'pages;
                 }
-                self.progress.keys_scanned.fetch_add(1, Ordering::Relaxed);
                 let Some(new_idx) = classify(
                     &k,
                     old_idx,
@@ -642,13 +498,22 @@ impl Migrator {
                 ) else {
                     continue;
                 };
+                scanned += 1;
                 if self.new[new_idx] != *chain {
-                    self.progress.keys_moved.fetch_add(1, Ordering::Relaxed);
                     by_dest.entry(new_idx).or_default().push((k, v));
                 }
             }
         }
+        // Counted once the range is through: a range redone after a Busy
+        // shed is counted once.
+        let moved: u64 = by_dest.values().map(|batch| batch.len() as u64).sum();
+        let count = || {
+            let p = &self.progress;
+            p.keys_scanned.fetch_add(scanned, Ordering::Relaxed);
+            p.keys_moved.fetch_add(moved, Ordering::Relaxed);
+        };
         if by_dest.is_empty() {
+            count();
             return Ok(());
         }
         // Copying: write each destination's batch to every reachable
@@ -694,6 +559,7 @@ impl Migrator {
         for (k, _) in entries {
             set.insert(k);
         }
+        count();
         Ok(())
     }
 

@@ -1,14 +1,40 @@
-//! Tests for storage rescaling (the Pufferscale-style extension): after
+//! Tests for storage rescaling (the Pufferscale-style extension), run as a
+//! live `Migrator` pass with no traffic followed by `finalize`: after
 //! growing or shrinking the event/product database groups, every key must
 //! be reachable at its new home, and ring placement must move only a small
 //! fraction of keys.
 
 use bedrock::{ConnectionDescriptor, DbCounts};
-use hepnos::placement::{ModuloPlacement, RingPlacement};
-use hepnos::rescale::{rescale_events, rescale_products};
+use hepnos::placement::{ModuloPlacement, Placement, RingPlacement};
+use hepnos::rescale::{Migrator, MigratorConfig, PlacementInput, RescaleStats};
 use hepnos::testing::local_deployment;
 use hepnos::{DataStore, ProductLabel, WriteBatch};
+use std::sync::Arc;
 use yokan::{DbTarget, YokanClient};
+
+/// Rescale one group from the `old` to the `new` chains with no traffic:
+/// a `Migrator` pass over one source chain at a time, then `finalize`.
+fn migrate(
+    client: YokanClient,
+    old: Vec<Vec<DbTarget>>,
+    new: Vec<Vec<DbTarget>>,
+    placement: Arc<dyn Placement>,
+    input: PlacementInput,
+) -> RescaleStats {
+    let cfg = MigratorConfig {
+        max_inflight_ranges: 1,
+        ..Default::default()
+    };
+    let mig = Migrator::new(client, old, new, placement, input, cfg).unwrap();
+    let stats = mig.run().unwrap();
+    mig.finalize(2).unwrap();
+    stats
+}
+
+/// One single-member chain per target.
+fn chains(targets: Vec<DbTarget>) -> Vec<Vec<DbTarget>> {
+    targets.into_iter().map(|t| vec![t]).collect()
+}
 
 /// Restrict descriptors to the databases a "smaller" deployment would see:
 /// only events_/products_ indices below the given bounds.
@@ -97,21 +123,20 @@ fn growth_keeps_every_event_and_product_reachable() {
 
     // Grow to the full 4+4 topology and migrate.
     let client = YokanClient::new(dep.fabric().endpoint("rescale-client"));
-    let placement = ModuloPlacement;
-    let ev_stats = rescale_events(
-        &client,
-        &event_targets(&small, "events"),
-        &event_targets(&full, "events"),
-        &placement,
-    )
-    .unwrap();
-    let pr_stats = rescale_products(
-        &client,
-        &event_targets(&small, "products"),
-        &event_targets(&full, "products"),
-        &placement,
-    )
-    .unwrap();
+    let ev_stats = migrate(
+        client.clone(),
+        chains(event_targets(&small, "events")),
+        chains(event_targets(&full, "events")),
+        Arc::new(ModuloPlacement),
+        PlacementInput::Prefix(32),
+    );
+    let pr_stats = migrate(
+        client,
+        chains(event_targets(&small, "products")),
+        chains(event_targets(&full, "products")),
+        Arc::new(ModuloPlacement),
+        PlacementInput::Product,
+    );
     assert_eq!(ev_stats.keys_scanned, 300);
     assert!(
         ev_stats.keys_moved > 0,
@@ -159,13 +184,13 @@ fn shrink_consolidates_back() {
         run.create_subrun(s).unwrap().create_event(0).unwrap();
     }
     let client = YokanClient::new(dep.fabric().endpoint("shrink-client"));
-    let stats = rescale_events(
-        &client,
-        &event_targets(&full, "events"),
-        &event_targets(&small, "events"),
-        &ModuloPlacement,
-    )
-    .unwrap();
+    let stats = migrate(
+        client,
+        chains(event_targets(&full, "events")),
+        chains(event_targets(&small, "events")),
+        Arc::new(ModuloPlacement),
+        PlacementInput::Prefix(32),
+    );
     assert_eq!(stats.keys_scanned, 9);
     // Everything now lives in the single surviving db.
     let store_small = DataStore::connect(dep.fabric().endpoint("small-client"), &small).unwrap();
@@ -195,9 +220,11 @@ fn ring_placement_moves_fewer_keys_than_modulo() {
         );
         let full = dep.descriptors().to_vec();
         let small = shrink_descriptors(&full, 7, 1);
-        let ring = RingPlacement::new(128);
-        let modulo = ModuloPlacement;
-        let placement: &dyn hepnos::placement::Placement = if use_ring { &ring } else { &modulo };
+        let placement: Arc<dyn Placement> = if use_ring {
+            Arc::new(RingPlacement::new(128))
+        } else {
+            Arc::new(ModuloPlacement)
+        };
         let store_small = DataStore::connect_with_placement(
             dep.fabric().endpoint("client-a"),
             &small,
@@ -214,13 +241,13 @@ fn ring_placement_moves_fewer_keys_than_modulo() {
             run.create_subrun(s).unwrap().create_event(0).unwrap();
         }
         let client = YokanClient::new(dep.fabric().endpoint("client-b"));
-        let stats = rescale_events(
-            &client,
-            &event_targets(&small, "events"),
-            &event_targets(&full, "events"),
+        let stats = migrate(
+            client,
+            chains(event_targets(&small, "events")),
+            chains(event_targets(&full, "events")),
             placement,
-        )
-        .unwrap();
+            PlacementInput::Prefix(32),
+        );
         assert_eq!(stats.keys_scanned, 200);
         let frac = stats.moved_fraction();
         assert!(
@@ -248,7 +275,6 @@ fn ring_placement_moves_fewer_keys_than_modulo() {
 /// survives on the old chains.
 #[test]
 fn replicated_rescale_preserves_replication_factor() {
-    use hepnos::rescale::{rescale_group_replicated, PlacementInput};
     use hepnos::testing::local_deployment_replicated;
 
     let dep = local_deployment_replicated(
@@ -290,14 +316,13 @@ fn replicated_rescale_preserves_replication_factor() {
 
     // Rescale with a raw (un-routed) client, as the API requires.
     let client = YokanClient::new(dep.fabric().endpoint("repl-rescale-client"));
-    let stats = rescale_group_replicated(
-        &client,
-        &old_chains,
-        &new_chains,
-        &ModuloPlacement,
+    let stats = migrate(
+        client.clone(),
+        old_chains,
+        new_chains.clone(),
+        Arc::new(ModuloPlacement),
         PlacementInput::Prefix(32),
-    )
-    .unwrap();
+    );
     assert_eq!(stats.keys_scanned, 300);
     assert!(stats.keys_moved > 0, "growth moved nothing: {stats:?}");
     // bytes_moved counts bytes per chain member actually written: with
@@ -342,7 +367,6 @@ fn replicated_rescale_preserves_replication_factor() {
 /// through tails instead of the addressed member.
 #[test]
 fn routed_client_is_rejected() {
-    use hepnos::rescale::{rescale_group_replicated, PlacementInput};
     use hepnos::testing::local_deployment_replicated;
 
     let dep = local_deployment_replicated(
@@ -366,33 +390,19 @@ fn routed_client_is_rejected() {
     };
     let (old_chains, new_chains) = (event_chains(&small), event_chains(&full));
 
+    // The Migrator rejects such a client at construction, and also one
+    // with dual-read fallbacks for the groups: its convergence audit must
+    // see exactly what each destination holds.
     let routed = YokanClient::new(dep.fabric().endpoint("routed-client"));
     routed.install_replica_routes(&bedrock::deployment_chains(&full));
-    let err = rescale_group_replicated(
-        &routed,
-        &old_chains,
-        &new_chains,
-        &ModuloPlacement,
-        PlacementInput::Prefix(32),
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, hepnos::HepnosError::Topology(_)),
-        "routed client must fail with Topology, got {err:?}"
-    );
-    // The live Migrator enforces the same contract at construction, and
-    // also rejects a client with dual-read fallbacks for the groups: its
-    // convergence audit must see exactly what each destination holds.
-    let routed2 = YokanClient::new(dep.fabric().endpoint("routed-client-2"));
-    routed2.install_replica_routes(&bedrock::deployment_chains(&full));
     let dual = YokanClient::new(dep.fabric().endpoint("dual-read-client"));
     dual.install_dual_read(&new_chains[3][0].db, old_chains[0].clone());
-    for (what, client) in [("routed", routed2), ("dual-reading", dual)] {
-        let err = hepnos::rescale::Migrator::new(
+    for (what, client) in [("routed", routed), ("dual-reading", dual)] {
+        let err = Migrator::new(
             client,
             old_chains.clone(),
             new_chains.clone(),
-            std::sync::Arc::new(ModuloPlacement),
+            Arc::new(ModuloPlacement),
             PlacementInput::Prefix(32),
             Default::default(),
         )

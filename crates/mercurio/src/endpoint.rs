@@ -91,52 +91,6 @@ pub trait AdmissionControl: Send + Sync {
     fn complete(&self, rpc_id: RpcId, provider_id: u16);
 }
 
-/// Scriptable admission controller for the transport shed-path regression
-/// tests: records how often each hook fired so tests can pin the
-/// exactly-once accounting contract.
-#[cfg(test)]
-pub(crate) mod testctl {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[derive(Default)]
-    pub(crate) struct TestAdmission {
-        pub(crate) shed_at_admit: bool,
-        pub(crate) shed_at_begin: bool,
-        pub(crate) admits: AtomicUsize,
-        pub(crate) begins: AtomicUsize,
-        pub(crate) completes: AtomicUsize,
-    }
-
-    impl AdmissionControl for TestAdmission {
-        fn admit(&self, _rpc_id: RpcId, _provider_id: u16) -> Admission {
-            self.admits.fetch_add(1, Ordering::SeqCst);
-            if self.shed_at_admit {
-                Admission::Shed {
-                    retry_after: Duration::from_millis(7),
-                }
-            } else {
-                Admission::Admit
-            }
-        }
-
-        fn begin(&self, _rpc_id: RpcId, _provider_id: u16, _queued: Duration) -> Admission {
-            self.begins.fetch_add(1, Ordering::SeqCst);
-            if self.shed_at_begin {
-                Admission::Shed {
-                    retry_after: Duration::from_millis(3),
-                }
-            } else {
-                Admission::Admit
-            }
-        }
-
-        fn complete(&self, _rpc_id: RpcId, _provider_id: u16) {
-            self.completes.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-}
-
 /// The in-flight result of an asynchronous call.
 pub struct PendingResponse {
     pub(crate) ev: Eventual<Result<Bytes, RpcError>>,

@@ -86,7 +86,7 @@ impl RpcError {
             RpcError::Transport(m) => (8, m.clone()),
             RpcError::Protocol(m) => (9, m.clone()),
             RpcError::Shutdown => (10, String::new()),
-            RpcError::Busy { retry_after } => (11, retry_after.as_millis().to_string()),
+            RpcError::Busy { retry_after } => (11, retry_after.as_micros().to_string()),
         }
     }
 
@@ -109,7 +109,7 @@ impl RpcError {
             8 => RpcError::Transport(detail.to_string()),
             10 => RpcError::Shutdown,
             11 => RpcError::Busy {
-                retry_after: std::time::Duration::from_millis(detail.parse().unwrap_or(0)),
+                retry_after: std::time::Duration::from_micros(detail.parse().unwrap_or(0)),
             },
             _ => RpcError::Protocol(detail.to_string()),
         }
@@ -139,6 +139,9 @@ mod tests {
             RpcError::Shutdown,
             RpcError::Busy {
                 retry_after: std::time::Duration::from_millis(25),
+            },
+            RpcError::Busy {
+                retry_after: std::time::Duration::from_micros(1500),
             },
         ];
         for e in cases {

@@ -11,6 +11,10 @@
 //!
 //! * [`Endpoint`] — the common API: register handlers, issue blocking or
 //!   asynchronous calls, expose and pull bulk regions.
+//! * One transport-independent RPC core behind every endpoint: handlers,
+//!   executor and admission control, request ids and pending calls with
+//!   deadlines, bulk regions, traffic counters and [`fault`] injection.
+//!   A transport only moves frames between endpoints.
 //! * [`local`] — an in-process transport routed through a shared
 //!   [`local::Fabric`], governed by a configurable [`NetworkModel`]
 //!   (per-message latency, serialization bandwidth, and a per-NIC *injection
@@ -49,9 +53,12 @@
 #![warn(missing_docs)]
 
 mod bulk;
+mod core;
 mod endpoint;
 mod error;
 pub mod fault;
+#[cfg(test)]
+mod harness;
 pub mod local;
 mod model;
 pub mod tcp;

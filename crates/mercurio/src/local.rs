@@ -8,15 +8,14 @@
 //! failing on saturation, as the Aries NIC did in the paper's runs).
 
 use crate::bulk::BulkHandle;
+use crate::core::{FaultSlot, Link, RpcCore};
 use crate::endpoint::{
-    Admission, AdmissionControl, Endpoint, EndpointStats, Executor, PendingResponse, Request,
-    RpcHandler,
+    AdmissionControl, Endpoint, EndpointStats, Executor, PendingResponse, RpcHandler,
 };
 use crate::error::RpcError;
-use crate::fault::{FaultDecision, FaultPlan, FrameDirection};
+use crate::fault::FaultPlan;
 use crate::model::{InjectionGauge, NetworkModel};
 use crate::wire::{Frame, RpcId};
-use argos::Eventual;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -125,18 +124,6 @@ impl DelayLine {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    requests_sent: AtomicU64,
-    requests_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    bulk_bytes_served: AtomicU64,
-    frames_sent: AtomicU64,
-    wire_writes: AtomicU64,
-    send_stalls: AtomicU64,
-}
-
 /// One frame awaiting its endpoint's sender thread. `deliver` runs (through
 /// the fabric's delay line) when the injection charge succeeds; `fail` runs
 /// instead when the NIC budget is blown and the model fails on saturation.
@@ -203,10 +190,11 @@ fn sender_loop(ep: Arc<EndpointInner>, fabric: Arc<FabricInner>) {
         // One injection charge for the whole burst: the simulated NIC sees
         // the coalesced write, not `batch.len()` individual frames.
         let ok = ep.gauge.inject_burst(batch.len() as u64, total);
-        ep.counters
+        let counters = &ep.core.counters;
+        counters
             .frames_sent
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        ep.counters.wire_writes.fetch_add(1, Ordering::Relaxed);
+        counters.wire_writes.fetch_add(1, Ordering::Relaxed);
         if !ok && fabric.model.fail_on_saturation {
             for f in batch.drain(..) {
                 (f.fail)(RpcError::NetworkSaturated);
@@ -220,20 +208,11 @@ fn sender_loop(ep: Arc<EndpointInner>, fabric: Arc<FabricInner>) {
 }
 
 struct EndpointInner {
-    addr: String,
-    handlers: RwLock<HashMap<RpcId, Arc<dyn RpcHandler>>>,
-    executor: RwLock<Executor>,
-    admission: RwLock<Option<Arc<dyn AdmissionControl>>>,
-    pending: Mutex<HashMap<u64, Eventual<Result<Bytes, RpcError>>>>,
-    next_req: AtomicU64,
-    next_bulk: AtomicU64,
-    bulks: RwLock<HashMap<u64, Bytes>>,
+    core: Arc<RpcCore>,
     gauge: InjectionGauge,
-    counters: Counters,
     /// Present on non-ideal fabrics; `None` keeps the ideal model's fully
     /// synchronous send path (tests rely on synchronous saturation errors).
     sender: Option<Arc<Sender>>,
-    down: AtomicBool,
 }
 
 impl EndpointInner {
@@ -247,11 +226,12 @@ impl EndpointInner {
         deliver: DeliveryFn,
         fail: Box<dyn FnOnce(RpcError) + Send + 'static>,
     ) {
+        let counters = &self.core.counters;
         match &self.sender {
             None => {
                 let ok = self.gauge.inject_burst(1, len);
-                self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-                self.counters.wire_writes.fetch_add(1, Ordering::Relaxed);
+                counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+                counters.wire_writes.fetch_add(1, Ordering::Relaxed);
                 if !ok && fabric.model.fail_on_saturation {
                     fail(RpcError::NetworkSaturated);
                 } else {
@@ -261,7 +241,7 @@ impl EndpointInner {
             Some(sender) => {
                 let mut st = sender.state.lock();
                 if st.queue.len() >= sender.max_queued && !st.closed {
-                    self.counters.send_stalls.fetch_add(1, Ordering::Relaxed);
+                    counters.send_stalls.fetch_add(1, Ordering::Relaxed);
                     while st.queue.len() >= sender.max_queued && !st.closed {
                         sender.not_full.wait(&mut st);
                     }
@@ -279,20 +259,50 @@ impl EndpointInner {
     }
 }
 
+/// The fabric route from one endpoint to another: frames leave through
+/// `from`'s NIC and are received by `to`.
+#[derive(Clone)]
+struct LocalLink {
+    from: Arc<EndpointInner>,
+    to: Arc<EndpointInner>,
+    fabric: Arc<FabricInner>,
+}
+
+impl Link for LocalLink {
+    fn peer(&self) -> &str {
+        &self.to.core.addr
+    }
+
+    fn send(&self, frame: Frame) -> Result<(), RpcError> {
+        // The local transport hands frames over without encoding them, but
+        // charges and counts them at their encoded size.
+        let len = frame.encoded_len();
+        // A frame the NIC cannot send fails the call it belongs to: the
+        // sender's own for a request, the peer's for a response.
+        let (waiter, req_id) = match &frame {
+            Frame::Request { req_id, .. } => (Arc::clone(&self.from.core), *req_id),
+            Frame::Response { req_id, .. } => (Arc::clone(&self.to.core), *req_id),
+        };
+        let back = LocalLink {
+            from: Arc::clone(&self.to),
+            to: Arc::clone(&self.from),
+            fabric: Arc::clone(&self.fabric),
+        };
+        self.from.send_frame(
+            &self.fabric,
+            len,
+            Box::new(move || back.from.core.receive(frame, len, &back)),
+            Box::new(move |e| waiter.complete(req_id, Err(e))),
+        );
+        Ok(())
+    }
+}
+
 struct FabricInner {
     model: NetworkModel,
     endpoints: RwLock<HashMap<String, Arc<EndpointInner>>>,
     delay: Option<Arc<DelayLine>>,
-    fault: RwLock<Option<Arc<FaultPlan>>>,
-}
-
-impl FabricInner {
-    fn fault_decision(&self, dir: FrameDirection, rpc_id: RpcId, req_id: u64) -> FaultDecision {
-        match &*self.fault.read() {
-            Some(plan) => plan.decide(dir, rpc_id, req_id),
-            None => FaultDecision::default(),
-        }
-    }
+    fault: FaultSlot,
 }
 
 /// An in-process network shared by a set of [`LocalEndpoint`]s.
@@ -315,7 +325,7 @@ impl Fabric {
                 model,
                 endpoints: RwLock::new(HashMap::new()),
                 delay,
-                fault: RwLock::new(None),
+                fault: FaultSlot::default(),
             }),
         }
     }
@@ -344,18 +354,9 @@ impl Fabric {
             )))
         };
         let inner = Arc::new(EndpointInner {
-            addr: addr.clone(),
-            handlers: RwLock::new(HashMap::new()),
-            executor: RwLock::new(Arc::new(|_, _, f: Box<dyn FnOnce() + Send>| f())),
-            admission: RwLock::new(None),
-            pending: Mutex::new(HashMap::new()),
-            next_req: AtomicU64::new(1),
-            next_bulk: AtomicU64::new(1),
-            bulks: RwLock::new(HashMap::new()),
+            core: RpcCore::new(addr.clone(), Arc::clone(&self.inner.fault)),
             gauge: InjectionGauge::new(model),
-            counters: Counters::default(),
             sender,
-            down: AtomicBool::new(false),
         });
         if inner.sender.is_some() {
             let ep = Arc::clone(&inner);
@@ -466,161 +467,25 @@ impl LocalEndpoint {
     /// Calls currently awaiting a response. A timed-out (cancelled) call is
     /// removed immediately, so this exposes pending-entry leaks to tests.
     pub fn pending_calls(&self) -> usize {
-        self.inner.pending.lock().len()
-    }
-
-    /// Send `result` back to `src_addr` through the fabric (also modeled).
-    fn send_response(
-        fabric: &Arc<FabricInner>,
-        responder: &Arc<EndpointInner>,
-        src_addr: &str,
-        req_id: u64,
-        rpc_id: RpcId,
-        result: Result<Bytes, RpcError>,
-    ) {
-        let resp_len = match &result {
-            Ok(b) => b.len(),
-            Err(_) => 32,
-        };
-        responder
-            .counters
-            .bytes_sent
-            .fetch_add(resp_len as u64, Ordering::Relaxed);
-        let fd = fabric.fault_decision(FrameDirection::Response, rpc_id, req_id);
-        if let Some(t) = fd.delay {
-            std::thread::sleep(t);
-        }
-        if fd.drop || fd.disconnect {
-            // Response lost: the caller's pending entry stays until its
-            // deadline fires (or shutdown fails it).
-            return;
-        }
-        let caller = fabric.endpoints.read().get(src_addr).cloned();
-        if let Some(caller) = caller {
-            // The response goes back out through the responder's NIC:
-            // queued to its coalescing sender (non-ideal models) and
-            // charged as part of whatever burst it lands in. A duplicated
-            // response is harmless to the caller: the first delivery
-            // removes the pending entry, the second finds nothing.
-            let sends = if fd.duplicate { 2 } else { 1 };
-            for _ in 0..sends {
-                let deliver_caller = Arc::clone(&caller);
-                let fail_caller = Arc::clone(&caller);
-                let result = result.clone();
-                responder.send_frame(
-                    fabric,
-                    resp_len,
-                    Box::new(move || {
-                        deliver_caller
-                            .counters
-                            .bytes_received
-                            .fetch_add(resp_len as u64, Ordering::Relaxed);
-                        if let Some(ev) = deliver_caller.pending.lock().remove(&req_id) {
-                            ev.set(result);
-                        }
-                    }),
-                    Box::new(move |e| {
-                        if let Some(ev) = fail_caller.pending.lock().remove(&req_id) {
-                            ev.set(Err(e));
-                        }
-                    }),
-                );
-            }
-        }
-    }
-
-    fn dispatch_request(
-        self_fabric: &Arc<FabricInner>,
-        target: &Arc<EndpointInner>,
-        src_addr: String,
-        req_id: u64,
-        rpc_id: RpcId,
-        provider_id: u16,
-        payload: Bytes,
-    ) {
-        target
-            .counters
-            .requests_received
-            .fetch_add(1, Ordering::Relaxed);
-        target
-            .counters
-            .bytes_received
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        // Admission check on the delivery thread: an over-bound request is
-        // answered `Busy` right here, bypassing the execution pools, so an
-        // overloaded provider rejects cheaply instead of queueing unboundedly.
-        // Never a silent drop — the caller always gets a response.
-        let admission = target.admission.read().clone();
-        if let Some(ctrl) = &admission {
-            if let Admission::Shed { retry_after } = ctrl.admit(rpc_id, provider_id) {
-                Self::send_response(
-                    self_fabric,
-                    target,
-                    &src_addr,
-                    req_id,
-                    rpc_id,
-                    Err(RpcError::Busy { retry_after }),
-                );
-                return;
-            }
-        }
-        let handler = target.handlers.read().get(&rpc_id).cloned();
-        let fabric = Arc::clone(self_fabric);
-        let target2 = Arc::clone(target);
-        let exec = target.executor.read().clone();
-        let queued_at = Instant::now();
-        let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-            // Deadline-aware shed at the front of the pool: a request that
-            // queued past the controller's bound is answered Busy instead of
-            // doing work its caller has likely abandoned.
-            let shed_late = admission.as_ref().and_then(|ctrl| {
-                match ctrl.begin(rpc_id, provider_id, queued_at.elapsed()) {
-                    Admission::Admit => None,
-                    Admission::Shed { retry_after } => Some(retry_after),
-                }
-            });
-            let result = match (shed_late, handler) {
-                (Some(retry_after), _) => Err(RpcError::Busy { retry_after }),
-                (None, None) => Err(RpcError::NoSuchRpc(rpc_id.0)),
-                (None, Some(h)) => {
-                    if target2.down.load(Ordering::Acquire) {
-                        Err(RpcError::Shutdown)
-                    } else {
-                        h.handle(Request {
-                            source: src_addr.clone(),
-                            rpc_id,
-                            provider_id,
-                            payload,
-                        })
-                    }
-                }
-            };
-            // Release the admission slot exactly once per admitted request,
-            // before the (possibly faulted) response send.
-            if let Some(ctrl) = &admission {
-                ctrl.complete(rpc_id, provider_id);
-            }
-            Self::send_response(&fabric, &target2, &src_addr, req_id, rpc_id, result);
-        });
-        exec(rpc_id, provider_id, job);
+        self.inner.core.pending_calls()
     }
 }
 
 impl Endpoint for LocalEndpoint {
     fn address(&self) -> String {
-        self.inner.addr.clone()
+        self.inner.core.addr.clone()
     }
 
     fn register(&self, id: RpcId, handler: Arc<dyn RpcHandler>) {
-        self.inner.handlers.write().insert(id, handler);
+        self.inner.core.register(id, handler);
     }
 
     fn set_executor(&self, exec: Executor) {
-        *self.inner.executor.write() = exec;
+        self.inner.core.set_executor(exec);
     }
 
     fn set_admission(&self, ctrl: Option<Arc<dyn AdmissionControl>>) {
-        *self.inner.admission.write() = ctrl;
+        self.inner.core.set_admission(ctrl);
     }
 
     fn call_async(
@@ -630,101 +495,24 @@ impl Endpoint for LocalEndpoint {
         provider_id: u16,
         payload: Bytes,
     ) -> PendingResponse {
-        if self.inner.down.load(Ordering::Acquire) {
-            return PendingResponse::failed(RpcError::Shutdown);
-        }
-        let Some(target_inner) = self.fabric.endpoints.read().get(target).cloned() else {
-            return PendingResponse::failed(RpcError::NoSuchEndpoint(target.to_string()));
-        };
-        if target_inner.down.load(Ordering::Acquire) {
-            return PendingResponse::failed(RpcError::NoSuchEndpoint(target.to_string()));
-        }
-        let req_id = self.inner.next_req.fetch_add(1, Ordering::Relaxed);
-        let fd = self
-            .fabric
-            .fault_decision(FrameDirection::Request, id, req_id);
-        if fd.disconnect {
-            return PendingResponse::failed(RpcError::Transport(
-                "injected transient disconnect".into(),
-            ));
-        }
-        // Frame-size accounting matches the wire codec even though the local
-        // transport short-circuits actual encoding for speed.
-        let frame_len = Frame::Request {
-            req_id,
-            rpc_id: id,
-            provider_id,
-            payload: payload.clone(),
-        }
-        .encoded_len();
-        self.inner
-            .counters
-            .requests_sent
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .counters
-            .bytes_sent
-            .fetch_add(frame_len as u64, Ordering::Relaxed);
-        let ev = Eventual::new();
-        self.inner.pending.lock().insert(req_id, ev.clone());
-        // Abandoning the call (deadline) removes the pending entry so a
-        // dropped frame cannot leak state; a late response then no-ops.
-        let cancel_inner = Arc::clone(&self.inner);
-        let pending = PendingResponse::with_cancel(
-            ev,
-            Box::new(move || {
-                cancel_inner.pending.lock().remove(&req_id);
-            }),
-        );
-        if let Some(t) = fd.delay {
-            std::thread::sleep(t);
-        }
-        if fd.drop {
-            // The request frame is lost in transit: it was charged to the
-            // caller's intent but never reaches the target. The caller's
-            // deadline fires and retries.
-            return pending;
-        }
-        let sends = if fd.duplicate { 2 } else { 1 };
-        for _ in 0..sends {
-            let fabric = Arc::clone(&self.fabric);
-            let target_inner = Arc::clone(&target_inner);
-            let src = self.inner.addr.clone();
-            let caller = Arc::clone(&self.inner);
-            let payload = payload.clone();
-            self.inner.send_frame(
-                &self.fabric,
-                frame_len,
-                Box::new(move || {
-                    LocalEndpoint::dispatch_request(
-                        &fabric,
-                        &target_inner,
-                        src,
-                        req_id,
-                        id,
-                        provider_id,
-                        payload,
-                    );
+        self.inner.core.call_async(id, provider_id, payload, || {
+            match self.fabric.endpoints.read().get(target) {
+                Some(to) if !to.core.is_down() => Ok(LocalLink {
+                    from: Arc::clone(&self.inner),
+                    to: Arc::clone(to),
+                    fabric: Arc::clone(&self.fabric),
                 }),
-                Box::new(move |e| {
-                    if let Some(ev) = caller.pending.lock().remove(&req_id) {
-                        ev.set(Err(e));
-                    }
-                }),
-            );
-        }
-        pending
+                _ => Err(RpcError::NoSuchEndpoint(target.to_string())),
+            }
+        })
     }
 
     fn expose_bulk(&self, data: Bytes) -> BulkHandle {
-        let id = self.inner.next_bulk.fetch_add(1, Ordering::Relaxed);
-        let len = data.len();
-        self.inner.bulks.write().insert(id, data);
-        BulkHandle { id, len }
+        self.inner.core.expose_bulk(data)
     }
 
     fn release_bulk(&self, handle: &BulkHandle) {
-        self.inner.bulks.write().remove(&handle.id);
+        self.inner.core.release_bulk(handle);
     }
 
     fn bulk_pull(
@@ -734,7 +522,7 @@ impl Endpoint for LocalEndpoint {
         offset: usize,
         len: usize,
     ) -> Result<Bytes, RpcError> {
-        if self.inner.down.load(Ordering::Acquire) {
+        if self.inner.core.is_down() {
             return Err(RpcError::Shutdown);
         }
         let owner_inner = self
@@ -744,19 +532,7 @@ impl Endpoint for LocalEndpoint {
             .get(owner)
             .cloned()
             .ok_or_else(|| RpcError::NoSuchEndpoint(owner.to_string()))?;
-        let region = owner_inner
-            .bulks
-            .read()
-            .get(&handle.id)
-            .cloned()
-            .ok_or(RpcError::NoSuchBulk(handle.id))?;
-        if offset.checked_add(len).is_none_or(|end| end > region.len()) {
-            return Err(RpcError::BulkOutOfRange {
-                offset,
-                len,
-                size: region.len(),
-            });
-        }
+        let data = owner_inner.core.bulk_slice(handle.id, offset, len)?;
         // The transfer consumes the owner's injection budget (it is the
         // owner's NIC that pushes the data, as in an RDMA get).
         let ok = owner_inner.gauge.inject(len);
@@ -764,10 +540,12 @@ impl Endpoint for LocalEndpoint {
             return Err(RpcError::NetworkSaturated);
         }
         owner_inner
+            .core
             .counters
             .bulk_bytes_served
             .fetch_add(len as u64, Ordering::Relaxed);
         self.inner
+            .core
             .counters
             .bytes_received
             .fetch_add(len as u64, Ordering::Relaxed);
@@ -775,32 +553,18 @@ impl Endpoint for LocalEndpoint {
         if !t.is_zero() {
             std::thread::sleep(t);
         }
-        Ok(region.slice(offset..offset + len))
+        Ok(data)
     }
 
     fn stats(&self) -> EndpointStats {
-        let c = &self.inner.counters;
-        EndpointStats {
-            requests_sent: c.requests_sent.load(Ordering::Relaxed),
-            requests_received: c.requests_received.load(Ordering::Relaxed),
-            bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: c.bytes_received.load(Ordering::Relaxed),
-            bulk_bytes_served: c.bulk_bytes_served.load(Ordering::Relaxed),
-            frames_sent: c.frames_sent.load(Ordering::Relaxed),
-            wire_writes: c.wire_writes.load(Ordering::Relaxed),
-            send_stalls: c.send_stalls.load(Ordering::Relaxed),
-        }
+        self.inner.core.stats()
     }
 
     fn shutdown(&self) {
-        self.inner.down.store(true, Ordering::Release);
-        self.fabric.endpoints.write().remove(&self.inner.addr);
+        self.inner.core.shutdown();
+        self.fabric.endpoints.write().remove(&self.inner.core.addr);
         if let Some(s) = &self.inner.sender {
             s.close();
-        }
-        let mut pending = self.inner.pending.lock();
-        for (_, ev) in pending.drain() {
-            ev.set(Err(RpcError::Shutdown));
         }
     }
 }
@@ -808,85 +572,27 @@ impl Endpoint for LocalEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::endpoint::Request;
+    use std::time::Instant;
 
     fn echo_handler() -> Arc<dyn RpcHandler> {
         Arc::new(|req: Request| Ok(req.payload))
     }
 
     #[test]
-    fn basic_call_response() {
+    fn unknown_or_shut_down_endpoint_errors() {
         let fabric = Fabric::new(NetworkModel::default());
         let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(RpcId(1), echo_handler());
-        let out = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"ping"))
-            .unwrap();
-        assert_eq!(&out[..], b"ping");
-    }
-
-    #[test]
-    fn unknown_rpc_id_errors() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        let err = c.call(&s.address(), RpcId(5), 0, Bytes::new()).unwrap_err();
-        assert_eq!(err, RpcError::NoSuchRpc(5));
-    }
-
-    #[test]
-    fn unknown_endpoint_errors() {
-        let fabric = Fabric::new(NetworkModel::default());
         let c = fabric.endpoint("c");
         let err = c
             .call("local://ghost", RpcId(1), 0, Bytes::new())
             .unwrap_err();
         assert!(matches!(err, RpcError::NoSuchEndpoint(_)));
-    }
-
-    #[test]
-    fn handler_error_propagates() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(
-            RpcId(1),
-            Arc::new(|_req: Request| Err(RpcError::Handler("nope".into()))),
-        );
-        let err = c.call(&s.address(), RpcId(1), 0, Bytes::new()).unwrap_err();
-        assert_eq!(err, RpcError::Handler("nope".into()));
-    }
-
-    #[test]
-    fn provider_id_reaches_handler() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(
-            RpcId(1),
-            Arc::new(|req: Request| Ok(Bytes::copy_from_slice(&req.provider_id.to_le_bytes()))),
-        );
-        let out = c.call(&s.address(), RpcId(1), 42, Bytes::new()).unwrap();
-        assert_eq!(u16::from_le_bytes([out[0], out[1]]), 42);
-    }
-
-    #[test]
-    fn async_calls_complete_out_of_band() {
-        let fabric = Fabric::new(NetworkModel {
-            latency: Duration::from_millis(5),
-            ..Default::default()
-        });
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
         s.register(RpcId(1), echo_handler());
-        let pending: Vec<_> = (0..10u8)
-            .map(|i| c.call_async(&s.address(), RpcId(1), 0, Bytes::copy_from_slice(&[i])))
-            .collect();
-        for (i, p) in pending.into_iter().enumerate() {
-            assert_eq!(p.wait().unwrap()[0] as usize, i);
-        }
-        fabric.stop();
+        s.shutdown();
+        let err = c.call(&s.address(), RpcId(1), 0, Bytes::new()).unwrap_err();
+        assert!(matches!(err, RpcError::NoSuchEndpoint(_)));
+        assert!(!fabric.is_registered(&s.address()));
     }
 
     #[test]
@@ -905,26 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_expose_pull_release() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        let h = s.expose_bulk(Bytes::from_static(b"0123456789"));
-        assert_eq!(&c.bulk_pull(&s.address(), &h, 2, 4).unwrap()[..], b"2345");
-        assert_eq!(
-            &c.bulk_pull(&s.address(), &h, 0, 10).unwrap()[..],
-            b"0123456789"
-        );
-        let err = c.bulk_pull(&s.address(), &h, 8, 5).unwrap_err();
-        assert!(matches!(err, RpcError::BulkOutOfRange { .. }));
-        s.release_bulk(&h);
-        assert_eq!(
-            c.bulk_pull(&s.address(), &h, 0, 1).unwrap_err(),
-            RpcError::NoSuchBulk(h.id)
-        );
-    }
-
-    #[test]
     fn saturation_fails_calls_when_configured() {
         let fabric = Fabric::new(NetworkModel {
             injection_bandwidth: 64.0, // 64 B/s x 1 s window = 64-byte budget
@@ -939,89 +625,6 @@ mod tests {
         let err = c.call(&s.address(), RpcId(1), 0, payload).unwrap_err();
         assert_eq!(err, RpcError::NetworkSaturated);
         assert_eq!(c.saturation_events(), 1);
-    }
-
-    #[test]
-    fn admit_shed_answers_busy_without_leaking() {
-        use crate::endpoint::testctl::TestAdmission;
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(RpcId(1), echo_handler());
-        let ctl = Arc::new(TestAdmission {
-            shed_at_admit: true,
-            ..Default::default()
-        });
-        s.set_admission(Some(Arc::clone(&ctl) as Arc<dyn AdmissionControl>));
-        let err = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"x"))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RpcError::Busy {
-                retry_after: Duration::from_millis(7)
-            }
-        );
-        // The one-response-per-request invariant: a shed call still got its
-        // answer, so the client's pending map is empty.
-        assert_eq!(c.pending_calls(), 0);
-        // Admit-shed bypasses the pools and holds no slot.
-        assert_eq!(ctl.begins.load(Ordering::SeqCst), 0);
-        assert_eq!(ctl.completes.load(Ordering::SeqCst), 0);
-        // Clearing the controller restores normal service.
-        s.set_admission(None);
-        let out = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"y"))
-            .unwrap();
-        assert_eq!(&out[..], b"y");
-    }
-
-    #[test]
-    fn begin_shed_releases_slot_exactly_once() {
-        use crate::endpoint::testctl::TestAdmission;
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(RpcId(1), echo_handler());
-        let ctl = Arc::new(TestAdmission {
-            shed_at_begin: true,
-            ..Default::default()
-        });
-        s.set_admission(Some(Arc::clone(&ctl) as Arc<dyn AdmissionControl>));
-        let err = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"x"))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RpcError::Busy {
-                retry_after: Duration::from_millis(3)
-            }
-        );
-        assert_eq!(c.pending_calls(), 0);
-        assert_eq!(ctl.admits.load(Ordering::SeqCst), 1);
-        assert_eq!(ctl.begins.load(Ordering::SeqCst), 1);
-        assert_eq!(ctl.completes.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn admitted_calls_balance_admission_accounting() {
-        use crate::endpoint::testctl::TestAdmission;
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(RpcId(1), echo_handler());
-        let ctl = Arc::new(TestAdmission::default());
-        s.set_admission(Some(Arc::clone(&ctl) as Arc<dyn AdmissionControl>));
-        for i in 0..8u8 {
-            let out = c
-                .call(&s.address(), RpcId(1), 3, Bytes::from(vec![i]))
-                .unwrap();
-            assert_eq!(&out[..], &[i]);
-        }
-        assert_eq!(ctl.admits.load(Ordering::SeqCst), 8);
-        assert_eq!(ctl.begins.load(Ordering::SeqCst), 8);
-        assert_eq!(ctl.completes.load(Ordering::SeqCst), 8);
-        assert_eq!(c.pending_calls(), 0);
     }
 
     #[test]
@@ -1050,221 +653,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_traffic() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(RpcId(1), echo_handler());
-        c.call(&s.address(), RpcId(1), 0, Bytes::from_static(b"xyz"))
-            .unwrap();
-        let cs = c.stats();
-        let ss = s.stats();
-        assert_eq!(cs.requests_sent, 1);
-        assert_eq!(ss.requests_received, 1);
-        assert!(cs.bytes_sent > 3);
-        assert!(cs.bytes_received >= 3);
-    }
-
-    #[test]
-    fn shutdown_fails_new_and_pending_calls() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(RpcId(1), echo_handler());
-        s.shutdown();
-        let err = c.call(&s.address(), RpcId(1), 0, Bytes::new()).unwrap_err();
-        assert!(matches!(err, RpcError::NoSuchEndpoint(_)));
-        c.shutdown();
-        let err = c.call(&s.address(), RpcId(1), 0, Bytes::new()).unwrap_err();
-        assert_eq!(err, RpcError::Shutdown);
-    }
-
-    #[test]
     #[should_panic(expected = "already registered")]
     fn duplicate_endpoint_name_panics() {
         let fabric = Fabric::new(NetworkModel::default());
         let _a = fabric.endpoint("same");
         let _b = fabric.endpoint("same");
-    }
-
-    #[test]
-    fn custom_executor_receives_all_requests() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        let c = fabric.endpoint("c");
-        s.register(RpcId(1), echo_handler());
-        let hits = Arc::new(AtomicUsize::new(0));
-        let hits2 = Arc::clone(&hits);
-        s.set_executor(Arc::new(move |_rpc, _prov, f| {
-            hits2.fetch_add(1, Ordering::SeqCst);
-            f();
-        }));
-        for _ in 0..5 {
-            c.call(&s.address(), RpcId(1), 0, Bytes::new()).unwrap();
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn many_concurrent_callers() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("s");
-        s.register(
-            RpcId(1),
-            Arc::new(|req: Request| {
-                let n = u64::from_le_bytes(req.payload[..8].try_into().unwrap());
-                Ok(Bytes::copy_from_slice(&(n + 1).to_le_bytes()))
-            }),
-        );
-        let addr = s.address();
-        let mut threads = Vec::new();
-        for t in 0..8u64 {
-            let fabric = fabric.clone();
-            let addr = addr.clone();
-            threads.push(std::thread::spawn(move || {
-                let c = fabric.endpoint(&format!("c{t}"));
-                for i in 0..100u64 {
-                    let out = c
-                        .call(&addr, RpcId(1), 0, Bytes::copy_from_slice(&i.to_le_bytes()))
-                        .unwrap();
-                    assert_eq!(u64::from_le_bytes(out[..8].try_into().unwrap()), i + 1);
-                }
-            }));
-        }
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(s.stats().requests_received, 800);
-    }
-}
-
-#[cfg(test)]
-mod timeout_tests {
-    use super::*;
-    use crate::endpoint::Request;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    #[test]
-    fn pending_response_times_out_on_slow_handler() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("slow");
-        let c = fabric.endpoint("client");
-        s.register(
-            RpcId(1),
-            Arc::new(|_req: Request| {
-                std::thread::sleep(Duration::from_millis(200));
-                Ok(bytes::Bytes::new())
-            }),
-        );
-        // Push handler execution off the caller's thread so the timeout can
-        // actually fire while the handler sleeps.
-        s.set_executor(Arc::new(|_rpc, _prov, job| {
-            std::thread::spawn(job);
-        }));
-        let pending = c.call_async(&s.address(), RpcId(1), 0, bytes::Bytes::new());
-        let err = pending.wait_timeout(Duration::from_millis(20)).unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
-        // A patient caller still gets the response.
-        let ok = c
-            .call_async(&s.address(), RpcId(1), 0, bytes::Bytes::new())
-            .wait_timeout(Duration::from_secs(5));
-        assert!(ok.is_ok());
-    }
-
-    #[test]
-    fn deadline_against_stalled_handler_leaves_no_pending_entry() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("stalled");
-        let c = fabric.endpoint("client");
-        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let release2 = Arc::clone(&release);
-        s.register(
-            RpcId(1),
-            Arc::new(move |_req: Request| {
-                while !release2.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Ok(bytes::Bytes::new())
-            }),
-        );
-        s.set_executor(Arc::new(|_rpc, _prov, job| {
-            std::thread::spawn(job);
-        }));
-        let err = c
-            .call_with_deadline(
-                &s.address(),
-                RpcId(1),
-                0,
-                bytes::Bytes::new(),
-                Duration::from_millis(20),
-            )
-            .unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
-        // The abandoned call must not leak a pending entry.
-        assert_eq!(c.pending_calls(), 0);
-        // Unstick the handler; its late response must be dropped harmlessly.
-        release.store(true, Ordering::Release);
-        let ok = c
-            .call_async(&s.address(), RpcId(1), 0, bytes::Bytes::new())
-            .wait_timeout(Duration::from_secs(5));
-        assert!(ok.is_ok());
-        assert_eq!(c.pending_calls(), 0);
-    }
-
-    #[test]
-    fn dropped_request_times_out_and_cancels() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("srv");
-        let c = fabric.endpoint("cli");
-        s.register(RpcId(1), Arc::new(|req: Request| Ok(req.payload)));
-        let mut cfg = crate::fault::FaultConfig::new(77);
-        cfg.drop_request = 1.0;
-        fabric.install_fault_plan(Arc::new(crate::fault::FaultPlan::new(cfg)));
-        let err = c
-            .call_with_deadline(
-                &s.address(),
-                RpcId(1),
-                0,
-                bytes::Bytes::from_static(b"x"),
-                Duration::from_millis(20),
-            )
-            .unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
-        assert_eq!(c.pending_calls(), 0);
-        assert_eq!(s.stats().requests_received, 0);
-        // Clearing the plan restores delivery.
-        fabric.clear_fault_plan();
-        let out = c
-            .call(&s.address(), RpcId(1), 0, bytes::Bytes::from_static(b"y"))
-            .unwrap();
-        assert_eq!(&out[..], b"y");
-    }
-
-    #[test]
-    fn duplicated_request_delivers_once_to_caller() {
-        let fabric = Fabric::new(NetworkModel::default());
-        let s = fabric.endpoint("srv");
-        let c = fabric.endpoint("cli");
-        let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let hits2 = Arc::clone(&hits);
-        s.register(
-            RpcId(1),
-            Arc::new(move |req: Request| {
-                hits2.fetch_add(1, Ordering::SeqCst);
-                Ok(req.payload)
-            }),
-        );
-        let mut cfg = crate::fault::FaultConfig::new(5);
-        cfg.duplicate_request = 1.0;
-        fabric.install_fault_plan(Arc::new(crate::fault::FaultPlan::new(cfg)));
-        let out = c
-            .call(&s.address(), RpcId(1), 0, bytes::Bytes::from_static(b"dup"))
-            .unwrap();
-        assert_eq!(&out[..], b"dup");
-        // The handler ran twice (at-most-once is the service layer's job),
-        // but the caller saw exactly one response.
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-        assert_eq!(c.pending_calls(), 0);
     }
 }

@@ -4,7 +4,9 @@
 //! separate `aprun`-launched MPI programs; our analogue is separate OS
 //! processes connected over TCP). Each endpoint owns a listener; connections
 //! are established lazily, carry a one-frame handshake announcing the
-//! dialer's canonical address, and are then used bidirectionally.
+//! dialer's canonical address, and are then used bidirectionally. The pool
+//! holds at most one connection per peer: concurrent first calls to a peer
+//! share one dial.
 //!
 //! Sending is pipelined: every connection owns a writer thread draining a
 //! bounded outbound queue. All frames queued at drain time are coalesced
@@ -18,22 +20,20 @@
 //! the closest TCP analogue of an RDMA get.
 
 use crate::bulk::BulkHandle;
+use crate::core::{FaultSlot, Link, RpcCore};
 use crate::endpoint::{
-    Admission, AdmissionControl, Endpoint, EndpointStats, Executor, PendingResponse, Request,
-    RpcHandler,
+    AdmissionControl, Endpoint, EndpointStats, Executor, PendingResponse, Request, RpcHandler,
 };
 use crate::error::RpcError;
-use crate::fault::{FaultDecision, FaultPlan, FrameDirection};
+use crate::fault::FaultPlan;
 use crate::wire::{Frame, RpcId, RPC_BULK_PULL};
-use argos::Eventual;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Address scheme prefix for the TCP transport.
 pub const SCHEME: &str = "tcp://";
@@ -59,7 +59,7 @@ impl Default for TcpSendConfig {
     }
 }
 
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Bytes> {
+fn read_frame(mut stream: &TcpStream) -> std::io::Result<Bytes> {
     let mut hdr = [0u8; 4];
     stream.read_exact(&mut hdr)?;
     let len = u32::from_le_bytes(hdr) as usize;
@@ -73,51 +73,53 @@ struct SendState {
     closed: bool,
 }
 
-/// One established connection: a bounded outbound frame queue drained by a
-/// dedicated writer thread.
+/// One established connection to `peer`: a bounded outbound frame queue
+/// drained by a dedicated writer thread, and the socket its reader thread
+/// reads.
 struct Conn {
+    peer: String,
     state: Mutex<SendState>,
     not_empty: Condvar,
     not_full: Condvar,
     cfg: TcpSendConfig,
-    counters: Arc<Counters>,
-    /// Clone of the underlying socket used only to tear the connection
-    /// down (unblocks both the reader and writer threads).
+    core: Arc<RpcCore>,
+    /// Read by the reader thread; shutting it down unblocks both the
+    /// reader and the writer threads.
     socket: TcpStream,
 }
 
 impl Conn {
-    fn spawn(stream: TcpStream, cfg: TcpSendConfig, counters: Arc<Counters>) -> Arc<Conn> {
-        let socket = stream.try_clone().unwrap_or_else(|_| {
-            // If the clone fails the socket is already dying; the writer
-            // thread will discover that on first write.
-            stream.try_clone().expect("tcp socket clone failed twice")
-        });
+    /// Wrap `socket` and start its writer thread.
+    fn spawn(socket: TcpStream, peer: String, ep: &TcpInner) -> std::io::Result<Arc<Conn>> {
+        let stream = socket.try_clone()?;
         let conn = Arc::new(Conn {
+            peer,
             state: Mutex::new(SendState {
                 queue: VecDeque::new(),
                 closed: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            cfg,
-            counters,
+            cfg: ep.send_cfg.clone(),
+            core: Arc::clone(&ep.core),
             socket,
         });
         let c2 = Arc::clone(&conn);
         std::thread::Builder::new()
             .name("mercurio-tcp-tx".into())
-            .spawn(move || writer_loop(c2, stream))
-            .expect("failed to spawn writer thread");
-        conn
+            .spawn(move || writer_loop(c2, stream))?;
+        Ok(conn)
     }
 
     /// Enqueue one frame for transmission; blocks when the outbound queue
     /// is full (backpressure) and fails once the connection is closed.
-    fn send(&self, frame: &Bytes) -> Result<(), RpcError> {
+    fn enqueue(&self, frame: Bytes) -> Result<(), RpcError> {
         let mut st = self.state.lock();
         if st.queue.len() >= self.cfg.max_queued_frames && !st.closed {
-            self.counters.send_stalls.fetch_add(1, Ordering::Relaxed);
+            self.core
+                .counters
+                .send_stalls
+                .fetch_add(1, Ordering::Relaxed);
             while st.queue.len() >= self.cfg.max_queued_frames && !st.closed {
                 self.not_full.wait(&mut st);
             }
@@ -125,7 +127,7 @@ impl Conn {
         if st.closed {
             return Err(RpcError::Transport("connection closed".into()));
         }
-        st.queue.push_back(frame.clone());
+        st.queue.push_back(frame);
         drop(st);
         self.not_empty.notify_one();
         Ok(())
@@ -143,6 +145,16 @@ impl Conn {
     fn close_hard(&self) {
         self.close();
         let _ = self.socket.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+impl Link for Arc<Conn> {
+    fn peer(&self) -> &str {
+        &self.peer
+    }
+
+    fn send(&self, frame: Frame) -> Result<(), RpcError> {
+        self.enqueue(frame.encode())
     }
 }
 
@@ -172,10 +184,11 @@ fn writer_loop(conn: Arc<Conn>, mut stream: TcpStream) {
             wire.put_u32_le(f.len() as u32);
             wire.put_slice(f);
         }
-        conn.counters
+        let counters = &conn.core.counters;
+        counters
             .frames_sent
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        conn.counters.wire_writes.fetch_add(1, Ordering::Relaxed);
+        counters.wire_writes.fetch_add(1, Ordering::Relaxed);
         batch.clear();
         if stream
             .write_all(&wire)
@@ -190,61 +203,36 @@ fn writer_loop(conn: Arc<Conn>, mut stream: TcpStream) {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    requests_sent: AtomicU64,
-    requests_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    bulk_bytes_served: AtomicU64,
-    frames_sent: AtomicU64,
-    wire_writes: AtomicU64,
-    send_stalls: AtomicU64,
-}
-
-type PendingMap = HashMap<u64, (String, Eventual<Result<Bytes, RpcError>>)>;
-
 struct TcpInner {
-    addr: String,
-    handlers: RwLock<HashMap<RpcId, Arc<dyn RpcHandler>>>,
-    executor: RwLock<Executor>,
-    admission: RwLock<Option<Arc<dyn AdmissionControl>>>,
-    /// In-flight requests tagged with the peer they were sent to, so a lost
-    /// connection fails exactly the calls routed through it.
-    pending: Mutex<PendingMap>,
+    core: Arc<RpcCore>,
+    /// The connection pool: at most one connection per peer.
     conns: Mutex<HashMap<String, Arc<Conn>>>,
+    /// Per-peer dial locks, so concurrent first calls dial a peer once.
+    dials: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     send_cfg: TcpSendConfig,
-    next_req: AtomicU64,
-    next_bulk: AtomicU64,
-    bulks: RwLock<HashMap<u64, Bytes>>,
-    counters: Arc<Counters>,
-    fault: RwLock<Option<Arc<FaultPlan>>>,
-    down: AtomicBool,
 }
 
 impl TcpInner {
-    fn fault_decision(&self, dir: FrameDirection, rpc_id: RpcId, req_id: u64) -> FaultDecision {
-        match &*self.fault.read() {
-            Some(plan) => plan.decide(dir, rpc_id, req_id),
-            None => FaultDecision::default(),
+    /// Serve frames arriving on `conn` until it dies.
+    fn read_loop(&self, conn: Arc<Conn>) {
+        while let Ok(raw) = read_frame(&conn.socket) {
+            let len = raw.len();
+            match Frame::decode(raw) {
+                Ok(frame) => self.core.receive(frame, len, &conn),
+                Err(_) => break,
+            }
         }
-    }
-}
-
-/// Fail every pending request that was routed to `peer`.
-fn fail_pending_for_peer(inner: &TcpInner, peer: &str) {
-    let mut pending = inner.pending.lock();
-    let dead: Vec<u64> = pending
-        .iter()
-        .filter(|(_, (p, _))| p == peer)
-        .map(|(&id, _)| id)
-        .collect();
-    for id in dead {
-        if let Some((_, ev)) = pending.remove(&id) {
-            ev.set(Err(RpcError::Transport(format!(
-                "connection to {peer} lost"
-            ))));
+        // Connection lost: stop its writer, drop it from the pool (unless a
+        // newer connection replaced it there) so a future call re-dials,
+        // and fail the requests that were awaiting this peer — a killed
+        // service must surface as an error, not a hang.
+        conn.close();
+        let mut conns = self.conns.lock();
+        if conns.get(&conn.peer).is_some_and(|c| Arc::ptr_eq(c, &conn)) {
+            conns.remove(&conn.peer);
         }
+        drop(conns);
+        self.core.fail_peer(&conn.peer);
     }
 }
 
@@ -267,31 +255,20 @@ impl TcpEndpoint {
         let actual = listener.local_addr()?.port();
         let addr = format!("{SCHEME}127.0.0.1:{actual}");
         let inner = Arc::new(TcpInner {
-            addr,
-            handlers: RwLock::new(HashMap::new()),
-            executor: RwLock::new(Arc::new(|_, _, f: Box<dyn FnOnce() + Send>| f())),
-            admission: RwLock::new(None),
-            pending: Mutex::new(HashMap::new()),
+            core: RpcCore::new(addr, FaultSlot::default()),
             conns: Mutex::new(HashMap::new()),
+            dials: Mutex::new(HashMap::new()),
             send_cfg,
-            next_req: AtomicU64::new(1),
-            next_bulk: AtomicU64::new(1),
-            bulks: RwLock::new(HashMap::new()),
-            counters: Arc::new(Counters::default()),
-            fault: RwLock::new(None),
-            down: AtomicBool::new(false),
         });
-        let ep = Arc::new(TcpEndpoint {
-            inner: Arc::clone(&inner),
-            listener_port: actual,
-        });
-        ep.register_bulk_handler();
+        register_bulk_handler(&inner.core);
         let accept_inner = Arc::clone(&inner);
         std::thread::Builder::new()
             .name(format!("mercurio-accept-{actual}"))
-            .spawn(move || accept_loop(listener, accept_inner))
-            .expect("failed to spawn accept thread");
-        Ok(ep)
+            .spawn(move || accept_loop(listener, accept_inner))?;
+        Ok(Arc::new(TcpEndpoint {
+            inner,
+            listener_port: actual,
+        }))
     }
 
     /// The local listener port.
@@ -303,57 +280,36 @@ impl TcpEndpoint {
     /// (requests) and answers (responses). Handshake frames are never
     /// faulted. Replaces any previously installed plan.
     pub fn install_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.inner.fault.write() = Some(plan);
+        *self.inner.core.fault.write() = Some(plan);
     }
 
     /// Remove the installed [`FaultPlan`], restoring fault-free delivery.
     pub fn clear_fault_plan(&self) {
-        *self.inner.fault.write() = None;
+        *self.inner.core.fault.write() = None;
     }
 
     /// Calls currently awaiting a response. A timed-out (cancelled) call is
     /// removed immediately, so this exposes pending-entry leaks to tests.
     pub fn pending_calls(&self) -> usize {
-        self.inner.pending.lock().len()
+        self.inner.core.pending_calls()
     }
 
-    fn register_bulk_handler(&self) {
-        let inner = Arc::clone(&self.inner);
-        self.inner.handlers.write().insert(
-            RPC_BULK_PULL,
-            Arc::new(move |req: Request| {
-                let mut p = req.payload;
-                if p.remaining() < 24 {
-                    return Err(RpcError::Protocol("short bulk-pull request".into()));
-                }
-                let id = p.get_u64_le();
-                let offset = p.get_u64_le() as usize;
-                let len = p.get_u64_le() as usize;
-                let region = inner
-                    .bulks
-                    .read()
-                    .get(&id)
-                    .cloned()
-                    .ok_or(RpcError::NoSuchBulk(id))?;
-                if offset.checked_add(len).is_none_or(|end| end > region.len()) {
-                    return Err(RpcError::BulkOutOfRange {
-                        offset,
-                        len,
-                        size: region.len(),
-                    });
-                }
-                inner
-                    .counters
-                    .bulk_bytes_served
-                    .fetch_add(len as u64, Ordering::Relaxed);
-                Ok(region.slice(offset..offset + len))
-            }),
-        );
-    }
-
+    /// The pooled connection to `target`, dialed if there is none yet.
     fn connect(&self, target: &str) -> Result<Arc<Conn>, RpcError> {
-        if let Some(c) = self.inner.conns.lock().get(target) {
-            return Ok(Arc::clone(c));
+        let pooled = || self.inner.conns.lock().get(target).cloned();
+        if let Some(c) = pooled() {
+            return Ok(c);
+        }
+        let gate = Arc::clone(
+            self.inner
+                .dials
+                .lock()
+                .entry(target.to_string())
+                .or_default(),
+        );
+        let _dialing = gate.lock();
+        if let Some(c) = pooled() {
+            return Ok(c);
         }
         let hostport = target
             .strip_prefix(SCHEME)
@@ -361,196 +317,88 @@ impl TcpEndpoint {
         let stream = TcpStream::connect(hostport)
             .map_err(|e| RpcError::NoSuchEndpoint(format!("{target}: {e}")))?;
         stream.set_nodelay(true).ok();
-        let write_half = stream
-            .try_clone()
-            .map_err(|e| RpcError::Transport(e.to_string()))?;
-        let conn = Conn::spawn(
-            write_half,
-            self.inner.send_cfg.clone(),
-            Arc::clone(&self.inner.counters),
-        );
-        // Handshake: announce our canonical address so the peer can route
-        // responses and future requests back. Queued like any other frame;
-        // FIFO order guarantees it goes out first.
-        let mut hello = BytesMut::new();
-        hello.put_slice(self.inner.addr.as_bytes());
-        conn.send(&hello.freeze())?;
-        self.inner
-            .conns
-            .lock()
-            .insert(target.to_string(), Arc::clone(&conn));
-        let inner = Arc::clone(&self.inner);
-        let peer = target.to_string();
-        let conn2 = Arc::clone(&conn);
-        std::thread::Builder::new()
+        let io_err = |e: std::io::Error| RpcError::Transport(e.to_string());
+        let conn = Conn::spawn(stream, target.to_string(), &self.inner).map_err(io_err)?;
+        {
+            let mut conns = self.inner.conns.lock();
+            if let Some(winner) = conns.get(target) {
+                // The peer dialed us meanwhile: use its connection and drop
+                // ours before it is announced.
+                conn.close_hard();
+                return Ok(Arc::clone(winner));
+            }
+            // Handshake: announce our canonical address so the peer can
+            // route responses and future requests back. Queued before the
+            // connection is pooled, so it is the first frame on the wire.
+            conn.enqueue(Bytes::copy_from_slice(self.inner.core.addr.as_bytes()))?;
+            conns.insert(target.to_string(), Arc::clone(&conn));
+        }
+        let (inner, c2) = (Arc::clone(&self.inner), Arc::clone(&conn));
+        if let Err(e) = std::thread::Builder::new()
             .name("mercurio-tcp-rx".into())
-            .spawn(move || reader_loop(stream, inner, peer, conn2))
-            .expect("failed to spawn reader thread");
+            .spawn(move || inner.read_loop(c2))
+        {
+            conn.close_hard();
+            self.inner.conns.lock().remove(target);
+            return Err(io_err(e));
+        }
         Ok(conn)
     }
 }
 
-fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
-    loop {
-        let (mut stream, _) = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        if inner.down.load(Ordering::Acquire) {
-            return;
-        }
-        stream.set_nodelay(true).ok();
-        // Read the handshake to learn the peer's canonical address.
-        let peer_addr = match read_frame(&mut stream) {
-            Ok(f) => String::from_utf8_lossy(&f).into_owned(),
-            Err(_) => continue,
-        };
-        let write_half = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => continue,
-        };
-        let conn = Conn::spawn(
-            write_half,
-            inner.send_cfg.clone(),
-            Arc::clone(&inner.counters),
-        );
-        inner
-            .conns
-            .lock()
-            .insert(peer_addr.clone(), Arc::clone(&conn));
-        let inner2 = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("mercurio-tcp-rx".into())
-            .spawn(move || reader_loop(stream, inner2, peer_addr, conn))
-            .expect("failed to spawn reader thread");
-    }
+/// Install the reserved `RPC_BULK_PULL` handler serving this endpoint's
+/// exposed regions to remote pulls.
+fn register_bulk_handler(core: &Arc<RpcCore>) {
+    let weak = Arc::downgrade(core);
+    core.register(
+        RPC_BULK_PULL,
+        Arc::new(move |req: Request| {
+            let mut p = req.payload;
+            if p.remaining() < 24 {
+                return Err(RpcError::Protocol("short bulk-pull request".into()));
+            }
+            let id = p.get_u64_le();
+            let offset = p.get_u64_le() as usize;
+            let len = p.get_u64_le() as usize;
+            let core = weak.upgrade().ok_or(RpcError::Shutdown)?;
+            let region = core.bulk_slice(id, offset, len)?;
+            core.counters
+                .bulk_bytes_served
+                .fetch_add(len as u64, Ordering::Relaxed);
+            Ok(region)
+        }),
+    );
 }
 
-fn reader_loop(mut stream: TcpStream, inner: Arc<TcpInner>, peer: String, conn: Arc<Conn>) {
-    while let Ok(raw) = read_frame(&mut stream) {
-        inner
-            .counters
-            .bytes_received
-            .fetch_add(raw.len() as u64, Ordering::Relaxed);
-        let frame = match Frame::decode(raw) {
-            Ok(f) => f,
-            Err(_) => break,
-        };
-        match frame {
-            Frame::Request {
-                req_id,
-                rpc_id,
-                provider_id,
-                payload,
-            } => {
-                inner
-                    .counters
-                    .requests_received
-                    .fetch_add(1, Ordering::Relaxed);
-                // Admission check on the reader thread; internal bulk pulls
-                // are exempt (they serve already-admitted requests). A shed
-                // request is answered Busy right here, bypassing the
-                // executor — rejected, never silently dropped.
-                let admission = if rpc_id == RPC_BULK_PULL {
-                    None
-                } else {
-                    inner.admission.read().clone()
-                };
-                if let Some(ctrl) = &admission {
-                    if let Admission::Shed { retry_after } = ctrl.admit(rpc_id, provider_id) {
-                        let resp = Frame::Response {
-                            req_id,
-                            result: Err(RpcError::Busy { retry_after }.to_wire()),
-                        }
-                        .encode();
-                        let fd = inner.fault_decision(FrameDirection::Response, rpc_id, req_id);
-                        if let Some(t) = fd.delay {
-                            std::thread::sleep(t);
-                        }
-                        if !(fd.drop || fd.disconnect) {
-                            inner
-                                .counters
-                                .bytes_sent
-                                .fetch_add(resp.len() as u64, Ordering::Relaxed);
-                            let _ = conn.send(&resp);
-                        }
-                        continue;
-                    }
-                }
-                let handler = inner.handlers.read().get(&rpc_id).cloned();
-                let exec = inner.executor.read().clone();
-                let conn = Arc::clone(&conn);
-                let inner2 = Arc::clone(&inner);
-                let peer2 = peer.clone();
-                let queued_at = Instant::now();
-                exec(
-                    rpc_id,
-                    provider_id,
-                    Box::new(move || {
-                        // Deadline-aware shed at the front of the pool.
-                        let shed_late = admission.as_ref().and_then(|ctrl| {
-                            match ctrl.begin(rpc_id, provider_id, queued_at.elapsed()) {
-                                Admission::Admit => None,
-                                Admission::Shed { retry_after } => Some(retry_after),
-                            }
-                        });
-                        let result = match (shed_late, handler) {
-                            (Some(retry_after), _) => Err(RpcError::Busy { retry_after }),
-                            (None, None) => Err(RpcError::NoSuchRpc(rpc_id.0)),
-                            (None, Some(h)) => h.handle(Request {
-                                source: peer2,
-                                rpc_id,
-                                provider_id,
-                                payload,
-                            }),
-                        };
-                        if let Some(ctrl) = &admission {
-                            ctrl.complete(rpc_id, provider_id);
-                        }
-                        let resp = Frame::Response {
-                            req_id,
-                            result: result.map_err(|e| e.to_wire()),
-                        }
-                        .encode();
-                        let fd = inner2.fault_decision(FrameDirection::Response, rpc_id, req_id);
-                        if let Some(t) = fd.delay {
-                            std::thread::sleep(t);
-                        }
-                        if fd.drop || fd.disconnect {
-                            // Response lost: the caller's deadline fires.
-                            return;
-                        }
-                        inner2
-                            .counters
-                            .bytes_sent
-                            .fetch_add(resp.len() as u64, Ordering::Relaxed);
-                        let _ = conn.send(&resp);
-                        if fd.duplicate {
-                            // Harmless to the caller: the first delivery
-                            // removes the pending entry, the second no-ops.
-                            let _ = conn.send(&resp);
-                        }
-                    }),
-                );
-            }
-            Frame::Response { req_id, result } => {
-                if let Some((_, ev)) = inner.pending.lock().remove(&req_id) {
-                    ev.set(result.map_err(|(c, d)| RpcError::from_wire(c, &d)));
-                }
-            }
+fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
+    while let Ok((stream, _)) = listener.accept() {
+        if inner.core.is_down() {
+            return;
         }
+        let inner = Arc::clone(&inner);
+        // The handshake is read on the connection's own thread: a dialer
+        // that never sends one stalls only that thread, never later
+        // accepts. A connection that cannot get its threads is dropped.
+        let _ = std::thread::Builder::new()
+            .name("mercurio-tcp-rx".into())
+            .spawn(move || {
+                let Ok(hello) = read_frame(&stream) else {
+                    return;
+                };
+                let peer = String::from_utf8_lossy(&hello).into_owned();
+                stream.set_nodelay(true).ok();
+                let Ok(conn) = Conn::spawn(stream, peer.clone(), &inner) else {
+                    return;
+                };
+                inner.conns.lock().insert(peer, Arc::clone(&conn));
+                inner.read_loop(conn);
+            });
     }
-    // Connection lost: stop its writer, drop it from the pool so a future
-    // call re-dials, and fail the requests that were awaiting this peer —
-    // a killed service must surface as an error, not a hang.
-    conn.close();
-    inner.conns.lock().remove(&peer);
-    fail_pending_for_peer(&inner, &peer);
 }
 
 impl Endpoint for TcpEndpoint {
     fn address(&self) -> String {
-        self.inner.addr.clone()
+        self.inner.core.addr.clone()
     }
 
     fn register(&self, id: RpcId, handler: Arc<dyn RpcHandler>) {
@@ -559,15 +407,15 @@ impl Endpoint for TcpEndpoint {
             "rpc id {} is reserved",
             RPC_BULK_PULL.0
         );
-        self.inner.handlers.write().insert(id, handler);
+        self.inner.core.register(id, handler);
     }
 
     fn set_executor(&self, exec: Executor) {
-        *self.inner.executor.write() = exec;
+        self.inner.core.set_executor(exec);
     }
 
     fn set_admission(&self, ctrl: Option<Arc<dyn AdmissionControl>>) {
-        *self.inner.admission.write() = ctrl;
+        self.inner.core.set_admission(ctrl);
     }
 
     fn call_async(
@@ -577,78 +425,17 @@ impl Endpoint for TcpEndpoint {
         provider_id: u16,
         payload: Bytes,
     ) -> PendingResponse {
-        if self.inner.down.load(Ordering::Acquire) {
-            return PendingResponse::failed(RpcError::Shutdown);
-        }
-        let conn = match self.connect(target) {
-            Ok(c) => c,
-            Err(e) => return PendingResponse::failed(e),
-        };
-        let req_id = self.inner.next_req.fetch_add(1, Ordering::Relaxed);
-        let fd = self
-            .inner
-            .fault_decision(FrameDirection::Request, id, req_id);
-        if fd.disconnect {
-            return PendingResponse::failed(RpcError::Transport(
-                "injected transient disconnect".into(),
-            ));
-        }
-        let frame = Frame::Request {
-            req_id,
-            rpc_id: id,
-            provider_id,
-            payload,
-        }
-        .encode();
-        let ev = Eventual::new();
         self.inner
-            .pending
-            .lock()
-            .insert(req_id, (target.to_string(), ev.clone()));
-        self.inner
-            .counters
-            .requests_sent
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .counters
-            .bytes_sent
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        // Abandoning the call (deadline) removes the pending entry so a
-        // dropped frame cannot leak state; a late response then no-ops.
-        let cancel_inner = Arc::clone(&self.inner);
-        let pending = PendingResponse::with_cancel(
-            ev,
-            Box::new(move || {
-                cancel_inner.pending.lock().remove(&req_id);
-            }),
-        );
-        if let Some(t) = fd.delay {
-            std::thread::sleep(t);
-        }
-        if fd.drop {
-            // The request frame is lost in transit; the caller's deadline
-            // fires and retries.
-            return pending;
-        }
-        if let Err(e) = conn.send(&frame) {
-            self.inner.pending.lock().remove(&req_id);
-            return PendingResponse::failed(e);
-        }
-        if fd.duplicate {
-            let _ = conn.send(&frame);
-        }
-        pending
+            .core
+            .call_async(id, provider_id, payload, || self.connect(target))
     }
 
     fn expose_bulk(&self, data: Bytes) -> BulkHandle {
-        let id = self.inner.next_bulk.fetch_add(1, Ordering::Relaxed);
-        let len = data.len();
-        self.inner.bulks.write().insert(id, data);
-        BulkHandle { id, len }
+        self.inner.core.expose_bulk(data)
     }
 
     fn release_bulk(&self, handle: &BulkHandle) {
-        self.inner.bulks.write().remove(&handle.id);
+        self.inner.core.release_bulk(handle);
     }
 
     fn bulk_pull(
@@ -658,23 +445,9 @@ impl Endpoint for TcpEndpoint {
         offset: usize,
         len: usize,
     ) -> Result<Bytes, RpcError> {
-        if owner == self.inner.addr {
+        if owner == self.inner.core.addr {
             // Local fast path: pulling from ourselves needs no socket.
-            let region = self
-                .inner
-                .bulks
-                .read()
-                .get(&handle.id)
-                .cloned()
-                .ok_or(RpcError::NoSuchBulk(handle.id))?;
-            if offset.checked_add(len).is_none_or(|end| end > region.len()) {
-                return Err(RpcError::BulkOutOfRange {
-                    offset,
-                    len,
-                    size: region.len(),
-                });
-            }
-            return Ok(region.slice(offset..offset + len));
+            return self.inner.core.bulk_slice(handle.id, offset, len);
         }
         let mut payload = BytesMut::with_capacity(24);
         payload.put_u64_le(handle.id);
@@ -684,31 +457,15 @@ impl Endpoint for TcpEndpoint {
     }
 
     fn stats(&self) -> EndpointStats {
-        let c = &self.inner.counters;
-        EndpointStats {
-            requests_sent: c.requests_sent.load(Ordering::Relaxed),
-            requests_received: c.requests_received.load(Ordering::Relaxed),
-            bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: c.bytes_received.load(Ordering::Relaxed),
-            bulk_bytes_served: c.bulk_bytes_served.load(Ordering::Relaxed),
-            frames_sent: c.frames_sent.load(Ordering::Relaxed),
-            wire_writes: c.wire_writes.load(Ordering::Relaxed),
-            send_stalls: c.send_stalls.load(Ordering::Relaxed),
-        }
+        self.inner.core.stats()
     }
 
     fn shutdown(&self) {
-        self.inner.down.store(true, Ordering::Release);
+        self.inner.core.shutdown();
         // Unblock the accept loop by dialing ourselves once.
         let _ = TcpStream::connect(("127.0.0.1", self.listener_port));
-        let mut conns = self.inner.conns.lock();
-        for (_, conn) in conns.drain() {
+        for (_, conn) in self.inner.conns.lock().drain() {
             conn.close_hard();
-        }
-        drop(conns);
-        let mut pending = self.inner.pending.lock();
-        for (_, (_, ev)) in pending.drain() {
-            ev.set(Err(RpcError::Shutdown));
         }
     }
 }
@@ -716,23 +473,11 @@ impl Endpoint for TcpEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
     use std::time::Duration;
 
     fn echo() -> Arc<dyn RpcHandler> {
         Arc::new(|req: Request| Ok(req.payload))
-    }
-
-    #[test]
-    fn call_over_tcp() {
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        s.register(RpcId(1), echo());
-        let out = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"over tcp"))
-            .unwrap();
-        assert_eq!(&out[..], b"over tcp");
-        s.shutdown();
-        c.shutdown();
     }
 
     #[test]
@@ -745,142 +490,6 @@ mod tests {
             .call(&s.address(), RpcId(1), 0, Bytes::from(big.clone()))
             .unwrap();
         assert_eq!(&out[..], &big[..]);
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
-    fn admit_shed_answers_busy_without_leaking() {
-        use crate::endpoint::testctl::TestAdmission;
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        s.register(RpcId(1), echo());
-        let ctl = Arc::new(TestAdmission {
-            shed_at_admit: true,
-            ..Default::default()
-        });
-        s.set_admission(Some(Arc::clone(&ctl) as Arc<dyn AdmissionControl>));
-        let err = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"x"))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RpcError::Busy {
-                retry_after: Duration::from_millis(7)
-            }
-        );
-        // Every shed request produced exactly one Busy response; nothing
-        // is stuck in the client's pending map.
-        assert_eq!(c.pending_calls(), 0);
-        assert_eq!(ctl.begins.load(std::sync::atomic::Ordering::SeqCst), 0);
-        assert_eq!(ctl.completes.load(std::sync::atomic::Ordering::SeqCst), 0);
-        s.set_admission(None);
-        let out = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"y"))
-            .unwrap();
-        assert_eq!(&out[..], b"y");
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
-    fn begin_shed_releases_slot_exactly_once() {
-        use crate::endpoint::testctl::TestAdmission;
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        s.register(RpcId(1), echo());
-        let ctl = Arc::new(TestAdmission {
-            shed_at_begin: true,
-            ..Default::default()
-        });
-        s.set_admission(Some(Arc::clone(&ctl) as Arc<dyn AdmissionControl>));
-        let err = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"x"))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RpcError::Busy {
-                retry_after: Duration::from_millis(3)
-            }
-        );
-        assert_eq!(c.pending_calls(), 0);
-        assert_eq!(ctl.admits.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert_eq!(ctl.begins.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert_eq!(ctl.completes.load(std::sync::atomic::Ordering::SeqCst), 1);
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
-    fn bulk_pulls_are_exempt_from_admission() {
-        use crate::endpoint::testctl::TestAdmission;
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        let ctl = Arc::new(TestAdmission {
-            shed_at_admit: true,
-            ..Default::default()
-        });
-        s.set_admission(Some(Arc::clone(&ctl) as Arc<dyn AdmissionControl>));
-        // The region belongs to an already-admitted request; pulling it must
-        // not be shed even while the endpoint rejects new work.
-        let data = Bytes::from_static(b"bulk payload survives overload");
-        let handle = s.expose_bulk(data.clone());
-        let out = c.bulk_pull(&s.address(), &handle, 0, data.len()).unwrap();
-        assert_eq!(&out[..], &data[..]);
-        assert_eq!(ctl.admits.load(std::sync::atomic::Ordering::SeqCst), 0);
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
-    fn error_propagates_over_tcp() {
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        s.register(
-            RpcId(2),
-            Arc::new(|_req: Request| Err(RpcError::Handler("remote boom".into()))),
-        );
-        let err = c.call(&s.address(), RpcId(2), 0, Bytes::new()).unwrap_err();
-        assert_eq!(err, RpcError::Handler("remote boom".into()));
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
-    fn unknown_rpc_over_tcp() {
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        let err = c.call(&s.address(), RpcId(9), 0, Bytes::new()).unwrap_err();
-        assert_eq!(err, RpcError::NoSuchRpc(9));
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
-    fn bulk_pull_over_tcp() {
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        let h = s.expose_bulk(Bytes::from_static(b"abcdefgh"));
-        let out = c.bulk_pull(&s.address(), &h, 2, 3).unwrap();
-        assert_eq!(&out[..], b"cde");
-        assert_eq!(s.stats().bulk_bytes_served, 3);
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
-    fn connection_reuse_and_concurrency() {
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        s.register(RpcId(1), echo());
-        let addr = s.address();
-        let pending: Vec<_> = (0..50u8)
-            .map(|i| c.call_async(&addr, RpcId(1), 0, Bytes::copy_from_slice(&[i])))
-            .collect();
-        for (i, p) in pending.into_iter().enumerate() {
-            assert_eq!(p.wait().unwrap()[0] as usize, i);
-        }
-        assert_eq!(s.stats().requests_received, 50);
         s.shutdown();
         c.shutdown();
     }
@@ -980,80 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_against_stalled_handler_leaves_no_pending_entry() {
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        let release = Arc::new(AtomicBool::new(false));
-        let release2 = Arc::clone(&release);
-        s.register(
-            RpcId(1),
-            Arc::new(move |_req: Request| {
-                while !release2.load(Ordering::Acquire) {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                Ok(Bytes::new())
-            }),
-        );
-        s.set_executor(Arc::new(|_rpc, _prov, job| {
-            std::thread::spawn(job);
-        }));
-        let err = c
-            .call_with_deadline(
-                &s.address(),
-                RpcId(1),
-                0,
-                Bytes::new(),
-                std::time::Duration::from_millis(20),
-            )
-            .unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
-        // The abandoned call must not leak a pending entry.
-        assert_eq!(c.pending_calls(), 0);
-        // Unstick the handler; its late response must be dropped harmlessly
-        // and the endpoint stays usable.
-        release.store(true, Ordering::Release);
-        let ok = c
-            .call_async(&s.address(), RpcId(1), 0, Bytes::from_static(b"ok"))
-            .wait_timeout(std::time::Duration::from_secs(5));
-        assert!(ok.is_ok());
-        assert_eq!(c.pending_calls(), 0);
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
-    fn dropped_response_times_out_and_cancels() {
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind(0).unwrap();
-        s.register(RpcId(1), echo());
-        // Drop every response the server sends; the client's deadline must
-        // fire and cancel the call instead of hanging.
-        let mut cfg = crate::fault::FaultConfig::new(13);
-        cfg.drop_response = 1.0;
-        s.install_fault_plan(Arc::new(crate::fault::FaultPlan::new(cfg)));
-        let err = c
-            .call_with_deadline(
-                &s.address(),
-                RpcId(1),
-                0,
-                Bytes::from_static(b"x"),
-                std::time::Duration::from_millis(50),
-            )
-            .unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
-        assert_eq!(c.pending_calls(), 0);
-        // The request itself did arrive — only the response was lost.
-        assert_eq!(s.stats().requests_received, 1);
-        s.clear_fault_plan();
-        let out = c
-            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"y"))
-            .unwrap();
-        assert_eq!(&out[..], b"y");
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
     fn lost_connection_fails_pending_calls() {
         let s = TcpEndpoint::bind(0).unwrap();
         let c = TcpEndpoint::bind(0).unwrap();
@@ -1082,5 +617,54 @@ mod tests {
             "unexpected error: {err}"
         );
         c.shutdown();
+    }
+
+    #[test]
+    fn silent_dialer_does_not_block_accepts() {
+        let s = TcpEndpoint::bind(0).unwrap();
+        let c = TcpEndpoint::bind(0).unwrap();
+        s.register(RpcId(1), echo());
+        // Connects and never sends its handshake.
+        let _silent = TcpStream::connect(("127.0.0.1", s.port())).unwrap();
+        let out = c
+            .call_with_deadline(
+                &s.address(),
+                RpcId(1),
+                0,
+                Bytes::from_static(b"after"),
+                Duration::from_secs(2),
+            )
+            .unwrap();
+        assert_eq!(&out[..], b"after");
+        s.shutdown();
+        c.shutdown();
+    }
+
+    #[test]
+    fn concurrent_first_calls_dial_once() {
+        const CALLERS: usize = 8;
+        for _ in 0..10 {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let target = format!("{SCHEME}{}", listener.local_addr().unwrap());
+            let ep = TcpEndpoint::bind(0).unwrap();
+            let gate = Barrier::new(CALLERS);
+            std::thread::scope(|scope| {
+                for _ in 0..CALLERS {
+                    scope.spawn(|| {
+                        gate.wait();
+                        ep.connect(&target).unwrap();
+                    });
+                }
+            });
+            // Every completed dial is in the listener's backlog by now.
+            listener.set_nonblocking(true).unwrap();
+            let mut accepted = Vec::new();
+            while let Ok((stream, _)) = listener.accept() {
+                accepted.push(stream);
+            }
+            assert_eq!(accepted.len(), 1, "concurrent first calls dialed twice");
+            assert_eq!(ep.inner.conns.lock().len(), 1);
+            ep.shutdown();
+        }
     }
 }

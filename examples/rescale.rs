@@ -1,16 +1,18 @@
 //! Storage rescaling (the Pufferscale extension the paper cites as future
 //! potential, §V): grow a running deployment from 3 to 4 event/product
-//! databases, migrate the keys, and keep reading — comparing how much data
-//! modulo vs consistent-hash-ring placement has to move when a single
-//! database is added.
+//! databases, migrate the keys with the live `Migrator` (here with no
+//! traffic), and keep reading — comparing how much data modulo vs
+//! consistent-hash-ring placement has to move when a single database is
+//! added.
 //!
 //! Run: `cargo run --example rescale`
 
 use bedrock::{ConnectionDescriptor, DbCounts};
 use hepnos::placement::{ModuloPlacement, Placement, RingPlacement};
-use hepnos::rescale::{rescale_events, rescale_products};
+use hepnos::rescale::{Migrator, PlacementInput, RescaleStats};
 use hepnos::testing::local_deployment;
 use hepnos::{DataStore, ProductLabel, WriteBatch};
+use std::sync::Arc;
 use yokan::{DbTarget, YokanClient};
 
 fn filter_dbs(full: &[ConnectionDescriptor], max: usize) -> Vec<ConnectionDescriptor> {
@@ -37,7 +39,7 @@ fn filter_dbs(full: &[ConnectionDescriptor], max: usize) -> Vec<ConnectionDescri
         .collect()
 }
 
-fn targets(descriptors: &[ConnectionDescriptor], prefix: &str) -> Vec<DbTarget> {
+fn chains(descriptors: &[ConnectionDescriptor], prefix: &str) -> Vec<Vec<DbTarget>> {
     let mut v: Vec<DbTarget> = descriptors
         .iter()
         .flat_map(|d| {
@@ -51,10 +53,34 @@ fn targets(descriptors: &[ConnectionDescriptor], prefix: &str) -> Vec<DbTarget> 
         })
         .collect();
     v.sort();
-    v
+    v.into_iter().map(|t| vec![t]).collect()
 }
 
-fn demo(placement: &dyn Placement, make_placement: fn() -> Box<dyn Placement>, name: &str) {
+/// Move one group from the `small` to the `full` topology: a migration
+/// pass, then `finalize` to fence the old topology and erase moved keys.
+fn migrate(
+    client: &YokanClient,
+    small: &[ConnectionDescriptor],
+    full: &[ConnectionDescriptor],
+    prefix: &str,
+    placement: Box<dyn Placement>,
+    input: PlacementInput,
+) -> RescaleStats {
+    let mig = Migrator::new(
+        client.clone(),
+        chains(small, prefix),
+        chains(full, prefix),
+        Arc::from(placement),
+        input,
+        Default::default(),
+    )
+    .unwrap();
+    let stats = mig.run().unwrap();
+    mig.finalize(2).unwrap();
+    stats
+}
+
+fn demo(make_placement: fn() -> Box<dyn Placement>, name: &str) {
     let dep = local_deployment(
         1,
         DbCounts {
@@ -87,20 +113,22 @@ fn demo(placement: &dyn Placement, make_placement: fn() -> Box<dyn Placement>, n
         batch.flush().unwrap();
     }
     let client = YokanClient::new(dep.fabric().endpoint("migrator"));
-    let ev_stats = rescale_events(
+    let ev_stats = migrate(
         &client,
-        &targets(&small, "events"),
-        &targets(&full, "events"),
-        placement,
-    )
-    .unwrap();
-    let pr_stats = rescale_products(
+        &small,
+        &full,
+        "events",
+        make_placement(),
+        PlacementInput::Prefix(32),
+    );
+    let pr_stats = migrate(
         &client,
-        &targets(&small, "products"),
-        &targets(&full, "products"),
-        placement,
-    )
-    .unwrap();
+        &small,
+        &full,
+        "products",
+        make_placement(),
+        PlacementInput::Product,
+    );
     println!(
         "{name:>7}: events moved {:>4}/{} ({:>4.1}%), products moved {:>4}/{} ({:>4.1}%)",
         ev_stats.keys_moved,
@@ -129,12 +157,8 @@ fn demo(placement: &dyn Placement, make_placement: fn() -> Box<dyn Placement>, n
 
 fn main() {
     println!("growing 3 -> 4 event/product databases, migrating 1024 events + products:\n");
-    demo(&ModuloPlacement, || Box::new(ModuloPlacement), "modulo");
-    demo(
-        &RingPlacement::new(128),
-        || Box::new(RingPlacement::new(128)),
-        "ring",
-    );
+    demo(|| Box::new(ModuloPlacement), "modulo");
+    demo(|| Box::new(RingPlacement::new(128)), "ring");
     println!("\nadding one database: the ring moves ~1/n of the keys, while modulo");
     println!("placement reshuffles most of them — the property Pufferscale needs");
 }
