@@ -180,8 +180,9 @@ impl From<SstError> for DbError {
 /// An owned key/value pair as returned by scans.
 pub type KeyValue = (Vec<u8>, Vec<u8>);
 
-/// One iterator source feeding the k-way merge.
-type MergeSource = Box<dyn Iterator<Item = (Vec<u8>, Value)>>;
+/// One iterator source feeding the k-way merge; table sources yield an
+/// `Err` for a damaged entry.
+type MergeSource = Box<dyn Iterator<Item = Result<(Vec<u8>, Value), SstError>>>;
 
 /// A batch of writes applied atomically (single lock acquisition, single WAL
 /// flush). This is what Yokan's `put_multi` maps onto.
@@ -1147,22 +1148,37 @@ impl DbInner {
         let mut sources: Vec<MergeSource> = Vec::new();
         if pick.from == 0 {
             for t in pick.inputs.iter().rev() {
-                sources.push(Box::new(t.iter_all()?));
+                sources.push(Box::new(t.iter_all()));
             }
         } else {
             for t in &pick.inputs {
-                sources.push(Box::new(t.iter_all()?));
+                sources.push(Box::new(t.iter_all()));
             }
         }
         for t in &pick.overlaps {
-            sources.push(Box::new(t.iter_all()?));
+            sources.push(Box::new(t.iter_all()));
         }
         let mut merged = MergeIter::new(sources);
         let mut outputs: Vec<Arc<SstReader>> = Vec::new();
-        let mut writer: Option<(SstWriter, PathBuf)> = None;
+        let mut writer: Option<(SstWriter, u64)> = None;
         let mut gp_idx = 0usize;
         let mut gp_acc = 0u64;
-        while let Some((k, v)) = merged.next_entry() {
+        loop {
+            let (k, v) = match merged.next_entry() {
+                Ok(Some(entry)) => entry,
+                Ok(None) => break,
+                Err(e) => {
+                    // A damaged input: leave the inputs installed and drop
+                    // the outputs written so far.
+                    for t in &outputs {
+                        std::fs::remove_file(t.path()).ok();
+                    }
+                    if let Some((_, id)) = writer {
+                        std::fs::remove_file(self.tmp_sst_path(id)).ok();
+                    }
+                    return Err(e);
+                }
+            };
             if pick.drop_tombstones && matches!(v, Value::Tombstone) {
                 self.tombstones_dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
@@ -1176,7 +1192,7 @@ impl DbInner {
                 };
                 writer = Some((
                     SstWriter::create(&self.tmp_sst_path(id), self.opts.bloom_bits_per_key)?,
-                    self.sst_path(id),
+                    id,
                 ));
             }
             let (w, _) = writer.as_mut().expect("writer was just created");
@@ -1188,8 +1204,8 @@ impl DbInner {
             if w.data_bytes() >= self.opts.table_target_bytes as u64
                 || gp_acc > self.opts.grandparent_limit_bytes
             {
-                let (w, final_path) = writer.take().expect("writer present");
-                outputs.push(Arc::new(w.finish_to(&final_path)?));
+                let (w, id) = writer.take().expect("writer present");
+                outputs.push(Arc::new(w.finish_to(&self.sst_path(id))?));
                 gp_acc = 0;
                 if self.take_failpoint(Failpoint::CompactionMidOutput) {
                     // Simulate dying with a half-written next output.
@@ -1204,8 +1220,8 @@ impl DbInner {
                 }
             }
         }
-        if let Some((w, final_path)) = writer {
-            outputs.push(Arc::new(w.finish_to(&final_path)?));
+        if let Some((w, id)) = writer {
+            outputs.push(Arc::new(w.finish_to(&self.sst_path(id))?));
         }
         let write_bytes: u64 = outputs.iter().map(|t| t.file_size()).sum();
         if self.take_failpoint(Failpoint::CompactionBeforeInstall) {
@@ -1366,12 +1382,12 @@ impl DbInner {
             .map(|(k, v)| (k.to_vec(), v.clone()))
             .collect::<Vec<_>>()
         };
-        sources.push(Box::new(collect_mem(&st.memtable).into_iter()));
+        sources.push(Box::new(collect_mem(&st.memtable).into_iter().map(Ok)));
         for entry in st.imm.iter().rev() {
-            sources.push(Box::new(collect_mem(&entry.mem).into_iter()));
+            sources.push(Box::new(collect_mem(&entry.mem).into_iter().map(Ok)));
         }
         for sst in st.levels.level(0).iter().rev() {
-            sources.push(Box::new(sst.iter_range(lower, upper)?));
+            sources.push(Box::new(sst.iter_range(lower, upper)));
         }
         for level in 1..st.levels.num_levels() {
             for sst in st.levels.level(level) {
@@ -1381,13 +1397,13 @@ impl DbInner {
                 if sst.entry_count() > 0 && sst.max_key() < lower {
                     continue;
                 }
-                sources.push(Box::new(sst.iter_range(lower, upper)?));
+                sources.push(Box::new(sst.iter_range(lower, upper)));
             }
         }
         drop(st);
         let mut merged = MergeIter::new(sources);
         let mut out = Vec::new();
-        while let Some((k, v)) = merged.next_entry() {
+        while let Some((k, v)) = merged.next_entry()? {
             if let Value::Put(data) = v {
                 out.push((k, data));
                 if limit != 0 && out.len() >= limit {
@@ -1438,29 +1454,37 @@ impl MergeIter {
         }
     }
 
-    fn next_entry(&mut self) -> Option<(Vec<u8>, Value)> {
+    /// The next merged entry, or the first error any source hit.
+    fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Value)>, DbError> {
         // Find the smallest key among the heads.
         let mut min_key: Option<Vec<u8>> = None;
         for src in self.sources.iter_mut() {
-            if let Some((k, _)) = src.peek() {
+            if let Some(Err(e)) = src.next_if(Result::is_err) {
+                return Err(e.into());
+            }
+            if let Some(Ok((k, _))) = src.peek() {
                 if min_key.as_ref().is_none_or(|m| k < m) {
                     min_key = Some(k.clone());
                 }
             }
         }
-        let key = min_key?;
+        let Some(key) = min_key else {
+            return Ok(None);
+        };
         // Take from the highest-precedence source holding that key; advance
         // every other source past it.
         let mut winner: Option<Value> = None;
         for src in self.sources.iter_mut() {
-            if src.peek().is_some_and(|(k, _)| k == &key) {
-                let (_, v) = src.next().expect("peeked entry must exist");
+            if let Some(Ok((_, v))) = src.next_if(|e| e.as_ref().is_ok_and(|(k, _)| k == &key)) {
                 if winner.is_none() {
                     winner = Some(v);
                 }
             }
         }
-        Some((key, winner.expect("at least one source held the key")))
+        Ok(Some((
+            key,
+            winner.expect("at least one source held the key"),
+        )))
     }
 }
 
@@ -1737,6 +1761,62 @@ mod tests {
             let got = db.get(format!("k{i:05}").as_bytes()).unwrap();
             assert_eq!(got.is_some(), i % 3 != 0, "k{i:05}");
         }
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn compaction_keeps_inputs_when_an_input_is_corrupt() {
+        use std::os::unix::fs::FileExt;
+        let d = tmpdir("corruptinput");
+        let opts = Options {
+            compaction: CompactionMode::Inline,
+            l0_compaction_trigger: 100,
+            l0_slowdown_trigger: 200,
+            l0_stop_trigger: 300,
+            ..Options::default()
+        };
+        let db = Db::open(&d, opts).unwrap();
+        let key = |i: u32| format!("k{i:05}").into_bytes();
+        for i in 0..200 {
+            db.put(&key(i), &[1u8; 32]).unwrap();
+        }
+        db.flush().unwrap();
+        let manifest = || std::fs::read_to_string(d.join("MANIFEST")).unwrap();
+        let damaged = manifest()
+            .lines()
+            .find_map(|l| l.strip_prefix("L0 "))
+            .unwrap()
+            .to_string();
+        // A second, overlapping L0 table makes the compaction a real merge.
+        for i in (0..200).step_by(2) {
+            db.put(&key(i), &[2u8; 32]).unwrap();
+        }
+        db.flush().unwrap();
+        // Entries are 9 + 6 + 32 = 47 bytes; flip the kind byte of entry
+        // 100 of the older table, leaving its footer valid.
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(d.join(&damaged))
+            .unwrap();
+        f.write_all_at(&[0x7F], 100 * 47 + 4).unwrap();
+
+        assert!(db.compact_level(0).is_err());
+        assert!(manifest().contains(&damaged), "{}", manifest());
+        assert_eq!(db.stats().level_tables[0], 2);
+        let ssts = std::fs::read_dir(&d)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                let name = name.to_string_lossy();
+                name.ends_with(".sst") || name.ends_with(".tmp")
+            })
+            .count();
+        assert_eq!(ssts, 2, "partial compaction outputs left behind");
+        for i in 0..100 {
+            let want = if i % 2 == 0 { 2 } else { 1 };
+            assert_eq!(db.get(&key(i)).unwrap(), Some(vec![want; 32]), "key {i}");
+        }
+        assert!(db.scan(b"", None, 0).is_err());
         std::fs::remove_dir_all(&d).ok();
     }
 

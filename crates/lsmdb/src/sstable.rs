@@ -14,17 +14,26 @@
 //! * footer — offsets/lengths of the two metadata sections, entry count,
 //!   min/max keys, and a magic number, all checksummed.
 //!
-//! Readers keep the index and bloom filter in memory and perform positioned
-//! reads for data, which is the RocksDB cost structure (index/filter blocks
-//! pinned, data blocks from disk).
+//! Readers keep the index and bloom filter in memory. A point lookup that
+//! passes the bloom filter binary-searches the sparse index for the one
+//! span of at most `INDEX_INTERVAL` entries that can hold the key, fetches
+//! that span with a single positioned read (`pread`), parses the entries in
+//! place and copies out only the matching value. Range iterators, which
+//! serve scans and compaction, stream the data section through the same
+//! shared file handle in 8 KiB positioned reads and step from entry to
+//! entry by the lengths they decode. No reader holds a lock or a file
+//! cursor, so lookups and iterators on one table run concurrently. This is
+//! the RocksDB cost structure: index and filter pinned, data read from disk
+//! by offset, with an index span in the role of a data block.
 
 use crate::bloom::BloomFilter;
 use crate::crc32::crc32;
 use crate::memtable::Value;
-use parking_lot::Mutex;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const MAGIC: u64 = 0x4845_504E_4F53_5354; // "HEPNOSST"
 const INDEX_INTERVAL: usize = 16;
@@ -77,29 +86,66 @@ fn encode_entry(out: &mut Vec<u8>, key: &[u8], value: &Value) {
     }
 }
 
-fn read_entry<R: Read>(r: &mut R) -> Result<Option<(Vec<u8>, Value)>, SstError> {
-    let mut hdr = [0u8; 9];
-    match r.read_exact(&mut hdr[..4]) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    r.read_exact(&mut hdr[4..])?;
+/// Fixed entry header: `key_len u32 | kind u8 | val_len u32`.
+const ENTRY_HEADER: usize = 9;
+
+/// Encoded length of the entry at the start of `buf`, or `None` while `buf`
+/// is shorter than the header. Rejects an unknown kind byte.
+fn entry_len(buf: &[u8]) -> Result<Option<usize>, SstError> {
+    let Some(hdr) = buf.get(..ENTRY_HEADER) else {
+        return Ok(None);
+    };
     let key_len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
-    let kind = hdr[4];
-    let val_len = u32::from_le_bytes(hdr[5..9].try_into().unwrap()) as usize;
-    let mut key = vec![0u8; key_len];
-    r.read_exact(&mut key)?;
-    let value = match kind {
-        KIND_PUT => {
-            let mut v = vec![0u8; val_len];
-            r.read_exact(&mut v)?;
-            Value::Put(v)
-        }
-        KIND_TOMBSTONE => Value::Tombstone,
+    let val_len = match hdr[4] {
+        KIND_PUT => u32::from_le_bytes(hdr[5..9].try_into().unwrap()) as usize,
+        KIND_TOMBSTONE => 0,
         k => return Err(SstError::Corrupt(format!("bad entry kind {k}"))),
     };
-    Ok(Some((key, value)))
+    Ok(Some(ENTRY_HEADER + key_len + val_len))
+}
+
+/// One entry decoded in place from a read buffer.
+struct EntryRef<'a> {
+    key: &'a [u8],
+    /// Value bytes; `None` for a tombstone.
+    value: Option<&'a [u8]>,
+    /// Encoded length, header included.
+    len: usize,
+}
+
+impl EntryRef<'_> {
+    fn to_value(&self) -> Value {
+        self.value
+            .map_or(Value::Tombstone, |v| Value::Put(v.to_vec()))
+    }
+}
+
+/// Decode the entry at the start of `buf`, which must hold all of it.
+fn decode_entry(buf: &[u8]) -> Result<EntryRef<'_>, SstError> {
+    let len = entry_len(buf)?
+        .filter(|&n| n <= buf.len())
+        .ok_or_else(|| SstError::Corrupt("truncated entry".into()))?;
+    let key_end = ENTRY_HEADER + u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+    Ok(EntryRef {
+        key: &buf[ENTRY_HEADER..key_end],
+        value: (buf[4] == KIND_PUT).then(|| &buf[key_end..len]),
+        len,
+    })
+}
+
+/// Fill `buf` from `offset` with one positioned read; a file that ends
+/// early is corrupt.
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), SstError> {
+    file.read_exact_at(buf, offset).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            SstError::Corrupt(format!(
+                "short read of {} bytes at offset {offset}",
+                buf.len()
+            ))
+        } else {
+            e.into()
+        }
+    })
 }
 
 /// Builds an SSTable; keys must be added in strictly increasing order.
@@ -245,10 +291,12 @@ struct IndexEntry {
 }
 
 /// A reader over one finished SSTable. Index and bloom filter are held in
-/// memory; entry data is read from disk on demand.
+/// memory; entry data is read from disk on demand with positioned reads on
+/// one shared handle, so lookups and iterators run concurrently without a
+/// lock.
 pub struct SstReader {
     path: PathBuf,
-    file: Mutex<BufReader<File>>,
+    file: Arc<File>,
     index: Vec<IndexEntry>,
     bloom: BloomFilter,
     min_key: Vec<u8>,
@@ -261,15 +309,14 @@ pub struct SstReader {
 impl SstReader {
     /// Open and validate a table.
     pub fn open(path: &Path) -> Result<SstReader, SstError> {
-        let mut f = File::open(path)?;
+        let f = File::open(path)?;
         let file_size = f.metadata()?.len();
         if file_size < 16 {
             return Err(SstError::Corrupt("file too small".into()));
         }
         // Trailer: crc u32 | footer_len u32 | magic u64.
-        f.seek(SeekFrom::End(-16))?;
         let mut tail = [0u8; 16];
-        f.read_exact(&mut tail)?;
+        read_at(&f, &mut tail, file_size - 16)?;
         let crc_stored = u32::from_le_bytes(tail[..4].try_into().unwrap());
         let footer_len = u32::from_le_bytes(tail[4..8].try_into().unwrap()) as u64;
         let magic = u64::from_le_bytes(tail[8..].try_into().unwrap());
@@ -279,9 +326,8 @@ impl SstReader {
         if footer_len + 16 > file_size {
             return Err(SstError::Corrupt("bad footer length".into()));
         }
-        f.seek(SeekFrom::End(-16 - footer_len as i64))?;
         let mut footer = vec![0u8; footer_len as usize];
-        f.read_exact(&mut footer)?;
+        read_at(&f, &mut footer, file_size - 16 - footer_len)?;
         if crc32(&footer) != crc_stored {
             return Err(SstError::Corrupt("footer checksum mismatch".into()));
         }
@@ -318,9 +364,8 @@ impl SstReader {
         let bloom_len = take_u64(&mut pos)?;
         let count = take_u64(&mut pos)?;
         // Load index.
-        f.seek(SeekFrom::Start(index_offset))?;
         let mut index_buf = vec![0u8; index_len as usize];
-        f.read_exact(&mut index_buf)?;
+        read_at(&f, &mut index_buf, index_offset)?;
         let mut index = Vec::new();
         let mut ip = 0usize;
         if index_buf.len() < 4 {
@@ -352,15 +397,21 @@ impl SstReader {
             ip += 8;
             index.push(IndexEntry { key, offset });
         }
+        // Point lookups read `[index[i].offset, index[i + 1].offset)`, so
+        // the offsets must ascend within the data section.
+        if index.windows(2).any(|w| w[0].offset > w[1].offset)
+            || index.last().is_some_and(|e| e.offset > index_offset)
+        {
+            return Err(SstError::Corrupt("index offsets out of order".into()));
+        }
         // Load bloom.
-        f.seek(SeekFrom::Start(bloom_offset))?;
         let mut bloom_buf = vec![0u8; bloom_len as usize];
-        f.read_exact(&mut bloom_buf)?;
+        read_at(&f, &mut bloom_buf, bloom_offset)?;
         let bloom = BloomFilter::decode(&bloom_buf)
             .ok_or_else(|| SstError::Corrupt("bad bloom filter".into()))?;
         Ok(SstReader {
             path: path.to_path_buf(),
-            file: Mutex::new(BufReader::new(File::open(path)?)),
+            file: Arc::new(f),
             index,
             bloom,
             min_key,
@@ -406,95 +457,146 @@ impl SstReader {
             && self.bloom.may_contain(key)
     }
 
-    /// Point lookup.
+    /// Point lookup: one positioned read of the index span that can hold
+    /// `key` (at most `INDEX_INTERVAL` entries), parsed in place; only the
+    /// matching value is copied out.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>, SstError> {
         if !self.may_contain(key) {
             return Ok(None);
         }
-        let start = self.seek_offset(key);
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(start))?;
-        let mut pos = start;
-        while pos < self.data_end {
-            match read_entry(&mut *f)? {
-                None => break,
-                Some((k, v)) => {
-                    pos = f.stream_position()?;
-                    match k.as_slice().cmp(key) {
-                        std::cmp::Ordering::Less => continue,
-                        std::cmp::Ordering::Equal => return Ok(Some(v)),
-                        std::cmp::Ordering::Greater => return Ok(None),
-                    }
-                }
+        let Some(i) = self.span_of(key) else {
+            return Ok(None);
+        };
+        let start = self.index[i].offset;
+        let end = self.index.get(i + 1).map_or(self.data_end, |e| e.offset);
+        let mut span = vec![0u8; (end - start) as usize];
+        read_at(&self.file, &mut span, start)?;
+        let mut rest = span.as_slice();
+        while !rest.is_empty() {
+            let entry = decode_entry(rest)?;
+            match entry.key.cmp(key) {
+                std::cmp::Ordering::Less => rest = &rest[entry.len..],
+                std::cmp::Ordering::Equal => return Ok(Some(entry.to_value())),
+                std::cmp::Ordering::Greater => return Ok(None),
             }
         }
         Ok(None)
     }
 
-    /// Greatest indexed offset whose key is `<= key` (0 if none).
-    fn seek_offset(&self, key: &[u8]) -> u64 {
+    /// The last index span whose first key is `<= key`, if any.
+    fn span_of(&self, key: &[u8]) -> Option<usize> {
         match self.index.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-            Ok(i) => self.index[i].offset,
-            Err(0) => 0,
-            Err(i) => self.index[i - 1].offset,
+            Ok(i) => Some(i),
+            Err(i) => i.checked_sub(1),
         }
     }
 
     /// Iterate entries with keys in `[lower, upper)`; `upper = None` means
     /// unbounded. Entries stream from disk in order.
-    pub fn iter_range(&self, lower: &[u8], upper: Option<&[u8]>) -> Result<SstRangeIter, SstError> {
-        let start = self.seek_offset(lower);
-        let mut reader = BufReader::new(File::open(&self.path)?);
-        reader.seek(SeekFrom::Start(start))?;
-        Ok(SstRangeIter {
-            reader,
-            pos: start,
+    pub fn iter_range(&self, lower: &[u8], upper: Option<&[u8]>) -> SstRangeIter {
+        let start = self.span_of(lower).map_or(0, |i| self.index[i].offset);
+        SstRangeIter {
+            file: Arc::clone(&self.file),
+            buf: Vec::new(),
+            cur: 0,
+            next_read: start,
             data_end: self.data_end,
             lower: lower.to_vec(),
             upper: upper.map(|u| u.to_vec()),
-        })
+            done: false,
+        }
     }
 
     /// Iterate the entire table.
-    pub fn iter_all(&self) -> Result<SstRangeIter, SstError> {
+    pub fn iter_all(&self) -> SstRangeIter {
         self.iter_range(&[], None)
     }
 }
 
-/// Streaming iterator over a key range of one table.
+/// Bytes a range iterator reads per refill (more when one entry is larger).
+const ITER_CHUNK: usize = 8 << 10;
+
+/// Streaming iterator over a key range of one table. It reads through the
+/// table's shared handle into its own buffer and advances by the entry
+/// lengths it decodes. A damaged entry yields one `Err` and ends the
+/// iteration.
 pub struct SstRangeIter {
-    reader: BufReader<File>,
-    pos: u64,
+    file: Arc<File>,
+    /// Bytes read ahead; the next entry starts at `buf[cur]`.
+    buf: Vec<u8>,
+    cur: usize,
+    /// File offset just past `buf`.
+    next_read: u64,
     data_end: u64,
     lower: Vec<u8>,
     upper: Option<Vec<u8>>,
+    done: bool,
+}
+
+impl SstRangeIter {
+    fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Value)>, SstError> {
+        loop {
+            let avail = &self.buf[self.cur..];
+            match entry_len(avail)? {
+                Some(n) if n <= avail.len() => {}
+                need => {
+                    if !self.refill(need.unwrap_or(ENTRY_HEADER))? {
+                        return Ok(None);
+                    }
+                    continue;
+                }
+            }
+            let entry = decode_entry(&self.buf[self.cur..])?;
+            self.cur += entry.len;
+            if entry.key < self.lower.as_slice() {
+                continue;
+            }
+            if self.upper.as_deref().is_some_and(|u| entry.key >= u) {
+                return Ok(None);
+            }
+            return Ok(Some((entry.key.to_vec(), entry.to_value())));
+        }
+    }
+
+    /// Make at least `need` bytes available at `buf[cur]`; `Ok(false)` is
+    /// the clean end of the data section.
+    fn refill(&mut self, need: usize) -> Result<bool, SstError> {
+        let have = self.buf.len() - self.cur;
+        let left = self.data_end - self.next_read;
+        if have == 0 && left == 0 {
+            return Ok(false);
+        }
+        if have as u64 + left < need as u64 {
+            return Err(SstError::Corrupt("entry runs past the data section".into()));
+        }
+        self.buf.drain(..self.cur);
+        self.cur = 0;
+        let n = left.min((need - have).max(ITER_CHUNK) as u64) as usize;
+        self.buf.resize(have + n, 0);
+        read_at(&self.file, &mut self.buf[have..], self.next_read)?;
+        self.next_read += n as u64;
+        Ok(true)
+    }
 }
 
 impl Iterator for SstRangeIter {
-    type Item = (Vec<u8>, Value);
+    type Item = Result<(Vec<u8>, Value), SstError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.data_end {
-            let entry = read_entry(&mut self.reader).ok()??;
-            self.pos = self.reader.stream_position().ok()?;
-            let (k, v) = entry;
-            if k.as_slice() < self.lower.as_slice() {
-                continue;
-            }
-            if let Some(u) = &self.upper {
-                if k.as_slice() >= u.as_slice() {
-                    return None;
-                }
-            }
-            return Some((k, v));
+        if self.done {
+            return None;
         }
-        None
+        let item = self.next_entry().transpose();
+        self.done = !matches!(item, Some(Ok(_)));
+        item
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("lsmdb-sst-{}-{name}", std::process::id()));
@@ -556,8 +658,7 @@ mod tests {
         let r = build_table(&d.join("t.sst"), 100);
         let got: Vec<_> = r
             .iter_range(b"key000010", Some(b"key000015"))
-            .unwrap()
-            .map(|(k, _)| String::from_utf8(k).unwrap())
+            .map(|e| String::from_utf8(e.unwrap().0).unwrap())
             .collect();
         assert_eq!(
             got,
@@ -576,7 +677,7 @@ mod tests {
     fn full_iteration_is_sorted_and_complete() {
         let d = tmpdir("full");
         let r = build_table(&d.join("t.sst"), 300);
-        let keys: Vec<_> = r.iter_all().unwrap().map(|(k, _)| k).collect();
+        let keys: Vec<_> = r.iter_all().map(|e| e.unwrap().0).collect();
         assert_eq!(keys.len(), 300);
         let mut sorted = keys.clone();
         sorted.sort();
@@ -607,7 +708,7 @@ mod tests {
         let r = w.finish().unwrap();
         assert_eq!(r.entry_count(), 0);
         assert_eq!(r.get(b"anything").unwrap(), None);
-        assert_eq!(r.iter_all().unwrap().count(), 0);
+        assert_eq!(r.iter_all().count(), 0);
         std::fs::remove_dir_all(&d).ok();
     }
 
@@ -665,6 +766,232 @@ mod tests {
             .filter(|i| r.may_contain(format!("key{i:06}x").as_bytes()))
             .count();
         assert!(hits < 100, "bloom passes too many absent keys: {hits}");
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// `n` entries keyed `k0000`, `k0002`, … (odd numbers stay absent),
+    /// with tombstones on the first and last entry of every index span and
+    /// on the table's last entry.
+    fn build_matrix_table(path: &Path, n: usize, bits_per_key: usize) -> BTreeMap<Vec<u8>, Value> {
+        let mut w = SstWriter::create(path, bits_per_key).unwrap();
+        let mut model = BTreeMap::new();
+        for i in 0..n {
+            let key = format!("k{:04}", 2 * i).into_bytes();
+            let edge = i % INDEX_INTERVAL == 0 || i % INDEX_INTERVAL == INDEX_INTERVAL - 1;
+            let value = if edge || i == n - 1 {
+                Value::Tombstone
+            } else {
+                Value::Put(format!("value-{i}-{}", "x".repeat(i % 5)).into_bytes())
+            };
+            w.add(&key, &value).unwrap();
+            model.insert(key, value);
+        }
+        w.finish().unwrap();
+        model
+    }
+
+    fn collect_range(r: &SstReader, lower: &[u8], upper: Option<&[u8]>) -> Vec<(Vec<u8>, Value)> {
+        r.iter_range(lower, upper).map(|e| e.unwrap()).collect()
+    }
+
+    #[test]
+    fn point_lookup_matrix_covers_span_edges() {
+        let d = tmpdir("matrix");
+        let mut absent_reaching_parse = 0;
+        for bits_per_key in [10, 1] {
+            for n in [1, 15, 16, 17, 33] {
+                let p = d.join(format!("t{n}-{bits_per_key}.sst"));
+                let model = build_matrix_table(&p, n, bits_per_key);
+                let r = SstReader::open(&p).unwrap();
+                assert_eq!(r.index.len(), n.div_ceil(INDEX_INTERVAL));
+                for (k, v) in &model {
+                    assert_eq!(r.get(k).unwrap().as_ref(), Some(v), "n={n} key {k:?}");
+                }
+                // Absent keys before, between and after the present ones.
+                for i in 0..=2 * n {
+                    let key = format!("k{:04}", 2 * i as isize - 1);
+                    if r.may_contain(key.as_bytes()) {
+                        absent_reaching_parse += 1;
+                    }
+                    assert_eq!(r.get(key.as_bytes()).unwrap(), None, "n={n} key {key}");
+                }
+                // Range scans starting and ending on every key.
+                let keys: Vec<&Vec<u8>> = model.keys().collect();
+                for (i, lower) in keys.iter().enumerate() {
+                    let upper = keys.get(i + 3).map(|k| k.as_slice());
+                    let want: Vec<_> = model
+                        .range::<[u8], _>((
+                            std::ops::Bound::Included(lower.as_slice()),
+                            upper.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
+                        ))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    assert_eq!(
+                        collect_range(&r, lower, upper),
+                        want,
+                        "n={n} from {lower:?}"
+                    );
+                }
+            }
+        }
+        // One bit per key lets absent keys through the filter, so the span
+        // parse itself had to answer "absent" for them.
+        assert!(absent_reaching_parse > 0);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// 40 live entries `k0000`..`k0039` with 5-byte values: every entry is
+    /// 19 bytes, so entry `i` starts at byte `19 * i`.
+    fn build_fixed_table(path: &Path) -> SstReader {
+        let mut w = SstWriter::create(path, 10).unwrap();
+        for i in 0..40 {
+            w.add(
+                format!("k{i:04}").as_bytes(),
+                &Value::Put(format!("v{i:04}").into_bytes()),
+            )
+            .unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    const FIXED_ENTRY: u64 = 19;
+
+    fn fixed_key(i: u64) -> Vec<u8> {
+        format!("k{i:04}").into_bytes()
+    }
+
+    #[test]
+    fn truncated_data_section_is_corrupt() {
+        let d = tmpdir("truncated");
+        let p = d.join("t.sst");
+        let r = build_fixed_table(&p);
+        // Cut the file in the middle of the second index span.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&p)
+            .unwrap()
+            .set_len(20 * FIXED_ENTRY + 4)
+            .unwrap();
+        assert_eq!(
+            r.get(&fixed_key(3)).unwrap(),
+            Some(Value::Put(b"v0003".to_vec()))
+        );
+        for i in [16, 25, 39] {
+            assert!(
+                matches!(r.get(&fixed_key(i)), Err(SstError::Corrupt(_))),
+                "key {i}"
+            );
+        }
+        // The iterator reads ahead past the cut, so it may fail before
+        // reaching entry 20, but it fails once and then ends.
+        let items: Vec<_> = r.iter_all().collect();
+        let (last, entries) = items.split_last().unwrap();
+        assert!(matches!(last, Err(SstError::Corrupt(_))));
+        assert!(entries.len() <= 20 && entries.iter().all(|e| e.is_ok()));
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn malformed_entries_are_corrupt() {
+        let d = tmpdir("malformed");
+        let p = d.join("t.sst");
+        let r = build_fixed_table(&p);
+        let f = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
+        // Entry 20: unknown kind byte.
+        f.write_all_at(&[0x7F], 20 * FIXED_ENTRY + 4).unwrap();
+        assert_eq!(
+            r.get(&fixed_key(17)).unwrap(),
+            Some(Value::Put(b"v0017".to_vec()))
+        );
+        for i in [20, 25] {
+            assert!(
+                matches!(r.get(&fixed_key(i)), Err(SstError::Corrupt(_))),
+                "key {i}"
+            );
+        }
+        let oks = r.iter_all().take_while(|e| e.is_ok()).count();
+        assert_eq!(oks, 20);
+        assert!(matches!(
+            r.iter_range(&fixed_key(18), None).nth(2),
+            Some(Err(SstError::Corrupt(_)))
+        ));
+        // Entry 35: a key length running past the span and the data section.
+        f.write_all_at(&u32::MAX.to_le_bytes(), 35 * FIXED_ENTRY)
+            .unwrap();
+        assert!(matches!(r.get(&fixed_key(37)), Err(SstError::Corrupt(_))));
+        let mut it = r.iter_range(&fixed_key(33), None);
+        assert_eq!(it.next().unwrap().unwrap().0, fixed_key(33));
+        assert_eq!(it.next().unwrap().unwrap().0, fixed_key(34));
+        assert!(matches!(it.next(), Some(Err(SstError::Corrupt(_)))));
+        assert!(it.next().is_none());
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn corrupt_index_offsets_are_rejected() {
+        let d = tmpdir("badindex");
+        let p = d.join("t.sst");
+        build_fixed_table(&p);
+        // The index follows the 760 data bytes: a u32 count, then per entry
+        // key_len u32 | key (5 bytes) | offset u64. Point entry 1 past the
+        // data section.
+        let f = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
+        f.write_all_at(&10_000u64.to_le_bytes(), 40 * FIXED_ENTRY + 4 + 17 + 9)
+            .unwrap();
+        assert!(matches!(SstReader::open(&p), Err(SstError::Corrupt(_))));
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn concurrent_readers_match_oracle() {
+        let d = tmpdir("concurrent");
+        let p = d.join("t.sst");
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut model = BTreeMap::new();
+        let mut w = SstWriter::create(&p, 10).unwrap();
+        for i in 0..3000u32 {
+            let key = format!("key{:07}", 3 * i).into_bytes();
+            let value = if rng.gen_bool(0.1) {
+                Value::Tombstone
+            } else {
+                Value::Put(vec![i as u8; rng.gen_range(0..300usize)])
+            };
+            w.add(&key, &value).unwrap();
+            model.insert(key, value);
+        }
+        let r = Arc::new(w.finish().unwrap());
+        let model = Arc::new(model);
+        let threads: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (r, model) = (Arc::clone(&r), Arc::clone(&model));
+                std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(100 + t);
+                    for op in 0..2000 {
+                        let key = format!("key{:07}", rng.gen_range(0..9100u32)).into_bytes();
+                        if op % 20 == 0 {
+                            let upper = format!("key{:07}", rng.gen_range(0..9100u32)).into_bytes();
+                            let upper = (upper > key).then_some(upper);
+                            let want: Vec<_> = model
+                                .range::<[u8], _>((
+                                    std::ops::Bound::Included(key.as_slice()),
+                                    upper.as_deref().map_or(
+                                        std::ops::Bound::Unbounded,
+                                        std::ops::Bound::Excluded,
+                                    ),
+                                ))
+                                .map(|(k, v)| (k.clone(), v.clone()))
+                                .collect();
+                            assert_eq!(collect_range(&r, &key, upper.as_deref()), want);
+                        } else {
+                            assert_eq!(r.get(&key).unwrap().as_ref(), model.get(&key));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
         std::fs::remove_dir_all(&d).ok();
     }
 }
