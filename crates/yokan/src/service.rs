@@ -9,13 +9,16 @@ use crate::retry::RetryPolicy;
 use argos::Eventual;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use margo::MargoInstance;
-use mercurio::{BulkHandle, Endpoint, Request, RpcError, RpcId};
+use mercurio::{Endpoint, Request, RpcError, RpcId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod mutation;
+use mutation::Mutation;
 
 /// Base RPC id of the Yokan protocol; ids `base..base+19` are used.
 pub const PROVIDER_RPC_BASE: u16 = 100;
@@ -38,8 +41,8 @@ pub(crate) const OP_FILTER: u16 = PROVIDER_RPC_BASE + 13;
 /// client's) dedup stamp: the remaining chain as `count` then per hop a
 /// length-prefixed address and a `u32` provider id, the inner mutation op
 /// as `u32`, then the inner payload starting at the database name —
-/// always in inline form (bulk batches are re-encoded by the head, since a
-/// bulk handle is only pullable from its original exposer).
+/// always inline, encoded from the sender's decoded mutation (a bulk
+/// handle is only pullable from its original exposer).
 pub(crate) const OP_REPL_FORWARD: u16 = PROVIDER_RPC_BASE + 14;
 /// Read the service's current topology epoch (reply: `u64`).
 pub(crate) const OP_MIG_EPOCH_GET: u16 = PROVIDER_RPC_BASE + 15;
@@ -82,30 +85,31 @@ fn mark_replay(flag: u8, resp: &Bytes) -> Bytes {
     out.freeze()
 }
 
-/// Encode an [`OP_REPL_FORWARD`] payload: the original client's dedup
-/// stamp (forwards ride the normal mutation path on the receiver, which
-/// strips it), the remaining chain, the inner op, and the inline body.
-/// Forwards stamp topology epoch 0 — exempt from epoch fencing, because
-/// the epoch was already validated where the mutation entered the chain.
-fn encode_forward(
-    client_id: u64,
-    seq: u64,
-    remaining: &[(String, u16)],
-    inner_op: u16,
-    body: &Bytes,
-) -> Bytes {
-    let hops_len: usize = remaining.iter().map(|(a, _)| 8 + a.len()).sum();
-    let mut buf = BytesMut::with_capacity(24 + 4 + hops_len + 4 + body.len());
+/// The dedup stamp of a mutation re-issued on a client's behalf — a chain
+/// forward or a migration dual-write: the original `(client id, seq)`, so
+/// the receiver's dedup window sees the client's own mutation, and topology
+/// epoch 0 — exempt from fencing, because the epoch was already validated
+/// where the mutation entered the deployment.
+fn stamp(client_id: u64, seq: u64, extra: usize) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(24 + extra);
     buf.put_u64_le(client_id);
     buf.put_u64_le(seq);
     buf.put_u64_le(0);
+    buf
+}
+
+/// Encode an [`OP_REPL_FORWARD`] payload: the stamp, the remaining chain,
+/// the inner op, and the inline body.
+fn encode_forward(client_id: u64, seq: u64, remaining: &[(String, u16)], m: &Mutation) -> Bytes {
+    let hops_len: usize = remaining.iter().map(|(a, _)| 8 + a.len()).sum();
+    let mut buf = stamp(client_id, seq, 4 + hops_len + 4 + m.encoded_len());
     buf.put_u32_le(remaining.len() as u32);
     for (addr, pid) in remaining {
         put_bytes(&mut buf, addr.as_bytes());
         buf.put_u32_le(*pid as u32);
     }
-    buf.put_u32_le(inner_op as u32);
-    buf.put_slice(body);
+    buf.put_u32_le(m.rpc_op() as u32);
+    m.encode_into(&mut buf);
     buf.freeze()
 }
 
@@ -722,132 +726,104 @@ impl YokanService {
     }
 
     /// Apply one mutation RPC. `p` starts at the database name (the dedup
-    /// stamp has been consumed by the caller). If the target database has
-    /// forward routes installed (it is a replica-chain member receiving a
-    /// mutation directly from a client), the mutation is forwarded down the
-    /// chain — carrying the client's original dedup stamp — before this
-    /// returns, so the ack implies chain-wide application (unless a
-    /// successor was unreachable, which degrades the ack and is counted).
+    /// stamp has been consumed by the caller) and is decoded here, once: a
+    /// replay answered from the dedup window never pulls a bulk block, and
+    /// a decode error releases the slot like any failed apply.
     fn apply_mutation(
         &self,
         req: &Request,
         client_id: u64,
         seq: u64,
-        p: Bytes,
+        mut p: Bytes,
     ) -> Result<Bytes, YokanError> {
         if req.rpc_id.0 == OP_REPL_FORWARD {
-            return self.apply_forward(req, client_id, seq, p);
+            // A mutation forwarded from a chain predecessor: apply it under
+            // this service's own dedup window — the caller already claimed
+            // the `(client, seq)` slot, so a client that later fails over
+            // here and replays the original op is answered from cache —
+            // then pass it on to the remaining chain members.
+            let n = get_u32(&mut p)? as usize;
+            let mut remaining = Vec::with_capacity(n);
+            for _ in 0..n {
+                let addr = get_bytes(&mut p)?;
+                let addr = std::str::from_utf8(&addr)
+                    .map_err(|_| YokanError::Protocol("hop address not utf8".into()))?
+                    .to_string();
+                let pid = get_u32(&mut p)? as u16;
+                remaining.push((addr, pid));
+            }
+            let inner_op = get_u32(&mut p)? as u16;
+            let m = Mutation::decode(inner_op, p, None)?;
+            let resp = self.apply_and_forward(req.provider_id, client_id, seq, &m, &remaining)?;
+            self.inner.forwards_applied.fetch_add(1, Ordering::Relaxed);
+            return Ok(resp);
         }
+        let m = Mutation::decode(req.rpc_id.0, p, Some((&*self.inner.endpoint, &req.source)))?;
         // Live-migration gate: mutations touching a frozen interval are
         // shed `Busy`; mutations touching keys already handed off are
-        // dual-written to their destination chains below. Bulk batches of a
-        // migrating database come back inlined (the gate had to pull them
-        // to see the keys, and the dual-write needs the pairs anyway).
-        let (p, dests) = self.migration_gate(req.rpc_id.0, req.provider_id, &req.source, p)?;
-        let successors = self.successors_for(req.provider_id, &p)?;
-        let want_inline = successors.is_some();
-        let (resp, inline) = self.apply_local(
-            req.rpc_id.0,
-            req.provider_id,
-            Some(&req.source),
-            p.clone(),
-            want_inline,
-        )?;
-        if let Some(successors) = successors {
-            let delay = *self.inner.forward_delay.read();
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            let body = inline.expect("inline body requested");
-            self.forward_down(&successors, req.rpc_id.0, client_id, seq, &body);
-        }
+        // dual-written to their destination chains below.
+        let dests = self.migration_gate(req.provider_id, &m)?;
+        let successors = self.successors_for(req.provider_id, &m.db);
+        let resp = self.apply_and_forward(req.provider_id, client_id, seq, &m, &successors)?;
         if !dests.is_empty() {
             // Re-issue at the new owners *before* acknowledging: a failed
             // dual-write withholds the ack, the slot is released, and the
             // client's retry re-applies (idempotently) and re-forwards.
-            self.migration_forward(req.rpc_id.0, client_id, seq, &dests)?;
+            self.migration_forward(client_id, seq, dests)?;
+        }
+        Ok(resp)
+    }
+
+    /// Apply `m` to the local backend, then forward it — carrying the
+    /// client's original dedup stamp — down `successors`, the rest of the
+    /// database's replica chain, before returning. The ack therefore
+    /// implies chain-wide application, unless a successor was unreachable,
+    /// which degrades the ack and is counted.
+    fn apply_and_forward(
+        &self,
+        provider_id: u16,
+        client_id: u64,
+        seq: u64,
+        m: &Mutation,
+        successors: &[(String, u16)],
+    ) -> Result<Bytes, YokanError> {
+        let resp = m.apply(&*self.db(provider_id, m.db.as_bytes())?)?;
+        if !successors.is_empty() {
+            let delay = *self.inner.forward_delay.read();
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            self.forward_down(successors, client_id, seq, m);
         }
         Ok(resp)
     }
 
     /// Inspect one direct client mutation against the live-migration state
-    /// of its target database. Returns the (possibly inlined) payload and,
-    /// for every destination chain a touched handed-off key re-homes to,
-    /// the op body restricted to *that chain's* keys (sending the full
-    /// batch would plant foreign keys in the destination database).
+    /// of its target database. Returns, for every destination chain a
+    /// touched handed-off key re-homes to, the mutation restricted to *that
+    /// chain's* keys (sending the full batch would plant foreign keys in
+    /// the destination database).
     ///
     /// Errors with `Busy` when a touched key lies in the frozen interval —
     /// the migrator is copying it right now; the shed is bounded by one
     /// batch and absorbed by the client's retry policy.
     fn migration_gate(
         &self,
-        op: u16,
         provider_id: u16,
-        source: &str,
-        p: Bytes,
-    ) -> Result<(Bytes, Vec<(DestChain, Bytes)>), YokanError> {
-        {
-            let migs = self.inner.migrations.read();
-            if migs.is_empty() {
-                return Ok((p, Vec::new()));
-            }
-            let mut q = p.clone();
-            let db = get_bytes(&mut q)?;
-            let name = std::str::from_utf8(&db)
-                .map_err(|_| YokanError::Protocol("db name not utf8".into()))?;
-            if !migs.contains_key(&(provider_id, name.to_string())) {
-                return Ok((p, Vec::new()));
-            }
-        }
-        // The target database is migrating: decode the touched keys,
-        // inlining a bulk batch first so the gate sees the actual pairs.
-        let mut q = p.clone();
-        let db = get_bytes(&mut q)?;
-        let name = std::str::from_utf8(&db)
-            .expect("validated above")
-            .to_string();
-        let mut pairs: Vec<crate::backend::KeyValue> = Vec::new();
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut payload = p.clone();
-        match op {
-            x if x == OP_PUT || x == OP_PUT_IF_ABSENT || x == OP_ERASE => {
-                keys.push(get_bytes(&mut q)?.to_vec());
-            }
-            x if x == OP_ERASE_MULTI => keys = decode_keys(&mut q)?,
-            x if x == OP_PUT_MULTI => {
-                let mode = get_u8(&mut q)?;
-                pairs = match mode {
-                    MODE_INLINE => decode_pairs(&mut q)?,
-                    MODE_BULK => {
-                        let handle = BulkHandle::decode_from(&mut q)
-                            .ok_or_else(|| YokanError::Protocol("bad bulk handle".into()))?;
-                        let mut data = self
-                            .inner
-                            .endpoint
-                            .bulk_pull(source, &handle, 0, handle.len)
-                            .map_err(YokanError::Rpc)?;
-                        decode_pairs(&mut data)?
-                    }
-                    m => return Err(YokanError::Protocol(format!("bad put mode {m}"))),
-                };
-                keys = pairs.iter().map(|(k, _)| k.clone()).collect();
-                let mut buf = BytesMut::with_capacity(4 + db.len() + 1 + pairs_encoded_len(&pairs));
-                put_bytes(&mut buf, &db);
-                buf.put_u8(MODE_INLINE);
-                encode_pairs_into(&mut buf, &pairs);
-                payload = buf.freeze();
-            }
-            _ => {}
-        }
+        m: &Mutation,
+    ) -> Result<Vec<(DestChain, Mutation)>, YokanError> {
         let migs = self.inner.migrations.read();
-        let Some(state) = migs.get(&(provider_id, name)) else {
-            // The migration completed between the two lock acquisitions.
-            return Ok((payload, Vec::new()));
+        if migs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let Some(state) = migs.get(&(provider_id, m.db.clone())) else {
+            return Ok(Vec::new());
         };
+        let keys = m.keys();
         if let Some((lo, hi)) = &state.frozen {
             if keys
                 .iter()
-                .any(|k| k.as_slice() >= lo.as_slice() && k.as_slice() <= hi.as_slice())
+                .any(|k| *k >= lo.as_slice() && *k <= hi.as_slice())
             {
                 self.inner
                     .mig_frozen_rejects
@@ -857,66 +833,38 @@ impl YokanService {
                 }));
             }
         }
-        // Group the touched handed-off keys by destination chain and build
-        // one op body (everything after the database name) per chain.
         let mut by_dest: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, k) in keys.iter().enumerate() {
-            if let Some(&d) = state.moved.get(k) {
+            if let Some(&d) = state.moved.get(*k) {
                 by_dest.entry(d).or_default().push(i);
             }
         }
-        if by_dest.is_empty() {
-            return Ok((payload, Vec::new()));
-        }
-        let mut dests = Vec::with_capacity(by_dest.len());
-        for (d, idxs) in by_dest {
-            let body: Bytes = match op {
-                x if x == OP_PUT || x == OP_PUT_IF_ABSENT || x == OP_ERASE => {
-                    // Single-key op: the original body (key[, value]) is
-                    // already exactly this destination's share.
-                    let mut q = payload.clone();
-                    let _db = get_bytes(&mut q)?;
-                    q
-                }
-                x if x == OP_ERASE_MULTI => {
-                    let sub: Vec<Vec<u8>> = idxs.iter().map(|&i| keys[i].clone()).collect();
-                    encode_keys(&sub)
-                }
-                x if x == OP_PUT_MULTI => {
-                    let sub: Vec<crate::backend::KeyValue> =
-                        idxs.iter().map(|&i| pairs[i].clone()).collect();
-                    let mut buf = BytesMut::with_capacity(1 + pairs_encoded_len(&sub));
-                    buf.put_u8(MODE_INLINE);
-                    encode_pairs_into(&mut buf, &sub);
-                    buf.freeze()
-                }
-                _ => unreachable!("by_dest only fills for key-bearing ops"),
-            };
-            dests.push((state.destinations[d].clone(), body));
-        }
-        Ok((payload, dests))
+        Ok(by_dest
+            .into_iter()
+            .map(|(d, idxs)| (state.destinations[d].clone(), m.subset(&idxs)))
+            .collect())
     }
 
     /// Dual-write one mutation at the destination chains of its handed-off
-    /// keys: re-issue the op with the original `(client, seq)` dedup stamp
-    /// (epoch 0 — validated at entry) and the database name rewritten to
-    /// the destination's, at the first live member of each chain (whose own
-    /// forward routes propagate it down). A client retry after a partial
-    /// failure re-forwards the identical stamp, so destinations that
-    /// already applied answer from their dedup window.
+    /// keys: re-issue each chain's share with the original `(client, seq)`
+    /// dedup stamp and the database name rewritten to the destination's,
+    /// at the first live member of the chain (whose own forward routes
+    /// propagate it down). A client retry after a partial failure
+    /// re-forwards the identical stamp, so destinations that already
+    /// applied answer from their dedup window.
     fn migration_forward(
         &self,
-        op: u16,
         client_id: u64,
         seq: u64,
-        dests: &[(DestChain, Bytes)],
+        dests: Vec<(DestChain, Mutation)>,
     ) -> Result<(), YokanError> {
         let params = self.inner.forward_params.read().clone();
         let self_addr = self.inner.endpoint.address();
-        for (chain, body) in dests {
+        for (chain, mut share) in dests {
             let mut delivered = false;
             let mut last_err = YokanError::Protocol("empty destination chain".into());
-            for (addr, pid, dest_db) in chain {
+            for (addr, pid, dest_db) in &chain {
+                share.db.clone_from(dest_db);
                 if *addr == self_addr {
                     // The destination lives on this very service (grown
                     // in-place): apply directly instead of calling self —
@@ -927,31 +875,17 @@ impl YokanService {
                     // remote delivery would propagate it: without it the
                     // dual-write strands on this one member and tail or
                     // failover reads of the destination chain go stale.
-                    let mut buf = BytesMut::with_capacity(4 + dest_db.len() + body.len());
-                    put_bytes(&mut buf, dest_db.as_bytes());
-                    buf.put_slice(body);
-                    let payload = buf.freeze();
-                    let successors = self.successors_for(*pid, &payload)?;
-                    let (_, inline) =
-                        self.apply_local(op, *pid, None, payload, successors.is_some())?;
-                    if let Some(successors) = successors {
-                        let body = inline.expect("inline body requested");
-                        self.forward_down(&successors, op, client_id, seq, &body);
-                    }
+                    let successors = self.successors_for(*pid, dest_db);
+                    self.apply_and_forward(*pid, client_id, seq, &share, &successors)?;
                     delivered = true;
                     break;
                 }
-                let mut buf = BytesMut::with_capacity(24 + 4 + dest_db.len() + body.len());
-                buf.put_u64_le(client_id);
-                buf.put_u64_le(seq);
-                buf.put_u64_le(0);
-                put_bytes(&mut buf, dest_db.as_bytes());
-                buf.put_slice(body);
-                let payload = buf.freeze();
+                let mut buf = stamp(client_id, seq, share.encoded_len());
+                share.encode_into(&mut buf);
                 let pending =
                     self.inner
                         .endpoint
-                        .call_async(addr, RpcId(op), *pid, payload.clone());
+                        .call_async(addr, RpcId(share.rpc_op()), *pid, buf.freeze());
                 match pending.wait_timeout(params.timeout) {
                     Ok(_) => {
                         delivered = true;
@@ -972,152 +906,15 @@ impl YokanService {
         Ok(())
     }
 
-    /// The chain successors of the database a mutation payload addresses,
-    /// if it has any. `p` starts at the database name and is only peeked.
-    fn successors_for(
-        &self,
-        provider_id: u16,
-        p: &Bytes,
-    ) -> Result<Option<Vec<(String, u16)>>, YokanError> {
+    /// The chain successors of one locally-served database (empty when it
+    /// is not a replica-chain member).
+    fn successors_for(&self, provider_id: u16, db: &str) -> Vec<(String, u16)> {
         let routes = self.inner.forward_routes.read();
-        let Some(by_db) = routes.get(&provider_id) else {
-            return Ok(None);
-        };
-        let mut q = p.clone();
-        let db = get_bytes(&mut q)?;
-        let name = std::str::from_utf8(&db)
-            .map_err(|_| YokanError::Protocol("db name not utf8".into()))?;
-        Ok(by_db.get(name).cloned())
-    }
-
-    /// Apply one mutation against the local backend. `p` starts at the
-    /// database name. `source` is the address bulk handles can be pulled
-    /// from; `None` forbids bulk mode (forwarded payloads are always
-    /// inline). When `want_inline` is set, the payload is also returned in
-    /// inline form for chain forwarding — the original bytes for inline
-    /// ops, a re-encoded batch for bulk `put_multi` (a successor cannot
-    /// pull the caller's bulk region through *this* node).
-    fn apply_local(
-        &self,
-        op: u16,
-        provider_id: u16,
-        source: Option<&str>,
-        mut p: Bytes,
-        want_inline: bool,
-    ) -> Result<(Bytes, Option<Bytes>), YokanError> {
-        let whole = p.clone();
-        let inline = if want_inline {
-            Some(whole.clone())
-        } else {
-            None
-        };
-        match op {
-            x if x == OP_PUT => {
-                let db = get_bytes(&mut p)?;
-                let key = get_bytes(&mut p)?;
-                let val = get_bytes(&mut p)?;
-                self.db(provider_id, &db)?.put(&key, &val)?;
-                Ok((Bytes::new(), inline))
-            }
-            x if x == OP_PUT_MULTI => {
-                let db = get_bytes(&mut p)?;
-                let backend = self.db(provider_id, &db)?;
-                let mode = get_u8(&mut p)?;
-                let pairs = match mode {
-                    MODE_INLINE => decode_pairs(&mut p)?,
-                    MODE_BULK => {
-                        let source = source.ok_or_else(|| {
-                            YokanError::Protocol("bulk mode in forwarded mutation".into())
-                        })?;
-                        // Pull the encoded pair block from the caller's
-                        // exposed region (the RDMA path for batches).
-                        let handle = BulkHandle::decode_from(&mut p)
-                            .ok_or_else(|| YokanError::Protocol("bad bulk handle".into()))?;
-                        let mut data = self
-                            .inner
-                            .endpoint
-                            .bulk_pull(source, &handle, 0, handle.len)
-                            .map_err(YokanError::Rpc)?;
-                        decode_pairs(&mut data)?
-                    }
-                    m => return Err(YokanError::Protocol(format!("bad put mode {m}"))),
-                };
-                backend.put_multi(&pairs)?;
-                let inline = match (want_inline, mode) {
-                    (true, MODE_BULK) => {
-                        let mut buf =
-                            BytesMut::with_capacity(4 + db.len() + 1 + pairs_encoded_len(&pairs));
-                        put_bytes(&mut buf, &db);
-                        buf.put_u8(MODE_INLINE);
-                        encode_pairs_into(&mut buf, &pairs);
-                        Some(buf.freeze())
-                    }
-                    _ => inline,
-                };
-                let mut out = BytesMut::with_capacity(4);
-                out.put_u32_le(pairs.len() as u32);
-                Ok((out.freeze(), inline))
-            }
-            x if x == OP_ERASE => {
-                let db = get_bytes(&mut p)?;
-                let key = get_bytes(&mut p)?;
-                self.db(provider_id, &db)?.erase(&key)?;
-                Ok((Bytes::new(), inline))
-            }
-            x if x == OP_PUT_IF_ABSENT => {
-                let db = get_bytes(&mut p)?;
-                let key = get_bytes(&mut p)?;
-                let val = get_bytes(&mut p)?;
-                let existing = self.db(provider_id, &db)?.put_if_absent(&key, &val)?;
-                Ok((encode_optionals(&[existing]), inline))
-            }
-            x if x == OP_ERASE_MULTI => {
-                let db = get_bytes(&mut p)?;
-                let keys = decode_keys(&mut p)?;
-                self.db(provider_id, &db)?.erase_multi(&keys)?;
-                Ok((Bytes::new(), inline))
-            }
-            other => Err(YokanError::Rpc(RpcError::NoSuchRpc(other))),
-        }
-    }
-
-    /// Handle a mutation forwarded from a chain predecessor: apply it
-    /// locally (under this service's own dedup window — the caller already
-    /// claimed the `(client, seq)` slot, so a client that later fails over
-    /// here and replays the original op is answered from cache), then pass
-    /// it on to the remaining chain members embedded in the payload.
-    fn apply_forward(
-        &self,
-        req: &Request,
-        client_id: u64,
-        seq: u64,
-        mut p: Bytes,
-    ) -> Result<Bytes, YokanError> {
-        let n = get_u32(&mut p)? as usize;
-        let mut remaining = Vec::with_capacity(n);
-        for _ in 0..n {
-            let addr = get_bytes(&mut p)?;
-            let addr = std::str::from_utf8(&addr)
-                .map_err(|_| YokanError::Protocol("hop address not utf8".into()))?
-                .to_string();
-            let pid = get_u32(&mut p)? as u16;
-            remaining.push((addr, pid));
-        }
-        let inner_op = get_u32(&mut p)? as u16;
-        if inner_op == OP_REPL_FORWARD || !is_mutation(inner_op) {
-            return Err(YokanError::Protocol(format!("bad forwarded op {inner_op}")));
-        }
-        let body = p;
-        let (resp, _) = self.apply_local(inner_op, req.provider_id, None, body.clone(), false)?;
-        self.inner.forwards_applied.fetch_add(1, Ordering::Relaxed);
-        if !remaining.is_empty() {
-            let delay = *self.inner.forward_delay.read();
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            self.forward_down(&remaining, inner_op, client_id, seq, &body);
-        }
-        Ok(resp)
+        routes
+            .get(&provider_id)
+            .and_then(|by_db| by_db.get(db))
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Send a mutation to the first live member of `successors`, embedding
@@ -1125,21 +922,14 @@ impl YokanService {
     /// are skipped (counted as degraded acks) and suspended for
     /// [`ForwardParams::suspend`] so a dead replica does not tax every
     /// subsequent mutation with a full forward timeout.
-    fn forward_down(
-        &self,
-        successors: &[(String, u16)],
-        inner_op: u16,
-        client_id: u64,
-        seq: u64,
-        body: &Bytes,
-    ) {
+    fn forward_down(&self, successors: &[(String, u16)], client_id: u64, seq: u64, m: &Mutation) {
         let params = self.inner.forward_params.read().clone();
         for (i, hop) in successors.iter().enumerate() {
             if self.hop_suspended(hop) {
                 self.inner.forward_degraded.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let payload = encode_forward(client_id, seq, &successors[i + 1..], inner_op, body);
+            let payload = encode_forward(client_id, seq, &successors[i + 1..], m);
             let mut delivered = false;
             for _ in 0..params.attempts.max(1) {
                 let pending = self.inner.endpoint.call_async(

@@ -464,3 +464,329 @@ fn put_if_absent_is_atomic_under_contention() {
     }
     ts.server.finalize();
 }
+
+/// One mutation op of the mutation-path table, as a client issues it.
+#[derive(Clone, Copy, Debug)]
+enum MutCase {
+    Put,
+    PutIfAbsent,
+    Erase,
+    EraseMulti,
+    PutMultiInline,
+    PutMultiBulk,
+}
+
+/// The live-migration state the source database is in when the op lands.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum MigState {
+    /// No migration: the op is applied locally only.
+    Steady,
+    /// Every touched key lies in the frozen interval: shed `Busy`.
+    Frozen,
+    /// Some touched keys are handed off to a database on another node.
+    RemoteHandoff,
+    /// Some touched keys are handed off to a database on the same service,
+    /// which has a chain successor on another node.
+    ColocatedHandoff,
+}
+
+type Model = std::collections::BTreeMap<Vec<u8>, Vec<u8>>;
+
+impl MutCase {
+    const ALL: [MutCase; 6] = [
+        MutCase::Put,
+        MutCase::PutIfAbsent,
+        MutCase::Erase,
+        MutCase::EraseMulti,
+        MutCase::PutMultiInline,
+        MutCase::PutMultiBulk,
+    ];
+
+    fn multi(self) -> bool {
+        matches!(
+            self,
+            MutCase::EraseMulti | MutCase::PutMultiInline | MutCase::PutMultiBulk
+        )
+    }
+
+    /// Erases need something to erase; puts start from absent keys.
+    fn seeds(self) -> bool {
+        matches!(self, MutCase::Erase | MutCase::EraseMulti)
+    }
+
+    fn value(key: &[u8]) -> Vec<u8> {
+        [key, b"=new"].concat()
+    }
+
+    /// Issue the op on `keys` through the matching client.
+    fn issue(
+        self,
+        inline: &YokanClient,
+        bulk: &YokanClient,
+        t: &DbTarget,
+        keys: &[Vec<u8>],
+    ) -> Result<(), YokanError> {
+        let pairs: Vec<_> = keys.iter().map(|k| (k.clone(), Self::value(k))).collect();
+        match self {
+            MutCase::Put => inline.put(t, &keys[0], &Self::value(&keys[0])),
+            MutCase::PutIfAbsent => {
+                let prev = inline.put_if_absent(t, &keys[0], &Self::value(&keys[0]))?;
+                assert_eq!(prev, None, "put_if_absent on an absent key");
+                Ok(())
+            }
+            MutCase::Erase => inline.erase(t, &keys[0]),
+            MutCase::EraseMulti => inline.erase_multi(t, keys),
+            MutCase::PutMultiInline => inline.put_multi(t, &pairs),
+            MutCase::PutMultiBulk => bulk.put_multi(t, &pairs),
+        }
+    }
+
+    /// What the op does to a database holding `model`, restricted to `keys`.
+    fn apply(self, model: &mut Model, keys: &[Vec<u8>]) {
+        for k in keys {
+            match self {
+                MutCase::Erase | MutCase::EraseMulti => {
+                    model.remove(k);
+                }
+                MutCase::PutIfAbsent => {
+                    model.entry(k.clone()).or_insert_with(|| Self::value(k));
+                }
+                _ => {
+                    model.insert(k.clone(), Self::value(k));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn mutation_path_table_every_op_in_every_migration_state() {
+    use std::time::Duration;
+    let fabric = Fabric::new(NetworkModel::default());
+    let node = |name: &str| {
+        let server =
+            MargoInstance::new(fabric.endpoint(name), Runtime::simple(2), "default").unwrap();
+        let svc = YokanService::register(&server);
+        svc.add_provider(&server, 0, "default").unwrap();
+        svc.add_provider(&server, 1, "default").unwrap();
+        (server, svc)
+    };
+    // `src` serves the migrating database `data` (provider 0) and a
+    // co-located destination `dest` (provider 1) whose chain successor is
+    // `remote`'s provider 1; `remote`'s provider 0 is a plain remote
+    // destination.
+    let (src, src_svc) = node("src");
+    let (remote, remote_svc) = node("remote");
+    src_svc.add_database(0, "data", Arc::new(MemBackend::new()));
+    src_svc.add_database(1, "dest", Arc::new(MemBackend::new()));
+    remote_svc.add_database(0, "dest", Arc::new(MemBackend::new()));
+    remote_svc.add_database(1, "dest", Arc::new(MemBackend::new()));
+    let data = DbTarget::new(src.address(), 0, "data");
+    let coloc = DbTarget::new(src.address(), 1, "dest");
+    let rdest = DbTarget::new(remote.address(), 0, "dest");
+    let succ = DbTarget::new(remote.address(), 1, "dest");
+    src_svc.set_forward_routes(1, "dest", std::slice::from_ref(&succ));
+
+    let ep: Arc<dyn Endpoint> = fabric.endpoint("table-client");
+    let client = YokanClient::new(Arc::clone(&ep));
+    // A zero threshold sends every batch as a bulk block.
+    let bulk = YokanClient::with_bulk_threshold(ep, 0);
+    let states = [
+        MigState::Steady,
+        MigState::Frozen,
+        MigState::RemoteHandoff,
+        MigState::ColocatedHandoff,
+    ];
+    for op in MutCase::ALL {
+        for state in states {
+            let prefix = format!("{op:?}/{state:?}/").into_bytes();
+            let key = |s: &[u8]| [prefix.as_slice(), s].concat();
+            let keys = if op.multi() {
+                vec![key(b"a"), key(b"b"), key(b"c")]
+            } else {
+                vec![key(b"a")]
+            };
+            // For a batch, only some keys are handed off: the destination
+            // must receive exactly that share, not foreign keys.
+            let handed: Vec<Vec<u8>> = keys.iter().step_by(2).cloned().collect();
+            let dbs = [&data, &coloc, &rdest, &succ];
+            let mut seed = Model::new();
+            if op.seeds() {
+                for k in &keys {
+                    seed.insert(k.clone(), b"old".to_vec());
+                }
+                for t in dbs {
+                    for (k, v) in &seed {
+                        client.put(t, k, v).unwrap();
+                    }
+                }
+            }
+            match state {
+                MigState::Steady => {}
+                MigState::Frozen => client
+                    .migration_freeze(&data, &key(b""), &key(b"\xff"), Duration::from_millis(1))
+                    .unwrap(),
+                MigState::RemoteHandoff | MigState::ColocatedHandoff => {
+                    let dest = if state == MigState::RemoteHandoff {
+                        &rdest
+                    } else {
+                        &coloc
+                    };
+                    let entries: Vec<_> = handed.iter().map(|k| (k.clone(), 0)).collect();
+                    client
+                        .migration_handoff(&data, &[vec![dest.clone()]], &entries)
+                        .unwrap();
+                }
+            }
+            let before = src_svc.migration_stats();
+            let res = op.issue(&client, &bulk, &data, &keys);
+            let after = src_svc.migration_stats();
+            client.migration_complete(&data).unwrap();
+
+            let mut full = seed.clone();
+            op.apply(&mut full, &keys);
+            let mut share = seed.clone();
+            op.apply(&mut share, &handed);
+            let expect: [&Model; 4] = match state {
+                MigState::Steady => [&full, &seed, &seed, &seed],
+                MigState::Frozen => [&seed, &seed, &seed, &seed],
+                MigState::RemoteHandoff => [&full, &seed, &share, &seed],
+                MigState::ColocatedHandoff => [&full, &share, &seed, &share],
+            };
+            let ctx = format!("{op:?} in state {state:?}");
+            if state == MigState::Frozen {
+                assert!(
+                    matches!(res, Err(YokanError::Rpc(mercurio::RpcError::Busy { .. }))),
+                    "{ctx}: expected a Busy shed, got {res:?}"
+                );
+                assert_eq!(after.frozen_rejects, before.frozen_rejects + 1, "{ctx}");
+            } else {
+                res.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            }
+            let dual_writes = after.forwarded_writes - before.forwarded_writes;
+            let expect_dual =
+                matches!(state, MigState::RemoteHandoff | MigState::ColocatedHandoff) as u64;
+            assert_eq!(dual_writes, expect_dual, "{ctx}: dual-writes");
+            for (t, want) in dbs.iter().zip(expect) {
+                let show = |kvs: Vec<(Vec<u8>, Vec<u8>)>| -> Vec<String> {
+                    kvs.iter()
+                        .map(|(k, v)| format!("{}={}", k.escape_ascii(), v.escape_ascii()))
+                        .collect()
+                };
+                let got = show(client.list_keyvals(t, b"", &prefix, 0).unwrap());
+                let want = show(want.clone().into_iter().collect());
+                assert_eq!(got, want, "{ctx}: {}@{}/{}", t.db, t.addr, t.provider_id);
+            }
+        }
+    }
+    src.finalize();
+    remote.finalize();
+}
+
+#[test]
+fn malformed_mutations_fail_and_release_their_dedup_slot() {
+    use bytes::{BufMut, BytesMut};
+    use mercurio::RpcId;
+    use std::time::Duration;
+    use yokan::PROVIDER_RPC_BASE;
+    const PUT: u16 = PROVIDER_RPC_BASE;
+    const PUT_MULTI: u16 = PROVIDER_RPC_BASE + 1;
+    const GET: u16 = PROVIDER_RPC_BASE + 2;
+    const REPL_FORWARD: u16 = PROVIDER_RPC_BASE + 14;
+    const CLIENT: u64 = 0xBAD_F00D;
+
+    fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
+        buf.put_u32_le(b.len() as u32);
+        buf.put_slice(b);
+    }
+    fn stamp(seq: u64) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(CLIENT);
+        buf.put_u64_le(seq);
+        buf.put_u64_le(0);
+        buf
+    }
+    /// A forward envelope with no remaining hops around `inner_op`.
+    fn forward(seq: u64, inner_op: u16) -> BytesMut {
+        let mut buf = stamp(seq);
+        buf.put_u32_le(0);
+        buf.put_u32_le(inner_op as u32);
+        buf
+    }
+
+    let ts = setup(NetworkModel::default());
+    let addr = ts.server.address();
+    let ep = ts.fabric.endpoint("raw");
+    let client = YokanClient::new(ts.fabric.endpoint("malformed-check"));
+    let t = DbTarget::new(addr.clone(), 0, "events");
+    let mut block = BytesMut::new();
+    block.put_u32_le(1);
+    put_bytes(&mut block, b"k");
+    put_bytes(&mut block, b"v");
+    let block = block.freeze();
+    // A live bulk region: the forward below is rejected for its mode, not
+    // for an unpullable handle.
+    let handle = ep.expose_bulk(block.clone());
+
+    let mut cases: Vec<(&str, u16, BytesMut)> = Vec::new();
+    let mut short = stamp(1);
+    short.truncate(20);
+    cases.push(("stamp shorter than 24 bytes", PUT, short));
+    let mut bad_mode = stamp(2);
+    put_bytes(&mut bad_mode, b"events");
+    bad_mode.put_u8(7);
+    bad_mode.put_slice(&block);
+    cases.push(("unknown put mode", PUT_MULTI, bad_mode));
+    let mut fwd_bulk = forward(3, PUT_MULTI);
+    put_bytes(&mut fwd_bulk, b"events");
+    fwd_bulk.put_u8(1);
+    handle.encode_into(&mut fwd_bulk);
+    cases.push(("bulk mode inside a forward", REPL_FORWARD, fwd_bulk));
+    let mut nested = forward(4, REPL_FORWARD);
+    nested.put_u32_le(0);
+    nested.put_u32_le(PUT as u32);
+    put_bytes(&mut nested, b"events");
+    put_bytes(&mut nested, b"k");
+    put_bytes(&mut nested, b"v");
+    cases.push(("nested forward", REPL_FORWARD, nested));
+    let mut read = forward(5, GET);
+    put_bytes(&mut read, b"events");
+    put_bytes(&mut read, b"k");
+    cases.push(("non-mutation inner op", REPL_FORWARD, read));
+    let mut bad_name = stamp(6);
+    put_bytes(&mut bad_name, &[0xff, 0xfe]);
+    put_bytes(&mut bad_name, b"k");
+    put_bytes(&mut bad_name, b"v");
+    cases.push(("non-UTF-8 database name", PUT, bad_name));
+    let mut cut = stamp(7);
+    put_bytes(&mut cut, b"events");
+    cut.put_u8(0);
+    cut.put_slice(&block[..block.len() - 1]);
+    cases.push(("truncated pair block", PUT_MULTI, cut));
+
+    for (seq, (what, op, payload)) in (1u64..).zip(cases) {
+        let res = ep
+            .call_async(&addr, RpcId(op), 0, payload.freeze())
+            .wait_timeout(Duration::from_secs(10));
+        assert!(res.is_err(), "{what}: accepted as {res:?}");
+        assert_eq!(
+            client.count(&t).unwrap(),
+            seq - 1,
+            "{what}: backend changed"
+        );
+        // The same stamp with a well-formed body is applied fresh: the
+        // failed attempt released its dedup slot instead of caching it.
+        let mut good = stamp(seq);
+        put_bytes(&mut good, b"events");
+        put_bytes(&mut good, &seq.to_le_bytes());
+        put_bytes(&mut good, b"v");
+        let resp = ep
+            .call_async(&addr, RpcId(PUT), 0, good.freeze())
+            .wait_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("{what}: well-formed resend failed: {e}"));
+        assert_eq!(resp[0], 0, "{what}: resend not applied fresh");
+        assert_eq!(client.count(&t).unwrap(), seq, "{what}");
+    }
+    ep.release_bulk(&handle);
+    ts.server.finalize();
+}
