@@ -21,8 +21,7 @@
 //! the per-page prefetch fans out across *all* product databases
 //! concurrently instead of looping database by database. Reader wall-time
 //! thus tracks the *max* of the in-flight RPC latencies instead of their
-//! sum. Set [`PepOptions::pipeline`] to `false` to fall back to the serial
-//! one-RPC-at-a-time reader (same results, used as an A/B baseline).
+//! sum.
 //!
 //! Dispatch uses one injector deque per worker with work stealing: readers
 //! push batches round-robin, each worker drains its own deque first and
@@ -84,10 +83,6 @@ pub struct PepOptions {
     /// while the next `list_keys` is already outstanding. `1` still
     /// overlaps listing with prefetching; `0` is treated as `1`.
     pub read_ahead_pages: usize,
-    /// `true` (default): pipelined asynchronous read path. `false`: serial
-    /// reader issuing one blocking RPC at a time — byte-identical results,
-    /// kept as the A/B baseline for benchmarks and tests.
-    pub pipeline: bool,
 }
 
 impl Default for PepOptions {
@@ -100,7 +95,6 @@ impl Default for PepOptions {
             prefetch: Vec::new(),
             queue_capacity: 1024,
             read_ahead_pages: 4,
-            pipeline: true,
         }
     }
 }
@@ -149,7 +143,7 @@ impl ReaderStats {
     }
 
     /// Fraction of RPC latency hidden behind other pipeline work:
-    /// `1 - blocked / rpc_time`. `0.0` for an idle reader; a serial reader
+    /// `1 - blocked / rpc_time`. `0.0` for an idle reader; a reader
     /// that waits out every RPC scores near `0.0`, a perfectly overlapped
     /// one approaches `1.0`.
     pub fn overlap_ratio(&self) -> f64 {
@@ -549,9 +543,9 @@ impl ReaderCtx<'_> {
         });
     }
 
-    /// Group the page's product keys by product database into
-    /// `scratch.per_db`, reusing pooled buffers throughout.
-    fn group_product_keys(&self, page: &[Vec<u8>], scratch: &mut ReaderScratch) {
+    /// Group the page's product keys by product database (reusing
+    /// `scratch`) and issue one concurrent `get_multi_async` per database.
+    fn issue_prefetch(&self, page: &[Vec<u8>], scratch: &mut ReaderScratch) -> Vec<InFlightFetch> {
         let store = &self.datastore.inner;
         for (ev_idx, ev_key) in page.iter().enumerate() {
             let db_idx = store.product_db_index(ev_key);
@@ -572,13 +566,6 @@ impl ReaderCtx<'_> {
                 keyvecs.push(buf);
             }
         }
-    }
-
-    /// Group the page's product keys by product database (reusing
-    /// `scratch`) and issue one concurrent `get_multi_async` per database.
-    fn issue_prefetch(&self, page: &[Vec<u8>], scratch: &mut ReaderScratch) -> Vec<InFlightFetch> {
-        self.group_product_keys(page, scratch);
-        let store = &self.datastore.inner;
         let mut fetches = Vec::new();
         for db_idx in 0..scratch.per_db.len() {
             if scratch.per_db[db_idx].0.is_empty() {
@@ -647,7 +634,7 @@ impl ReaderCtx<'_> {
     /// flight while up to `read_ahead_pages` pages' prefetches are
     /// outstanding; completed pages are drained front-first (FIFO order
     /// per database is preserved).
-    fn read_database_pipelined(
+    fn read_database(
         &mut self,
         db_idx: usize,
         scratch: &mut ReaderScratch,
@@ -728,75 +715,6 @@ impl ReaderCtx<'_> {
             }
         }
         res
-    }
-
-    /// Serial baseline: one blocking RPC at a time, database by database —
-    /// the pre-pipeline behaviour, byte-identical results.
-    fn read_database_serial(
-        &mut self,
-        db_idx: usize,
-        scratch: &mut ReaderScratch,
-        stats: &mut ReaderStats,
-    ) -> Result<(), HepnosError> {
-        let db = self.datastore.inner.topo.event_dbs[db_idx].clone();
-        let prefix: Vec<u8> = self.dataset.as_bytes().to_vec();
-        let mut from = prefix.clone();
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            let t = Instant::now();
-            let mut page = self.datastore.inner.client.list_keys(
-                &db,
-                &from,
-                &prefix,
-                self.opts.load_batch_size,
-            )?;
-            let waited = t.elapsed();
-            stats.list_wait += waited;
-            stats.rpc_time += waited;
-            stats.pages += 1;
-            if page.is_empty() {
-                return Ok(());
-            }
-            from.clone_from(page.last().expect("page is non-empty"));
-            self.keep_homed(db_idx, &mut page);
-            let descriptors = self.parse_page(&page)?;
-            stats.events_loaded += descriptors.len() as u64;
-            let mut products = scratch.take_products(descriptors.len(), self.labels.len());
-            if !self.labels.is_empty() {
-                // Same grouping as the pipelined path, but each database's
-                // get_multi blocks to completion before the next is even
-                // issued — reader time is the *sum* of the RPC latencies.
-                self.group_product_keys(&page, scratch);
-                let store = &self.datastore.inner;
-                for db_idx in 0..scratch.per_db.len() {
-                    if scratch.per_db[db_idx].0.is_empty() {
-                        continue;
-                    }
-                    let (slots, keyvecs) = std::mem::take(&mut scratch.per_db[db_idx]);
-                    let target = &store.topo.product_dbs[db_idx];
-                    let t = Instant::now();
-                    let pending = store.client.get_multi_async(target, &keyvecs);
-                    let values = pending.wait()?;
-                    let waited = t.elapsed();
-                    stats.prefetch_wait += waited;
-                    stats.rpc_time += waited;
-                    for (&(ev_idx, l_idx), value) in slots.iter().zip(values) {
-                        products[ev_idx][l_idx] = value;
-                    }
-                    scratch.recycle_keys(keyvecs);
-                    scratch.recycle_slots(slots);
-                }
-            }
-            stats.read_ahead_hwm = stats.read_ahead_hwm.max(1);
-            let page_state = PageState {
-                descriptors,
-                fetches: Vec::new(),
-                products,
-            };
-            self.complete_page(page_state, scratch, stats)?;
-        }
     }
 }
 
@@ -901,12 +819,7 @@ impl ParallelEventProcessor {
                         if abort.load(Ordering::Relaxed) {
                             break;
                         }
-                        let res = if opts.pipeline {
-                            ctx.read_database_pipelined(db_idx, &mut scratch, &mut stats)
-                        } else {
-                            ctx.read_database_serial(db_idx, &mut scratch, &mut stats)
-                        };
-                        if let Err(e) = res {
+                        if let Err(e) = ctx.read_database(db_idx, &mut scratch, &mut stats) {
                             let mut slot = first_error.lock();
                             if slot.is_none() {
                                 *slot = Some(e);

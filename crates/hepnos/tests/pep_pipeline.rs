@@ -1,7 +1,7 @@
 //! Tests for the pipelined asynchronous PEP read path: exactly-once
 //! delivery under fault injection, work stealing under a slow callback,
-//! byte-identical pipelined-vs-serial results, and honest partial-progress
-//! reporting on the error path.
+//! results byte-identical to independent per-event point reads, and honest
+//! partial-progress reporting on the error path.
 
 use bedrock::DbCounts;
 use hepnos::testing::local_deployment;
@@ -39,9 +39,19 @@ fn hit_type() -> String {
     hepnos::keys::short_type_name::<Vec<Hit>>()
 }
 
+/// The deterministic `Vec<Hit>` product of event `(r, s, e)`, whose shape
+/// depends on the coordinates.
+fn hits(r: u64, s: u64, e: u64) -> Vec<Hit> {
+    (0..(e % 7 + 1))
+        .map(|i| Hit {
+            channel: (r * 1000 + s * 100 + e + i) as u32,
+            adc: (e * 31 + i) as u16,
+        })
+        .collect()
+}
+
 /// Seeded, structured workload: `n_subruns * n_events` events across two
-/// runs, each with a deterministic `Vec<Hit>` product whose shape depends
-/// on the coordinates.
+/// runs, each carrying its [`hits`] product.
 fn ingest(store: &DataStore, name: &str, n_subruns: u64, n_events: u64) -> DataSet {
     let ds = store.root().create_dataset(name).unwrap();
     let uuid = ds.uuid().unwrap();
@@ -53,13 +63,7 @@ fn ingest(store: &DataStore, name: &str, n_subruns: u64, n_events: u64) -> DataS
             let mut batch = WriteBatch::new(store);
             for e in 0..n_events {
                 let ev = batch.create_event(&sr, &uuid, e).unwrap();
-                let hits: Vec<Hit> = (0..(e % 7 + 1))
-                    .map(|i| Hit {
-                        channel: (r * 1000 + s * 100 + e + i) as u32,
-                        adc: (e * 31 + i) as u16,
-                    })
-                    .collect();
-                batch.store(&ev, &label, &hits).unwrap();
+                batch.store(&ev, &label, &hits(r, s, e)).unwrap();
             }
         }
     }
@@ -207,30 +211,65 @@ fn work_stealing_rescues_a_slow_worker() {
     dep.shutdown();
 }
 
-/// The pipelined reader must produce byte-identical per-event products to
-/// the serial baseline, and actually pipeline (read-ahead observed).
+/// The PEP must deliver every ingested event with the bytes an independent
+/// per-event point read returns, decoding to the product `ingest` wrote,
+/// and actually pipeline (read-ahead observed). The oracle shares no code
+/// with the PEP reader: it walks the known coordinates, not key listings.
+/// One reader spanning every event database and a run without prefetch
+/// (products loaded inside the callback) must match it too.
 #[test]
-fn pipelined_matches_serial_byte_for_byte() {
+fn pipelined_matches_point_reads_byte_for_byte() {
     let dep = local_deployment(2, counts());
     let store = dep.datastore();
-    let ds = ingest(&store, "ab", 3, 50);
+    let (n_subruns, n_events) = (3, 50);
+    let ds = ingest(&store, "ab", n_subruns, n_events);
 
-    let mut serial_opts = pipeline_opts(4);
-    serial_opts.pipeline = false;
-    let (serial, serial_stats) = run_pep(&store, &ds, serial_opts);
+    let (label, ty) = (hit_label(), hit_type());
+    let mut point_reads = Digest::new();
+    for r in 0..2u64 {
+        let run = ds.run(r).unwrap();
+        for s in 0..n_subruns {
+            let sr = run.subrun(s).unwrap();
+            for e in 0..n_events {
+                let bytes = sr.event(e).unwrap().load_raw(&label, &ty).unwrap();
+                let stored = bytes.as_deref().expect("ingested product missing");
+                let decoded: Vec<Hit> = hepnos::binser::from_bytes(stored).unwrap();
+                assert_eq!(
+                    decoded,
+                    hits(r, s, e),
+                    "event ({r}, {s}, {e}) decoded wrong"
+                );
+                point_reads.insert((r, s, e), bytes);
+            }
+        }
+    }
+    assert_eq!(point_reads.len(), 2 * 3 * 50);
 
-    let (pipelined, stats) = run_pep(&store, &ds, pipeline_opts(4));
-
-    assert_eq!(serial.len(), 2 * 3 * 50);
-    assert_eq!(pipelined, serial, "pipelined products diverged from serial");
-    assert_eq!(stats.total_events, serial_stats.total_events);
-    assert_eq!(stats.events_loaded, stats.total_events);
-    assert!(
-        stats.read_ahead_hwm() >= 1,
-        "pipelined run never had a page in flight"
-    );
-    // Every event has a product, so prefetch must have served them all.
-    assert!(pipelined.values().all(|v| v.is_some()));
+    let one_reader = PepOptions {
+        num_readers: 1,
+        ..pipeline_opts(4)
+    };
+    let no_prefetch = PepOptions {
+        prefetch: Vec::new(),
+        ..pipeline_opts(4)
+    };
+    for (name, opts) in [
+        ("default", pipeline_opts(4)),
+        ("one reader", one_reader),
+        ("no prefetch", no_prefetch),
+    ] {
+        let (pipelined, stats) = run_pep(&store, &ds, opts);
+        assert_eq!(
+            pipelined, point_reads,
+            "{name}: PEP products diverged from per-event point reads"
+        );
+        assert_eq!(stats.total_events, point_reads.len() as u64);
+        assert_eq!(stats.events_loaded, stats.total_events);
+        assert!(
+            stats.read_ahead_hwm() >= 1,
+            "{name}: pipelined run never had a page in flight"
+        );
+    }
     dep.shutdown();
 }
 

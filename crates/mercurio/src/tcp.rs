@@ -38,13 +38,13 @@ use std::sync::Arc;
 /// Address scheme prefix for the TCP transport.
 pub const SCHEME: &str = "tcp://";
 
+/// Maximum number of frames the writer thread coalesces into one physical
+/// write.
+const MAX_COALESCE_FRAMES: usize = 64;
+
 /// Tuning knobs for the outbound send path of a [`TcpEndpoint`].
 #[derive(Debug, Clone)]
 pub struct TcpSendConfig {
-    /// Maximum number of frames coalesced into one physical write.
-    /// `1` degenerates to one write+flush per frame (the pre-pipelining
-    /// behaviour, kept selectable for benchmarking).
-    pub max_coalesce_frames: usize,
     /// Bound of the per-connection outbound queue; a sender hitting a full
     /// queue blocks until the writer thread drains it.
     pub max_queued_frames: usize,
@@ -53,7 +53,6 @@ pub struct TcpSendConfig {
 impl Default for TcpSendConfig {
     fn default() -> Self {
         TcpSendConfig {
-            max_coalesce_frames: 64,
             max_queued_frames: 256,
         }
     }
@@ -159,7 +158,7 @@ impl Link for Arc<Conn> {
 }
 
 /// Drain the connection's outbound queue, coalescing every frame available
-/// at drain time (bounded by `max_coalesce_frames`) into one vectored
+/// at drain time (bounded by `MAX_COALESCE_FRAMES`) into one vectored
 /// buffered write: one syscall carries N frames.
 fn writer_loop(conn: Arc<Conn>, mut stream: TcpStream) {
     let mut wire = BytesMut::new();
@@ -173,7 +172,7 @@ fn writer_loop(conn: Arc<Conn>, mut stream: TcpStream) {
                 }
                 conn.not_empty.wait(&mut st);
             }
-            let n = st.queue.len().min(conn.cfg.max_coalesce_frames);
+            let n = st.queue.len().min(MAX_COALESCE_FRAMES);
             batch.extend(st.queue.drain(..n));
         }
         conn.not_full.notify_all();
@@ -524,30 +523,8 @@ mod tests {
     }
 
     #[test]
-    fn per_frame_mode_writes_every_frame() {
-        let cfg = TcpSendConfig {
-            max_coalesce_frames: 1,
-            max_queued_frames: 256,
-        };
-        let s = TcpEndpoint::bind(0).unwrap();
-        let c = TcpEndpoint::bind_with(0, cfg).unwrap();
-        s.register(RpcId(1), echo());
-        let addr = s.address();
-        for i in 0..20u8 {
-            c.call(&addr, RpcId(1), 0, Bytes::copy_from_slice(&[i]))
-                .unwrap();
-        }
-        let st = c.stats();
-        assert_eq!(st.frames_sent, 21); // 20 requests + handshake
-        assert_eq!(st.wire_writes, st.frames_sent);
-        s.shutdown();
-        c.shutdown();
-    }
-
-    #[test]
     fn full_queue_counts_backpressure_stalls() {
         let cfg = TcpSendConfig {
-            max_coalesce_frames: 64,
             max_queued_frames: 2,
         };
         let s = TcpEndpoint::bind(0).unwrap();
