@@ -24,6 +24,11 @@ use yokan::{DbTarget, YokanClient};
 /// Number of keys fetched per `list_keys` RPC while iterating containers.
 const ITER_PAGE: usize = 1024;
 
+/// Products answered per range-filter RPC of
+/// [`DataSet::filter_event_products`]; each product database has one such
+/// page in flight at a time.
+pub const FILTER_SCAN_PAGE: usize = 1024;
+
 /// A validated product label (must not contain `#`, the label/type
 /// separator in product keys).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -651,6 +656,76 @@ impl DataSet {
             .collect()
     }
 
+    /// Push `program` down to every event-level `label` product of this
+    /// dataset, whatever its type, without enumerating the events: each
+    /// product database scans the dataset's key range (prefix: the dataset
+    /// UUID) and evaluates the program on each product whose label sits
+    /// right after an event key, one page of [`FILTER_SCAN_PAGE`] replies
+    /// in flight per database at once. The per-database streams are merged
+    /// by key, so replies come in [`DataSet::events`] order. An event with
+    /// `label` products of several types has one adjacent reply per type,
+    /// in type-name order; an event with none has no reply. The scan reads
+    /// each product range in sequence and bypasses the servers' read cache.
+    pub fn filter_event_products(
+        &self,
+        label: &ProductLabel,
+        program: &yokan::Program,
+    ) -> Result<Vec<(Event, yokan::FilterReply)>, HepnosError> {
+        let uuid = self.require_uuid()?;
+        let mut tag = label.as_str().as_bytes().to_vec();
+        tag.push(keys::PRODUCT_SEP);
+        let scan = yokan::FilterScan {
+            program,
+            prefix: uuid.as_bytes(),
+            tag_offset: keys::EVENT_KEY_LEN as u32,
+            tag: &tag,
+        };
+        let client = &self.store.client;
+        let dbs = &self.store.topo.product_dbs;
+        let issue = |db: &DbTarget, from: &[u8]| {
+            client.filter_scan_async(db, &scan, from, FILTER_SCAN_PAGE)
+        };
+        let mut pending: Vec<_> = dbs
+            .iter()
+            .map(|db| Some(issue(db, uuid.as_bytes())))
+            .collect();
+        let mut streams = vec![Vec::new(); dbs.len()];
+        while pending.iter().any(Option::is_some) {
+            for ((slot, db), stream) in pending.iter_mut().zip(dbs).zip(&mut streams) {
+                let Some(page) = slot.take() else { continue };
+                let page = page.wait()?;
+                // A short page is the end of the range; a full one resumes
+                // at once, before this database's entries are merged.
+                if page.len() == FILTER_SCAN_PAGE {
+                    let last = &page.last().expect("a full page is non-empty").0;
+                    *slot = Some(issue(db, last));
+                }
+                stream.extend(page);
+            }
+        }
+        merge_by_key(streams)
+            .into_iter()
+            .map(|(mut key, reply)| {
+                key.truncate(keys::EVENT_KEY_LEN);
+                let (dataset, run, subrun, number) =
+                    keys::parse_event_key(&key).ok_or_else(|| {
+                        HepnosError::Storage(yokan::YokanError::Protocol(
+                            "malformed product key".into(),
+                        ))
+                    })?;
+                let event = Event {
+                    store: Arc::clone(&self.store),
+                    dataset,
+                    run,
+                    subrun,
+                    number,
+                    key,
+                };
+                Ok((event, reply))
+            })
+            .collect()
+    }
+
     fn require_uuid(&self) -> Result<Uuid, HepnosError> {
         self.uuid
             .ok_or_else(|| HepnosError::InvalidPath("the root dataset cannot hold runs".into()))
@@ -1183,6 +1258,27 @@ impl Event {
     }
 }
 
+/// Merge streams that are each sorted by key into one sorted stream (a
+/// k-way merge; the streams are few, so the smallest head is found by a
+/// linear pass).
+fn merge_by_key<T>(streams: Vec<Vec<(Vec<u8>, T)>>) -> Vec<(Vec<u8>, T)> {
+    let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+    let mut heads: Vec<_> = streams
+        .into_iter()
+        .map(|s| s.into_iter().peekable())
+        .collect();
+    loop {
+        let smallest = heads
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, h)| h.peek().map(|(k, _)| (i, k)))
+            .min_by(|a, b| a.1.cmp(b.1))
+            .map(|(i, _)| i);
+        let Some(i) = smallest else { return out };
+        out.extend(heads[i].next());
+    }
+}
+
 /// Maximum product keys per push-down filter RPC; bounds the work one
 /// request pins on a provider (the fan-out path parallelizes within it).
 const FILTER_BATCH: usize = 1024;
@@ -1195,7 +1291,10 @@ impl DataStore {
     /// Keys are grouped by their product database (same placement walk as
     /// the prefetching reader) and each group is filtered in bounded
     /// batches, so one RPC per `(database, batch)` crosses the wire instead
-    /// of one product blob per event.
+    /// of one product blob per event. The servers point-read every key.
+    /// Push-down select no longer uses this: it scans each product
+    /// database's key range through [`DataSet::filter_event_products`] and
+    /// needs no key list.
     pub fn filter_products(
         &self,
         container_keys: &[Vec<u8>],

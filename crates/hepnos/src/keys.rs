@@ -146,7 +146,11 @@ pub fn subrun_key(dataset: &Uuid, run: RunNumber, subrun: SubRunNumber) -> Vec<u
     key
 }
 
-/// `<uuid><run BE><subrun BE><event BE>` — 40 bytes.
+/// Length of an event key, and so the offset of the label in every
+/// event-level product key.
+pub const EVENT_KEY_LEN: usize = 40;
+
+/// `<uuid><run BE><subrun BE><event BE>` — [`EVENT_KEY_LEN`] bytes.
 pub fn event_key(
     dataset: &Uuid,
     run: RunNumber,
@@ -169,7 +173,7 @@ pub fn trailing_number(key: &[u8]) -> Option<u64> {
 
 /// Decode an event key into `(run, subrun, event)`.
 pub fn parse_event_key(key: &[u8]) -> Option<(Uuid, RunNumber, SubRunNumber, EventNumber)> {
-    if key.len() != 40 {
+    if key.len() != EVENT_KEY_LEN {
         return None;
     }
     let uuid = Uuid::from_slice(&key[..16])?;

@@ -73,7 +73,7 @@ mod uuid;
 
 pub use autoscale::{AutoScalePolicy, AutoScaler, NodeSample, ScaleDecision};
 pub use batch::{AsyncWriteBatch, BatchStats, WriteBatch};
-pub use datastore::{DataSet, DataStore, Event, ProductLabel, Run, SubRun};
+pub use datastore::{DataSet, DataStore, Event, ProductLabel, Run, SubRun, FILTER_SCAN_PAGE};
 pub use error::HepnosError;
 pub use keys::{EventNumber, RunNumber, SubRunNumber};
 pub use pep::{

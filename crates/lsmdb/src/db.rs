@@ -588,20 +588,44 @@ impl Db {
 
     /// Collect up to `limit` live entries with key `>= lower` and
     /// (optionally) `< upper`, in sorted key order. `limit = 0` means
-    /// unlimited. This is the primitive behind Yokan's `list_keys` /
-    /// `list_keyvals`.
+    /// unlimited.
     pub fn scan(
         &self,
         lower: &[u8],
         upper: Option<&[u8]>,
         limit: usize,
     ) -> Result<Vec<KeyValue>, DbError> {
-        self.inner.scan(lower, upper, limit)
+        let mut out = Vec::new();
+        self.inner.scan_while(lower, upper, &mut |k, v| {
+            out.push((k, v));
+            limit == 0 || out.len() < limit
+        })?;
+        Ok(out)
+    }
+
+    /// Hand live entries with key `>= lower` and (optionally) `< upper` to
+    /// `visit` in sorted key order until it returns `false`. Table entries
+    /// stream in, in read-ahead chunks, as they are visited, and bypass the
+    /// read cache: a caller that stops early does not read the rest of the
+    /// range. This is the primitive behind Yokan's listings and its range
+    /// filter.
+    pub fn scan_while(
+        &self,
+        lower: &[u8],
+        upper: Option<&[u8]>,
+        mut visit: impl FnMut(Vec<u8>, Vec<u8>) -> bool,
+    ) -> Result<(), DbError> {
+        self.inner.scan_while(lower, upper, &mut visit)
     }
 
     /// Count live entries in `[lower, upper)` (full scan; use sparingly).
     pub fn count_range(&self, lower: &[u8], upper: Option<&[u8]>) -> Result<usize, DbError> {
-        Ok(self.inner.scan(lower, upper, 0)?.len())
+        let mut n = 0;
+        self.inner.scan_while(lower, upper, &mut |_, _| {
+            n += 1;
+            true
+        })?;
+        Ok(n)
     }
 
     /// Freeze the memtable (if non-empty) and flush every frozen memtable
@@ -1360,14 +1384,14 @@ impl DbInner {
         }
     }
 
-    fn scan(
+    fn scan_while(
         &self,
         lower: &[u8],
         upper: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<KeyValue>, DbError> {
+        visit: &mut dyn FnMut(Vec<u8>, Vec<u8>) -> bool,
+    ) -> Result<(), DbError> {
         if upper.is_some_and(|u| u <= lower) {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let st = self.state.read();
         // Sources in precedence order: memtable, frozen memtables newest
@@ -1402,16 +1426,14 @@ impl DbInner {
         }
         drop(st);
         let mut merged = MergeIter::new(sources);
-        let mut out = Vec::new();
         while let Some((k, v)) = merged.next_entry()? {
             if let Value::Put(data) = v {
-                out.push((k, data));
-                if limit != 0 && out.len() >= limit {
+                if !visit(k, data) {
                     break;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn stats(&self) -> DbStats {

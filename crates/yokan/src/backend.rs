@@ -124,16 +124,33 @@ pub trait Backend: Send + Sync {
         Ok(())
     }
 
+    /// Hand the pairs whose keys are strictly greater than `from` and start
+    /// with `prefix` to `visit`, in sorted key order, until it returns
+    /// `false`. The exclusive lower bound lets callers resume iteration from
+    /// the last key seen — HEPnOS's container iteration protocol. The
+    /// listings below and the service's range filter are built on it.
+    fn scan(
+        &self,
+        from: &[u8],
+        prefix: &[u8],
+        visit: &mut dyn FnMut(Vec<u8>, Vec<u8>) -> bool,
+    ) -> Result<(), YokanError>;
+
     /// Keys strictly greater than `from` that start with `prefix`, in sorted
-    /// order, up to `limit` (`0` = unlimited). The exclusive lower bound lets
-    /// callers resume iteration from the last key seen — HEPnOS's container
-    /// iteration protocol.
+    /// order, up to `limit` (`0` = unlimited).
     fn list_keys(
         &self,
         from: &[u8],
         prefix: &[u8],
         limit: usize,
-    ) -> Result<Vec<Vec<u8>>, YokanError>;
+    ) -> Result<Vec<Vec<u8>>, YokanError> {
+        let mut out = Vec::new();
+        self.scan(from, prefix, &mut |k, _| {
+            out.push(k);
+            limit == 0 || out.len() < limit
+        })?;
+        Ok(out)
+    }
 
     /// Like [`Backend::list_keys`] but returning values too.
     fn list_keyvals(
@@ -141,7 +158,14 @@ pub trait Backend: Send + Sync {
         from: &[u8],
         prefix: &[u8],
         limit: usize,
-    ) -> Result<Vec<KeyValue>, YokanError>;
+    ) -> Result<Vec<KeyValue>, YokanError> {
+        let mut out = Vec::new();
+        self.scan(from, prefix, &mut |k, v| {
+            out.push((k, v));
+            limit == 0 || out.len() < limit
+        })?;
+        Ok(out)
+    }
 
     /// Number of stored pairs (may require a scan for LSM backends).
     fn count(&self) -> Result<u64, YokanError>;
@@ -446,25 +470,12 @@ impl Backend for MemBackend {
         Ok(())
     }
 
-    fn list_keys(
+    fn scan(
         &self,
         from: &[u8],
         prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<Vec<u8>>, YokanError> {
-        Ok(self
-            .list_keyvals(from, prefix, limit)?
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect())
-    }
-
-    fn list_keyvals(
-        &self,
-        from: &[u8],
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<KeyValue>, YokanError> {
+        visit: &mut dyn FnMut(Vec<u8>, Vec<u8>) -> bool,
+    ) -> Result<(), YokanError> {
         // Strictly greater than `from`; but when `from` is below the prefix
         // range entirely, a key equal to `prefix` itself must be included.
         let bound = if from >= prefix {
@@ -481,7 +492,6 @@ impl Backend for MemBackend {
             .collect();
         let mut heads: Vec<Option<(&Vec<u8>, &Vec<u8>)>> =
             iters.iter_mut().map(|it| it.next()).collect();
-        let mut out = Vec::new();
         loop {
             // Smallest still-prefixed head wins. Within a shard keys are
             // sorted and the range starts at/inside the prefix region, so a
@@ -502,13 +512,12 @@ impl Backend for MemBackend {
             }
             let Some(i) = best else { break };
             let (k, v) = heads[i].expect("best head present");
-            out.push((k.clone(), v.clone()));
-            if limit != 0 && out.len() >= limit {
+            if !visit(k.clone(), v.clone()) {
                 break;
             }
             heads[i] = iters[i].next();
         }
-        Ok(out)
+        Ok(())
     }
 
     fn count(&self) -> Result<u64, YokanError> {
@@ -600,25 +609,12 @@ impl Backend for LsmBackend {
         self.db.put_if_absent(key, value).map_err(lsm_err)
     }
 
-    fn list_keys(
+    fn scan(
         &self,
         from: &[u8],
         prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<Vec<u8>>, YokanError> {
-        Ok(self
-            .list_keyvals(from, prefix, limit)?
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect())
-    }
-
-    fn list_keyvals(
-        &self,
-        from: &[u8],
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<KeyValue>, YokanError> {
+        visit: &mut dyn FnMut(Vec<u8>, Vec<u8>) -> bool,
+    ) -> Result<(), YokanError> {
         // lsmdb scans are inclusive on the lower bound; the smallest key
         // strictly greater than `from` is `from ++ [0]`. When `from` is below
         // the prefix range, start inclusively at the prefix itself.
@@ -630,14 +626,11 @@ impl Backend for LsmBackend {
             prefix.to_vec()
         };
         let upper = prefix_upper_bound(prefix);
-        let got = self
-            .db
-            .scan(&lower, upper.as_deref(), limit)
-            .map_err(lsm_err)?;
-        Ok(got
-            .into_iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .collect())
+        self.db
+            .scan_while(&lower, upper.as_deref(), |k, v| {
+                !k.starts_with(prefix) || visit(k, v)
+            })
+            .map_err(lsm_err)
     }
 
     fn count(&self) -> Result<u64, YokanError> {

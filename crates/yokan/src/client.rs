@@ -183,6 +183,23 @@ pub enum FilterReply {
     },
 }
 
+/// The fixed part of a push-down range filter (see
+/// [`YokanClient::filter_scan_async`]): the keys it walks, the ones it
+/// keeps, and the predicate program run on every kept value. Successive
+/// pages of one scan share it and differ only in where they resume.
+#[derive(Debug, Clone, Copy)]
+pub struct FilterScan<'a> {
+    /// Program evaluated server-side on each kept value.
+    pub program: &'a crate::filter::Program,
+    /// Only keys starting with this prefix are walked.
+    pub prefix: &'a [u8],
+    /// A walked key is kept when its bytes from this offset on start with
+    /// [`FilterScan::tag`].
+    pub tag_offset: u32,
+    /// The bytes a kept key holds at [`FilterScan::tag_offset`].
+    pub tag: &'a [u8],
+}
+
 /// A Yokan client bound to a local endpoint.
 ///
 /// Batched writes larger than `bulk_threshold` bytes are shipped as bulk
@@ -653,6 +670,39 @@ impl YokanClient {
             .wait_read(keys.len())
     }
 
+    /// Push a predicate down over a key range instead of a key list: the
+    /// server walks the keys after `from` under `scan.prefix`, keeps those
+    /// holding `scan.tag` at `scan.tag_offset`, and answers each kept key
+    /// with its [`FilterReply`], in key order. `limit` counts kept keys
+    /// (`0` = no limit); resume from the last key returned. The scan reads
+    /// the range in sequence and bypasses the server's read cache. During a
+    /// live migration the page is merged with the dual-read candidates'
+    /// pages like any listing: on a key both sides hold, the new owner's
+    /// reply wins.
+    pub fn filter_scan_async(
+        &self,
+        target: &DbTarget,
+        scan: &FilterScan<'_>,
+        from: &[u8],
+        limit: usize,
+    ) -> PendingFilterScan {
+        let program = scan.program.to_bytes();
+        let mut buf = Self::header(
+            target,
+            24 + program.len() + from.len() + scan.prefix.len() + scan.tag.len(),
+        );
+        put_bytes(&mut buf, &program);
+        put_bytes(&mut buf, from);
+        put_bytes(&mut buf, scan.prefix);
+        buf.put_u32_le(scan.tag_offset);
+        put_bytes(&mut buf, scan.tag);
+        buf.put_u32_le(limit as u32);
+        PendingFilterScan {
+            inner: self.read(target, OP_FILTER_SCAN, buf.freeze()),
+            limit,
+        }
+    }
+
     /// Whether a key exists (with dual-read fallback during a migration).
     pub fn exists(&self, target: &DbTarget, key: &[u8]) -> Result<bool, YokanError> {
         let flags: Vec<bool> = self
@@ -1121,6 +1171,26 @@ impl Entry for KeyValue {
     }
 }
 
+/// A range-filter result: the kept key and its per-key reply.
+impl Entry for (Vec<u8>, FilterReply) {
+    fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
+        let keys = decode_keys_factored(&mut resp)?;
+        let replies = FilterReply::decode_all(resp)?;
+        if replies.len() != keys.len() {
+            return Err(YokanError::Protocol(format!(
+                "{} filter replies for {} keys",
+                replies.len(),
+                keys.len()
+            )));
+        }
+        Ok(keys.into_iter().zip(replies).collect())
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// A listing page: sorted entries, at most `limit` of them (`0` = no
 /// limit).
 struct Page<E> {
@@ -1200,6 +1270,21 @@ impl PendingListKeys {
     /// Whether the response arrived.
     pub fn is_ready(&self) -> bool {
         self.inner.is_ready()
+    }
+}
+
+/// In-flight page of a range filter (see [`YokanClient::filter_scan_async`]).
+pub struct PendingFilterScan {
+    inner: InFlight,
+    limit: usize,
+}
+
+impl PendingFilterScan {
+    /// Wait for the page: kept keys in order, each with its reply (merged
+    /// with the dual-read candidates' pages during a live migration).
+    pub fn wait(self) -> Result<Vec<(Vec<u8>, FilterReply)>, YokanError> {
+        let page: Page<(Vec<u8>, FilterReply)> = self.inner.wait_read(self.limit)?;
+        Ok(page.entries)
     }
 }
 

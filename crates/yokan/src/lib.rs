@@ -37,7 +37,8 @@ mod service;
 
 pub use backend::{Backend, BackendStats, LsmBackend, MemBackend, WatermarkConfig};
 pub use client::{
-    DbTarget, FilterReply, PendingGetMulti, PendingListKeys, PendingPut, YokanClient,
+    DbTarget, FilterReply, FilterScan, PendingFilterScan, PendingGetMulti, PendingListKeys,
+    PendingPut, YokanClient,
 };
 pub use error::YokanError;
 pub use filter::{FilterOutput, Predicate, Program};

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 mod mutation;
 use mutation::Mutation;
 
-/// Base RPC id of the Yokan protocol; ids `base..base+19` are used.
+/// Base RPC id of the Yokan protocol; ids `base..=base+20` are used.
 pub const PROVIDER_RPC_BASE: u16 = 100;
 
 pub(crate) const OP_PUT: u16 = PROVIDER_RPC_BASE;
@@ -59,8 +59,15 @@ pub(crate) const OP_MIG_FREEZE: u16 = PROVIDER_RPC_BASE + 17;
 pub(crate) const OP_MIG_HANDOFF: u16 = PROVIDER_RPC_BASE + 18;
 /// Tear down all migration state for one database (the range is Done).
 pub(crate) const OP_MIG_COMPLETE: u16 = PROVIDER_RPC_BASE + 19;
+/// Range filter: walk the keys after `from` under `prefix`, keep those
+/// whose bytes at `tag_offset` start with `tag`, and run the predicate
+/// program on each kept value. Request: `db | program | from | prefix |
+/// tag_offset u32 | tag | limit u32`; `limit` counts kept keys (`0` = no
+/// limit). Reply: the kept keys as one [`encode_keys_factored`] block,
+/// then the per-key replies exactly as [`OP_FILTER`] encodes them.
+pub(crate) const OP_FILTER_SCAN: u16 = PROVIDER_RPC_BASE + 20;
 
-/// Per-key reply tags for [`OP_FILTER`].
+/// Per-key reply tags for [`OP_FILTER`] and [`OP_FILTER_SCAN`].
 pub(crate) const FILTER_MISSING: u8 = 0;
 pub(crate) const FILTER_NOT_COLUMNAR: u8 = 1;
 pub(crate) const FILTER_IDS: u8 = 2;
@@ -142,14 +149,14 @@ const FANOUT_CHUNKS: usize = 4;
 trait MultiReadOp<T>: Fn(&dyn Backend, &[Vec<u8>]) -> Result<Vec<T>, YokanError> {}
 impl<T, F: Fn(&dyn Backend, &[Vec<u8>]) -> Result<Vec<T>, YokanError>> MultiReadOp<T> for F {}
 
-/// Encode one per-key reply of the filter RPC: what happened to the stored
-/// value under that key. Corrupt columnar blobs fail the whole RPC — they
-/// indicate storage damage, not a client mistake.
-fn encode_filter_reply(
+/// Append one per-key reply of the filter RPCs to `out`: what happened to
+/// the stored value under that key. Corrupt columnar blobs fail the whole
+/// RPC — they indicate storage damage, not a client mistake.
+fn put_filter_reply(
+    out: &mut BytesMut,
     value: Option<&[u8]>,
     prog: &crate::filter::Program,
-) -> Result<Bytes, YokanError> {
-    let mut out = BytesMut::new();
+) -> Result<(), YokanError> {
     match value {
         None => out.put_u8(FILTER_MISSING),
         Some(v) if !crate::pages::is_columnar(v) => out.put_u8(FILTER_NOT_COLUMNAR),
@@ -167,7 +174,7 @@ fn encode_filter_reply(
             }
         }
     }
-    Ok(out.freeze())
+    Ok(())
 }
 
 struct ProviderState {
@@ -326,6 +333,7 @@ impl YokanService {
             OP_PUT_IF_ABSENT,
             OP_EXISTS_MULTI,
             OP_FILTER,
+            OP_FILTER_SCAN,
             OP_REPL_FORWARD,
             OP_MIG_EPOCH_GET,
             OP_MIG_EPOCH_SET,
@@ -1048,7 +1056,11 @@ impl YokanService {
                 let replies = Self::fan_out_read(pool, backend, keys, move |b, ks| {
                     let vals = b.get_multi(ks)?;
                     vals.iter()
-                        .map(|v| encode_filter_reply(v.as_deref(), &prog))
+                        .map(|v| {
+                            let mut out = BytesMut::new();
+                            put_filter_reply(&mut out, v.as_deref(), &prog)?;
+                            Ok(out.freeze())
+                        })
                         .collect()
                 })?;
                 let mut out = BytesMut::with_capacity(
@@ -1058,6 +1070,42 @@ impl YokanService {
                 for r in replies {
                     out.put_slice(&r);
                 }
+                Ok(out.freeze())
+            }
+            x if x == OP_FILTER_SCAN => {
+                let db = get_bytes(&mut p)?;
+                let prog = crate::filter::Program::from_bytes(&get_bytes(&mut p)?)?;
+                let from = get_bytes(&mut p)?;
+                let prefix = get_bytes(&mut p)?;
+                let tag_offset = get_u32(&mut p)?;
+                let tag = get_bytes(&mut p)?;
+                let limit = get_u32(&mut p)? as usize;
+                // Keys are `u32`-length-prefixed on the wire: a tag window
+                // ending past `u32::MAX` lies beyond every key there can be.
+                let tag_end = tag_offset
+                    .checked_add(tag.len() as u32)
+                    .ok_or_else(|| YokanError::Protocol("tag window past every key".into()))?;
+                let window = tag_offset as usize..tag_end as usize;
+                let backend = self.db(req.provider_id, &db)?;
+                let mut keys = Vec::new();
+                let mut replies = BytesMut::new();
+                let mut failed = Ok(());
+                backend.scan(&from, &prefix, &mut |k, v| {
+                    if k.get(window.clone()) == Some(&tag[..]) {
+                        failed = put_filter_reply(&mut replies, Some(&v), &prog);
+                        if failed.is_err() {
+                            return false;
+                        }
+                        keys.push(k);
+                    }
+                    limit == 0 || keys.len() < limit
+                })?;
+                failed?;
+                let keys_block = encode_keys_factored(&keys);
+                let mut out = BytesMut::with_capacity(keys_block.len() + 4 + replies.len());
+                out.put_slice(&keys_block);
+                out.put_u32_le(keys.len() as u32);
+                out.put_slice(&replies);
                 Ok(out.freeze())
             }
             x if x == OP_COUNT => {

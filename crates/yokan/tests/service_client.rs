@@ -790,3 +790,185 @@ fn malformed_mutations_fail_and_release_their_dedup_slot() {
     ep.release_bulk(&handle);
     ts.server.finalize();
 }
+
+/// One range-filter scan paged `limit` kept keys at a time, resuming from
+/// the last key of each page, until a short page ends the range.
+fn filter_scan_all(
+    client: &YokanClient,
+    target: &DbTarget,
+    scan: &yokan::FilterScan<'_>,
+    limit: usize,
+) -> Vec<(Vec<u8>, yokan::FilterReply)> {
+    let mut out = Vec::new();
+    let mut from = scan.prefix.to_vec();
+    loop {
+        let page = client
+            .filter_scan_async(target, scan, &from, limit)
+            .wait()
+            .unwrap();
+        assert!(limit == 0 || page.len() <= limit, "page over its limit");
+        let done = limit == 0 || page.len() < limit;
+        if let Some((last, _)) = page.last() {
+            from.clone_from(last);
+        }
+        out.extend(page);
+        if done {
+            return out;
+        }
+    }
+}
+
+#[test]
+fn filter_scan_across_a_dual_read_split_equals_one_owner() {
+    use yokan::pages::{encode_columns, Column};
+    use yokan::{FilterReply, FilterScan, Program};
+
+    let ts = setup(NetworkModel::default());
+    ts.svc.add_database(0, "base", Arc::new(MemBackend::new()));
+    ts.svc.add_database(0, "new", Arc::new(MemBackend::new()));
+    ts.svc.add_database(1, "old", Arc::new(MemBackend::new()));
+    let addr = ts.server.address();
+    let (base, new, old) = (
+        DbTarget::new(addr.clone(), 0, "base"),
+        DbTarget::new(addr.clone(), 0, "new"),
+        DbTarget::new(addr, 1, "old"),
+    );
+    let client = YokanClient::new(ts.fabric.endpoint("client"));
+    let blob = |ids: Vec<u64>| encode_columns(&[Column::U64(ids)], 8);
+    // Kept keys `ds/NNNNslc#…` interleaved with unkept `ds/NNNNsum#…`
+    // keys and keys outside the prefix. Even keys live on the new owner,
+    // odd ones on the old; key 5 is on both, stale on the old side.
+    for i in 0..23u64 {
+        let kept = format!("ds/{i:04}slc#col").into_bytes();
+        let value = if i == 7 {
+            b"opaque".to_vec()
+        } else {
+            blob(vec![i, 100 + i])
+        };
+        let owner = if i % 2 == 0 { &new } else { &old };
+        for t in [&base, owner] {
+            client.put(t, &kept, &value).unwrap();
+            client
+                .put(t, format!("ds/{i:04}sum#x").as_bytes(), b"-")
+                .unwrap();
+            client
+                .put(t, format!("dt/{i:04}slc#col").as_bytes(), &value)
+                .unwrap();
+        }
+    }
+    client
+        .put(&new, b"ds/0005slc#col", &blob(vec![5, 105]))
+        .unwrap();
+    client
+        .put(&old, b"ds/0005slc#col", &blob(vec![0xdead]))
+        .unwrap();
+    client.install_dual_read("new", vec![old.clone()]);
+
+    let program = Program {
+        id_column: 0,
+        predicates: Vec::new(),
+    };
+    let scan = FilterScan {
+        program: &program,
+        prefix: b"ds/",
+        tag_offset: 7,
+        tag: b"slc#",
+    };
+    let baseline = filter_scan_all(&client, &base, &scan, 0);
+    assert_eq!(baseline.len(), 23);
+    assert_eq!(baseline[7].1, FilterReply::NotColumnar);
+    match &baseline[5].1 {
+        FilterReply::Ids { ids, .. } => assert_eq!(ids, &[5, 105]),
+        other => panic!("key 5 answered {other:?}"),
+    }
+    for limit in [0, 1, 4, 5, 23, 64] {
+        let before = client.retry_stats().dual_reads;
+        let split = filter_scan_all(&client, &new, &scan, limit);
+        assert!(split == baseline, "limit {limit}: split scan differs");
+        assert!(
+            client.retry_stats().dual_reads > before,
+            "limit {limit}: the old owner answered nothing"
+        );
+    }
+    ts.server.finalize();
+}
+
+#[test]
+fn malformed_filter_scans_fail_and_the_provider_keeps_serving() {
+    use bytes::{BufMut, BytesMut};
+    use mercurio::RpcId;
+    use std::time::Duration;
+    use yokan::pages::{encode_columns, Column};
+    use yokan::{FilterScan, Program, PROVIDER_RPC_BASE};
+    const FILTER_SCAN: u16 = PROVIDER_RPC_BASE + 20;
+
+    fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
+        buf.put_u32_le(b.len() as u32);
+        buf.put_slice(b);
+    }
+    fn request(program: &[u8], tag_offset: u32, tag: &[u8]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        put_bytes(&mut buf, b"products");
+        put_bytes(&mut buf, program);
+        put_bytes(&mut buf, b"");
+        put_bytes(&mut buf, b"k");
+        buf.put_u32_le(tag_offset);
+        put_bytes(&mut buf, tag);
+        buf.put_u32_le(0);
+        buf
+    }
+
+    let ts = setup(NetworkModel::default());
+    let addr = ts.server.address();
+    let ep = ts.fabric.endpoint("raw");
+    let client = YokanClient::new(ts.fabric.endpoint("scan-check"));
+    let t = DbTarget::new(addr.clone(), 0, "products");
+    let blob = encode_columns(&[Column::U64(vec![1, 2, 3])], 8);
+    client.put(&t, b"k1#a", &blob).unwrap();
+    client.put(&t, b"k2#b", &blob).unwrap();
+    let program = Program {
+        id_column: 0,
+        predicates: Vec::new(),
+    };
+    let program_bytes = program.to_bytes();
+
+    let mut truncated = request(&program_bytes, 2, b"#");
+    truncated.truncate(truncated.len() - 2);
+    let cases = [
+        ("truncated request", truncated),
+        ("bad program", request(&program_bytes[..3], 2, b"#")),
+        (
+            "tag past every key",
+            request(&program_bytes, u32::MAX, b"#"),
+        ),
+    ];
+    let scan = FilterScan {
+        program: &program,
+        prefix: b"k",
+        tag_offset: 2,
+        tag: b"#",
+    };
+    for (what, payload) in cases {
+        let res = ep
+            .call_async(&addr, RpcId(FILTER_SCAN), 0, payload.freeze())
+            .wait_timeout(Duration::from_secs(10));
+        match res.map_err(YokanError::from) {
+            Err(YokanError::Protocol(_)) => {}
+            other => panic!("{what}: answered {other:?}, expected a protocol error"),
+        }
+        // The provider keeps serving: a well-formed scan still answers.
+        let page = client.filter_scan_async(&t, &scan, b"", 0).wait().unwrap();
+        assert_eq!(page.len(), 2, "{what}: provider stopped serving");
+    }
+    // A tag window past every *stored* key is well formed; it keeps nothing.
+    let past = FilterScan {
+        tag_offset: 1 << 20,
+        ..scan
+    };
+    assert!(client
+        .filter_scan_async(&t, &past, b"", 0)
+        .wait()
+        .unwrap()
+        .is_empty());
+    ts.server.finalize();
+}
