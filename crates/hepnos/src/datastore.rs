@@ -10,6 +10,7 @@ use crate::batch::WriteTarget;
 use crate::binser;
 use crate::error::HepnosError;
 use crate::keys::{self, DatasetPath, EventNumber, RunNumber, SubRunNumber};
+use crate::pep::EventDescriptor;
 use crate::placement::{ModuloPlacement, Placement};
 use crate::uuid::Uuid;
 use bedrock::ConnectionDescriptor;
@@ -19,15 +20,14 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
-use yokan::{DbTarget, YokanClient};
+use yokan::{DbTarget, YokanClient, YokanError};
 
-/// Number of keys fetched per `list_keys` RPC while iterating containers.
-const ITER_PAGE: usize = 1024;
-
-/// Products answered per range-filter RPC of
-/// [`DataSet::filter_event_products`]; each product database has one such
-/// page in flight at a time.
-pub const FILTER_SCAN_PAGE: usize = 1024;
+/// Entries per listing RPC: container listings page their one database
+/// this many keys at a time, and the multi-database listings
+/// ([`DataSet::events`], [`Run::events`],
+/// [`DataSet::filter_event_products`]) keep one such page in flight per
+/// database.
+pub const LIST_PAGE: usize = 1024;
 
 /// A validated product label (must not contain `#`, the label/type
 /// separator in product keys).
@@ -186,13 +186,8 @@ impl DataStoreInner {
     }
 
     pub(crate) fn event_db(&self, subrun_key: &[u8]) -> &DbTarget {
-        &self.topo.event_dbs[self.event_db_index(subrun_key)]
-    }
-
-    /// Index of the event database owning `subrun_key`'s events: the home
-    /// the PEP readers check listed event keys against.
-    pub(crate) fn event_db_index(&self, subrun_key: &[u8]) -> usize {
-        self.placement.place(subrun_key, self.topo.event_dbs.len())
+        let idx = self.placement.place(subrun_key, self.topo.event_dbs.len());
+        &self.topo.event_dbs[idx]
     }
 
     pub(crate) fn product_db(&self, container_key: &[u8]) -> &DbTarget {
@@ -206,6 +201,163 @@ impl DataStoreInner {
         self.placement
             .place(container_key, self.topo.product_dbs.len())
     }
+
+    /// Whether `key`, listed from database `db_idx` of `dbs`, is homed
+    /// there: its parent container's key (its first `parent_len` bytes) is
+    /// placed on that database. During a live migration a listing page also
+    /// carries the old owners' keys (dual-read merge); keeping only the
+    /// homed ones yields each key once across the group. Keys too short to
+    /// place are kept for the key parser to reject.
+    pub(crate) fn is_homed(
+        &self,
+        dbs: &[DbTarget],
+        db_idx: usize,
+        parent_len: usize,
+        key: &[u8],
+    ) -> bool {
+        key.get(..parent_len)
+            .is_none_or(|parent| self.placement.place(parent, dbs.len()) == db_idx)
+    }
+
+    /// Page through `db`'s entries after `from` under `prefix`, mapping each
+    /// through `visit` in key order. The walk ends at the first entry
+    /// `visit` maps to `None`, or after a page shorter than [`LIST_PAGE`].
+    fn list<E: Listed, T>(
+        &self,
+        db: &DbTarget,
+        prefix: &[u8],
+        mut from: Vec<u8>,
+        mut visit: impl FnMut(E) -> Result<Option<T>, HepnosError>,
+    ) -> Result<Vec<T>, HepnosError> {
+        let mut out = Vec::new();
+        loop {
+            let page = E::list(&self.client, db, &from, prefix)?;
+            let next = (page.len() == LIST_PAGE).then(|| page[LIST_PAGE - 1].key().to_vec());
+            for entry in page {
+                let Some(item) = visit(entry)? else {
+                    return Ok(out);
+                };
+                out.push(item);
+            }
+            let Some(next) = next else { return Ok(out) };
+            from = next;
+        }
+    }
+
+    /// Walk every database of `dbs` at once, starting after `from`:
+    /// `issue(db, from)` puts one page in flight per database and `wait`
+    /// collects it. A full page resumes from its last key at once; a short
+    /// one ends that database's walk. Entries not homed on the database
+    /// that listed them (see [`Self::is_homed`]) are dropped, and the
+    /// per-database streams are merged by key.
+    fn pump<P, E: Keyed>(
+        &self,
+        dbs: &[DbTarget],
+        parent_len: usize,
+        from: &[u8],
+        issue: impl Fn(&DbTarget, &[u8]) -> P,
+        wait: fn(P) -> Page<E>,
+    ) -> Result<Vec<E>, HepnosError> {
+        let mut pending: Vec<Option<P>> = dbs.iter().map(|db| Some(issue(db, from))).collect();
+        let mut streams: Vec<Vec<E>> = dbs.iter().map(|_| Vec::new()).collect();
+        while pending.iter().any(Option::is_some) {
+            for (db_idx, (slot, stream)) in pending.iter_mut().zip(&mut streams).enumerate() {
+                let Some(page) = slot.take() else { continue };
+                let mut page = wait(page)?;
+                // The raw page decides the walk, before the homing filter.
+                if page.len() == LIST_PAGE {
+                    *slot = Some(issue(&dbs[db_idx], page[LIST_PAGE - 1].key()));
+                }
+                page.retain(|e| self.is_homed(dbs, db_idx, parent_len, e.key()));
+                stream.extend(page);
+            }
+        }
+        Ok(merge_by_key(streams))
+    }
+}
+
+/// One listing page, as the client returns it.
+type Page<E> = Result<Vec<E>, YokanError>;
+
+/// A listed key with its value.
+type KeyValue = (Vec<u8>, Vec<u8>);
+
+/// One entry of a listing, ordered by its key.
+trait Keyed {
+    fn key(&self) -> &[u8];
+}
+
+impl Keyed for Vec<u8> {
+    fn key(&self) -> &[u8] {
+        self
+    }
+}
+
+impl<T> Keyed for (Vec<u8>, T) {
+    fn key(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// An entry [`DataStoreInner::list`] pages through: a key alone, or a key
+/// with its value.
+trait Listed: Keyed + Sized {
+    fn list(client: &YokanClient, db: &DbTarget, from: &[u8], prefix: &[u8]) -> Page<Self>;
+}
+
+impl Listed for Vec<u8> {
+    fn list(client: &YokanClient, db: &DbTarget, from: &[u8], prefix: &[u8]) -> Page<Self> {
+        client.list_keys(db, from, prefix, LIST_PAGE)
+    }
+}
+
+impl Listed for KeyValue {
+    fn list(client: &YokanClient, db: &DbTarget, from: &[u8], prefix: &[u8]) -> Page<Self> {
+        client.list_keyvals(db, from, prefix, LIST_PAGE)
+    }
+}
+
+/// Decode `key`, as listed by a server, with `decode`. These checks guard
+/// the client against data from the server: a key `decode` rejects is a
+/// protocol error.
+fn parse_key<'k, T>(
+    key: &'k [u8],
+    kind: &str,
+    decode: impl FnOnce(&'k [u8]) -> Option<T>,
+) -> Result<T, HepnosError> {
+    decode(key)
+        .ok_or_else(|| HepnosError::Storage(YokanError::Protocol(format!("malformed {kind} key"))))
+}
+
+/// Decode a listed event key.
+pub(crate) fn parse_event_key(key: &[u8]) -> Result<EventDescriptor, HepnosError> {
+    let (dataset, run, subrun, event) = parse_key(key, "event", keys::parse_event_key)?;
+    Ok(EventDescriptor {
+        dataset,
+        run,
+        subrun,
+        event,
+    })
+}
+
+/// Decode a dataset entry's value, the dataset's UUID.
+fn dataset_uuid(value: &[u8]) -> Result<Uuid, HepnosError> {
+    Uuid::from_slice(value).ok_or_else(|| {
+        HepnosError::Storage(YokanError::Protocol("dataset value is not a UUID".into()))
+    })
+}
+
+/// Every event under `prefix` (a dataset UUID or a run key), in key order:
+/// one listing pumped out of every event database at once.
+fn events_under(store: &Arc<DataStoreInner>, prefix: &[u8]) -> Result<Vec<Event>, HepnosError> {
+    let keys = store.pump(
+        &store.topo.event_dbs,
+        keys::SUBRUN_KEY_LEN,
+        prefix,
+        |db, from| store.client.list_keys_async(db, from, prefix, LIST_PAGE),
+        yokan::PendingListKeys::wait,
+    )?;
+    keys.into_iter().map(|k| Event::listed(store, k)).collect()
 }
 
 /// A handle to a HEPnOS deployment: the analogue of
@@ -434,11 +586,7 @@ impl DataStore {
             .client
             .get(db, &key)?
             .ok_or_else(|| HepnosError::NoSuchDataset(path.full()))?;
-        let uuid = Uuid::from_slice(&value).ok_or_else(|| {
-            HepnosError::Storage(yokan::YokanError::Protocol(
-                "dataset value is not a UUID".into(),
-            ))
-        })?;
+        let uuid = dataset_uuid(&value)?;
         self.inner.uuid_cache.write().insert(path.full(), uuid);
         Ok(uuid)
     }
@@ -535,11 +683,7 @@ impl DataSet {
                 .put_if_absent(&db, &key, fresh.as_bytes())?
             {
                 None => fresh,
-                Some(v) => Uuid::from_slice(&v).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol(
-                        "dataset value is not a UUID".into(),
-                    ))
-                })?,
+                Some(v) => dataset_uuid(&v)?,
             };
             current_path = Some(match &current_path {
                 Some(p) => p.child(comp)?,
@@ -580,41 +724,20 @@ impl DataSet {
     pub fn datasets(&self) -> Result<Vec<DataSet>, HepnosError> {
         let full = self.full_path();
         let prefix = keys::dataset_children_prefix(&full);
-        let db = self.store.dataset_db(&full).clone();
-        let mut out = Vec::new();
-        let mut from = prefix.clone();
-        loop {
-            let page = self
-                .store
-                .client
-                .list_keyvals(&db, &from, &prefix, ITER_PAGE)?;
-            if page.is_empty() {
-                break;
-            }
-            from.clone_from(&page.last().expect("page is non-empty").0);
-            for (k, v) in page {
-                let name = keys::dataset_key_name(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol(
-                        "malformed dataset key".into(),
-                    ))
-                })?;
-                let uuid = Uuid::from_slice(&v).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol(
-                        "dataset value is not a UUID".into(),
-                    ))
-                })?;
+        let db = self.store.dataset_db(&full);
+        self.store
+            .list(db, &prefix, prefix.clone(), |(key, value): KeyValue| {
+                let name = parse_key(&key, "dataset", keys::dataset_key_name)?;
                 let child_path = match &self.path {
                     Some(p) => p.child(name)?,
                     None => DatasetPath::parse(name)?,
                 };
-                out.push(DataSet {
+                Ok(Some(DataSet {
                     store: Arc::clone(&self.store),
                     path: Some(child_path),
-                    uuid: Some(uuid),
-                });
-            }
-        }
-        Ok(out)
+                    uuid: Some(dataset_uuid(&value)?),
+                }))
+            })
     }
 
     /// All events of this dataset, across every run and subrun, in key
@@ -624,48 +747,21 @@ impl DataSet {
     /// [`crate::ParallelEventProcessor`]: each event database is paged with
     /// the dataset-UUID prefix and the per-database results are merged.
     pub fn events(&self) -> Result<Vec<Event>, HepnosError> {
-        let uuid = self.require_uuid()?;
-        let prefix: Vec<u8> = uuid.as_bytes().to_vec();
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        for db in &self.store.topo.event_dbs {
-            let mut from = prefix.clone();
-            loop {
-                let page = self.store.client.list_keys(db, &from, &prefix, ITER_PAGE)?;
-                if page.is_empty() {
-                    break;
-                }
-                from.clone_from(page.last().expect("page is non-empty"));
-                keys.extend(page);
-            }
-        }
-        keys.sort();
-        keys.into_iter()
-            .map(|k| {
-                let (u, run, subrun, number) = keys::parse_event_key(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol("malformed event key".into()))
-                })?;
-                Ok(Event {
-                    store: Arc::clone(&self.store),
-                    dataset: u,
-                    run,
-                    subrun,
-                    number,
-                    key: k,
-                })
-            })
-            .collect()
+        events_under(&self.store, self.require_uuid()?.as_bytes())
     }
 
     /// Push `program` down to every event-level `label` product of this
     /// dataset, whatever its type, without enumerating the events: each
     /// product database scans the dataset's key range (prefix: the dataset
     /// UUID) and evaluates the program on each product whose label sits
-    /// right after an event key, one page of [`FILTER_SCAN_PAGE`] replies
-    /// in flight per database at once. The per-database streams are merged
-    /// by key, so replies come in [`DataSet::events`] order. An event with
-    /// `label` products of several types has one adjacent reply per type,
-    /// in type-name order; an event with none has no reply. The scan reads
-    /// each product range in sequence and bypasses the servers' read cache.
+    /// right after an event key, one page of [`LIST_PAGE`] replies in
+    /// flight per database at once. Each database keeps only the products
+    /// homed on it, so a live migration repeats none, and the per-database
+    /// streams are merged by key: replies come in [`DataSet::events`]
+    /// order. An event with `label` products of several types has one
+    /// adjacent reply per type, in type-name order; an event with none has
+    /// no reply. The scan reads each product range in sequence and
+    /// bypasses the servers' read cache.
     pub fn filter_event_products(
         &self,
         label: &ProductLabel,
@@ -680,48 +776,19 @@ impl DataSet {
             tag_offset: keys::EVENT_KEY_LEN as u32,
             tag: &tag,
         };
-        let client = &self.store.client;
-        let dbs = &self.store.topo.product_dbs;
-        let issue = |db: &DbTarget, from: &[u8]| {
-            client.filter_scan_async(db, &scan, from, FILTER_SCAN_PAGE)
-        };
-        let mut pending: Vec<_> = dbs
-            .iter()
-            .map(|db| Some(issue(db, uuid.as_bytes())))
-            .collect();
-        let mut streams = vec![Vec::new(); dbs.len()];
-        while pending.iter().any(Option::is_some) {
-            for ((slot, db), stream) in pending.iter_mut().zip(dbs).zip(&mut streams) {
-                let Some(page) = slot.take() else { continue };
-                let page = page.wait()?;
-                // A short page is the end of the range; a full one resumes
-                // at once, before this database's entries are merged.
-                if page.len() == FILTER_SCAN_PAGE {
-                    let last = &page.last().expect("a full page is non-empty").0;
-                    *slot = Some(issue(db, last));
-                }
-                stream.extend(page);
-            }
-        }
-        merge_by_key(streams)
+        let store = &self.store;
+        let replies = store.pump(
+            &store.topo.product_dbs,
+            keys::EVENT_KEY_LEN,
+            uuid.as_bytes(),
+            |db, from| store.client.filter_scan_async(db, &scan, from, LIST_PAGE),
+            yokan::PendingFilterScan::wait,
+        )?;
+        replies
             .into_iter()
             .map(|(mut key, reply)| {
                 key.truncate(keys::EVENT_KEY_LEN);
-                let (dataset, run, subrun, number) =
-                    keys::parse_event_key(&key).ok_or_else(|| {
-                        HepnosError::Storage(yokan::YokanError::Protocol(
-                            "malformed product key".into(),
-                        ))
-                    })?;
-                let event = Event {
-                    store: Arc::clone(&self.store),
-                    dataset,
-                    run,
-                    subrun,
-                    number,
-                    key,
-                };
-                Ok((event, reply))
+                Ok((Event::listed(store, key)?, reply))
             })
             .collect()
     }
@@ -767,32 +834,20 @@ impl DataSet {
     /// Iterate all runs in ascending number order.
     pub fn runs(&self) -> Result<Vec<Run>, HepnosError> {
         let uuid = self.require_uuid()?;
-        let prefix: Vec<u8> = uuid.as_bytes().to_vec();
-        let db = self.store.run_db(&uuid).clone();
-        let mut out = Vec::new();
-        let mut from = prefix.clone();
-        loop {
-            let page = self
-                .store
-                .client
-                .list_keys(&db, &from, &prefix, ITER_PAGE)?;
-            if page.is_empty() {
-                break;
-            }
-            from.clone_from(page.last().expect("page is non-empty"));
-            for k in page {
-                let number = keys::trailing_number(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol("malformed run key".into()))
-                })?;
-                out.push(Run {
+        let db = self.store.run_db(&uuid);
+        self.store.list(
+            db,
+            uuid.as_bytes(),
+            uuid.as_bytes().to_vec(),
+            |key: Vec<u8>| {
+                Ok(Some(Run {
                     store: Arc::clone(&self.store),
                     dataset: uuid,
-                    number,
-                    key: k,
-                });
-            }
-        }
-        Ok(out)
+                    number: parse_key(&key, "run", keys::trailing_number)?,
+                    key,
+                }))
+            },
+        )
     }
 
     pub(crate) fn store_inner(&self) -> &Arc<DataStoreInner> {
@@ -861,69 +916,24 @@ impl Run {
 
     /// Iterate all subruns in ascending number order.
     pub fn subruns(&self) -> Result<Vec<SubRun>, HepnosError> {
-        let db = self.store.subrun_db(&self.key).clone();
-        let prefix = self.key.clone();
-        let mut out = Vec::new();
-        let mut from = prefix.clone();
-        loop {
-            let page = self
-                .store
-                .client
-                .list_keys(&db, &from, &prefix, ITER_PAGE)?;
-            if page.is_empty() {
-                break;
-            }
-            from.clone_from(page.last().expect("page is non-empty"));
-            for k in page {
-                let number = keys::trailing_number(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol("malformed subrun key".into()))
-                })?;
-                out.push(SubRun {
+        let db = self.store.subrun_db(&self.key);
+        self.store
+            .list(db, &self.key, self.key.clone(), |key: Vec<u8>| {
+                Ok(Some(SubRun {
                     store: Arc::clone(&self.store),
                     dataset: self.dataset,
                     run: self.number,
-                    number,
-                    key: k,
-                });
-            }
-        }
-        Ok(out)
+                    number: parse_key(&key, "subrun", keys::trailing_number)?,
+                    key,
+                }))
+            })
     }
 
     /// All events of this run across every subrun, in (subrun, event)
     /// order. Subruns hash to different event databases, so each database
     /// is scanned with the run's 24-byte key prefix and the results merged.
     pub fn events(&self) -> Result<Vec<Event>, HepnosError> {
-        let prefix = self.key.clone();
-        let mut keys_found: Vec<Vec<u8>> = Vec::new();
-        for db in &self.store.topo.event_dbs {
-            let mut from = prefix.clone();
-            loop {
-                let page = self.store.client.list_keys(db, &from, &prefix, ITER_PAGE)?;
-                if page.is_empty() {
-                    break;
-                }
-                from.clone_from(page.last().expect("page is non-empty"));
-                keys_found.extend(page);
-            }
-        }
-        keys_found.sort();
-        keys_found
-            .into_iter()
-            .map(|k| {
-                let (u, run, subrun, number) = keys::parse_event_key(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol("malformed event key".into()))
-                })?;
-                Ok(Event {
-                    store: Arc::clone(&self.store),
-                    dataset: u,
-                    run,
-                    subrun,
-                    number,
-                    key: k,
-                })
-            })
-            .collect()
+        events_under(&self.store, &self.key)
     }
 
     /// Store a typed product on this run.
@@ -1009,34 +1019,10 @@ impl SubRun {
 
     /// Iterate all events in ascending number order.
     pub fn events(&self) -> Result<Vec<Event>, HepnosError> {
-        let db = self.store.event_db(&self.key).clone();
-        let prefix = self.key.clone();
-        let mut out = Vec::new();
-        let mut from = prefix.clone();
-        loop {
-            let page = self
-                .store
-                .client
-                .list_keys(&db, &from, &prefix, ITER_PAGE)?;
-            if page.is_empty() {
-                break;
-            }
-            from.clone_from(page.last().expect("page is non-empty"));
-            for k in page {
-                let number = keys::trailing_number(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol("malformed event key".into()))
-                })?;
-                out.push(Event {
-                    store: Arc::clone(&self.store),
-                    dataset: self.dataset,
-                    run: self.run,
-                    subrun: self.number,
-                    number,
-                    key: k,
-                });
-            }
-        }
-        Ok(out)
+        let db = self.store.event_db(&self.key);
+        self.store.list(db, &self.key, self.key.clone(), |key| {
+            Event::listed(&self.store, key).map(Some)
+        })
     }
 
     /// Events with numbers in `[lo, hi)`, in ascending order — a ranged
@@ -1050,52 +1036,19 @@ impl SubRun {
         if hi <= lo {
             return Ok(Vec::new());
         }
-        let db = self.store.event_db(&self.key).clone();
-        let prefix = self.key.clone();
         // list_keys' lower bound is exclusive: starting from event `lo-1`'s
         // key admits `lo` itself (even across gaps); for `lo == 0` the
         // subrun prefix sorts below every event key.
-        let mut from = if lo == 0 {
-            prefix.clone()
+        let from = if lo == 0 {
+            self.key.clone()
         } else {
             keys::event_key(&self.dataset, self.run, self.number, lo - 1)
         };
-        let mut out = Vec::new();
-        loop {
-            let page = self
-                .store
-                .client
-                .list_keys(&db, &from, &prefix, ITER_PAGE)?;
-            if page.is_empty() {
-                break;
-            }
-            from.clone_from(page.last().expect("page is non-empty"));
-            let mut done = false;
-            for k in page {
-                let number = keys::trailing_number(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol("malformed event key".into()))
-                })?;
-                if number < lo {
-                    continue;
-                }
-                if number >= hi {
-                    done = true;
-                    break;
-                }
-                out.push(Event {
-                    store: Arc::clone(&self.store),
-                    dataset: self.dataset,
-                    run: self.run,
-                    subrun: self.number,
-                    number,
-                    key: k,
-                });
-            }
-            if done {
-                break;
-            }
-        }
-        Ok(out)
+        let db = self.store.event_db(&self.key);
+        self.store.list(db, &self.key, from, |key| {
+            let event = Event::listed(&self.store, key)?;
+            Ok((event.number < hi).then_some(event))
+        })
     }
 
     /// Store a typed product on this subrun.
@@ -1211,6 +1164,19 @@ impl Event {
             key: keys::event_key(&d.dataset, d.run, d.subrun, d.event),
         }
     }
+
+    /// The handle of an event key listed by a server.
+    fn listed(store: &Arc<DataStoreInner>, key: Vec<u8>) -> Result<Event, HepnosError> {
+        let d = parse_event_key(&key)?;
+        Ok(Event {
+            store: Arc::clone(store),
+            dataset: d.dataset,
+            run: d.run,
+            subrun: d.subrun,
+            number: d.event,
+            key,
+        })
+    }
 }
 
 impl std::fmt::Debug for Event {
@@ -1261,7 +1227,7 @@ impl Event {
 /// Merge streams that are each sorted by key into one sorted stream (a
 /// k-way merge; the streams are few, so the smallest head is found by a
 /// linear pass).
-fn merge_by_key<T>(streams: Vec<Vec<(Vec<u8>, T)>>) -> Vec<(Vec<u8>, T)> {
+fn merge_by_key<E: Keyed>(streams: Vec<Vec<E>>) -> Vec<E> {
     let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
     let mut heads: Vec<_> = streams
         .into_iter()
@@ -1271,7 +1237,7 @@ fn merge_by_key<T>(streams: Vec<Vec<(Vec<u8>, T)>>) -> Vec<(Vec<u8>, T)> {
         let smallest = heads
             .iter_mut()
             .enumerate()
-            .filter_map(|(i, h)| h.peek().map(|(k, _)| (i, k)))
+            .filter_map(|(i, h)| h.peek().map(|e| (i, e.key())))
             .min_by(|a, b| a.1.cmp(b.1))
             .map(|(i, _)| i);
         let Some(i) = smallest else { return out };

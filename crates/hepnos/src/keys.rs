@@ -139,6 +139,10 @@ pub fn run_key(dataset: &Uuid, run: RunNumber) -> Vec<u8> {
     key
 }
 
+/// Length of a subrun key, and so of the prefix of an event key that
+/// places the event.
+pub(crate) const SUBRUN_KEY_LEN: usize = 32;
+
 /// `<uuid><run BE><subrun BE>` — 32 bytes.
 pub fn subrun_key(dataset: &Uuid, run: RunNumber, subrun: SubRunNumber) -> Vec<u8> {
     let mut key = run_key(dataset, run);

@@ -66,20 +66,18 @@ mod error;
 pub mod keys;
 mod pep;
 pub mod placement;
-pub mod prefetch;
 pub mod rescale;
 pub mod testing;
 mod uuid;
 
 pub use autoscale::{AutoScalePolicy, AutoScaler, NodeSample, ScaleDecision};
 pub use batch::{AsyncWriteBatch, BatchStats, WriteBatch};
-pub use datastore::{DataSet, DataStore, Event, ProductLabel, Run, SubRun, FILTER_SCAN_PAGE};
+pub use datastore::{DataSet, DataStore, Event, ProductLabel, Run, SubRun, LIST_PAGE};
 pub use error::HepnosError;
 pub use keys::{EventNumber, RunNumber, SubRunNumber};
 pub use pep::{
     EventDescriptor, ParallelEventProcessor, PepOptions, PepStatistics, PrefetchedEvent,
     ReaderStats, WorkerStats,
 };
-pub use prefetch::Prefetcher;
 pub use uuid::Uuid;
 pub use yokan::{RetryPolicy, RetryStats};

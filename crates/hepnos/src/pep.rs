@@ -35,7 +35,7 @@
 //! identical.
 
 use crate::binser;
-use crate::datastore::{DataSet, DataStore, Event, ProductLabel};
+use crate::datastore::{parse_event_key, DataSet, DataStore, Event, ProductLabel};
 use crate::error::HepnosError;
 use crate::keys::{self, EventNumber, RunNumber, SubRunNumber};
 use crate::uuid::Uuid;
@@ -249,20 +249,6 @@ pub struct PrefetchedEvent {
 }
 
 impl PrefetchedEvent {
-    /// Build a prefetched event from parts (used by the PEP readers and the
-    /// standalone [`crate::prefetch::Prefetcher`]).
-    pub(crate) fn assemble(
-        event: Event,
-        products: Vec<Option<Bytes>>,
-        labels: Arc<Vec<(ProductLabel, String)>>,
-    ) -> PrefetchedEvent {
-        PrefetchedEvent {
-            event,
-            products,
-            labels,
-        }
-    }
-
     /// The event handle.
     pub fn event(&self) -> &Event {
         &self.event
@@ -512,37 +498,6 @@ struct ReaderCtx<'a> {
 }
 
 impl ReaderCtx<'_> {
-    /// Decode a key page into descriptors.
-    fn parse_page(&self, page: &[Vec<u8>]) -> Result<Vec<EventDescriptor>, HepnosError> {
-        let mut descriptors = Vec::with_capacity(page.len());
-        for key in page {
-            let (u, r, s, e) = keys::parse_event_key(key).ok_or_else(|| {
-                HepnosError::Storage(yokan::YokanError::Protocol("malformed event key".into()))
-            })?;
-            descriptors.push(EventDescriptor {
-                dataset: u,
-                run: r,
-                subrun: s,
-                event: e,
-            });
-        }
-        Ok(descriptors)
-    }
-
-    /// Drop listed event keys whose home under the store's topology is not
-    /// event database `db_idx`. During a live migration a listing page also
-    /// carries the old owners' keys (dual-read merge), which belong to
-    /// whichever new database their subrun places them in; keeping only
-    /// the ones homed here delivers each event exactly once across readers.
-    /// Keys too short to place are kept for `parse_page` to reject.
-    fn keep_homed(&self, db_idx: usize, page: &mut Vec<Vec<u8>>) {
-        let store = &self.datastore.inner;
-        page.retain(|k| {
-            k.get(..32)
-                .is_none_or(|s| store.event_db_index(s) == db_idx)
-        });
-    }
-
     /// Group the page's product keys by product database (reusing
     /// `scratch`) and issue one concurrent `get_multi_async` per database.
     fn issue_prefetch(&self, page: &[Vec<u8>], scratch: &mut ReaderScratch) -> Vec<InFlightFetch> {
@@ -640,14 +595,15 @@ impl ReaderCtx<'_> {
         scratch: &mut ReaderScratch,
         stats: &mut ReaderStats,
     ) -> Result<(), HepnosError> {
-        let db = self.datastore.inner.topo.event_dbs[db_idx].clone();
+        let store = &self.datastore.inner;
+        let db = &store.topo.event_dbs[db_idx];
         let prefix: Vec<u8> = self.dataset.as_bytes().to_vec();
         let read_ahead = self.opts.read_ahead_pages.max(1);
-        let client = &self.datastore.inner.client;
+        let client = &store.client;
         let mut window: VecDeque<PageState> = VecDeque::with_capacity(read_ahead + 1);
 
         let mut pending_list: Option<(PendingListKeys, Instant)> = Some((
-            client.list_keys_async(&db, &prefix, &prefix, self.opts.load_batch_size),
+            client.list_keys_async(db, &prefix, &prefix, self.opts.load_batch_size),
             Instant::now(),
         ));
         let res = 'pages: loop {
@@ -673,14 +629,19 @@ impl ReaderCtx<'_> {
             // page's prefetch fan-out and any page completion below.
             let from = page.last().expect("page is non-empty").clone();
             pending_list = Some((
-                client.list_keys_async(&db, &from, &prefix, self.opts.load_batch_size),
+                client.list_keys_async(db, &from, &prefix, self.opts.load_batch_size),
                 Instant::now(),
             ));
-            self.keep_homed(db_idx, &mut page);
-            let descriptors = match self.parse_page(&page) {
-                Ok(d) => d,
-                Err(e) => break Err(e),
-            };
+            // Keep only this database's own keys, so each event is
+            // delivered once across readers during a live migration.
+            page.retain(|k| store.is_homed(&store.topo.event_dbs, db_idx, keys::SUBRUN_KEY_LEN, k));
+            let mut descriptors = Vec::with_capacity(page.len());
+            for key in &page {
+                match parse_event_key(key) {
+                    Ok(d) => descriptors.push(d),
+                    Err(e) => break 'pages Err(e),
+                }
+            }
             stats.events_loaded += descriptors.len() as u64;
             let fetches = if self.labels.is_empty() {
                 Vec::new()

@@ -570,7 +570,7 @@ impl Migrator {
     /// stragglers written behind the copier if-absent, auditing handed-off
     /// keys without ever overwriting the new owner, and erasing verified
     /// re-homed keys from old members that are not also members of the
-    /// destination chain — see [`Migrator::converge`]). Handoff is torn
+    /// destination chain — see `Migrator::converge`). Handoff is torn
     /// down *before* the
     /// convergence erase: with dual-writes still live, the old owner would
     /// forward the erase itself to the new owner and delete the copy it is

@@ -229,6 +229,11 @@ fn pep_prefetches_products() {
     let mut batch = WriteBatch::new(&store);
     for e in 0..100u64 {
         let ev = batch.create_event(&sr, &ds.uuid().unwrap(), e).unwrap();
+        // Every 10th event has no product: its prefetched slot loads as
+        // `None`.
+        if e % 10 == 0 {
+            continue;
+        }
         batch
             .store(
                 &ev,
@@ -251,16 +256,25 @@ fn pep_prefetches_products() {
         },
     );
     let loaded = Arc::new(Mutex::new(0usize));
+    let missing = Arc::new(Mutex::new(0usize));
     let loaded2 = Arc::clone(&loaded);
+    let missing2 = Arc::clone(&missing);
     let label2 = label.clone();
     let stats = pep
         .process(&ds, move |_wid, pe| {
-            let hits: Vec<Hit> = pe.load(&label2).unwrap().unwrap();
-            assert_eq!(hits[0].channel, pe.event().number() as u32);
+            let hits: Option<Vec<Hit>> = pe.load(&label2).unwrap();
+            let number = pe.event().number();
+            if number % 10 == 0 {
+                assert_eq!(hits, None, "event {number} has no product");
+                *missing2.lock() += 1;
+            } else {
+                assert_eq!(hits.unwrap()[0].channel, number as u32);
+            }
             *loaded2.lock() += 1;
         })
         .unwrap();
     assert_eq!(*loaded.lock(), 100);
+    assert_eq!(*missing.lock(), 10);
     assert_eq!(stats.total_events, 100);
     // Readers did the product fetching (prefetch), so reader load_time > 0.
     assert!(stats.readers.iter().any(|r| r.events_loaded > 0));

@@ -1,9 +1,12 @@
 //! End-to-end tests of the HEPnOS client API over in-process deployments.
 
 use bedrock::DbCounts;
+use hepnos::keys;
+use hepnos::placement::{ModuloPlacement, Placement};
 use hepnos::testing::local_deployment;
-use hepnos::{HepnosError, ProductLabel};
+use hepnos::{HepnosError, ProductLabel, WriteBatch};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 #[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
 struct Particle {
@@ -433,5 +436,133 @@ fn run_events_spans_subruns_in_order() {
         .map(|e| e.coordinates())
         .collect();
     assert_eq!(got, expected);
+    dep.shutdown();
+}
+
+// Listings page their databases `LIST_PAGE` keys at a time. The cases
+// below put page ends where a walk can go wrong: a last page that is
+// exactly full, a short one, range bounds inside a later page, and
+// several event databases whose pages must interleave by key.
+
+#[test]
+fn subrun_event_listings_cross_page_boundaries() {
+    let page = hepnos::LIST_PAGE as u64;
+    let dep = local_deployment(1, small_counts());
+    let store = dep.datastore();
+    let ds = store.root().create_dataset("paged").unwrap();
+    let run = ds.create_run(1).unwrap();
+    let sizes = [2 * page, 2 * page + 37];
+    let mut batch = WriteBatch::new(&store);
+    for (s, &n) in sizes.iter().enumerate() {
+        let sr = batch.create_subrun(&run, s as u64).unwrap();
+        for e in 0..n {
+            batch.create_event(&sr, &ds.uuid().unwrap(), e).unwrap();
+        }
+    }
+    batch.flush().unwrap();
+    let subruns = run.subruns().unwrap();
+    assert_eq!(subruns.len(), sizes.len());
+    for (sr, n) in subruns.iter().zip(sizes) {
+        let nums: Vec<u64> = sr.events().unwrap().iter().map(|e| e.number()).collect();
+        assert_eq!(nums, (0..n).collect::<Vec<_>>(), "subrun {}", sr.number());
+    }
+
+    let sr = &subruns[1];
+    let nums = |lo, hi| -> Vec<u64> {
+        sr.events_range(lo, hi)
+            .unwrap()
+            .iter()
+            .map(|e| e.number())
+            .collect()
+    };
+    assert_eq!(
+        nums(page + 5, page + 900),
+        (page + 5..page + 900).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        nums(page, 3 * page),
+        (page..2 * page + 37).collect::<Vec<_>>()
+    );
+    assert_eq!(nums(0, 2 * page + 1), (0..2 * page + 1).collect::<Vec<_>>());
+    // A range that ends inside the first page it lists costs one RPC.
+    let before = store.endpoint_stats().requests_sent;
+    assert_eq!(nums(page + 1, page + 2), vec![page + 1]);
+    assert_eq!(store.endpoint_stats().requests_sent - before, 1);
+    dep.shutdown();
+}
+
+#[test]
+fn runs_and_datasets_list_past_one_page() {
+    let page = hepnos::LIST_PAGE as u64;
+    let dep = local_deployment(1, small_counts());
+    let store = dep.datastore();
+    let ds = store.root().create_dataset("manyruns").unwrap();
+    let mut batch = WriteBatch::new(&store);
+    for r in 0..2 * page {
+        batch.create_run(&ds, r).unwrap();
+    }
+    batch.flush().unwrap();
+    let runs: Vec<u64> = ds.runs().unwrap().iter().map(|r| r.number()).collect();
+    assert_eq!(runs, (0..2 * page).collect::<Vec<_>>());
+
+    let parent = store.root().create_dataset("many").unwrap();
+    let names: Vec<String> = (0..page + 10).map(|i| format!("d{i:05}")).collect();
+    for name in &names {
+        parent.create_dataset(name).unwrap();
+    }
+    let listed = parent.datasets().unwrap();
+    let listed_names: Vec<String> = listed.iter().map(|d| d.name()).collect();
+    assert_eq!(listed_names, names);
+    for d in [
+        &listed[0],
+        &listed[page as usize],
+        &listed[listed.len() - 1],
+    ] {
+        let opened = store.dataset(&d.full_path()).unwrap();
+        assert_eq!(opened.uuid(), d.uuid());
+    }
+    dep.shutdown();
+}
+
+#[test]
+fn multi_database_event_listings_cross_page_boundaries() {
+    let page = hepnos::LIST_PAGE;
+    let dep = local_deployment(1, small_counts());
+    let store = dep.datastore();
+    let ds = store.root().create_dataset("paged-multi").unwrap();
+    let uuid = ds.uuid().unwrap();
+    let mut written = BTreeSet::new();
+    let mut per_db = vec![0usize; store.num_event_databases()];
+    let mut batch = WriteBatch::new(&store);
+    for r in [1u64, 2] {
+        let run = batch.create_run(&ds, r).unwrap();
+        for s in 0..8u64 {
+            let sr = batch.create_subrun(&run, s).unwrap();
+            let n = page as u64 / 2 + 7 * s;
+            for e in 0..n {
+                batch.create_event(&sr, &uuid, e).unwrap();
+                written.insert((r, s, e));
+            }
+            let db = ModuloPlacement.place(&keys::subrun_key(&uuid, r, s), per_db.len());
+            per_db[db] += n as usize;
+        }
+    }
+    batch.flush().unwrap();
+    // Another dataset's events stay out of both listings.
+    let other = store.root().create_dataset("paged-other").unwrap();
+    let sr = other.create_run(1).unwrap().create_subrun(0).unwrap();
+    sr.create_event(0).unwrap();
+    assert!(
+        per_db.iter().all(|&n| n > 2 * page),
+        "events per database {per_db:?} fit in two pages"
+    );
+
+    let coords = |events: Vec<hepnos::Event>| -> Vec<(u64, u64, u64)> {
+        events.iter().map(|e| e.coordinates()).collect()
+    };
+    let expected: Vec<_> = written.iter().copied().collect();
+    assert_eq!(coords(ds.events().unwrap()), expected);
+    let run1: Vec<_> = written.iter().copied().filter(|c| c.0 == 1).collect();
+    assert_eq!(coords(ds.run(1).unwrap().events().unwrap()), run1);
     dep.shutdown();
 }

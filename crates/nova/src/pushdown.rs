@@ -368,7 +368,7 @@ mod tests {
         }
         assert!(per_db.len() >= 2);
         assert!(
-            per_db.iter().all(|&n| n > 2 * hepnos::FILTER_SCAN_PAGE),
+            per_db.iter().all(|&n| n > 2 * hepnos::LIST_PAGE),
             "products per database {per_db:?} fit in two scan pages"
         );
 

@@ -32,7 +32,7 @@ use hepnos::placement::{ModuloPlacement, Placement};
 use hepnos::rescale::{Migrator, MigratorConfig, PlacementInput};
 use hepnos::testing::local_deployment;
 use hepnos::{
-    DataStore, HepnosError, ParallelEventProcessor, PepOptions, ProductLabel, WriteBatch,
+    DataStore, Event, HepnosError, ParallelEventProcessor, PepOptions, ProductLabel, WriteBatch,
 };
 use mercurio::fault::{FaultConfig, FaultPlan};
 use mercurio::tcp::TcpEndpoint;
@@ -518,13 +518,21 @@ fn dual_reads_never_miss_acked_keys_during_handoff() {
             ..Default::default()
         },
     );
+    // Any program will do: the stored blobs are not columnar, so every
+    // scanned product answers one reply without being filtered.
+    let program = yokan::Program {
+        id_column: 0,
+        predicates: Vec::new(),
+    };
     let scan = |expected: &[(u64, usize)], value: &dyn Fn(u64, u64) -> Vec<u32>| {
         let ds = store_full.dataset("pin").unwrap();
         let run = ds.run(1).unwrap();
         let mut seen: Vec<(u64, usize)> = Vec::new();
         let mut scanned: Vec<(u64, u64, Option<Vec<u32>>)> = Vec::new();
+        let mut listed: Vec<(u64, u64, u64)> = Vec::new();
         for sr in run.subruns().unwrap() {
             let events = sr.events().unwrap();
+            listed.extend(events.iter().map(Event::coordinates));
             for ev in &events {
                 let got: Vec<u32> = ev
                     .load(&label)
@@ -536,6 +544,26 @@ fn dual_reads_never_miss_acked_keys_during_handoff() {
             seen.push((sr.number(), events.len()));
         }
         assert_eq!(seen, expected, "a scan during handoff missed acked keys");
+
+        // The multi-database listings see each of those events once, in
+        // the same order as the concatenated per-subrun listings.
+        let coords = |events: Vec<Event>| events.iter().map(Event::coordinates).collect::<Vec<_>>();
+        assert_eq!(
+            coords(ds.events().unwrap()),
+            listed,
+            "DataSet::events during handoff"
+        );
+        assert_eq!(
+            coords(run.events().unwrap()),
+            listed,
+            "Run::events during handoff"
+        );
+        let replies = ds.filter_event_products(&label, &program).unwrap();
+        let replied: Vec<_> = replies.iter().map(|(ev, _)| ev.coordinates()).collect();
+        assert_eq!(
+            replied, listed,
+            "push-down scan during handoff missed or repeated events"
+        );
 
         let delivered = Mutex::new(Vec::new());
         pep.process(&ds, |_, pe| {
