@@ -33,25 +33,35 @@ impl BloomFilter {
         }
     }
 
-    /// Bit indices probed for `key`. Borrows nothing from `self`, so
-    /// `insert` can set bits while it walks them.
-    fn probes(&self, key: &[u8]) -> impl Iterator<Item = usize> {
-        let h1 = fnv1a(key, 0);
-        let h2 = fnv1a(key, 0x9E37_79B9_7F4A_7C15) | 1;
+    /// The two hashes a key's probe sequence is derived from. A table
+    /// writer keeps these instead of the key until it sizes its filter.
+    pub fn key_hashes(key: &[u8]) -> (u64, u64) {
+        (fnv1a(key, 0), fnv1a(key, 0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    /// Bit indices probed for the key hashing to `(h1, h2)`. Borrows
+    /// nothing from `self`, so `insert_hashes` can set bits while it walks
+    /// them.
+    fn probes(&self, (h1, h2): (u64, u64)) -> impl Iterator<Item = usize> {
         let n_bits = (self.bits.len() * 8) as u64;
         (0..self.k as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % n_bits) as usize)
     }
 
     /// Insert a key.
     pub fn insert(&mut self, key: &[u8]) {
-        for i in self.probes(key) {
+        self.insert_hashes(Self::key_hashes(key));
+    }
+
+    /// Insert the key whose [`BloomFilter::key_hashes`] are `hashes`.
+    pub fn insert_hashes(&mut self, hashes: (u64, u64)) {
+        for i in self.probes(hashes) {
             self.bits[i / 8] |= 1 << (i % 8);
         }
     }
 
     /// Whether the key *may* be present (no false negatives).
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.probes(key)
+        self.probes(Self::key_hashes(key))
             .all(|i| self.bits[i / 8] & (1 << (i % 8)) != 0)
     }
 

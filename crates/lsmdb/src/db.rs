@@ -25,7 +25,7 @@
 use crate::cache::{CacheStats, ShardedReadCache};
 use crate::levels::{key_span, Levels};
 use crate::memtable::{Memtable, Value};
-use crate::sstable::{SstError, SstReader, SstWriter};
+use crate::sstable::{SstError, SstRangeIter, SstReader, SstWriter};
 use crate::wal::{parse_wal_file_name, wal_file_name, Wal, WalRecord};
 use argos::{Pool, SchedulingDiscipline};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -179,10 +179,6 @@ impl From<SstError> for DbError {
 
 /// An owned key/value pair as returned by scans.
 pub type KeyValue = (Vec<u8>, Vec<u8>);
-
-/// One iterator source feeding the k-way merge; table sources yield an
-/// `Err` for a damaged entry.
-type MergeSource = Box<dyn Iterator<Item = Result<(Vec<u8>, Value), SstError>>>;
 
 /// A batch of writes applied atomically (single lock acquisition, single WAL
 /// flush). This is what Yokan's `put_multi` maps onto.
@@ -1089,7 +1085,7 @@ impl DbInner {
         // Build the table off-lock: the frozen memtable is immutable.
         let mut w = SstWriter::create(&tmp_path, self.opts.bloom_bits_per_key)?;
         for (k, v) in mem.iter() {
-            w.add(k, v)?;
+            w.add(k, v.live())?;
         }
         let reader = Arc::new(w.finish_to(&final_path)?);
         self.flush_write_bytes
@@ -1169,22 +1165,20 @@ impl DbInner {
                 .map(|t| (t.min_key().to_vec(), t.max_key().to_vec(), t.file_size()))
                 .collect()
         };
-        // Merge inputs (newest-first for L0 precedence) with the overlap
-        // set from the target level.
-        let mut sources: Vec<MergeSource> = Vec::new();
-        if pick.from == 0 {
-            for t in pick.inputs.iter().rev() {
-                sources.push(Box::new(t.iter_all()));
-            }
+        // Merge the inputs (newest first for L0 precedence) with the
+        // overlapped target tables, read as one run.
+        let whole = |tables: Vec<Arc<SstReader>>| Source::Tables(TableRun::new(tables, &[], None));
+        let mut sources: Vec<Source> = if pick.from == 0 {
+            pick.inputs
+                .iter()
+                .rev()
+                .map(|t| whole(vec![Arc::clone(t)]))
+                .collect()
         } else {
-            for t in &pick.inputs {
-                sources.push(Box::new(t.iter_all()));
-            }
-        }
-        for t in &pick.overlaps {
-            sources.push(Box::new(t.iter_all()));
-        }
-        let mut merged = MergeIter::new(sources);
+            vec![whole(pick.inputs.clone())]
+        };
+        sources.push(whole(pick.overlaps.clone()));
+        let mut merged = Merge::new(sources);
         let mut outputs: Vec<Arc<SstReader>> = Vec::new();
         let mut writer: Option<(SstWriter, u64)> = None;
         let mut gp_idx = 0usize;
@@ -1192,9 +1186,9 @@ impl DbInner {
         let untouched = &pick.untouched;
         let mut ut_idx = 0usize;
         loop {
-            let (k, v) = match merged.next_entry() {
-                Ok(Some(entry)) => entry,
-                Ok(None) => break,
+            match merged.advance() {
+                Ok(true) => {}
+                Ok(false) => break,
                 Err(e) => {
                     // A damaged input: leave the inputs installed and drop
                     // the outputs written so far.
@@ -1204,13 +1198,14 @@ impl DbInner {
                     if let Some((_, id)) = writer {
                         std::fs::remove_file(self.tmp_sst_path(id)).ok();
                     }
-                    return Err(e);
+                    return Err(e.into());
                 }
-            };
+            }
+            let (k, v) = (merged.key(), merged.value());
             // No merged key falls inside an untouched table, so ending the
             // output before its min key keeps the target level disjoint.
             let seen = ut_idx;
-            while ut_idx < untouched.len() && untouched[ut_idx].as_slice() <= k.as_slice() {
+            while ut_idx < untouched.len() && untouched[ut_idx].as_slice() <= k {
                 ut_idx += 1;
             }
             if ut_idx > seen {
@@ -1220,14 +1215,12 @@ impl DbInner {
                 // The grandparents wholly below `k` lie under the skipped
                 // range and do not overlap the next output; the one holding
                 // `k`, if any, is charged below like any other.
-                while gp_idx < grandparents.len()
-                    && grandparents[gp_idx].1.as_slice() < k.as_slice()
-                {
+                while gp_idx < grandparents.len() && grandparents[gp_idx].1.as_slice() < k {
                     gp_idx += 1;
                 }
                 gp_acc = 0;
             }
-            if pick.drop_tombstones && matches!(v, Value::Tombstone) {
+            if pick.drop_tombstones && v.is_none() {
                 self.tombstones_dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -1244,8 +1237,8 @@ impl DbInner {
                 ));
             }
             let (w, _) = writer.as_mut().expect("writer was just created");
-            w.add(&k, &v)?;
-            while gp_idx < grandparents.len() && grandparents[gp_idx].0.as_slice() <= k.as_slice() {
+            w.add(k, v)?;
+            while gp_idx < grandparents.len() && grandparents[gp_idx].0.as_slice() <= k {
                 gp_acc += grandparents[gp_idx].2;
                 gp_idx += 1;
             }
@@ -1429,40 +1422,45 @@ impl DbInner {
         }
         let st = self.state.read();
         // Sources in precedence order: memtable, frozen memtables newest
-        // first, L0 newest first, then each deeper level (levels are
+        // first, L0 newest first, then one run per deeper level (levels are
         // disjoint internally; shallower levels shadow deeper ones).
-        let mut sources: Vec<MergeSource> = Vec::new();
-        let collect_mem = |mem: &Memtable| {
-            mem.range(
-                Bound::Included(lower),
-                upper.map_or(Bound::Unbounded, Bound::Excluded),
-            )
-            .map(|(k, v)| (k.to_vec(), v.clone()))
-            .collect::<Vec<_>>()
+        let snapshot = |mem: &Memtable| Source::Mem {
+            entries: mem
+                .range(
+                    Bound::Included(lower),
+                    upper.map_or(Bound::Unbounded, Bound::Excluded),
+                )
+                .map(|(k, v)| (k.to_vec(), v.clone()))
+                .collect::<Vec<_>>()
+                .into_iter(),
+            cur: None,
         };
-        sources.push(Box::new(collect_mem(&st.memtable).into_iter().map(Ok)));
-        for entry in st.imm.iter().rev() {
-            sources.push(Box::new(collect_mem(&entry.mem).into_iter().map(Ok)));
-        }
-        for sst in st.levels.level(0).iter().rev() {
-            sources.push(Box::new(sst.iter_range(lower, upper)));
+        let in_range = |t: &&Arc<SstReader>| {
+            t.entry_count() > 0 && t.max_key() >= lower && upper.is_none_or(|u| t.min_key() < u)
+        };
+        let mut sources = vec![snapshot(&st.memtable)];
+        sources.extend(st.imm.iter().rev().map(|entry| snapshot(&entry.mem)));
+        for sst in st.levels.level(0).iter().rev().filter(in_range) {
+            let run = TableRun::new(vec![Arc::clone(sst)], lower, upper);
+            sources.push(Source::Tables(run));
         }
         for level in 1..st.levels.num_levels() {
-            for sst in st.levels.level(level) {
-                if upper.is_some_and(|u| sst.min_key() >= u) {
-                    continue;
-                }
-                if sst.entry_count() > 0 && sst.max_key() < lower {
-                    continue;
-                }
-                sources.push(Box::new(sst.iter_range(lower, upper)));
+            let tables: Vec<_> = st
+                .levels
+                .level(level)
+                .iter()
+                .filter(in_range)
+                .cloned()
+                .collect();
+            if !tables.is_empty() {
+                sources.push(Source::Tables(TableRun::new(tables, lower, upper)));
             }
         }
         drop(st);
-        let mut merged = MergeIter::new(sources);
-        while let Some((k, v)) = merged.next_entry()? {
-            if let Value::Put(data) = v {
-                if !visit(k, data) {
+        let mut merged = Merge::new(sources);
+        while merged.advance()? {
+            if let Some(v) = merged.value() {
+                if !visit(merged.key().to_vec(), v.to_vec()) {
                     break;
                 }
             }
@@ -1497,50 +1495,138 @@ impl DbInner {
     }
 }
 
-/// K-way merge over precedence-ordered sources (earlier sources win on
-/// duplicate keys). Sources must each yield sorted, per-source-unique keys.
-struct MergeIter {
-    sources: Vec<std::iter::Peekable<MergeSource>>,
+/// Cursor over a run of key-disjoint tables in key order: one L0 table, or
+/// the tables of one sorted level. It opens each table only once the one
+/// before it is used up.
+struct TableRun {
+    tables: std::vec::IntoIter<Arc<SstReader>>,
+    cur: Option<SstRangeIter>,
+    lower: Vec<u8>,
+    upper: Option<Vec<u8>>,
 }
 
-impl MergeIter {
-    fn new(sources: Vec<MergeSource>) -> Self {
-        MergeIter {
-            sources: sources.into_iter().map(|s| s.peekable()).collect(),
+impl TableRun {
+    /// A run over the entries of `tables` with keys in `[lower, upper)`.
+    fn new(tables: Vec<Arc<SstReader>>, lower: &[u8], upper: Option<&[u8]>) -> TableRun {
+        TableRun {
+            tables: tables.into_iter(),
+            cur: None,
+            lower: lower.to_vec(),
+            upper: upper.map(<[u8]>::to_vec),
         }
     }
 
-    /// The next merged entry, or the first error any source hit.
-    fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Value)>, DbError> {
-        // Find the smallest key among the heads.
-        let mut min_key: Option<Vec<u8>> = None;
-        for src in self.sources.iter_mut() {
-            if let Some(Err(e)) = src.next_if(Result::is_err) {
-                return Err(e.into());
-            }
-            if let Some(Ok((k, _))) = src.peek() {
-                if min_key.as_ref().is_none_or(|m| k < m) {
-                    min_key = Some(k.clone());
+    fn advance(&mut self) -> Result<bool, SstError> {
+        loop {
+            if let Some(it) = &mut self.cur {
+                if it.advance()? {
+                    return Ok(true);
                 }
             }
+            let Some(t) = self.tables.next() else {
+                return Ok(false);
+            };
+            self.cur = Some(t.iter_range(&self.lower, self.upper.as_deref()));
         }
-        let Some(key) = min_key else {
-            return Ok(None);
-        };
-        // Take from the highest-precedence source holding that key; advance
-        // every other source past it.
-        let mut winner: Option<Value> = None;
-        for src in self.sources.iter_mut() {
-            if let Some(Ok((_, v))) = src.next_if(|e| e.as_ref().is_ok_and(|(k, _)| k == &key)) {
-                if winner.is_none() {
-                    winner = Some(v);
-                }
+    }
+
+    fn table(&self) -> &SstRangeIter {
+        self.cur.as_ref().expect("run is on an entry")
+    }
+}
+
+/// One input of a [`Merge`]. It lends out its current entry until its next
+/// `advance`; a `None` value is a tombstone.
+enum Source {
+    Tables(TableRun),
+    /// A scan's copy of one memtable's range, taken under the state lock.
+    Mem {
+        entries: std::vec::IntoIter<(Vec<u8>, Value)>,
+        cur: Option<(Vec<u8>, Value)>,
+    },
+}
+
+impl Source {
+    fn advance(&mut self) -> Result<bool, SstError> {
+        match self {
+            Source::Tables(run) => run.advance(),
+            Source::Mem { entries, cur } => {
+                *cur = entries.next();
+                Ok(cur.is_some())
             }
         }
-        Ok(Some((
-            key,
-            winner.expect("at least one source held the key"),
-        )))
+    }
+
+    fn key(&self) -> &[u8] {
+        match self {
+            Source::Tables(run) => run.table().key(),
+            Source::Mem { cur, .. } => &cur.as_ref().expect("memtable is on an entry").0,
+        }
+    }
+
+    fn value(&self) -> Option<&[u8]> {
+        match self {
+            Source::Tables(run) => run.table().value(),
+            Source::Mem { cur, .. } => cur.as_ref().expect("memtable is on an entry").1.live(),
+        }
+    }
+}
+
+/// K-way merge over precedence-ordered sources, each sorted with unique
+/// keys. On equal keys the earlier source wins, and every source on that
+/// key steps past it together. The winner's entry is lent out until the
+/// next `advance`; nothing is copied or allocated per entry.
+struct Merge {
+    /// The sources not yet used up, in precedence order.
+    sources: Vec<Source>,
+    /// The sources on the current key in precedence order, the winner
+    /// first; before the first `advance`, every source.
+    on_key: Vec<usize>,
+}
+
+impl Merge {
+    fn new(sources: Vec<Source>) -> Merge {
+        let on_key = (0..sources.len()).collect();
+        Merge { sources, on_key }
+    }
+
+    /// Step to the next key; `Ok(false)` once every source is used up. The
+    /// first error any source hits is returned.
+    fn advance(&mut self) -> Result<bool, SstError> {
+        use std::cmp::Ordering as KeyOrder;
+        // Highest index first, so a removal leaves the rest in place.
+        for &i in self.on_key.iter().rev() {
+            if !self.sources[i].advance()? {
+                self.sources.remove(i);
+            }
+        }
+        self.on_key.clear();
+        for i in 0..self.sources.len() {
+            let order = self
+                .on_key
+                .first()
+                .map(|&w| self.sources[i].key().cmp(self.sources[w].key()));
+            match order {
+                None | Some(KeyOrder::Less) => {
+                    self.on_key.clear();
+                    self.on_key.push(i);
+                }
+                Some(KeyOrder::Equal) => self.on_key.push(i),
+                Some(KeyOrder::Greater) => {}
+            }
+        }
+        Ok(!self.on_key.is_empty())
+    }
+
+    /// Key of the current entry. Valid after `advance` returned `true`.
+    fn key(&self) -> &[u8] {
+        self.sources[self.on_key[0]].key()
+    }
+
+    /// Value of the winning source on the current key; `None` for a
+    /// tombstone.
+    fn value(&self) -> Option<&[u8]> {
+        self.sources[self.on_key[0]].value()
     }
 }
 
@@ -1823,7 +1909,6 @@ mod tests {
     #[test]
     fn compaction_keeps_inputs_when_an_input_is_corrupt() {
         use std::os::unix::fs::FileExt;
-        let d = tmpdir("corruptinput");
         let opts = Options {
             compaction: CompactionMode::Inline,
             l0_compaction_trigger: 100,
@@ -1831,49 +1916,75 @@ mod tests {
             l0_stop_trigger: 300,
             ..Options::default()
         };
-        let db = Db::open(&d, opts).unwrap();
-        let key = |i: u32| format!("k{i:05}").into_bytes();
-        for i in 0..200 {
-            db.put(&key(i), &[1u8; 32]).unwrap();
-        }
-        db.flush().unwrap();
-        let manifest = || std::fs::read_to_string(d.join("MANIFEST")).unwrap();
-        let damaged = manifest()
-            .lines()
-            .find_map(|l| l.strip_prefix("L0 "))
-            .unwrap()
-            .to_string();
-        // A second, overlapping L0 table makes the compaction a real merge.
-        for i in (0..200).step_by(2) {
-            db.put(&key(i), &[2u8; 32]).unwrap();
-        }
-        db.flush().unwrap();
-        // Entries are 9 + 6 + 32 = 47 bytes; flip the kind byte of entry
-        // 100 of the older table, leaving its footer valid.
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(d.join(&damaged))
-            .unwrap();
-        f.write_all_at(&[0x7F], 100 * 47 + 4).unwrap();
+        // Entries are 9 + 6 + 32 = 47 bytes.
+        let key = |p: char, i: u32| format!("{p}{i:05}").into_bytes();
+        // The damaged input is the older of two overlapping L0 tables, then
+        // the last of three merged L1 tables, which the merge opens only
+        // after reading the two before it.
+        for damaged_l1 in [false, true] {
+            let d = tmpdir(&format!("corruptinput-{damaged_l1}"));
+            let db = Db::open(&d, opts.clone()).unwrap();
+            let manifest = || std::fs::read_to_string(d.join("MANIFEST")).unwrap();
+            let prefixes = if damaged_l1 {
+                vec!['a', 'b', 'c']
+            } else {
+                vec!['k']
+            };
+            for &p in &prefixes {
+                for i in 0..200 {
+                    db.put(&key(p, i), &[1u8; 32]).unwrap();
+                }
+                db.flush().unwrap();
+                if damaged_l1 {
+                    db.compact_level(0).unwrap();
+                }
+            }
+            let (level, inputs) = if damaged_l1 { ("L1 ", 4) } else { ("L0 ", 2) };
+            let damaged = manifest()
+                .lines()
+                .filter_map(|l| l.strip_prefix(level))
+                .next_back()
+                .unwrap()
+                .to_string();
+            // One more L0 table over every table so far makes the
+            // compaction a real merge of all of them.
+            for &p in &prefixes {
+                for i in (0..200).step_by(2) {
+                    db.put(&key(p, i), &[2u8; 32]).unwrap();
+                }
+            }
+            db.flush().unwrap();
+            let tables = db.stats().level_tables;
+            assert_eq!(tables[..2], if damaged_l1 { [1, 3] } else { [2, 0] });
+            let before = manifest();
+            // Flip the kind byte of entry 100, leaving the footer valid.
+            let f = std::fs::OpenOptions::new()
+                .write(true)
+                .open(d.join(&damaged))
+                .unwrap();
+            f.write_all_at(&[0x7F], 100 * 47 + 4).unwrap();
 
-        assert!(db.compact_level(0).is_err());
-        assert!(manifest().contains(&damaged), "{}", manifest());
-        assert_eq!(db.stats().level_tables[0], 2);
-        let ssts = std::fs::read_dir(&d)
-            .unwrap()
-            .filter(|e| {
-                let name = e.as_ref().unwrap().file_name();
-                let name = name.to_string_lossy();
-                name.ends_with(".sst") || name.ends_with(".tmp")
-            })
-            .count();
-        assert_eq!(ssts, 2, "partial compaction outputs left behind");
-        for i in 0..100 {
-            let want = if i % 2 == 0 { 2 } else { 1 };
-            assert_eq!(db.get(&key(i)).unwrap(), Some(vec![want; 32]), "key {i}");
+            assert!(db.compact_level(0).is_err());
+            assert_eq!(manifest(), before);
+            assert_eq!(db.stats().level_tables, tables);
+            let ssts = std::fs::read_dir(&d)
+                .unwrap()
+                .filter(|e| {
+                    let name = e.as_ref().unwrap().file_name();
+                    let name = name.to_string_lossy();
+                    name.ends_with(".sst") || name.ends_with(".tmp")
+                })
+                .count();
+            assert_eq!(ssts, inputs, "partial compaction outputs left behind");
+            for &p in &prefixes {
+                for i in 0..100 {
+                    let want = if i % 2 == 0 { 2 } else { 1 };
+                    assert_eq!(db.get(&key(p, i)).unwrap(), Some(vec![want; 32]), "{p}{i}");
+                }
+            }
+            assert!(db.scan(b"", None, 0).is_err());
+            std::fs::remove_dir_all(&d).ok();
         }
-        assert!(db.scan(b"", None, 0).is_err());
-        std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]
@@ -2089,6 +2200,63 @@ mod tests {
         db.delete(b"b").unwrap();
         let got = db.scan(b"", None, 0).unwrap();
         assert_eq!(got, vec![(b"a".to_vec(), b"new".to_vec())]);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn scan_across_a_levels_tables_matches_oracle() {
+        let d = tmpdir("scanrun");
+        let opts = Options {
+            compaction: CompactionMode::Inline,
+            l0_compaction_trigger: 100,
+            l0_slowdown_trigger: 200,
+            l0_stop_trigger: 300,
+            ..Options::default()
+        };
+        let db = Db::open(&d, opts).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let key = |p: &str, i: u32| format!("{p}{i:03}").into_bytes();
+        let mut put = |db: &Db, k: Vec<u8>, v: &[u8]| {
+            db.put(&k, v).unwrap();
+            model.insert(k, v.to_vec());
+        };
+        // Four disjoint L1 tables, each moved down alone.
+        for p in ["b", "d", "f", "h"] {
+            for i in 0..60 {
+                put(&db, key(p, i), format!("{p}-{i}").as_bytes());
+            }
+            db.flush().unwrap();
+            db.compact_level(0).unwrap();
+        }
+        // L0: an overwrite and a tombstone inside the "d" table, and a key
+        // between the L1 tables.
+        put(&db, key("d", 10), b"l0");
+        db.delete(&key("d", 20)).unwrap();
+        put(&db, key("e", 0), b"l0");
+        db.flush().unwrap();
+        // Memtable: overwrites on the L0 overwrite and in the "f" table.
+        put(&db, key("d", 10), b"mem");
+        put(&db, key("f", 30), b"mem");
+        assert_eq!(db.stats().level_tables[..2], [1, 4], "{:?}", db.stats());
+        model.remove(&key("d", 20));
+        for (lower, upper) in [
+            (key("b", 15), Some(key("h", 45))),
+            (key("b", 59), Some(key("d", 11))),
+            (key("d", 20), Some(key("d", 21))),
+            (key("c", 0), Some(key("g", 0))),
+            (key("f", 31), None),
+            (Vec::new(), None),
+        ] {
+            let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                .range::<[u8], _>((
+                    Bound::Included(lower.as_slice()),
+                    upper.as_deref().map_or(Bound::Unbounded, Bound::Excluded),
+                ))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            let got = db.scan(&lower, upper.as_deref(), 0).unwrap();
+            assert_eq!(got, want, "[{lower:?}, {upper:?})");
+        }
         std::fs::remove_dir_all(&d).ok();
     }
 

@@ -290,7 +290,6 @@ pub(crate) fn key_span<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtable::Value;
     use crate::sstable::SstWriter;
     use std::path::PathBuf;
 
@@ -304,7 +303,7 @@ mod tests {
     fn table(dir: &std::path::Path, name: &str, keys: &[&str]) -> Arc<SstReader> {
         let mut w = SstWriter::create(&dir.join(name), 10).unwrap();
         for k in keys {
-            w.add(k.as_bytes(), &Value::Put(vec![0u8; 64])).unwrap();
+            w.add(k.as_bytes(), Some(&[0u8; 64])).unwrap();
         }
         Arc::new(w.finish().unwrap())
     }

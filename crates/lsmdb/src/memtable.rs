@@ -14,6 +14,16 @@ pub enum Value {
     Tombstone,
 }
 
+impl Value {
+    /// The live bytes; `None` for a tombstone.
+    pub fn live(&self) -> Option<&[u8]> {
+        match self {
+            Value::Put(v) => Some(v),
+            Value::Tombstone => None,
+        }
+    }
+}
+
 /// A sorted in-memory buffer of recent writes.
 ///
 /// RocksDB uses a concurrent skiplist; our databases are accessed through a

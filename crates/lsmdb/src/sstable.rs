@@ -18,13 +18,14 @@
 //! passes the bloom filter binary-searches the sparse index for the one
 //! span of at most `INDEX_INTERVAL` entries that can hold the key, fetches
 //! that span with a single positioned read (`pread`), parses the entries in
-//! place and copies out only the matching value. Range iterators, which
+//! place and copies out only the matching value. Range cursors, which
 //! serve scans and compaction, stream the data section through the same
-//! shared file handle in 8 KiB positioned reads and step from entry to
-//! entry by the lengths they decode. No reader holds a lock or a file
-//! cursor, so lookups and iterators on one table run concurrently. This is
-//! the RocksDB cost structure: index and filter pinned, data read from disk
-//! by offset, with an index span in the role of a data block.
+//! shared file handle in 8 KiB positioned reads, decode each entry in
+//! place and lend out its key and value without copying them. No reader
+//! holds a lock or a file cursor, so lookups and cursors on one table run
+//! concurrently. This is the RocksDB cost structure: index and filter
+//! pinned, data read from disk by offset, with an index span in the role of
+//! a data block.
 
 use crate::bloom::BloomFilter;
 use crate::crc32::crc32;
@@ -66,23 +67,6 @@ impl std::error::Error for SstError {}
 impl From<std::io::Error> for SstError {
     fn from(e: std::io::Error) -> Self {
         SstError::Io(e)
-    }
-}
-
-fn encode_entry(out: &mut Vec<u8>, key: &[u8], value: &Value) {
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    match value {
-        Value::Put(v) => {
-            out.push(KIND_PUT);
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(key);
-            out.extend_from_slice(v);
-        }
-        Value::Tombstone => {
-            out.push(KIND_TOMBSTONE);
-            out.extend_from_slice(&0u32.to_le_bytes());
-            out.extend_from_slice(key);
-        }
     }
 }
 
@@ -149,14 +133,19 @@ fn read_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), SstError> {
 }
 
 /// Builds an SSTable; keys must be added in strictly increasing order.
+/// Entries go straight into the file buffer; the writer keeps the sparse
+/// index keys, the last key in one reused buffer and each key's two bloom
+/// hashes, not a copy of every key.
 pub struct SstWriter {
     path: PathBuf,
     file: BufWriter<File>,
     offset: u64,
+    /// Every `INDEX_INTERVAL`-th key with its offset; the first is the
+    /// table's min key.
     index: Vec<(Vec<u8>, u64)>,
-    keys: Vec<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
-    first_key: Option<Vec<u8>>,
+    hashes: Vec<(u64, u64)>,
+    /// Valid once `count > 0`.
+    last_key: Vec<u8>,
     count: usize,
     bits_per_key: usize,
 }
@@ -170,33 +159,36 @@ impl SstWriter {
             file,
             offset: 0,
             index: Vec::new(),
-            keys: Vec::new(),
-            last_key: None,
-            first_key: None,
+            hashes: Vec::new(),
+            last_key: Vec::new(),
             count: 0,
             bits_per_key,
         })
     }
 
-    /// Append one entry.
-    pub fn add(&mut self, key: &[u8], value: &Value) -> Result<(), SstError> {
-        if let Some(last) = &self.last_key {
-            if key <= last.as_slice() {
-                return Err(SstError::OutOfOrder);
-            }
+    /// Append one entry; `value = None` writes a tombstone.
+    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(), SstError> {
+        if self.count > 0 && key <= self.last_key.as_slice() {
+            return Err(SstError::OutOfOrder);
         }
         if self.count.is_multiple_of(INDEX_INTERVAL) {
             self.index.push((key.to_vec(), self.offset));
         }
-        let mut buf = Vec::with_capacity(9 + key.len() + 64);
-        encode_entry(&mut buf, key, value);
-        self.file.write_all(&buf)?;
-        self.offset += buf.len() as u64;
-        self.keys.push(key.to_vec());
-        if self.first_key.is_none() {
-            self.first_key = Some(key.to_vec());
-        }
-        self.last_key = Some(key.to_vec());
+        let (kind, val) = match value {
+            Some(v) => (KIND_PUT, v),
+            None => (KIND_TOMBSTONE, &[][..]),
+        };
+        let mut header = [0u8; ENTRY_HEADER];
+        header[..4].copy_from_slice(&(key.len() as u32).to_le_bytes());
+        header[4] = kind;
+        header[5..].copy_from_slice(&(val.len() as u32).to_le_bytes());
+        self.file.write_all(&header)?;
+        self.file.write_all(key)?;
+        self.file.write_all(val)?;
+        self.offset += (ENTRY_HEADER + key.len() + val.len()) as u64;
+        self.hashes.push(BloomFilter::key_hashes(key));
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         self.count += 1;
         Ok(())
     }
@@ -243,20 +235,20 @@ impl SstWriter {
         self.file.write_all(&index_buf)?;
         // Bloom section.
         let bloom_offset = index_offset + index_buf.len() as u64;
-        let mut bloom = BloomFilter::new(self.keys.len(), self.bits_per_key);
-        for k in &self.keys {
-            bloom.insert(k);
+        let mut bloom = BloomFilter::new(self.hashes.len(), self.bits_per_key);
+        for &h in &self.hashes {
+            bloom.insert_hashes(h);
         }
         let bloom_buf = bloom.encode();
         self.file.write_all(&bloom_buf)?;
         // Footer: min/max keys then fixed trailer.
-        let min_key = self.first_key.clone().unwrap_or_default();
-        let max_key = self.last_key.clone().unwrap_or_default();
+        let min_key = self.index.first().map_or(&[][..], |(k, _)| k);
+        let max_key = &self.last_key;
         let mut footer = Vec::new();
         footer.extend_from_slice(&(min_key.len() as u32).to_le_bytes());
-        footer.extend_from_slice(&min_key);
+        footer.extend_from_slice(min_key);
         footer.extend_from_slice(&(max_key.len() as u32).to_le_bytes());
-        footer.extend_from_slice(&max_key);
+        footer.extend_from_slice(max_key);
         footer.extend_from_slice(&index_offset.to_le_bytes());
         footer.extend_from_slice(&(index_buf.len() as u64).to_le_bytes());
         footer.extend_from_slice(&bloom_offset.to_le_bytes());
@@ -491,14 +483,18 @@ impl SstReader {
         }
     }
 
-    /// Iterate entries with keys in `[lower, upper)`; `upper = None` means
-    /// unbounded. Entries stream from disk in order.
+    /// A cursor over the entries with keys in `[lower, upper)`; `upper =
+    /// None` means unbounded. It starts at the index span that can hold
+    /// `lower`.
     pub fn iter_range(&self, lower: &[u8], upper: Option<&[u8]>) -> SstRangeIter {
         let start = self.span_of(lower).map_or(0, |i| self.index[i].offset);
         SstRangeIter {
             file: Arc::clone(&self.file),
             buf: Vec::new(),
             cur: 0,
+            len: 0,
+            key_end: 0,
+            put: false,
             next_read: start,
             data_end: self.data_end,
             lower: lower.to_vec(),
@@ -506,25 +502,25 @@ impl SstReader {
             done: false,
         }
     }
-
-    /// Iterate the entire table.
-    pub fn iter_all(&self) -> SstRangeIter {
-        self.iter_range(&[], None)
-    }
 }
 
-/// Bytes a range iterator reads per refill (more when one entry is larger).
+/// Bytes a range cursor reads per refill (more when one entry is larger).
 const ITER_CHUNK: usize = 8 << 10;
 
-/// Streaming iterator over a key range of one table. It reads through the
-/// table's shared handle into its own buffer and advances by the entry
-/// lengths it decodes. A damaged entry yields one `Err` and ends the
-/// iteration.
+/// Cursor over a key range of one table. It reads through the table's
+/// shared handle into its own buffer, decodes each entry in place and
+/// lends out its key and value until the next `advance`. A damaged entry
+/// fails one `advance` and ends the cursor.
 pub struct SstRangeIter {
     file: Arc<File>,
-    /// Bytes read ahead; the next entry starts at `buf[cur]`.
+    /// Bytes read ahead; the current entry is `buf[cur..cur + len]`.
     buf: Vec<u8>,
     cur: usize,
+    len: usize,
+    /// End of the current entry's key in `buf`.
+    key_end: usize,
+    /// Whether the current entry is a put (not a tombstone).
+    put: bool,
     /// File offset just past `buf`.
     next_read: u64,
     data_end: u64,
@@ -534,27 +530,53 @@ pub struct SstRangeIter {
 }
 
 impl SstRangeIter {
-    fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Value)>, SstError> {
+    /// Step to the next entry in range; `Ok(false)` at the end.
+    pub fn advance(&mut self) -> Result<bool, SstError> {
+        if self.done {
+            return Ok(false);
+        }
+        let step = self.step();
+        self.done = !matches!(step, Ok(true));
+        step
+    }
+
+    /// Key of the current entry. Valid after `advance` returned `true`.
+    pub fn key(&self) -> &[u8] {
+        &self.buf[self.cur + ENTRY_HEADER..self.key_end]
+    }
+
+    /// Value of the current entry; `None` for a tombstone. Valid after
+    /// `advance` returned `true`.
+    pub fn value(&self) -> Option<&[u8]> {
+        self.put
+            .then(|| &self.buf[self.key_end..self.cur + self.len])
+    }
+
+    fn step(&mut self) -> Result<bool, SstError> {
+        self.cur += std::mem::take(&mut self.len);
         loop {
             let avail = &self.buf[self.cur..];
             match entry_len(avail)? {
                 Some(n) if n <= avail.len() => {}
                 need => {
                     if !self.refill(need.unwrap_or(ENTRY_HEADER))? {
-                        return Ok(None);
+                        return Ok(false);
                     }
                     continue;
                 }
             }
-            let entry = decode_entry(&self.buf[self.cur..])?;
-            self.cur += entry.len;
+            let entry = decode_entry(avail)?;
             if entry.key < self.lower.as_slice() {
+                self.cur += entry.len;
                 continue;
             }
             if self.upper.as_deref().is_some_and(|u| entry.key >= u) {
-                return Ok(None);
+                return Ok(false);
             }
-            return Ok(Some((entry.key.to_vec(), entry.to_value())));
+            self.len = entry.len;
+            self.key_end = self.cur + ENTRY_HEADER + entry.key.len();
+            self.put = entry.value.is_some();
+            return Ok(true);
         }
     }
 
@@ -579,19 +601,6 @@ impl SstRangeIter {
     }
 }
 
-impl Iterator for SstRangeIter {
-    type Item = Result<(Vec<u8>, Value), SstError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let item = self.next_entry().transpose();
-        self.done = !matches!(item, Some(Ok(_)));
-        item
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,14 +613,33 @@ mod tests {
         d
     }
 
+    /// Every entry a cursor yields, owned, ending with its error if any.
+    fn entries(mut it: SstRangeIter) -> Vec<Result<(Vec<u8>, Value), SstError>> {
+        let mut out = Vec::new();
+        loop {
+            match it.advance() {
+                Ok(true) => out.push(Ok((
+                    it.key().to_vec(),
+                    it.value()
+                        .map_or(Value::Tombstone, |v| Value::Put(v.to_vec())),
+                ))),
+                Ok(false) => return out,
+                Err(e) => {
+                    out.push(Err(e));
+                    return out;
+                }
+            }
+        }
+    }
+
     fn build_table(path: &Path, n: u32) -> SstReader {
         let mut w = SstWriter::create(path, 10).unwrap();
         for i in 0..n {
             let key = format!("key{i:06}");
             if i % 7 == 3 {
-                w.add(key.as_bytes(), &Value::Tombstone).unwrap();
+                w.add(key.as_bytes(), None).unwrap();
             } else {
-                w.add(key.as_bytes(), &Value::Put(format!("val{i}").into_bytes()))
+                w.add(key.as_bytes(), Some(format!("val{i}").as_bytes()))
                     .unwrap();
             }
         }
@@ -656,8 +684,8 @@ mod tests {
     fn range_iteration() {
         let d = tmpdir("range");
         let r = build_table(&d.join("t.sst"), 100);
-        let got: Vec<_> = r
-            .iter_range(b"key000010", Some(b"key000015"))
+        let got: Vec<_> = entries(r.iter_range(b"key000010", Some(b"key000015")))
+            .into_iter()
             .map(|e| String::from_utf8(e.unwrap().0).unwrap())
             .collect();
         assert_eq!(
@@ -677,7 +705,10 @@ mod tests {
     fn full_iteration_is_sorted_and_complete() {
         let d = tmpdir("full");
         let r = build_table(&d.join("t.sst"), 300);
-        let keys: Vec<_> = r.iter_all().map(|e| e.unwrap().0).collect();
+        let keys: Vec<_> = entries(r.iter_range(&[], None))
+            .into_iter()
+            .map(|e| e.unwrap().0)
+            .collect();
         assert_eq!(keys.len(), 300);
         let mut sorted = keys.clone();
         sorted.sort();
@@ -689,15 +720,40 @@ mod tests {
     fn out_of_order_add_is_rejected() {
         let d = tmpdir("ooo");
         let mut w = SstWriter::create(&d.join("t.sst"), 10).unwrap();
-        w.add(b"b", &Value::Put(b"1".to_vec())).unwrap();
-        assert!(matches!(
-            w.add(b"a", &Value::Put(b"2".to_vec())),
-            Err(SstError::OutOfOrder)
-        ));
-        assert!(matches!(
-            w.add(b"b", &Value::Put(b"2".to_vec())),
-            Err(SstError::OutOfOrder)
-        ));
+        w.add(b"b", Some(b"1")).unwrap();
+        assert!(matches!(w.add(b"a", Some(b"2")), Err(SstError::OutOfOrder)));
+        assert!(matches!(w.add(b"b", Some(b"2")), Err(SstError::OutOfOrder)));
+        // The empty key is a valid first key, and only once.
+        let mut w = SstWriter::create(&d.join("e.sst"), 10).unwrap();
+        w.add(b"", None).unwrap();
+        assert!(matches!(w.add(b"", Some(b"2")), Err(SstError::OutOfOrder)));
+        w.add(b"a", Some(b"1")).unwrap();
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn table_bytes_are_pinned() {
+        // Golden digest of a whole table file: the entry framing, index,
+        // bloom filter and footer are the on-disk format and must not
+        // drift. The table starts with the empty key, holds a tombstone
+        // and one value longer than a scan read chunk.
+        const GOLDEN: (usize, u32) = (10160, 920181408);
+        let d = tmpdir("pinned");
+        let p = d.join("t.sst");
+        let mut w = SstWriter::create(&p, 10).unwrap();
+        w.add(b"", Some(b"first")).unwrap();
+        for i in 0..40u32 {
+            let key = format!("pin{i:03}");
+            let value = match i {
+                7 => Value::Tombstone,
+                21 => Value::Put((0..9000u32).map(|b| b as u8).collect()),
+                _ => Value::Put(format!("value-{}", "v".repeat(i as usize % 9)).into_bytes()),
+            };
+            w.add(key.as_bytes(), value.live()).unwrap();
+        }
+        w.finish().unwrap();
+        let bytes = std::fs::read(&p).unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), GOLDEN);
         std::fs::remove_dir_all(&d).ok();
     }
 
@@ -708,7 +764,7 @@ mod tests {
         let r = w.finish().unwrap();
         assert_eq!(r.entry_count(), 0);
         assert_eq!(r.get(b"anything").unwrap(), None);
-        assert_eq!(r.iter_all().count(), 0);
+        assert!(entries(r.iter_range(&[], None)).is_empty());
         std::fs::remove_dir_all(&d).ok();
     }
 
@@ -718,8 +774,8 @@ mod tests {
         let tmp = d.join("000001.sst.tmp");
         let fin = d.join("000001.sst");
         let mut w = SstWriter::create(&tmp, 10).unwrap();
-        w.add(b"a", &Value::Put(b"1".to_vec())).unwrap();
-        w.add(b"b", &Value::Put(b"2".to_vec())).unwrap();
+        w.add(b"a", Some(b"1")).unwrap();
+        w.add(b"b", Some(b"2")).unwrap();
         let r = w.finish_to(&fin).unwrap();
         assert!(!tmp.exists());
         assert!(fin.exists());
@@ -783,7 +839,7 @@ mod tests {
             } else {
                 Value::Put(format!("value-{i}-{}", "x".repeat(i % 5)).into_bytes())
             };
-            w.add(&key, &value).unwrap();
+            w.add(&key, value.live()).unwrap();
             model.insert(key, value);
         }
         w.finish().unwrap();
@@ -791,7 +847,10 @@ mod tests {
     }
 
     fn collect_range(r: &SstReader, lower: &[u8], upper: Option<&[u8]>) -> Vec<(Vec<u8>, Value)> {
-        r.iter_range(lower, upper).map(|e| e.unwrap()).collect()
+        entries(r.iter_range(lower, upper))
+            .into_iter()
+            .map(|e| e.unwrap())
+            .collect()
     }
 
     #[test]
@@ -847,7 +906,7 @@ mod tests {
         for i in 0..40 {
             w.add(
                 format!("k{i:04}").as_bytes(),
-                &Value::Put(format!("v{i:04}").into_bytes()),
+                Some(format!("v{i:04}").as_bytes()),
             )
             .unwrap();
         }
@@ -884,7 +943,7 @@ mod tests {
         }
         // The iterator reads ahead past the cut, so it may fail before
         // reaching entry 20, but it fails once and then ends.
-        let items: Vec<_> = r.iter_all().collect();
+        let items = entries(r.iter_range(&[], None));
         let (last, entries) = items.split_last().unwrap();
         assert!(matches!(last, Err(SstError::Corrupt(_))));
         assert!(entries.len() <= 20 && entries.iter().all(|e| e.is_ok()));
@@ -909,10 +968,11 @@ mod tests {
                 "key {i}"
             );
         }
-        let oks = r.iter_all().take_while(|e| e.is_ok()).count();
-        assert_eq!(oks, 20);
+        let items = entries(r.iter_range(&[], None));
+        assert_eq!(items.len(), 21);
+        assert!(matches!(items[20], Err(SstError::Corrupt(_))));
         assert!(matches!(
-            r.iter_range(&fixed_key(18), None).nth(2),
+            entries(r.iter_range(&fixed_key(18), None)).get(2),
             Some(Err(SstError::Corrupt(_)))
         ));
         // Entry 35: a key length running past the span and the data section.
@@ -920,10 +980,15 @@ mod tests {
             .unwrap();
         assert!(matches!(r.get(&fixed_key(37)), Err(SstError::Corrupt(_))));
         let mut it = r.iter_range(&fixed_key(33), None);
-        assert_eq!(it.next().unwrap().unwrap().0, fixed_key(33));
-        assert_eq!(it.next().unwrap().unwrap().0, fixed_key(34));
-        assert!(matches!(it.next(), Some(Err(SstError::Corrupt(_)))));
-        assert!(it.next().is_none());
+        assert!(it.advance().unwrap());
+        assert_eq!(it.key(), fixed_key(33));
+        assert!(it.advance().unwrap());
+        assert_eq!(
+            (it.key(), it.value()),
+            (&fixed_key(34)[..], Some(&b"v0034"[..]))
+        );
+        assert!(matches!(it.advance(), Err(SstError::Corrupt(_))));
+        assert!(!it.advance().unwrap());
         std::fs::remove_dir_all(&d).ok();
     }
 
@@ -956,7 +1021,7 @@ mod tests {
             } else {
                 Value::Put(vec![i as u8; rng.gen_range(0..300usize)])
             };
-            w.add(&key, &value).unwrap();
+            w.add(&key, value.live()).unwrap();
             model.insert(key, value);
         }
         let r = Arc::new(w.finish().unwrap());
