@@ -1,17 +1,18 @@
 //! Batched and asynchronous writes (paper §II-D).
 //!
 //! Storing millions of small products one RPC at a time is dominated by
-//! per-RPC overhead. A [`WriteBatch`] accumulates container creations and
-//! product stores in a local buffer, *grouped by target database* (since not
-//! all updates target the same database), and ships each group as one
-//! `put_multi` RPC on flush (or drop). An [`AsyncWriteBatch`] additionally
-//! overlaps the flush RPCs with the caller by issuing them from an
-//! [`argos::Pool`] and joining them in its destructor.
+//! per-RPC overhead. Both batches queue container creations and product
+//! stores in one per-database queue, *grouped by target database* (since
+//! not all updates target the same database), and send a group as one
+//! `put_multi` RPC once it reaches the per-database limit and on flush (or
+//! drop). They differ only in how a group is sent: a [`WriteBatch`] sends
+//! it with a blocking RPC, an [`AsyncWriteBatch`] overlaps the RPCs with
+//! the caller by issuing them from an [`argos::Pool`] and joins them in
+//! its destructor.
 
-use crate::binser;
-use crate::datastore::{DataSet, DataStore, Event, ProductLabel, Run, SubRun};
+use crate::datastore::{encode_product, DataSet, DataStore, Event, ProductLabel, Run, SubRun};
 use crate::error::HepnosError;
-use crate::keys::{self, EventNumber, RunNumber, SubRunNumber};
+use crate::keys::{EventNumber, RunNumber, SubRunNumber};
 use argos::Pool;
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -19,25 +20,120 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use yokan::DbTarget;
 
-/// A resolved write destination: which database, which key.
-pub(crate) struct WriteTarget {
-    pub(crate) db: DbTarget,
-    pub(crate) key: Vec<u8>,
-}
-
 /// Default number of queued pairs per database that triggers an eager flush.
 const DEFAULT_PER_DB_LIMIT: usize = 4096;
 
-/// Per-database buffer of queued key/value pairs.
-type DbBuffers = HashMap<DbTarget, Vec<(Vec<u8>, Vec<u8>)>>;
+/// One database's group of queued key/value pairs.
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// The queue under both batches: resolves each write's database and key,
+/// buffers the pairs per database, and reports the database whose group
+/// has just reached the per-database limit, for the owning batch to send.
+struct DbQueue {
+    store: DataStore,
+    buffers: HashMap<DbTarget, Pairs>,
+    per_db_limit: usize,
+    queued: usize,
+}
+
+impl DbQueue {
+    fn new(store: &DataStore) -> DbQueue {
+        DbQueue {
+            store: store.clone(),
+            buffers: HashMap::new(),
+            per_db_limit: DEFAULT_PER_DB_LIMIT,
+            queued: 0,
+        }
+    }
+
+    /// Queue one pair; returns its database when that group is full.
+    fn push(&mut self, (db, key): (DbTarget, Vec<u8>), value: Vec<u8>) -> Option<DbTarget> {
+        let buf = self.buffers.entry(db.clone()).or_default();
+        buf.push((key, value));
+        self.queued += 1;
+        (buf.len() >= self.per_db_limit).then_some(db)
+    }
+
+    // The container handles below are optimistic: built without an
+    // existence check, since their keys are queued, not yet visible.
+
+    fn run(
+        &mut self,
+        dataset: &DataSet,
+        number: RunNumber,
+    ) -> Result<(Run, Option<DbTarget>), HepnosError> {
+        let uuid = dataset
+            .uuid()
+            .ok_or_else(|| HepnosError::InvalidPath("the root dataset cannot hold runs".into()))?;
+        let full = self.push(self.store.write_target_for_run(&uuid, number), Vec::new());
+        let run = Run::unchecked(dataset.store_inner().clone(), uuid, number);
+        Ok((run, full))
+    }
+
+    fn subrun(&mut self, run: &Run, number: SubRunNumber) -> (SubRun, Option<DbTarget>) {
+        let target = self
+            .store
+            .write_target_for_subrun(&run.dataset_uuid(), run.number(), number);
+        (
+            SubRun::unchecked(run, number),
+            self.push(target, Vec::new()),
+        )
+    }
+
+    fn event(
+        &mut self,
+        subrun: &SubRun,
+        dataset: &crate::Uuid,
+        number: EventNumber,
+    ) -> (Event, Option<DbTarget>) {
+        let target = self.store.write_target_for_event(
+            dataset,
+            subrun.run_number(),
+            subrun.number(),
+            number,
+        );
+        (
+            Event::unchecked(subrun, number),
+            self.push(target, Vec::new()),
+        )
+    }
+
+    fn product(
+        &mut self,
+        event: &Event,
+        label: &ProductLabel,
+        type_name: &str,
+        bytes: Vec<u8>,
+    ) -> Option<DbTarget> {
+        let target = self
+            .store
+            .write_target_for_product(event.key(), label, type_name);
+        self.push(target, bytes)
+    }
+
+    /// Whether any pair is queued for `db`.
+    fn has_group(&self, db: &DbTarget) -> bool {
+        self.buffers.get(db).is_some_and(|b| !b.is_empty())
+    }
+
+    /// Take `db`'s group out of the queue, leaving `spare` in its place.
+    fn take(&mut self, db: &DbTarget, spare: Pairs) -> Pairs {
+        let buf = self.buffers.get_mut(db).expect("queued database");
+        let pairs = std::mem::replace(buf, spare);
+        self.queued -= pairs.len();
+        pairs
+    }
+
+    /// Every database the queue has held a group for.
+    fn dbs(&self) -> Vec<DbTarget> {
+        self.buffers.keys().cloned().collect()
+    }
+}
 
 /// A synchronous write batch: updates are buffered per target database and
 /// flushed together.
 pub struct WriteBatch {
-    store: DataStore,
-    buffers: DbBuffers,
-    per_db_limit: usize,
-    queued: usize,
+    queue: DbQueue,
     flushed_pairs: u64,
     flush_rpcs: u64,
 }
@@ -46,10 +142,7 @@ impl WriteBatch {
     /// Create a batch writing through `store`.
     pub fn new(store: &DataStore) -> WriteBatch {
         WriteBatch {
-            store: store.clone(),
-            buffers: HashMap::new(),
-            per_db_limit: DEFAULT_PER_DB_LIMIT,
-            queued: 0,
+            queue: DbQueue::new(store),
             flushed_pairs: 0,
             flush_rpcs: 0,
         }
@@ -57,13 +150,13 @@ impl WriteBatch {
 
     /// Override the per-database eager-flush limit.
     pub fn with_per_db_limit(mut self, limit: usize) -> WriteBatch {
-        self.per_db_limit = limit.max(1);
+        self.queue.per_db_limit = limit.max(1);
         self
     }
 
     /// Number of currently buffered pairs.
     pub fn queued(&self) -> usize {
-        self.queued
+        self.queue.queued
     }
 
     /// Total pairs flushed so far.
@@ -76,27 +169,13 @@ impl WriteBatch {
         self.flush_rpcs
     }
 
-    fn push(&mut self, db: DbTarget, key: Vec<u8>, value: Vec<u8>) -> Result<(), HepnosError> {
-        let buf = self.buffers.entry(db.clone()).or_default();
-        buf.push((key, value));
-        self.queued += 1;
-        if buf.len() >= self.per_db_limit {
-            let pairs = std::mem::take(self.buffers.get_mut(&db).expect("entry exists"));
-            self.flush_pairs(&db, pairs)?;
-        }
-        Ok(())
-    }
-
-    fn flush_pairs(
-        &mut self,
-        db: &DbTarget,
-        pairs: Vec<(Vec<u8>, Vec<u8>)>,
-    ) -> Result<(), HepnosError> {
-        if pairs.is_empty() {
+    /// Send `db`'s group, if any, with one blocking `put_multi`.
+    fn flush_db(&mut self, db: &DbTarget) -> Result<(), HepnosError> {
+        if !self.queue.has_group(db) {
             return Ok(());
         }
-        self.queued -= pairs.len();
-        self.store.inner.client.put_multi(db, &pairs)?;
+        let pairs = self.queue.take(db, Vec::new());
+        self.queue.store.inner.client.put_multi(db, &pairs)?;
         // Counted only after the server acknowledged: a failed flush must
         // not report its pairs as flushed.
         self.flushed_pairs += pairs.len() as u64;
@@ -104,16 +183,16 @@ impl WriteBatch {
         Ok(())
     }
 
+    fn send_full(&mut self, full: Option<DbTarget>) -> Result<(), HepnosError> {
+        full.map_or(Ok(()), |db| self.flush_db(&db))
+    }
+
     /// Queue creation of a run; the returned handle is usable immediately
     /// for queueing children into the same batch.
     pub fn create_run(&mut self, dataset: &DataSet, number: RunNumber) -> Result<Run, HepnosError> {
-        let uuid = dataset
-            .uuid()
-            .ok_or_else(|| HepnosError::InvalidPath("the root dataset cannot hold runs".into()))?;
-        let (db, key) = self.store.write_target_for_run(&uuid, number);
-        self.push(db, key, Vec::new())?;
-        // The handle is optimistic: the key is queued, not yet visible.
-        dataset_run(dataset, number)
+        let (run, full) = self.queue.run(dataset, number)?;
+        self.send_full(full)?;
+        Ok(run)
     }
 
     /// Queue creation of a subrun.
@@ -122,11 +201,9 @@ impl WriteBatch {
         run: &Run,
         number: SubRunNumber,
     ) -> Result<SubRun, HepnosError> {
-        let (db, key) =
-            self.store
-                .write_target_for_subrun(&run.dataset_uuid(), run.number(), number);
-        self.push(db, key, Vec::new())?;
-        run_subrun(run, number)
+        let (subrun, full) = self.queue.subrun(run, number);
+        self.send_full(full)?;
+        Ok(subrun)
     }
 
     /// Queue creation of an event.
@@ -136,14 +213,9 @@ impl WriteBatch {
         dataset: &crate::Uuid,
         number: EventNumber,
     ) -> Result<Event, HepnosError> {
-        let (db, key) = self.store.write_target_for_event(
-            dataset,
-            subrun.run_number(),
-            subrun.number(),
-            number,
-        );
-        self.push(db, key, Vec::new())?;
-        subrun_event(subrun, number)
+        let (event, full) = self.queue.event(subrun, dataset, number);
+        self.send_full(full)?;
+        Ok(event)
     }
 
     /// Queue a typed product store on an event.
@@ -153,9 +225,7 @@ impl WriteBatch {
         label: &ProductLabel,
         value: &T,
     ) -> Result<(), HepnosError> {
-        let bytes =
-            binser::to_bytes(value).map_err(|e| HepnosError::Serialization(e.to_string()))?;
-        let type_name = keys::short_type_name::<T>();
+        let (type_name, bytes) = encode_product(value)?;
         self.store_raw(event, label, &type_name, bytes)
     }
 
@@ -167,10 +237,8 @@ impl WriteBatch {
         type_name: &str,
         bytes: Vec<u8>,
     ) -> Result<(), HepnosError> {
-        let target = self
-            .store
-            .write_target_for_product(event.key(), label, type_name);
-        self.push(target.db, target.key, bytes)
+        let full = self.queue.product(event, label, type_name, bytes);
+        self.send_full(full)
     }
 
     /// Flush every buffered group (one `put_multi` per database).
@@ -179,18 +247,13 @@ impl WriteBatch {
     /// error is returned with the batch fully drained — so an error here
     /// never leaves queued pairs behind to re-fail (and panic) in `Drop`.
     pub fn flush(&mut self) -> Result<(), HepnosError> {
-        let dbs: Vec<DbTarget> = self.buffers.keys().cloned().collect();
         let mut first_err = None;
-        for db in dbs {
-            let pairs = std::mem::take(self.buffers.get_mut(&db).expect("entry exists"));
-            if let Err(e) = self.flush_pairs(&db, pairs) {
+        for db in self.queue.dbs() {
+            if let Err(e) = self.flush_db(&db) {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -203,29 +266,10 @@ impl Drop for WriteBatch {
     /// Panics if the final flush fails (data would be silently lost
     /// otherwise); call [`WriteBatch::flush`] first to handle errors.
     fn drop(&mut self) {
-        if self.queued > 0 && !std::thread::panicking() {
+        if self.queue.queued > 0 && !std::thread::panicking() {
             self.flush().expect("WriteBatch final flush failed");
         }
     }
-}
-
-// The optimistic-handle constructors below re-derive child handles without
-// existence checks, since the keys are queued in this batch.
-fn dataset_run(dataset: &DataSet, number: RunNumber) -> Result<Run, HepnosError> {
-    // A queued run is not yet visible; build the handle directly.
-    Ok(Run::unchecked(
-        dataset.store_inner().clone(),
-        dataset.uuid().expect("checked by caller"),
-        number,
-    ))
-}
-
-fn run_subrun(run: &Run, number: SubRunNumber) -> Result<SubRun, HepnosError> {
-    Ok(SubRun::unchecked(run, number))
-}
-
-fn subrun_event(subrun: &SubRun, number: EventNumber) -> Result<Event, HepnosError> {
-    Ok(Event::unchecked(subrun, number))
 }
 
 /// Default bound on concurrently in-flight background flushes: roughly 4×
@@ -313,7 +357,9 @@ type ScratchPool = Arc<Mutex<Vec<bytes::BytesMut>>>;
 /// accumulating unbounded queued work. [`AsyncWriteBatch::wait`] (or drop)
 /// joins the remainder and reports the first error.
 pub struct AsyncWriteBatch {
-    batch: WriteBatch,
+    queue: DbQueue,
+    shipped_pairs: u64,
+    shipped_rpcs: u64,
     pool: Pool,
     /// Configured (maximum) in-flight window: the AIMD ceiling.
     max_window: usize,
@@ -345,7 +391,9 @@ impl AsyncWriteBatch {
     pub fn new(store: &DataStore, pool: Pool) -> AsyncWriteBatch {
         let retry_baseline = store.retry_stats();
         AsyncWriteBatch {
-            batch: WriteBatch::new(store),
+            queue: DbQueue::new(store),
+            shipped_pairs: 0,
+            shipped_rpcs: 0,
             pool,
             max_window: DEFAULT_INFLIGHT_WINDOW,
             cur_window: DEFAULT_INFLIGHT_WINDOW,
@@ -368,7 +416,7 @@ impl AsyncWriteBatch {
 
     /// Override the per-database eager-flush limit.
     pub fn with_per_db_limit(mut self, limit: usize) -> AsyncWriteBatch {
-        self.batch.per_db_limit = limit.max(1);
+        self.queue.per_db_limit = limit.max(1);
         self
     }
 
@@ -394,9 +442,7 @@ impl AsyncWriteBatch {
         label: &ProductLabel,
         value: &T,
     ) -> Result<(), HepnosError> {
-        let bytes =
-            binser::to_bytes(value).map_err(|e| HepnosError::Serialization(e.to_string()))?;
-        let type_name = keys::short_type_name::<T>();
+        let (type_name, bytes) = encode_product(value)?;
         self.store_raw(event, label, &type_name, bytes)
     }
 
@@ -409,15 +455,8 @@ impl AsyncWriteBatch {
         type_name: &str,
         bytes: Vec<u8>,
     ) -> Result<(), HepnosError> {
-        let target = self
-            .batch
-            .store
-            .write_target_for_product(event.key(), label, type_name);
-        let buf = self.batch.buffers.entry(target.db.clone()).or_default();
-        buf.push((target.key, bytes));
-        self.batch.queued += 1;
-        if buf.len() >= self.batch.per_db_limit {
-            self.ship(target.db);
+        if let Some(db) = self.queue.product(event, label, type_name, bytes) {
+            self.ship(db);
         }
         Ok(())
     }
@@ -429,19 +468,11 @@ impl AsyncWriteBatch {
         dataset: &crate::Uuid,
         number: EventNumber,
     ) -> Result<Event, HepnosError> {
-        let (db, key) = self.batch.store.write_target_for_event(
-            dataset,
-            subrun.run_number(),
-            subrun.number(),
-            number,
-        );
-        let buf = self.batch.buffers.entry(db.clone()).or_default();
-        buf.push((key, Vec::new()));
-        self.batch.queued += 1;
-        if buf.len() >= self.batch.per_db_limit {
+        let (event, full) = self.queue.event(subrun, dataset, number);
+        if let Some(db) = full {
             self.ship(db);
         }
-        subrun_event(subrun, number)
+        Ok(event)
     }
 
     /// Record one completed flush's outcome and adapt the in-flight window
@@ -450,7 +481,7 @@ impl AsyncWriteBatch {
     /// no pushback grows it by one toward the configured ceiling (additive
     /// increase).
     fn absorb(&mut self, res: Result<(), HepnosError>) {
-        let busy_now = self.batch.store.retry_stats().busy_pushbacks;
+        let busy_now = self.queue.store.retry_stats().busy_pushbacks;
         if busy_now > self.busy_seen {
             self.busy_seen = busy_now;
             let shrunk = (self.cur_window / 2).max(1);
@@ -508,23 +539,22 @@ impl AsyncWriteBatch {
         self.stall_time += t0.elapsed();
     }
 
+    /// Send `db`'s group, if any, to the pool.
     fn ship(&mut self, db: DbTarget) {
-        if self.batch.buffers.get(&db).is_none_or(|b| b.is_empty()) {
+        if !self.queue.has_group(&db) {
             return;
         }
         // Reap finished flushes opportunistically on every ship, and block
         // only when the in-flight window is genuinely full.
         self.reap_completed();
         self.stall_until_window_open();
+        // Taken after the stall, so the buffer left in the group's place
+        // is one a just-finished flush returned.
         let recycled = self.pair_pool.lock().pop().unwrap_or_default();
-        let pairs = std::mem::replace(
-            self.batch.buffers.get_mut(&db).expect("entry exists"),
-            recycled,
-        );
-        self.batch.queued -= pairs.len();
-        self.batch.flushed_pairs += pairs.len() as u64;
-        self.batch.flush_rpcs += 1;
-        let client = self.batch.store.inner.client.clone();
+        let pairs = self.queue.take(&db, recycled);
+        self.shipped_pairs += pairs.len() as u64;
+        self.shipped_rpcs += 1;
+        let client = self.queue.store.inner.client.clone();
         let acked_pairs = Arc::clone(&self.acked_pairs);
         let acked_rpcs = Arc::clone(&self.acked_rpcs);
         let pair_pool = Arc::clone(&self.pair_pool);
@@ -570,8 +600,7 @@ impl AsyncWriteBatch {
     /// returns the first error encountered (including pool-side panics).
     /// Idempotent: a second call after an error returns `Ok`.
     pub fn wait(&mut self) -> Result<(), HepnosError> {
-        let dbs: Vec<DbTarget> = self.batch.buffers.keys().cloned().collect();
-        for db in dbs {
+        for db in self.queue.dbs() {
             self.ship(db);
         }
         while let Some(h) = self.pending.pop_front() {
@@ -595,20 +624,20 @@ impl AsyncWriteBatch {
     /// Pairs shipped to the background pool so far (see
     /// [`BatchStats::acked_pairs`] for what the service acknowledged).
     pub fn flushed_pairs(&self) -> u64 {
-        self.batch.flushed_pairs
+        self.shipped_pairs
     }
 
     /// Number of background `put_multi` RPCs shipped.
     pub fn flush_rpcs(&self) -> u64 {
-        self.batch.flush_rpcs
+        self.shipped_rpcs
     }
 
     /// Snapshot of the pipeline counters.
     pub fn stats(&self) -> BatchStats {
         BatchStats {
-            shipped_pairs: self.batch.flushed_pairs,
+            shipped_pairs: self.shipped_pairs,
             acked_pairs: self.acked_pairs.load(std::sync::atomic::Ordering::Relaxed),
-            flush_rpcs: self.batch.flush_rpcs,
+            flush_rpcs: self.shipped_rpcs,
             acked_rpcs: self.acked_rpcs.load(std::sync::atomic::Ordering::Relaxed),
             inflight_hwm: self.inflight_hwm,
             backpressure_stalls: self.backpressure_stalls,
@@ -618,7 +647,7 @@ impl AsyncWriteBatch {
             window_min: self.window_min,
             window_final: self.cur_window,
             retry: self
-                .batch
+                .queue
                 .store
                 .retry_stats()
                 .delta_since(&self.retry_baseline),

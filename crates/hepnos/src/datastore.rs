@@ -6,7 +6,6 @@
 //! with the concrete type recorded in the key, and every container kind is
 //! iterable in sorted order.
 
-use crate::batch::WriteTarget;
 use crate::binser;
 use crate::error::HepnosError;
 use crate::keys::{self, DatasetPath, EventNumber, RunNumber, SubRunNumber};
@@ -601,6 +600,13 @@ impl std::fmt::Debug for DataStore {
     }
 }
 
+/// Serialize a typed product and name its type: the one encode behind
+/// every typed `store`, direct or batched.
+pub(crate) fn encode_product<T: Serialize>(value: &T) -> Result<(String, Vec<u8>), HepnosError> {
+    let bytes = binser::to_bytes(value).map_err(|e| HepnosError::Serialization(e.to_string()))?;
+    Ok((keys::short_type_name::<T>(), bytes))
+}
+
 /// Shared implementation of typed product storage for any container.
 fn store_product<T: Serialize>(
     store: &DataStoreInner,
@@ -608,8 +614,7 @@ fn store_product<T: Serialize>(
     label: &ProductLabel,
     value: &T,
 ) -> Result<(), HepnosError> {
-    let bytes = binser::to_bytes(value).map_err(|e| HepnosError::Serialization(e.to_string()))?;
-    let type_name = keys::short_type_name::<T>();
+    let (type_name, bytes) = encode_product(value)?;
     let pk = keys::product_key(container_key, label.as_str(), &type_name);
     let db = store.product_db(container_key);
     store.client.put(db, &pk, &bytes)?;
@@ -1292,7 +1297,8 @@ impl DataStore {
     }
 }
 
-/// Internal access for the batching layer.
+/// Internal access for the batching layer: each write target is the
+/// database and key of one queued pair.
 impl DataStore {
     pub(crate) fn write_target_for_run(
         &self,
@@ -1331,11 +1337,8 @@ impl DataStore {
         container_key: &[u8],
         label: &ProductLabel,
         type_name: &str,
-    ) -> WriteTarget {
+    ) -> (DbTarget, Vec<u8>) {
         let key = keys::product_key(container_key, label.as_str(), type_name);
-        WriteTarget {
-            db: self.inner.product_db(container_key).clone(),
-            key,
-        }
+        (self.inner.product_db(container_key).clone(), key)
     }
 }

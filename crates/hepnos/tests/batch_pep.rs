@@ -195,12 +195,13 @@ fn pep_load_balances_across_workers() {
     );
     let stats = pep
         .process(&ds, |_wid, _pe| {
-            // A realistic per-event cost (~20us) so that queue draining is
-            // not over before the last worker thread even starts.
-            let t = std::time::Instant::now();
-            while t.elapsed() < std::time::Duration::from_micros(20) {
-                std::hint::black_box(0u64);
-            }
+            // A per-event cost (~20us) so that queue draining is not over
+            // before the last worker thread even starts. It sleeps rather
+            // than spins: four spinning workers on a host with fewer CPUs
+            // compete for them, and whichever worker the OS keeps running
+            // drains the queue, so the test would measure the OS scheduler
+            // instead of the PEP's distribution.
+            std::thread::sleep(std::time::Duration::from_micros(20));
         })
         .unwrap();
     assert_eq!(stats.total_events, 2000);

@@ -12,7 +12,9 @@ pub struct BloomFilter {
     k: u32,
 }
 
-fn fnv1a(data: &[u8], seed: u64) -> u64 {
+/// FNV-1a over `data`, its offset basis xored with `seed`; seed 0 is plain
+/// FNV-1a (the read cache routes keys to shards with it).
+pub(crate) fn fnv1a(data: &[u8], seed: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     for &b in data {
         h ^= b as u64;

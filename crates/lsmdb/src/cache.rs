@@ -16,6 +16,7 @@
 //! recency index, so touching an entry on a hit updates the LRU order without
 //! allocating.
 
+use crate::bloom::fnv1a;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -48,18 +49,6 @@ pub fn default_shard_count() -> usize {
         .map(|n| n.get())
         .unwrap_or(1);
     cpus.min(16).next_power_of_two().min(16)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// One LRU shard with its slice of the byte budget.
@@ -171,7 +160,7 @@ impl ShardedReadCache {
     }
 
     fn shard(&self, key: &[u8]) -> &Mutex<Shard> {
-        &self.shards[(fnv1a(key) & self.mask) as usize]
+        &self.shards[(fnv1a(key, 0) & self.mask) as usize]
     }
 
     /// Look a key up, promoting it to most-recently-used on a hit.
@@ -188,18 +177,6 @@ impl ShardedReadCache {
     /// Drop a key if cached (used by the write path).
     pub fn invalidate(&self, key: &[u8]) {
         self.shard(key).lock().invalidate(key)
-    }
-
-    /// `(hits, misses)` summed over all shards.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for s in self.shards.iter() {
-            let s = s.lock();
-            hits += s.hits;
-            misses += s.misses;
-        }
-        (hits, misses)
     }
 
     /// Full per-shard and aggregate counters.
@@ -239,7 +216,8 @@ mod tests {
         assert_eq!(c.get(b"b"), None);
         c.invalidate(b"a");
         assert_eq!(c.get(b"a"), None);
-        assert_eq!(c.hit_miss(), (1, 2));
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 
     #[test]
@@ -297,7 +275,8 @@ mod tests {
         for i in 0..1000u32 {
             assert!(c.get(&i.to_be_bytes()).is_some());
         }
-        assert_eq!(c.hit_miss(), (1000, 0));
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses), (1000, 0));
     }
 
     #[test]

@@ -701,14 +701,6 @@ impl Db {
         self.inner.stats()
     }
 
-    /// `(hits, misses)` of the read cache (zeros when disabled).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        match &self.inner.cache {
-            Some(c) => c.hit_miss(),
-            None => (0, 0),
-        }
-    }
-
     /// Full per-shard read-cache counters (all zeros when the cache is
     /// disabled).
     pub fn read_cache_stats(&self) -> CacheStats {
@@ -2467,11 +2459,11 @@ mod cache_tests {
         }
         db.flush().unwrap(); // everything on "disk"
         assert_eq!(db.get(&42u64.to_be_bytes()).unwrap(), Some(vec![7u8; 64]));
-        let (h0, m0) = db.cache_stats();
+        let before = db.read_cache_stats();
         assert_eq!(db.get(&42u64.to_be_bytes()).unwrap(), Some(vec![7u8; 64]));
-        let (h1, m1) = db.cache_stats();
-        assert_eq!(h1, h0 + 1, "second read should hit");
-        assert_eq!(m1, m0);
+        let after = db.read_cache_stats();
+        assert_eq!(after.hits, before.hits + 1, "second read should hit");
+        assert_eq!(after.misses, before.misses);
         drop(db);
         std::fs::remove_dir_all(&d).ok();
     }
@@ -2515,7 +2507,8 @@ mod cache_tests {
         db.flush().unwrap();
         db.get(b"x").unwrap();
         db.get(b"x").unwrap();
-        assert_eq!(db.cache_stats(), (0, 0));
+        let stats = db.read_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
         drop(db);
         std::fs::remove_dir_all(&d).ok();
     }

@@ -20,8 +20,9 @@
 //! * [`files`] — writers/readers putting events into [`hepfile`] columnar
 //!   files with the NOvA HDF5 layout;
 //! * [`loader`] — the HDF2HEPnOS analogue: schema inspection, Rust code
-//!   generation for the stored class, and parallel ingestion into a
-//!   [`hepnos::DataStore`] through a [`hepnos::WriteBatch`].
+//!   generation for the stored class, and one file-parallel driver,
+//!   [`loader::parallel_ingest`], ingesting into a [`hepnos::DataStore`]
+//!   through synchronous or overlapped write batches.
 
 #![warn(missing_docs)]
 

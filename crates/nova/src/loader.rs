@@ -7,15 +7,17 @@
 //! constrained by the number of files".
 //!
 //! This module reproduces all three: [`generate_class_code`] emits Rust
-//! source from a table schema, and [`DataLoader`] ingests files (or
-//! pre-generated events) into a [`hepnos::DataStore`] through a
-//! [`hepnos::WriteBatch`].
+//! source from a table schema, [`DataLoader`] ingests files (or
+//! pre-generated events) into a [`hepnos::DataStore`] through batched
+//! writes, and [`parallel_ingest`] runs loaders file-parallel. Every ingest
+//! runs one event loop: containers go to a [`hepnos::WriteBatch`], products
+//! to a second batch, synchronous or an [`hepnos::AsyncWriteBatch`].
 
 use crate::data::EventRecord;
 
 use crate::files;
 use hepfile::table::{GroupSchema, TableError};
-use hepnos::{DataSet, DataStore, HepnosError, ProductLabel, WriteBatch};
+use hepnos::{AsyncWriteBatch, DataSet, DataStore, Event, HepnosError, ProductLabel, WriteBatch};
 use std::path::Path;
 
 /// The product label under which slice vectors are stored.
@@ -186,25 +188,6 @@ impl DataLoader {
         self
     }
 
-    /// Store one event's slices on `batch` in the configured representation.
-    fn store_slices(
-        &self,
-        batch: &mut WriteBatch,
-        event: &hepnos::Event,
-        ev: &EventRecord,
-        label: &ProductLabel,
-    ) -> Result<(), HepnosError> {
-        match self.columnar_page_rows {
-            Some(rows) => batch.store_raw(
-                event,
-                label,
-                &crate::columnar::columnar_type_name(),
-                crate::columnar::encode_event(ev, rows),
-            ),
-            None => batch.store(event, label, &ev.slices),
-        }
-    }
-
     /// Ingest one file.
     pub fn ingest_file(&self, path: &Path) -> Result<IngestStats, LoaderError> {
         let events = files::read_file(path)?;
@@ -216,33 +199,11 @@ impl DataLoader {
     /// Ingest pre-generated events (used by simulated-scale benchmarks to
     /// skip the disk round trip).
     pub fn ingest_events(&self, events: &[EventRecord]) -> Result<IngestStats, LoaderError> {
-        let uuid = self
-            .dataset
-            .uuid()
-            .ok_or_else(|| HepnosError::InvalidPath("cannot ingest into the root".into()))?;
-        let label = slice_label();
-        let mut stats = IngestStats::default();
-        let mut batch = WriteBatch::new(&self.store);
-        // Events in one file share (run, subrun); create the containers
-        // once per change.
-        let mut current: Option<(u64, u64, hepnos::SubRun)> = None;
-        for ev in events {
-            let subrun = match &current {
-                Some((r, s, sr)) if (*r, *s) == (ev.run, ev.subrun) => sr.clone(),
-                _ => {
-                    let run = batch.create_run(&self.dataset, ev.run)?;
-                    let sr = batch.create_subrun(&run, ev.subrun)?;
-                    current = Some((ev.run, ev.subrun, sr.clone()));
-                    sr
-                }
-            };
-            let event = batch.create_event(&subrun, &uuid, ev.event)?;
-            self.store_slices(&mut batch, &event, ev, &label)?;
-            batch.store(&event, &summary_label(), &ev.summary())?;
-            stats.events += 1;
-            stats.slices += ev.slices.len() as u64;
-        }
-        batch.flush()?;
+        let mut products = WriteBatch::new(&self.store);
+        let filled = self.fill(events, |e, l, t, b| products.store_raw(e, l, t, b));
+        let flushed = products.flush();
+        let stats = filled?;
+        flushed?;
         Ok(stats)
     }
 
@@ -256,19 +217,39 @@ impl DataLoader {
         events: &[EventRecord],
         pool: argos::Pool,
     ) -> Result<IngestStats, LoaderError> {
+        let mut products = AsyncWriteBatch::new(&self.store, pool);
+        let filled = self.fill(events, |e, l, t, b| products.store_raw(e, l, t, b));
+        let waited = products.wait();
+        let mut stats = filled?;
+        waited?;
+        stats.batch = Some(products.stats());
+        Ok(stats)
+    }
+
+    /// The one ingest loop. Containers go through a synchronous batch of
+    /// its own (they are tiny, and their children's keys do not depend on
+    /// their completion); the product payloads go to `store_product`, the
+    /// caller's product batch. Both batches are drained whatever happens:
+    /// their destructors panic on an unreported flush failure, so an early
+    /// error must not reach a `Drop` unconsumed. This drains the container
+    /// batch; the caller drains its product batch before returning.
+    fn fill(
+        &self,
+        events: &[EventRecord],
+        mut store_product: impl FnMut(&Event, &ProductLabel, &str, Vec<u8>) -> Result<(), HepnosError>,
+    ) -> Result<IngestStats, LoaderError> {
         let uuid = self
             .dataset
             .uuid()
             .ok_or_else(|| HepnosError::InvalidPath("cannot ingest into the root".into()))?;
-        let label = slice_label();
+        let (slice_label, summary_label, summary_type) =
+            (slice_label(), summary_label(), summary_type_name());
         let mut stats = IngestStats::default();
-        // Containers go through a synchronous batch (they are tiny and the
-        // children's keys embed no dependency on their completion); the
-        // heavyweight product payloads ship asynchronously.
-        let mut containers = hepnos::WriteBatch::new(&self.store);
-        let mut products = hepnos::AsyncWriteBatch::new(&self.store, pool);
-        let mut current: Option<(u64, u64, hepnos::SubRun)> = None;
-        let mut body = || -> Result<(), LoaderError> {
+        let mut containers = WriteBatch::new(&self.store);
+        let mut body = || -> Result<(), HepnosError> {
+            // Events in one file share (run, subrun); create the containers
+            // once per change.
+            let mut current: Option<(u64, u64, hepnos::SubRun)> = None;
             for ev in events {
                 let subrun = match &current {
                     Some((r, s, sr)) if (*r, *s) == (ev.run, ev.subrun) => sr.clone(),
@@ -280,32 +261,29 @@ impl DataLoader {
                     }
                 };
                 let event = containers.create_event(&subrun, &uuid, ev.event)?;
-                match self.columnar_page_rows {
-                    Some(rows) => products.store_raw(
-                        &event,
-                        &label,
-                        &crate::columnar::columnar_type_name(),
+                let (slice_type, slices) = match self.columnar_page_rows {
+                    Some(rows) => (
+                        crate::columnar::columnar_type_name(),
                         crate::columnar::encode_event(ev, rows),
-                    )?,
-                    None => products.store(&event, &label, &ev.slices)?,
-                }
-                products.store(&event, &summary_label(), &ev.summary())?;
+                    ),
+                    None => (slice_type_name(), encode(&ev.slices)?),
+                };
+                store_product(&event, &slice_label, &slice_type, slices)?;
+                store_product(
+                    &event,
+                    &summary_label,
+                    &summary_type,
+                    encode(&ev.summary())?,
+                )?;
                 stats.events += 1;
                 stats.slices += ev.slices.len() as u64;
             }
             Ok(())
         };
-        let body_result = body();
-        // Both batches are drained unconditionally: their destructors panic
-        // on an unreported flush failure, so an early error from one channel
-        // must not reach the other's `Drop` unconsumed (a dead service would
-        // otherwise turn a clean `Err` into a loader-thread panic).
-        let flush_result = containers.flush();
-        let wait_result = products.wait();
-        body_result?;
-        flush_result?;
-        wait_result?;
-        stats.batch = Some(products.stats());
+        let filled = body();
+        let flushed = containers.flush();
+        filled?;
+        flushed?;
         Ok(stats)
     }
 
@@ -315,128 +293,59 @@ impl DataLoader {
     pub fn ingest_files(&self, paths: &[std::path::PathBuf]) -> Result<IngestStats, LoaderError> {
         let mut total = IngestStats::default();
         for p in paths {
-            let s = self.ingest_file(p)?;
-            total.files += s.files;
-            total.events += s.events;
-            total.slices += s.slices;
+            total.merge(&self.ingest_file(p)?);
         }
         Ok(total)
     }
+}
+
+/// A product's stored bytes: the same encoding a typed `store` writes.
+fn encode<T: serde::Serialize>(value: &T) -> Result<Vec<u8>, HepnosError> {
+    hepnos::binser::to_bytes(value).map_err(|e| HepnosError::Serialization(e.to_string()))
 }
 
 /// Ingest `paths` with `n_loaders` parallel loader "ranks" (threads), each
 /// pulling files from a shared queue — the paper's parallel DataLoader,
 /// "the first step of an HEPnOS-based HEP workflow, and the only step whose
 /// scalability is constrained by the number of files" (§IV-B).
+///
+/// `columnar: Some(rows)` stores slice products as column pages of `rows`
+/// rows (see [`crate::columnar`]); `None` keeps the opaque-blob
+/// representation. With a `pool`, each loader ships product payloads
+/// through an [`hepnos::AsyncWriteBatch`] flushing on it — the paper's
+/// batching + async combination (§IV-C) — and [`IngestStats::batch`]
+/// aggregates the per-loader pipeline counters; without one every write
+/// is synchronous and `batch` is `None`.
 pub fn parallel_ingest(
     store: &DataStore,
     dataset: &DataSet,
     paths: &[std::path::PathBuf],
     n_loaders: usize,
-) -> Result<IngestStats, LoaderError> {
-    parallel_ingest_with(store, dataset, paths, n_loaders, None)
-}
-
-/// [`parallel_ingest`] with an optional columnar page size: `Some(rows)`
-/// stores slice products as column pages (see [`crate::columnar`]),
-/// `None` keeps the opaque-blob representation.
-pub fn parallel_ingest_with(
-    store: &DataStore,
-    dataset: &DataSet,
-    paths: &[std::path::PathBuf],
-    n_loaders: usize,
-    columnar_page_rows: Option<u32>,
+    columnar: Option<u32>,
+    pool: Option<argos::Pool>,
 ) -> Result<IngestStats, LoaderError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let next = AtomicUsize::new(0);
-    let n_loaders = n_loaders.max(1);
     let results: Vec<Result<IngestStats, LoaderError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_loaders)
+        let handles: Vec<_> = (0..n_loaders.max(1))
             .map(|_| {
-                let next = &next;
+                let (next, pool) = (&next, pool.clone());
                 let mut loader = DataLoader::new(store.clone(), dataset.clone());
-                if let Some(rows) = columnar_page_rows {
+                if let Some(rows) = columnar {
                     loader = loader.with_columnar(rows);
                 }
                 scope.spawn(move || {
                     let mut total = IngestStats::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(path) = paths.get(i) else {
-                            return Ok(total);
-                        };
-                        let s = loader.ingest_file(path)?;
-                        total.files += s.files;
-                        total.events += s.events;
-                        total.slices += s.slices;
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loader thread panicked"))
-            .collect()
-    });
-    let mut total = IngestStats::default();
-    for r in results {
-        let s = r?;
-        total.files += s.files;
-        total.events += s.events;
-        total.slices += s.slices;
-    }
-    Ok(total)
-}
-
-/// File-parallel ingest through the *overlapped* write pipeline: like
-/// [`parallel_ingest`], but each loader ships product payloads through an
-/// [`hepnos::AsyncWriteBatch`] flushing on `pool` — the paper's
-/// batching + async combination (§IV-C). The returned
-/// [`IngestStats::batch`] aggregates the per-loader pipeline counters.
-pub fn parallel_ingest_overlapped(
-    store: &DataStore,
-    dataset: &DataSet,
-    paths: &[std::path::PathBuf],
-    n_loaders: usize,
-    pool: argos::Pool,
-) -> Result<IngestStats, LoaderError> {
-    parallel_ingest_overlapped_with(store, dataset, paths, n_loaders, pool, None)
-}
-
-/// [`parallel_ingest_overlapped`] with an optional columnar page size —
-/// the overlapped twin of [`parallel_ingest_with`].
-pub fn parallel_ingest_overlapped_with(
-    store: &DataStore,
-    dataset: &DataSet,
-    paths: &[std::path::PathBuf],
-    n_loaders: usize,
-    pool: argos::Pool,
-    columnar_page_rows: Option<u32>,
-) -> Result<IngestStats, LoaderError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let n_loaders = n_loaders.max(1);
-    let results: Vec<Result<IngestStats, LoaderError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_loaders)
-            .map(|_| {
-                let next = &next;
-                let pool = pool.clone();
-                let mut loader = DataLoader::new(store.clone(), dataset.clone());
-                if let Some(rows) = columnar_page_rows {
-                    loader = loader.with_columnar(rows);
-                }
-                scope.spawn(move || {
-                    let mut total = IngestStats::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(path) = paths.get(i) else {
-                            return Ok(total);
-                        };
+                    while let Some(path) = paths.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let events = files::read_file(path)?;
-                        let s = loader.ingest_events_overlapped(&events, pool.clone())?;
+                        let mut s = match &pool {
+                            Some(pool) => loader.ingest_events_overlapped(&events, pool.clone())?,
+                            None => loader.ingest_events(&events)?,
+                        };
+                        s.files = 1;
                         total.merge(&s);
-                        total.files += 1;
                     }
+                    Ok(total)
                 })
             })
             .collect();
@@ -507,32 +416,6 @@ mod tests {
                 assert_eq!(slices, ev_rec.slices);
             }
         }
-        dep.shutdown();
-        std::fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn parallel_ingest_matches_serial() {
-        let d = std::env::temp_dir().join(format!("nova-par-ingest-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        let g = NovaGenerator::new(13);
-        let paths = files::write_dataset(&d.join("data"), &g, 6, 25).unwrap();
-        let dep = local_deployment(1, DbCounts::default());
-        let store = dep.datastore();
-        let ds = store.root().create_dataset("par").unwrap();
-        let stats = parallel_ingest(&store, &ds, &paths, 4).unwrap();
-        assert_eq!(stats.files, 6);
-        // Verify contents equal the file contents, regardless of which
-        // loader thread ingested which file.
-        let mut total = 0u64;
-        for (f, path) in paths.iter().enumerate() {
-            let file_events = files::read_file(path).unwrap();
-            let (r, s) = files::file_coordinates(f as u64);
-            let sr = ds.run(r).unwrap().subrun(s).unwrap();
-            assert_eq!(sr.events().unwrap().len(), file_events.len());
-            total += file_events.len() as u64;
-        }
-        assert_eq!(stats.events, total);
         dep.shutdown();
         std::fs::remove_dir_all(&d).ok();
     }

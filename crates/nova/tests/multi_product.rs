@@ -1,12 +1,17 @@
 //! Multi-product events: each ingested event carries two products of
 //! different types (`Vec<SliceQuantities>` and `EventSummary`) under
 //! different labels — and the ParallelEventProcessor can prefetch both.
+//! The loader's synchronous, overlapped and file-parallel paths store the
+//! same bytes, and a dead service is an error on each of them.
 
 use bedrock::DbCounts;
 use hepnos::testing::local_deployment;
-use hepnos::{ParallelEventProcessor, PepOptions};
-use nova::loader::{slice_label, slice_type_name, summary_label, summary_type_name, DataLoader};
-use nova::{files, EventRecord, NovaGenerator, SliceQuantities};
+use hepnos::{Event, ParallelEventProcessor, PepOptions};
+use nova::columnar::columnar_type_name;
+use nova::loader::{
+    parallel_ingest, slice_label, slice_type_name, summary_label, summary_type_name, DataLoader,
+};
+use nova::{files, EventRecord, IngestStats, NovaGenerator, SliceQuantities};
 use parking_lot::Mutex;
 
 #[test]
@@ -79,6 +84,11 @@ fn summary_type_name_is_stable() {
     assert_eq!(summary_type_name(), "EventSummary");
 }
 
+/// The synchronous and the overlapped ingest store the same bytes: the
+/// same event listing and, per event, the same product under every slice
+/// representation's type name and the summary's, for blob and columnar
+/// slices alike. Overlapped plus columnar is the benchmark's push-down
+/// setup.
 #[test]
 fn overlapped_ingest_matches_synchronous() {
     let dep = local_deployment(1, DbCounts::default());
@@ -86,78 +96,138 @@ fn overlapped_ingest_matches_synchronous() {
     let gen = NovaGenerator::new(77);
     let events = files::generate_file_events(&gen, 3, 80);
     let rt = argos::Runtime::simple(2);
-    let ds = store.root().create_dataset("overlapped").unwrap();
-    let stats = DataLoader::new(store.clone(), ds.clone())
-        .ingest_events_overlapped(&events, rt.default_pool().unwrap())
-        .unwrap();
-    assert_eq!(stats.events, events.len() as u64);
     let (run_n, subrun_n) = files::file_coordinates(3);
-    let sr = ds.run(run_n).unwrap().subrun(subrun_n).unwrap();
-    for (handle, rec) in sr.events().unwrap().iter().zip(&events) {
-        let slices: Vec<SliceQuantities> = handle.load(&slice_label()).unwrap().unwrap();
-        assert_eq!(&slices, &rec.slices);
-        let summary: nova::EventSummary = handle.load(&summary_label()).unwrap().unwrap();
-        assert_eq!(summary, rec.summary());
+    let products = [
+        (slice_label(), slice_type_name()),
+        (slice_label(), columnar_type_name()),
+        (summary_label(), summary_type_name()),
+    ];
+    for (repr, columnar) in [("blob", None), ("columnar", Some(64))] {
+        let ingest = |overlapped: bool| {
+            let ds = store
+                .root()
+                .create_dataset(&format!("{repr}-overlapped-{overlapped}"))
+                .unwrap();
+            let mut loader = DataLoader::new(store.clone(), ds.clone());
+            if let Some(rows) = columnar {
+                loader = loader.with_columnar(rows);
+            }
+            let stats = if overlapped {
+                loader.ingest_events_overlapped(&events, rt.default_pool().unwrap())
+            } else {
+                loader.ingest_events(&events)
+            };
+            let stored = ds.run(run_n).unwrap().subrun(subrun_n).unwrap();
+            (stats.unwrap(), stored.events().unwrap())
+        };
+        let (sync_stats, sync_events) = ingest(false);
+        let (over_stats, over_events) = ingest(true);
+        assert_eq!(sync_stats.events, events.len() as u64);
+        assert_eq!(sync_stats.batch, None);
+        assert!(over_stats.batch.is_some());
+        assert_eq!(
+            IngestStats {
+                batch: None,
+                ..over_stats
+            },
+            sync_stats,
+            "{repr}"
+        );
+        let coordinates = |evs: &[Event]| evs.iter().map(Event::coordinates).collect::<Vec<_>>();
+        assert_eq!(
+            coordinates(&sync_events),
+            coordinates(&over_events),
+            "{repr}"
+        );
+        assert_eq!(sync_events.len(), events.len());
+        for ((sync_ev, over_ev), rec) in sync_events.iter().zip(&over_events).zip(&events) {
+            for (label, type_name) in &products {
+                assert_eq!(
+                    sync_ev.load_raw(label, type_name).unwrap(),
+                    over_ev.load_raw(label, type_name).unwrap(),
+                    "{repr}: {label:?} {type_name} of {:?}",
+                    sync_ev.coordinates()
+                );
+            }
+            // ... and what both stored is the input record.
+            let slices = nova::loader::load_slices(over_ev).unwrap();
+            assert_eq!(slices.as_ref(), Some(&rec.slices));
+            let summary: nova::EventSummary = over_ev.load(&summary_label()).unwrap().unwrap();
+            assert_eq!(summary, rec.summary());
+        }
     }
     rt.shutdown();
     dep.shutdown();
 }
 
 /// Regression: an ingest hitting a dead service must come back as `Err`
-/// from `ingest_events_overlapped`, not as a loader panic — the batches'
-/// destructors panic on unreported failures, so the loader has to drain
-/// both error channels before they drop.
+/// from both ingest paths, not as a loader panic. 6000 events of one
+/// subrun take the event database's group past the per-database limit
+/// (4096), so a flush fails in the middle of the loop while both batches
+/// still hold queued pairs: the loader has to drain both before they drop,
+/// since their destructors panic on unreported failures.
 #[test]
-fn overlapped_ingest_surfaces_dead_service_as_error() {
+fn dead_service_is_an_error_on_both_ingest_paths() {
     let dep = local_deployment(1, DbCounts::default());
     let store = dep.datastore();
     let ds = store.root().create_dataset("doomed").unwrap();
     let gen = NovaGenerator::new(78);
-    let events = files::generate_file_events(&gen, 0, 40);
+    let events = files::generate_file_events(&gen, 0, 6000);
     let rt = argos::Runtime::simple(2);
     dep.shutdown();
-    let result = DataLoader::new(store.clone(), ds.clone())
-        .ingest_events_overlapped(&events, rt.default_pool().unwrap());
+    let loader = DataLoader::new(store.clone(), ds.clone());
     assert!(
-        result.is_err(),
-        "a dead service must yield Err, not a panic"
+        loader.ingest_events(&events).is_err(),
+        "a dead service must yield Err from the synchronous ingest"
+    );
+    assert!(
+        loader
+            .ingest_events_overlapped(&events, rt.default_pool().unwrap())
+            .is_err(),
+        "a dead service must yield Err from the overlapped ingest"
     );
     rt.shutdown();
 }
 
+/// The file-parallel driver, synchronous and overlapped, with one loader
+/// and with several: the stored events equal the files' regardless of
+/// which loader ingested which file, and the pipeline counters exist
+/// exactly when a pool is given and balance after a clean ingest.
 #[test]
-fn parallel_overlapped_ingest_matches_files() {
-    let dir = std::env::temp_dir().join(format!("nova-par-overlap-{}", std::process::id()));
+fn parallel_ingest_matches_files() {
+    let dir = std::env::temp_dir().join(format!("nova-par-ingest-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let gen = NovaGenerator::new(79);
-    let paths = files::write_dataset(&dir.join("data"), &gen, 5, 30).unwrap();
+    let paths = files::write_dataset(&dir.join("data"), &gen, 6, 25).unwrap();
     let dep = local_deployment(1, DbCounts::default());
     let store = dep.datastore();
-    let ds = store.root().create_dataset("par-overlap").unwrap();
     let rt = argos::Runtime::simple(2);
-    let stats = nova::loader::parallel_ingest_overlapped(
-        &store,
-        &ds,
-        &paths,
-        3,
-        rt.default_pool().unwrap(),
-    )
-    .unwrap();
-    assert_eq!(stats.files, 5);
-    let mut total = 0u64;
-    for (f, path) in paths.iter().enumerate() {
-        let file_events = files::read_file(path).unwrap();
-        let (r, s) = files::file_coordinates(f as u64);
-        let sr = ds.run(r).unwrap().subrun(s).unwrap();
-        assert_eq!(sr.events().unwrap().len(), file_events.len());
-        total += file_events.len() as u64;
+    for overlapped in [false, true] {
+        for loaders in [1, 3] {
+            let ds = store
+                .root()
+                .create_dataset(&format!("par-{overlapped}-{loaders}"))
+                .unwrap();
+            let pool = overlapped.then(|| rt.default_pool().unwrap());
+            let stats = parallel_ingest(&store, &ds, &paths, loaders, None, pool).unwrap();
+            assert_eq!(stats.files, 6);
+            let mut total = 0u64;
+            for (f, path) in paths.iter().enumerate() {
+                let file_events = files::read_file(path).unwrap();
+                let (r, s) = files::file_coordinates(f as u64);
+                let sr = ds.run(r).unwrap().subrun(s).unwrap();
+                assert_eq!(sr.events().unwrap().len(), file_events.len());
+                total += file_events.len() as u64;
+            }
+            assert_eq!(stats.events, total);
+            assert_eq!(stats.batch.is_some(), overlapped, "{stats:?}");
+            if let Some(batch) = stats.batch {
+                assert_eq!(batch.acked_pairs, batch.shipped_pairs);
+                assert_eq!(batch.acked_rpcs, batch.flush_rpcs);
+                assert_eq!(batch.shipped_pairs, 2 * total);
+            }
+        }
     }
-    assert_eq!(stats.events, total);
-    // The aggregated pipeline counters must balance after a clean ingest.
-    let batch = stats.batch.expect("overlapped ingest reports batch stats");
-    assert_eq!(batch.acked_pairs, batch.shipped_pairs);
-    assert_eq!(batch.acked_rpcs, batch.flush_rpcs);
-    assert_eq!(batch.shipped_pairs, 2 * total);
     rt.shutdown();
     dep.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -14,7 +14,7 @@
 //! an `--xstreams`-wide pool) and the pipeline counters are reported.
 
 use hepnos_tools::{connect, Args};
-use nova::loader::{parallel_ingest_overlapped_with, parallel_ingest_with};
+use nova::loader::parallel_ingest;
 use nova::NovaGenerator;
 use std::path::{Path, PathBuf};
 
@@ -82,16 +82,15 @@ fn main() {
         }
     });
     let t = std::time::Instant::now();
-    let stats = if overlap {
-        let rt = argos::Runtime::simple(xstreams.max(1));
-        let pool = rt.default_pool().expect("runtime pool");
-        let result = parallel_ingest_overlapped_with(&store, &ds, &paths, loaders, pool, columnar);
+    let rt = overlap.then(|| argos::Runtime::simple(xstreams.max(1)));
+    let pool = rt
+        .as_ref()
+        .map(|rt| rt.default_pool().expect("runtime pool"));
+    let result = parallel_ingest(&store, &ds, &paths, loaders, columnar, pool);
+    if let Some(rt) = rt {
         rt.shutdown();
-        result
-    } else {
-        parallel_ingest_with(&store, &ds, &paths, loaders, columnar)
     }
-    .unwrap_or_else(|e| {
+    let stats = result.unwrap_or_else(|e| {
         eprintln!("ingest failed: {e}");
         std::process::exit(1);
     });

@@ -5,6 +5,7 @@
 //! [`LsmBackend`] are their direct analogues.
 
 use crate::error::YokanError;
+use crate::replica::stable_hash;
 use lsmdb::{Db, DbError, DbStats, Options, WriteBatch};
 use mercurio::RpcError;
 use parking_lot::RwLock;
@@ -193,18 +194,6 @@ fn prefix_upper_bound(prefix: &[u8]) -> Option<Vec<u8>> {
     None
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// In-memory ordered-map backend (`std::map` analogue).
 ///
 /// The map is split into a fixed array of hash-routed shards, each behind its
@@ -320,7 +309,7 @@ impl MemBackend {
     }
 
     fn shard_idx(&self, key: &[u8]) -> usize {
-        (fnv1a(key) & self.mask) as usize
+        (stable_hash(key) & self.mask) as usize
     }
 
     /// Write-lock every shard touched by `keys`, in ascending index order

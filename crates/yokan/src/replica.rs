@@ -26,8 +26,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// FNV-1a over `bytes`; the same stable hash the placement layer uses, so
-/// chain rotation is reproducible across processes and runs.
-fn stable_hash(bytes: &[u8]) -> u64 {
+/// chain rotation is reproducible across processes and runs. The memory
+/// backend routes keys to its shards with it too.
+pub(crate) fn stable_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
