@@ -190,15 +190,10 @@ impl DataStoreInner {
     }
 
     pub(crate) fn product_db(&self, container_key: &[u8]) -> &DbTarget {
-        &self.topo.product_dbs[self.product_db_index(container_key)]
-    }
-
-    /// Index of the product database owning `container_key`'s products.
-    /// The PEP readers group per-page prefetch batches in a `Vec` indexed by
-    /// this value, avoiding a fresh `HashMap<DbTarget, _>` per page.
-    pub(crate) fn product_db_index(&self, container_key: &[u8]) -> usize {
-        self.placement
-            .place(container_key, self.topo.product_dbs.len())
+        let idx = self
+            .placement
+            .place(container_key, self.topo.product_dbs.len());
+        &self.topo.product_dbs[idx]
     }
 
     /// Whether `key`, listed from database `db_idx` of `dbs`, is homed
@@ -282,7 +277,7 @@ type Page<E> = Result<Vec<E>, YokanError>;
 type KeyValue = (Vec<u8>, Vec<u8>);
 
 /// One entry of a listing, ordered by its key.
-trait Keyed {
+pub(crate) trait Keyed {
     fn key(&self) -> &[u8];
 }
 
@@ -637,6 +632,29 @@ fn load_product<T: DeserializeOwned>(
             Ok(Some(v))
         }
     }
+}
+
+/// Every subrun key of dataset `uuid`, in key order: one listing pumped out
+/// of every subrun database at once. The work items of the
+/// [`crate::ParallelEventProcessor`].
+pub(crate) fn subruns_under(
+    store: &DataStoreInner,
+    uuid: &Uuid,
+) -> Result<Vec<Vec<u8>>, HepnosError> {
+    let prefix = uuid.as_bytes();
+    let keys = store.pump(
+        &store.topo.subrun_dbs,
+        keys::RUN_KEY_LEN,
+        prefix,
+        |db, from| store.client.list_keys_async(db, from, prefix, LIST_PAGE),
+        yokan::PendingListKeys::wait,
+    )?;
+    for key in &keys {
+        parse_key(key, "subrun", |k| {
+            (k.len() == keys::SUBRUN_KEY_LEN).then_some(())
+        })?;
+    }
+    Ok(keys)
 }
 
 /// A dataset: a named container of datasets and runs.

@@ -131,9 +131,13 @@ pub fn dataset_parent_bytes(parent_full: &str) -> Vec<u8> {
     parent_full.as_bytes().to_vec()
 }
 
+/// Length of a run key, and so of the prefix of a subrun key that places
+/// the subrun.
+pub(crate) const RUN_KEY_LEN: usize = 24;
+
 /// `<uuid><run BE>` — 24 bytes.
 pub fn run_key(dataset: &Uuid, run: RunNumber) -> Vec<u8> {
-    let mut key = Vec::with_capacity(24);
+    let mut key = Vec::with_capacity(RUN_KEY_LEN);
     key.extend_from_slice(dataset.as_bytes());
     key.extend_from_slice(&run.to_be_bytes());
     key
@@ -190,19 +194,11 @@ pub fn parse_event_key(key: &[u8]) -> Option<(Uuid, RunNumber, SubRunNumber, Eve
 /// `<container key><label>#<type>`.
 pub fn product_key(container_key: &[u8], label: &str, type_name: &str) -> Vec<u8> {
     let mut key = Vec::with_capacity(container_key.len() + label.len() + 1 + type_name.len());
-    product_key_into(&mut key, container_key, label, type_name);
+    key.extend_from_slice(container_key);
+    key.extend_from_slice(label.as_bytes());
+    key.push(PRODUCT_SEP);
+    key.extend_from_slice(type_name.as_bytes());
     key
-}
-
-/// Append a product key to `buf` (assumed cleared). The in-place twin of
-/// [`product_key`], used by the PEP readers to build per-page key batches
-/// out of recycled buffers instead of a fresh allocation per key.
-pub fn product_key_into(buf: &mut Vec<u8>, container_key: &[u8], label: &str, type_name: &str) {
-    buf.reserve(container_key.len() + label.len() + 1 + type_name.len());
-    buf.extend_from_slice(container_key);
-    buf.extend_from_slice(label.as_bytes());
-    buf.push(PRODUCT_SEP);
-    buf.extend_from_slice(type_name.as_bytes());
 }
 
 /// A stable, human-readable type name for product keys, derived from

@@ -3,31 +3,42 @@
 //! A group of workers iterates over all events of a dataset in parallel and
 //! load-balanced fashion:
 //!
-//! * a subset of participants act as **readers** — by default one per event
-//!   database — which page event keys out of their database in large *load
+//! * one listing of the dataset's subruns (every subrun database at once,
+//!   each keeping only the subruns placed on it) splits the work: a subrun
+//!   is one work item;
+//! * **readers** — by default one per event database — take subruns from a
+//!   shared cursor, up to `read_ahead_pages` at a time. Of each, a reader
+//!   pages the event keys out of the subrun's event database in *load
 //!   batches* (default 16384; "fewer RPCs but with a large data transfer
 //!   payload");
-//! * readers optionally **prefetch** the products associated with each
-//!   loaded event (batched `get_multi` per product database);
-//! * loaded events are handed to workers in small *dispatch batches*
-//!   (default 64; "fine-grain load-balancing once events are loaded into
-//!   worker memory");
+//! * to **prefetch** products, the reader also runs one value scan per
+//!   prefetched label on every product database over the subrun's key
+//!   range: the server walks the range in sequence and returns the values
+//!   of the keys `<event key><label>#<type>`, bypassing its read cache,
+//!   instead of answering one point lookup per event;
+//! * the reader merge-joins products to events by event key (an event with
+//!   no product gets `None`) and hands events to workers in small
+//!   *dispatch batches* (default 64; "fine-grain load-balancing once events
+//!   are loaded into worker memory");
 //! * every worker invokes the user callback on each event it receives.
 //!
-//! The read path is an **overlapped pipeline** (the read-side twin of
-//! `AsyncWriteBatch`): each reader keeps a bounded window of in-flight
-//! pages. The next `list_keys` RPC is issued as soon as the current page is
-//! decoded — while that page's product prefetch is still outstanding — and
-//! the per-page prefetch fans out across *all* product databases
-//! concurrently instead of looping database by database. Reader wall-time
-//! thus tracks the *max* of the in-flight RPC latencies instead of their
-//! sum.
+//! Every walk of every subrun in a reader's window has its page in flight
+//! at once, and an event is dispatched as soon as every product walk of its
+//! subrun has passed it, so reader wall-time tracks the slowest walk, not
+//! the sum of the RPCs.
+//!
+//! Each event is delivered exactly once, also during a live migration: a
+//! subrun is taken from the cursor by one reader, the listing of its one
+//! event database merges the old owner's page with the new one's without
+//! repeats, and a product page keeps only the products placed on the
+//! database that listed them.
 //!
 //! Dispatch uses one injector deque per worker with work stealing: readers
 //! push batches round-robin, each worker drains its own deque first and
 //! steals from the others when empty, so a slow callback on one worker
-//! never serializes the rest. Delivery is exactly-once — a batch is popped
-//! (or stolen) by exactly one worker.
+//! never serializes the rest. No batch is pushed before every worker has
+//! started. Delivery is exactly-once — a batch is popped (or stolen) by
+//! exactly one worker.
 //!
 //! The paper's implementation spreads ranks over MPI; this reproduction
 //! spreads workers over threads sharing the dispatch deques — the
@@ -35,7 +46,9 @@
 //! identical.
 
 use crate::binser;
-use crate::datastore::{parse_event_key, DataSet, DataStore, Event, ProductLabel};
+use crate::datastore::{
+    parse_event_key, subruns_under, DataSet, DataStore, DataStoreInner, Event, Keyed, ProductLabel,
+};
 use crate::error::HepnosError;
 use crate::keys::{self, EventNumber, RunNumber, SubRunNumber};
 use crate::uuid::Uuid;
@@ -44,10 +57,10 @@ use crossbeam::deque::{Injector, Steal};
 use parking_lot::{Condvar, Mutex};
 use serde::de::DeserializeOwned;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use yokan::{PendingGetMulti, PendingListKeys};
+use yokan::{PendingPage, ValueScan};
 
 /// Plain-data identification of one event, cheap to queue and ship.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,23 +78,27 @@ pub struct EventDescriptor {
 /// Options mirroring the paper's tuned deployment (§IV-D).
 #[derive(Debug, Clone)]
 pub struct PepOptions {
-    /// Events loaded from a database per `list_keys` RPC (paper: 16384).
+    /// Most entries per page of a reader's event listing or product scan
+    /// (paper: 16384 events per load); `0` means no cap.
     pub load_batch_size: usize,
     /// Events handed to a worker at a time (paper: 64).
     pub dispatch_batch_size: usize,
     /// Reader threads; `0` means one per event database (the paper's
-    /// "typically as many readers as databases to read from").
+    /// "typically as many readers as databases to read from"). Never more
+    /// than the dataset has subruns.
     pub num_readers: usize,
     /// Worker threads invoking the callback.
     pub num_workers: usize,
-    /// Products to prefetch alongside events: `(label, type name)` pairs.
+    /// Products to prefetch alongside events: `(label, type name)` pairs,
+    /// each read by one value scan per product database and subrun. Only
+    /// the exact type is prefetched (`Hit` never matches `HitList`).
     pub prefetch: Vec<(ProductLabel, String)>,
     /// Capacity of the dispatch queue, in dispatch batches (shared across
     /// all per-worker deques; readers block when the total is reached).
     pub queue_capacity: usize,
-    /// Maximum pages per reader with their product prefetch in flight
-    /// while the next `list_keys` is already outstanding. `1` still
-    /// overlaps listing with prefetching; `0` is treated as `1`.
+    /// Subruns each reader reads at once, with the event listing and
+    /// product scans of all of them in flight together; `0` is treated as
+    /// `1`.
     pub read_ahead_pages: usize,
 }
 
@@ -120,19 +137,19 @@ pub struct WorkerStats {
 /// the pipeline — see [`ReaderStats::overlap_ratio`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReaderStats {
-    /// Events this reader loaded (decoded from key pages).
+    /// Events this reader loaded (listed from event key pages).
     pub events_loaded: u64,
-    /// Key pages this reader fetched.
+    /// Event key pages this reader fetched.
     pub pages: u64,
-    /// Time blocked waiting for `list_keys` responses.
+    /// Time blocked waiting for event `list_keys` responses.
     pub list_wait: Duration,
-    /// Time blocked waiting for product `get_multi` responses.
+    /// Time blocked waiting for product value scan responses.
     pub prefetch_wait: Duration,
     /// Time blocked pushing dispatch batches (queue backpressure).
     pub dispatch_stall: Duration,
     /// Sum of issue-to-completion latencies across all read RPCs.
     pub rpc_time: Duration,
-    /// Most pages simultaneously in flight (listed but not yet dispatched).
+    /// Most subruns read at once.
     pub read_ahead_hwm: u64,
 }
 
@@ -322,6 +339,7 @@ struct DispatchQueue {
 struct QueueState {
     queued: usize,
     readers_active: usize,
+    workers_started: usize,
 }
 
 impl DispatchQueue {
@@ -331,6 +349,7 @@ impl DispatchQueue {
             state: Mutex::new(QueueState {
                 queued: 0,
                 readers_active: n_readers,
+                workers_started: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -338,11 +357,12 @@ impl DispatchQueue {
         }
     }
 
-    /// Push a batch onto worker `target`'s deque, blocking while the total
-    /// queued count is at capacity.
+    /// Push a batch onto worker `target`'s deque, blocking until every
+    /// worker has started (so no early worker drains the first batches
+    /// alone) and while the total queued count is at capacity.
     fn push(&self, target: usize, batch: DispatchBatch) {
         let mut state = self.state.lock();
-        while state.queued >= self.capacity {
+        while state.workers_started < self.deques.len() || state.queued >= self.capacity {
             self.not_full.wait(&mut state);
         }
         self.deques[target % self.deques.len()].push(batch);
@@ -379,6 +399,17 @@ impl DispatchQueue {
         }
     }
 
+    /// A worker is running; the last one to start lets the readers push.
+    fn worker_started(&self) {
+        let mut state = self.state.lock();
+        state.workers_started += 1;
+        let all = state.workers_started == self.deques.len();
+        drop(state);
+        if all {
+            self.not_full.notify_all();
+        }
+    }
+
     /// A reader finished (or aborted); the last one wakes all workers so
     /// they can observe shutdown.
     fn reader_done(&self) {
@@ -394,188 +425,196 @@ impl DispatchQueue {
 
 // ---------------------------------------------------------------- reader
 
-/// `(event index in page, prefetch slot index)` pairs mapping a fetch's
-/// values back into the page's product matrix.
-type SlotVec = Vec<(usize, usize)>;
-/// Encoded product keys for one database's `get_multi` batch.
-type KeyVec = Vec<Vec<u8>>;
+/// Issues the page of a walk that starts after a key.
+type Resume<'a, E> = Box<dyn Fn(&[u8]) -> PendingPage<E> + 'a>;
 
-/// Reusable per-reader buffers: the per-product-database grouping table and
-/// free lists for the slot/key vectors it hands to in-flight fetches. A
-/// steady-state reader builds every page's prefetch batches without a
-/// single fresh allocation.
-struct ReaderScratch {
-    /// Indexed by product database index: `(slots, keys)` being built for
-    /// the current page.
-    per_db: Vec<(SlotVec, KeyVec)>,
-    slot_pool: Vec<SlotVec>,
-    keyvec_pool: Vec<KeyVec>,
-    keybuf_pool: Vec<Vec<u8>>,
-    products_pool: Vec<Vec<Vec<Option<Bytes>>>>,
+/// One paged walk over a subrun's key range: the page in flight, how to
+/// resume after a full page, the entries received and not yet joined, and
+/// the last key walked.
+struct Stream<'a, E> {
+    pending: Option<(PendingPage<E>, Instant)>,
+    resume: Resume<'a, E>,
+    limit: usize,
+    entries: VecDeque<E>,
+    /// Every entry up to this key has arrived.
+    walked: Vec<u8>,
 }
 
-impl ReaderScratch {
-    fn new(n_product_dbs: usize) -> ReaderScratch {
-        ReaderScratch {
-            per_db: (0..n_product_dbs)
-                .map(|_| (Vec::new(), Vec::new()))
-                .collect(),
-            slot_pool: Vec::new(),
-            keyvec_pool: Vec::new(),
-            keybuf_pool: Vec::new(),
-            products_pool: Vec::new(),
+impl<'a, E: Keyed> Stream<'a, E> {
+    /// Start the walk after `from`; a page is full at `limit` entries.
+    fn new(from: &[u8], limit: usize, resume: impl Fn(&[u8]) -> PendingPage<E> + 'a) -> Self {
+        Stream {
+            pending: Some((resume(from), Instant::now())),
+            resume: Box::new(resume),
+            limit,
+            entries: VecDeque::new(),
+            walked: Vec::new(),
         }
     }
 
-    fn take_keybuf(&mut self) -> Vec<u8> {
-        self.keybuf_pool.pop().unwrap_or_default()
-    }
-
-    /// Return a fetch's slot vector to the pool after its values have been
-    /// scattered.
-    fn recycle_slots(&mut self, mut slots: Vec<(usize, usize)>) {
-        slots.clear();
-        self.slot_pool.push(slots);
-    }
-
-    /// Return a fetch's key buffers (already copied into the RPC payload)
-    /// to the pools.
-    fn recycle_keys(&mut self, mut keys: Vec<Vec<u8>>) {
-        for mut k in keys.drain(..) {
-            k.clear();
-            self.keybuf_pool.push(k);
+    /// The page in flight, once it has arrived (or at once when `block`).
+    /// A full page puts the next one in flight; a short one ends the walk.
+    fn take(
+        &mut self,
+        block: bool,
+        wait: &mut Duration,
+        rpc_time: &mut Duration,
+    ) -> Result<Option<Vec<E>>, HepnosError> {
+        let ready = self.pending.as_ref().is_some_and(|(p, _)| p.is_ready());
+        if !ready && !block {
+            return Ok(None);
         }
-        self.keyvec_pool.push(keys);
+        let Some((pending, issued)) = self.pending.take() else {
+            return Ok(None);
+        };
+        let wait_start = Instant::now();
+        let page = pending.wait()?;
+        let now = Instant::now();
+        if !ready {
+            *wait += now - wait_start;
+        }
+        *rpc_time += now - issued;
+        if let Some(last) = page.last() {
+            self.walked.clear();
+            self.walked.extend_from_slice(last.key());
+        }
+        if self.limit != 0 && page.len() == self.limit {
+            self.pending = Some(((self.resume)(&self.walked), Instant::now()));
+        }
+        Ok(Some(page))
     }
 
-    fn take_products(&mut self, n_events: usize, n_labels: usize) -> Vec<Vec<Option<Bytes>>> {
-        let mut m = self.products_pool.pop().unwrap_or_default();
-        m.clear();
-        m.resize_with(n_events, || vec![None; n_labels]);
-        m
-    }
-
-    /// Return a page's (row-drained) product matrix to the pool.
-    fn recycle_products(&mut self, mut matrix: Vec<Vec<Option<Bytes>>>) {
-        matrix.clear();
-        self.products_pool.push(matrix);
+    /// Whether the walk has passed `event ++ tag`: the walk is over, or
+    /// its last key is not below that.
+    fn passed(&self, event: &[u8], tag: &[u8]) -> bool {
+        if self.pending.is_none() {
+            return true;
+        }
+        let (head, tail) = self.walked.split_at(self.walked.len().min(event.len()));
+        match head.cmp(event) {
+            std::cmp::Ordering::Greater => true,
+            std::cmp::Ordering::Less => false,
+            std::cmp::Ordering::Equal => tail >= tag,
+        }
     }
 }
 
-/// One product `get_multi` in flight for a page.
-struct InFlightFetch {
-    pending: PendingGetMulti,
-    /// `(event_idx, label_idx)` destination of each requested key, in
-    /// request order.
-    slots: Vec<(usize, usize)>,
-    issued: Instant,
+/// One subrun being read: its event keys, and one value scan per
+/// (prefetched label, product database), label-major.
+struct SubrunRead<'a> {
+    events: Stream<'a, Vec<u8>>,
+    products: Vec<Stream<'a, (Vec<u8>, Bytes)>>,
 }
 
-/// One key page moving through a reader's pipeline: descriptors decoded,
-/// product fetches possibly still in flight.
-struct PageState {
-    descriptors: Vec<EventDescriptor>,
-    fetches: Vec<InFlightFetch>,
-    products: Vec<Vec<Option<Bytes>>>,
-}
+impl SubrunRead<'_> {
+    fn finished(&self) -> bool {
+        self.events.pending.is_none() && self.events.entries.is_empty()
+    }
 
-impl PageState {
-    fn all_ready(&self) -> bool {
-        self.fetches.iter().all(|f| f.pending.is_ready())
+    /// Merge-join the events every product walk has passed with their
+    /// products, appending them to `out`. An event without a product of a
+    /// label gets `None`; a product of no listed event is dropped.
+    fn join(&mut self, tags: &[Vec<u8>], out: &mut DispatchBatch) -> Result<(), HepnosError> {
+        let n_dbs = self.products.len() / tags.len().max(1);
+        while let Some(event) = self.events.entries.front() {
+            let passed =
+                (self.products.iter().enumerate()).all(|(i, s)| s.passed(event, &tags[i / n_dbs]));
+            if !passed {
+                return Ok(());
+            }
+            let event = self.events.entries.pop_front().expect("front exists");
+            let mut products = vec![None; tags.len()];
+            for (i, stream) in self.products.iter_mut().enumerate() {
+                let owner =
+                    |e: &(Vec<u8>, Bytes)| e.0.get(..keys::EVENT_KEY_LEN).cmp(&Some(&event));
+                while stream.entries.front().is_some_and(|e| owner(e).is_lt()) {
+                    stream.entries.pop_front();
+                }
+                if stream.entries.front().is_some_and(|e| owner(e).is_eq()) {
+                    products[i / n_dbs] = stream.entries.pop_front().map(|(_, v)| v);
+                }
+            }
+            out.push((parse_event_key(&event)?, products));
+        }
+        Ok(())
     }
 }
 
 /// Everything a reader thread needs, bundled to keep signatures sane.
 struct ReaderCtx<'a> {
-    datastore: &'a DataStore,
-    dataset: Uuid,
+    store: &'a DataStoreInner,
     opts: &'a PepOptions,
-    labels: &'a Arc<Vec<(ProductLabel, String)>>,
+    /// `<label>#<type>` of each prefetched product, in
+    /// [`PepOptions::prefetch`] order.
+    tags: &'a [Vec<u8>],
     queue: &'a DispatchQueue,
     abort: &'a AtomicBool,
     /// Round-robin cursor over worker deques.
     next_worker: usize,
 }
 
-impl ReaderCtx<'_> {
-    /// Group the page's product keys by product database (reusing
-    /// `scratch`) and issue one concurrent `get_multi_async` per database.
-    fn issue_prefetch(&self, page: &[Vec<u8>], scratch: &mut ReaderScratch) -> Vec<InFlightFetch> {
-        let store = &self.datastore.inner;
-        for (ev_idx, ev_key) in page.iter().enumerate() {
-            let db_idx = store.product_db_index(ev_key);
-            for (l_idx, (label, type_name)) in self.labels.iter().enumerate() {
-                let mut buf = scratch.take_keybuf();
-                keys::product_key_into(&mut buf, ev_key, label.as_str(), type_name);
-                let (slots, keyvecs) = &mut scratch.per_db[db_idx];
-                if slots.is_empty() {
-                    // First key for this db this page: give it pooled vecs.
-                    if let Some(s) = scratch.slot_pool.pop() {
-                        *slots = s;
-                    }
-                    if let Some(k) = scratch.keyvec_pool.pop() {
-                        *keyvecs = k;
-                    }
-                }
-                slots.push((ev_idx, l_idx));
-                keyvecs.push(buf);
-            }
-        }
-        let mut fetches = Vec::new();
-        for db_idx in 0..scratch.per_db.len() {
-            if scratch.per_db[db_idx].0.is_empty() {
-                continue;
-            }
-            let (slots, keyvecs) = std::mem::take(&mut scratch.per_db[db_idx]);
-            let target = &store.topo.product_dbs[db_idx];
-            let pending = store.client.get_multi_async(target, &keyvecs);
-            // Keys are fully copied into the RPC payload at issue time;
-            // hand the buffers straight back to the pools.
-            scratch.recycle_keys(keyvecs);
-            fetches.push(InFlightFetch {
-                pending,
-                slots,
-                issued: Instant::now(),
-            });
-        }
-        fetches
+impl<'a> ReaderCtx<'a> {
+    /// Put the first page of every walk of `subrun` in flight: its event
+    /// keys, as [`crate::SubRun::events`] lists them, and the values of
+    /// each product database's `<subrun><event><tag>` keys.
+    fn start(&self, subrun: &'a [u8]) -> SubrunRead<'a> {
+        let (store, limit) = (self.store, self.opts.load_batch_size);
+        let db = store.event_db(subrun);
+        let events = Stream::new(subrun, limit, move |from| {
+            store.client.list_keys_async(db, from, subrun, limit)
+        });
+        let products = (self.tags.iter())
+            .flat_map(|tag| store.topo.product_dbs.iter().map(move |db| (db, tag)))
+            .map(|(db, tag)| {
+                let scan = ValueScan {
+                    prefix: subrun,
+                    tag_offset: keys::EVENT_KEY_LEN as u32,
+                    tag,
+                };
+                Stream::new(subrun, limit, move |from| {
+                    store.client.value_scan_async(db, &scan, from, limit)
+                })
+            })
+            .collect();
+        SubrunRead { events, products }
     }
 
-    /// Wait out a page's product fetches, scatter the values, and dispatch
-    /// the page in batches. Recycles all scratch buffers.
-    fn complete_page(
-        &mut self,
-        mut page: PageState,
-        scratch: &mut ReaderScratch,
+    /// Take the pages of `read` that have arrived; with `block`, wait for
+    /// one page instead. Returns whether any page was taken.
+    fn receive(
+        &self,
+        read: &mut SubrunRead,
+        block: bool,
         stats: &mut ReaderStats,
-    ) -> Result<(), HepnosError> {
-        for fetch in page.fetches.drain(..) {
-            let wait_start = Instant::now();
-            let ready = fetch.pending.is_ready();
-            let values = fetch.pending.wait()?;
-            let now = Instant::now();
-            if !ready {
-                stats.prefetch_wait += now - wait_start;
+    ) -> Result<bool, HepnosError> {
+        let events = &mut read.events;
+        let mut taken = false;
+        if let Some(page) = events.take(block, &mut stats.list_wait, &mut stats.rpc_time)? {
+            stats.pages += 1;
+            stats.events_loaded += page.len() as u64;
+            events.entries.extend(page);
+            if block {
+                return Ok(true);
             }
-            stats.rpc_time += now - fetch.issued;
-            for (&(ev_idx, l_idx), value) in fetch.slots.iter().zip(values) {
-                page.products[ev_idx][l_idx] = value;
+            taken = true;
+        }
+        let dbs = &self.store.topo.product_dbs;
+        for (i, stream) in read.products.iter_mut().enumerate() {
+            let wait = &mut stats.prefetch_wait;
+            let Some(mut page) = stream.take(block, wait, &mut stats.rpc_time)? else {
+                continue;
+            };
+            // Keep only this database's own products, so each is joined
+            // once during a live migration.
+            let db_idx = i % dbs.len();
+            page.retain(|(k, _)| self.store.is_homed(dbs, db_idx, keys::EVENT_KEY_LEN, k));
+            stream.entries.extend(page);
+            taken = true;
+            if block {
+                break;
             }
-            scratch.recycle_slots(fetch.slots);
         }
-        let mut batch: DispatchBatch = Vec::with_capacity(self.opts.dispatch_batch_size);
-        for (desc, prods) in page.descriptors.drain(..).zip(page.products.drain(..)) {
-            batch.push((desc, prods));
-            if batch.len() >= self.opts.dispatch_batch_size {
-                self.dispatch(std::mem::take(&mut batch), stats);
-                batch = Vec::with_capacity(self.opts.dispatch_batch_size);
-            }
-        }
-        if !batch.is_empty() {
-            self.dispatch(batch, stats);
-        }
-        scratch.recycle_products(page.products);
-        Ok(())
+        Ok(taken)
     }
 
     fn dispatch(&mut self, batch: DispatchBatch, stats: &mut ReaderStats) {
@@ -585,97 +624,56 @@ impl ReaderCtx<'_> {
         self.next_worker = self.next_worker.wrapping_add(1);
     }
 
-    /// Pipelined read of one event database: the next `list_keys` is in
-    /// flight while up to `read_ahead_pages` pages' prefetches are
-    /// outstanding; completed pages are drained front-first (FIFO order
-    /// per database is preserved).
-    fn read_database(
+    /// Read subruns taken from `cursor` until none is left, up to
+    /// `read_ahead_pages` at once, dispatching each event as soon as every
+    /// product walk of its subrun has passed it.
+    fn run(
         &mut self,
-        db_idx: usize,
-        scratch: &mut ReaderScratch,
+        subruns: &'a [Vec<u8>],
+        cursor: &AtomicUsize,
         stats: &mut ReaderStats,
     ) -> Result<(), HepnosError> {
-        let store = &self.datastore.inner;
-        let db = &store.topo.event_dbs[db_idx];
-        let prefix: Vec<u8> = self.dataset.as_bytes().to_vec();
         let read_ahead = self.opts.read_ahead_pages.max(1);
-        let client = &store.client;
-        let mut window: VecDeque<PageState> = VecDeque::with_capacity(read_ahead + 1);
-
-        let mut pending_list: Option<(PendingListKeys, Instant)> = Some((
-            client.list_keys_async(db, &prefix, &prefix, self.opts.load_batch_size),
-            Instant::now(),
-        ));
-        let res = 'pages: loop {
-            let Some((pending, issued)) = pending_list.take() else {
-                break Ok(());
-            };
-            let wait_start = Instant::now();
-            let ready = pending.is_ready();
-            let mut page = match pending.wait() {
-                Ok(p) => p,
-                Err(e) => break Err(HepnosError::from(e)),
-            };
-            let now = Instant::now();
-            if !ready {
-                stats.list_wait += now - wait_start;
+        let batch_size = self.opts.dispatch_batch_size.max(1);
+        let mut window: Vec<SubrunRead> = Vec::with_capacity(read_ahead);
+        let mut ready: DispatchBatch = Vec::new();
+        // On error or abort the window is dropped: its events stay
+        // loaded-but-unprocessed, which `PepStatistics` reports via
+        // `events_loaded` vs `total_events`.
+        while !self.abort.load(Ordering::Relaxed) {
+            while window.len() < read_ahead {
+                let Some(subrun) = subruns.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
+                window.push(self.start(subrun));
             }
-            stats.rpc_time += now - issued;
-            stats.pages += 1;
-            if page.is_empty() || self.abort.load(Ordering::Relaxed) {
-                break Ok(());
-            }
-            // Issue the next list immediately: it overlaps with this
-            // page's prefetch fan-out and any page completion below.
-            let from = page.last().expect("page is non-empty").clone();
-            pending_list = Some((
-                client.list_keys_async(db, &from, &prefix, self.opts.load_batch_size),
-                Instant::now(),
-            ));
-            // Keep only this database's own keys, so each event is
-            // delivered once across readers during a live migration.
-            page.retain(|k| store.is_homed(&store.topo.event_dbs, db_idx, keys::SUBRUN_KEY_LEN, k));
-            let mut descriptors = Vec::with_capacity(page.len());
-            for key in &page {
-                match parse_event_key(key) {
-                    Ok(d) => descriptors.push(d),
-                    Err(e) => break 'pages Err(e),
-                }
-            }
-            stats.events_loaded += descriptors.len() as u64;
-            let fetches = if self.labels.is_empty() {
-                Vec::new()
-            } else {
-                self.issue_prefetch(&page, scratch)
-            };
-            let products = scratch.take_products(descriptors.len(), self.labels.len());
-            window.push_back(PageState {
-                descriptors,
-                fetches,
-                products,
-            });
             stats.read_ahead_hwm = stats.read_ahead_hwm.max(window.len() as u64);
-            // Drain: anything beyond the window must complete; anything at
-            // the front that is already fully ready completes for free.
-            while window.len() > read_ahead || window.front().is_some_and(|p| p.all_ready()) {
-                let page = window.pop_front().expect("window is non-empty");
-                if let Err(e) = self.complete_page(page, scratch, stats) {
-                    break 'pages Err(e);
+            if window.is_empty() {
+                break;
+            }
+            // Take whatever has arrived; if nothing has, wait on the oldest
+            // subrun.
+            let mut taken = false;
+            for read in &mut window {
+                taken |= self.receive(read, false, stats)?;
+            }
+            if !taken {
+                self.receive(&mut window[0], true, stats)?;
+            }
+            for read in &mut window {
+                read.join(self.tags, &mut ready)?;
+            }
+            window.retain(|read| !read.finished());
+            let mut events = ready.drain(..);
+            loop {
+                let batch: DispatchBatch = events.by_ref().take(batch_size).collect();
+                if batch.is_empty() {
+                    break;
                 }
-            }
-            if self.abort.load(Ordering::Relaxed) {
-                break Ok(());
-            }
-        };
-        // On success drain the remaining window; on error or abort discard
-        // it — those events stay loaded-but-unprocessed, which
-        // `PepStatistics` reports via `events_loaded` vs `total_events`.
-        if res.is_ok() && !self.abort.load(Ordering::Relaxed) {
-            while let Some(page) = window.pop_front() {
-                self.complete_page(page, scratch, stats)?;
+                self.dispatch(batch, stats);
             }
         }
-        res
+        Ok(())
     }
 }
 
@@ -732,62 +730,51 @@ impl ParallelEventProcessor {
             );
         };
         let opts = &self.options;
-        let n_dbs = self.datastore.num_event_databases();
-        let n_readers = if opts.num_readers == 0 {
-            n_dbs
-        } else {
-            opts.num_readers.min(n_dbs).max(1)
+        let first_error: Mutex<Option<HepnosError>> = Mutex::new(None);
+        // The work items: a failed listing leaves none, and is the error.
+        let subruns = subruns_under(&self.datastore.inner, &uuid).unwrap_or_else(|e| {
+            *first_error.lock() = Some(e);
+            Vec::new()
+        });
+        let requested = match opts.num_readers {
+            0 => self.datastore.num_event_databases(),
+            n => n,
         };
+        let n_readers = requested.min(subruns.len()).max(1);
         let n_workers = opts.num_workers.max(1);
         let labels = Arc::new(opts.prefetch.clone());
+        let tags: Vec<Vec<u8>> = (labels.iter())
+            .map(|(label, ty)| keys::product_key(&[], label.as_str(), ty))
+            .collect();
         let queue = DispatchQueue::new(n_workers, n_readers, opts.queue_capacity);
         let queue = &queue;
         let reader_stats: Mutex<Vec<ReaderStats>> =
             Mutex::new(vec![ReaderStats::default(); n_readers]);
         let worker_stats: Mutex<Vec<WorkerStats>> =
             Mutex::new(vec![WorkerStats::default(); n_workers]);
-        let first_error: Mutex<Option<HepnosError>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
+        let cursor = AtomicUsize::new(0);
         let t0 = Instant::now();
         let callback = &callback;
-        let n_product_dbs = self.datastore.inner.topo.product_dbs.len();
 
         std::thread::scope(|scope| {
             // ------------------------------------------------ readers
             for reader_id in 0..n_readers {
-                let datastore = self.datastore.clone();
-                let labels = Arc::clone(&labels);
-                let reader_stats = &reader_stats;
-                let first_error = &first_error;
-                let abort = &abort;
+                let (reader_stats, first_error) = (&reader_stats, &first_error);
+                let (abort, cursor, subruns, tags) = (&abort, &cursor, &subruns, &tags);
                 scope.spawn(move || {
-                    // Round-robin assignment of event databases to readers.
-                    let my_dbs: Vec<usize> = (0..n_dbs)
-                        .filter(|db| db % n_readers == reader_id)
-                        .collect();
                     let mut ctx = ReaderCtx {
-                        datastore: &datastore,
-                        dataset: uuid,
+                        store: &self.datastore.inner,
                         opts,
-                        labels: &labels,
+                        tags,
                         queue,
                         abort,
                         next_worker: reader_id,
                     };
-                    let mut scratch = ReaderScratch::new(n_product_dbs);
                     let mut stats = ReaderStats::default();
-                    for db_idx in my_dbs {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if let Err(e) = ctx.read_database(db_idx, &mut scratch, &mut stats) {
-                            let mut slot = first_error.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
+                    if let Err(e) = ctx.run(subruns, cursor, &mut stats) {
+                        first_error.lock().get_or_insert(e);
+                        abort.store(true, Ordering::Relaxed);
                     }
                     reader_stats.lock()[reader_id] = stats;
                     queue.reader_done();
@@ -800,6 +787,7 @@ impl ParallelEventProcessor {
                 let labels = Arc::clone(&labels);
                 let worker_stats = &worker_stats;
                 scope.spawn(move || {
+                    queue.worker_started();
                     let mut stats = WorkerStats::default();
                     loop {
                         let wait_start = Instant::now();

@@ -340,3 +340,176 @@ fn error_path_reports_partial_progress() {
     assert_eq!(stats.workers.len(), 2, "worker stats lost on error path");
     dep.shutdown();
 }
+
+/// A second product type under the same label whose name the first type's
+/// name begins.
+#[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
+struct HitList {
+    hits: Vec<u32>,
+}
+
+/// One label stored under two types, `Hit` and `HitList` (whose name `Hit`
+/// begins), on some events one type only, and under both types on every
+/// run and subrun too: a PEP prefetching one type must deliver exactly that
+/// type's bytes, `None` where the event holds only the other type, and
+/// equal per-event point reads — also when a load batch is smaller than a
+/// subrun, so the event and product pages of one subrun end at different
+/// events.
+#[test]
+fn prefetch_delivers_the_exact_type_only() {
+    let dep = local_deployment(2, counts());
+    let store = dep.datastore();
+    let ds = store.root().create_dataset("exact").unwrap();
+    let uuid = ds.uuid().unwrap();
+    let label = hit_label();
+    let (hit_ty, list_ty) = ("Hit".to_string(), "HitList".to_string());
+    assert_eq!(hepnos::keys::short_type_name::<Hit>(), hit_ty);
+    assert_eq!(hepnos::keys::short_type_name::<HitList>(), list_ty);
+    let hit = |r: u64, s: u64, e: u64| Hit {
+        channel: (r * 1000 + s * 100 + e) as u32,
+        adc: e as u16,
+    };
+    let list = |e: u64| HitList {
+        hits: (0..e % 5).map(|i| i as u32).collect(),
+    };
+    let n_events = 40u64;
+    for r in 0..2u64 {
+        let run = ds.create_run(r).unwrap();
+        run.store(&label, &hit(r, 99, 99)).unwrap();
+        run.store(&label, &list(99)).unwrap();
+        for s in 0..2u64 {
+            let sr = run.create_subrun(s).unwrap();
+            sr.store(&label, &hit(r, s, 98)).unwrap();
+            sr.store(&label, &list(98)).unwrap();
+            let mut batch = WriteBatch::new(&store);
+            for e in 0..n_events {
+                let ev = batch.create_event(&sr, &uuid, e).unwrap();
+                // Events 0, 3, 6, … hold only `HitList`; 1, 4, 7, … only
+                // `Hit`; the rest both.
+                if e % 3 != 0 {
+                    batch.store(&ev, &label, &hit(r, s, e)).unwrap();
+                }
+                if e % 3 != 1 {
+                    batch.store(&ev, &label, &list(e)).unwrap();
+                }
+            }
+        }
+    }
+
+    type Typed = BTreeMap<(u64, u64, u64), (Option<Vec<u8>>, Option<Vec<u8>>)>;
+    let mut point_reads = Typed::new();
+    for r in 0..2u64 {
+        for s in 0..2u64 {
+            let sr = ds.run(r).unwrap().subrun(s).unwrap();
+            for e in 0..n_events {
+                let ev = sr.event(e).unwrap();
+                let typed = (
+                    ev.load_raw(&label, &hit_ty).unwrap(),
+                    ev.load_raw(&label, &list_ty).unwrap(),
+                );
+                assert_eq!(typed.0.is_some(), e % 3 != 0);
+                assert_eq!(typed.1.is_some(), e % 3 != 1);
+                point_reads.insert((r, s, e), typed);
+            }
+        }
+    }
+
+    for load_batch_size in [3, 7, 64, 0] {
+        for prefetch in [vec![hit_ty.clone()], vec![list_ty.clone(), hit_ty.clone()]] {
+            let opts = PepOptions {
+                load_batch_size,
+                dispatch_batch_size: 4,
+                num_workers: 3,
+                read_ahead_pages: 2,
+                prefetch: prefetch
+                    .iter()
+                    .map(|t| (label.clone(), t.clone()))
+                    .collect(),
+                ..Default::default()
+            };
+            let seen = Mutex::new(Typed::new());
+            let pep = ParallelEventProcessor::new(store.clone(), opts);
+            pep.process(&ds, |_, pe| {
+                let raw = |ty: &str| pe.load_raw(&label, ty).unwrap().map(|b| b.to_vec());
+                let typed = (raw(&hit_ty), raw(&list_ty));
+                if let Some(bytes) = &typed.0 {
+                    let decoded: Hit = hepnos::binser::from_bytes(bytes).unwrap();
+                    let (r, s, e) = pe.event().coordinates();
+                    assert_eq!(decoded, hit(r, s, e));
+                }
+                let prev = seen.lock().insert(pe.event().coordinates(), typed);
+                assert!(prev.is_none(), "an event was delivered twice");
+            })
+            .unwrap();
+            assert_eq!(
+                seen.into_inner(),
+                point_reads,
+                "load batch {load_batch_size}, prefetch {prefetch:?}: PEP diverged from point reads"
+            );
+        }
+    }
+    dep.shutdown();
+}
+
+/// Products the PEP must not deliver, interleaved with the ones it must:
+/// stale copies of every product on every product database (as a rescale
+/// leaves them until it erases its old copies), and products of events
+/// that were never created, so the product walks lag the event walk when
+/// a load batch is smaller than a subrun. Each listed event must get the
+/// product of the database it is placed on, equal to a per-event point
+/// read.
+#[test]
+fn prefetch_joins_each_listed_event_with_its_home_product() {
+    let dep = local_deployment(1, counts());
+    let store = dep.datastore();
+    let ds = store.root().create_dataset("homed").unwrap();
+    let uuid = ds.uuid().unwrap();
+    let (label, ty) = (hit_label(), hit_type());
+    let raw = yokan::YokanClient::new(dep.fabric().endpoint("stale-writer"));
+    let product_dbs: Vec<yokan::DbTarget> = (dep.descriptors().iter())
+        .flat_map(|d| {
+            d.providers.iter().flat_map(move |p| {
+                (p.databases.iter())
+                    .filter(|n| n.starts_with("products"))
+                    .map(move |n| yokan::DbTarget::new(d.address.clone(), p.provider_id, n))
+            })
+        })
+        .collect();
+    assert_eq!(product_dbs.len(), 4);
+    let mut point_reads = Digest::new();
+    for r in 0..2u64 {
+        let run = ds.create_run(r).unwrap();
+        for s in 0..2u64 {
+            let sr = run.create_subrun(s).unwrap();
+            for e in 0..60u64 {
+                let ek = hepnos::keys::event_key(&uuid, r, s, e);
+                let pk = hepnos::keys::product_key(&ek, label.as_str(), &ty);
+                for db in &product_dbs {
+                    raw.put(db, &pk, b"stale").unwrap();
+                }
+                // Odd events are never created; even ones get their home
+                // copy written again through the store.
+                if e % 2 == 0 {
+                    let ev = sr.create_event(e).unwrap();
+                    ev.store(&label, &hits(r, s, e)).unwrap();
+                    point_reads.insert((r, s, e), ev.load_raw(&label, &ty).unwrap());
+                }
+            }
+        }
+    }
+    assert!(point_reads
+        .values()
+        .all(|v| v.as_deref() != Some(&b"stale"[..])));
+    for load_batch_size in [4, 64] {
+        let opts = PepOptions {
+            load_batch_size,
+            ..pipeline_opts(2)
+        };
+        let (pipelined, _) = run_pep(&store, &ds, opts);
+        assert_eq!(
+            pipelined, point_reads,
+            "load batch {load_batch_size}: the PEP joined a product that is not the event's home copy"
+        );
+    }
+    dep.shutdown();
+}

@@ -593,7 +593,7 @@ impl Db {
     ) -> Result<Vec<KeyValue>, DbError> {
         let mut out = Vec::new();
         self.inner.scan_while(lower, upper, &mut |k, v| {
-            out.push((k, v));
+            out.push((k.to_vec(), v.to_vec()));
             limit == 0 || out.len() < limit
         })?;
         Ok(out)
@@ -603,13 +603,14 @@ impl Db {
     /// `visit` in sorted key order until it returns `false`. Table entries
     /// stream in, in read-ahead chunks, as they are visited, and bypass the
     /// read cache: a caller that stops early does not read the rest of the
-    /// range. This is the primitive behind Yokan's listings and its range
-    /// filter.
+    /// range. Key and value are lent from the merge for the call only, so a
+    /// visitor copies just the entries it keeps. This is the primitive
+    /// behind Yokan's listings and its range filter.
     pub fn scan_while(
         &self,
         lower: &[u8],
         upper: Option<&[u8]>,
-        mut visit: impl FnMut(Vec<u8>, Vec<u8>) -> bool,
+        mut visit: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<(), DbError> {
         self.inner.scan_while(lower, upper, &mut visit)
     }
@@ -1407,7 +1408,7 @@ impl DbInner {
         &self,
         lower: &[u8],
         upper: Option<&[u8]>,
-        visit: &mut dyn FnMut(Vec<u8>, Vec<u8>) -> bool,
+        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<(), DbError> {
         if upper.is_some_and(|u| u <= lower) {
             return Ok(());
@@ -1452,7 +1453,7 @@ impl DbInner {
         let mut merged = Merge::new(sources);
         while merged.advance()? {
             if let Some(v) = merged.value() {
-                if !visit(merged.key().to_vec(), v.to_vec()) {
+                if !visit(merged.key(), v) {
                     break;
                 }
             }

@@ -15,6 +15,10 @@
 //! compiled to a predicate program and evaluated server-side against the
 //! column pages — only surviving slice ids cross the wire (events without
 //! columnar products fall back to fetch-and-cut automatically).
+//!
+//! `--load-batch` caps each page a PEP reader fetches: the event keys of a
+//! subrun, and the slice products one product database scans out of the
+//! subrun's key range (default 16384).
 
 use hepnos::{ParallelEventProcessor, PepOptions};
 use hepnos_tools::{connect, Args};
@@ -122,7 +126,7 @@ fn main() {
         stats.load_imbalance()
     );
     println!(
-        "pipeline: overlap ratio {:.2} ({:.1?} blocked on storage), read-ahead hwm {}, \
+        "pipeline: overlap ratio {:.2} ({:.1?} blocked on storage), subruns in flight hwm {}, \
          {} dispatch batches stolen",
         stats.overlap_ratio(),
         stats.blocked_time(),

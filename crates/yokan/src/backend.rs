@@ -128,13 +128,14 @@ pub trait Backend: Send + Sync {
     /// Hand the pairs whose keys are strictly greater than `from` and start
     /// with `prefix` to `visit`, in sorted key order, until it returns
     /// `false`. The exclusive lower bound lets callers resume iteration from
-    /// the last key seen — HEPnOS's container iteration protocol. The
-    /// listings below and the service's range filter are built on it.
+    /// the last key seen — HEPnOS's container iteration protocol. Key and
+    /// value are lent for the call only: the listings below copy what they
+    /// return, the service's range filter only what it keeps.
     fn scan(
         &self,
         from: &[u8],
         prefix: &[u8],
-        visit: &mut dyn FnMut(Vec<u8>, Vec<u8>) -> bool,
+        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<(), YokanError>;
 
     /// Keys strictly greater than `from` that start with `prefix`, in sorted
@@ -147,7 +148,7 @@ pub trait Backend: Send + Sync {
     ) -> Result<Vec<Vec<u8>>, YokanError> {
         let mut out = Vec::new();
         self.scan(from, prefix, &mut |k, _| {
-            out.push(k);
+            out.push(k.to_vec());
             limit == 0 || out.len() < limit
         })?;
         Ok(out)
@@ -162,7 +163,7 @@ pub trait Backend: Send + Sync {
     ) -> Result<Vec<KeyValue>, YokanError> {
         let mut out = Vec::new();
         self.scan(from, prefix, &mut |k, v| {
-            out.push((k, v));
+            out.push((k.to_vec(), v.to_vec()));
             limit == 0 || out.len() < limit
         })?;
         Ok(out)
@@ -463,7 +464,7 @@ impl Backend for MemBackend {
         &self,
         from: &[u8],
         prefix: &[u8],
-        visit: &mut dyn FnMut(Vec<u8>, Vec<u8>) -> bool,
+        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<(), YokanError> {
         // Strictly greater than `from`; but when `from` is below the prefix
         // range entirely, a key equal to `prefix` itself must be included.
@@ -501,7 +502,7 @@ impl Backend for MemBackend {
             }
             let Some(i) = best else { break };
             let (k, v) = heads[i].expect("best head present");
-            if !visit(k.clone(), v.clone()) {
+            if !visit(k, v) {
                 break;
             }
             heads[i] = iters[i].next();
@@ -602,7 +603,7 @@ impl Backend for LsmBackend {
         &self,
         from: &[u8],
         prefix: &[u8],
-        visit: &mut dyn FnMut(Vec<u8>, Vec<u8>) -> bool,
+        visit: &mut dyn FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<(), YokanError> {
         // lsmdb scans are inclusive on the lower bound; the smallest key
         // strictly greater than `from` is `from ++ [0]`. When `from` is below

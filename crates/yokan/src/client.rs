@@ -200,6 +200,20 @@ pub struct FilterScan<'a> {
     pub tag: &'a [u8],
 }
 
+/// The fixed part of a value-returning range scan (see
+/// [`YokanClient::value_scan_async`]): the keys it walks and the ones it
+/// returns with their values. Successive pages of one scan share it.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueScan<'a> {
+    /// Only keys starting with this prefix are walked.
+    pub prefix: &'a [u8],
+    /// A walked key is kept when it ends with [`ValueScan::tag`] at this
+    /// offset, i.e. it is exactly `tag_offset + tag.len()` bytes long.
+    pub tag_offset: u32,
+    /// The bytes a kept key ends with, from [`ValueScan::tag_offset`] on.
+    pub tag: &'a [u8],
+}
+
 /// A Yokan client bound to a local endpoint.
 ///
 /// Batched writes larger than `bulk_threshold` bytes are shipped as bulk
@@ -603,20 +617,10 @@ impl YokanClient {
         target: &DbTarget,
         keys: &[Vec<u8>],
     ) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        let vals = self.get_multi_async(target, keys).wait()?;
+        let vals: Vec<Option<Bytes>> = self
+            .read(target, OP_GET_MULTI, Self::keys_request(target, keys))
+            .wait_read(keys.len())?;
         Ok(vals.into_iter().map(|v| v.map(|v| v.to_vec())).collect())
-    }
-
-    /// Asynchronous [`YokanClient::get_multi`]: the RPC is issued
-    /// immediately and the returned handle is waited on later, so many
-    /// batched reads (to different databases, or successive pages of the
-    /// same scan) can be in flight at once. The read-side twin of
-    /// [`YokanClient::put_multi_async`].
-    pub fn get_multi_async(&self, target: &DbTarget, keys: &[Vec<u8>]) -> PendingGetMulti {
-        PendingGetMulti {
-            inner: self.read(target, OP_GET_MULTI, Self::keys_request(target, keys)),
-            n_keys: keys.len(),
-        }
     }
 
     /// Asynchronous [`YokanClient::list_keys`]: page the next batch of keys
@@ -629,10 +633,7 @@ impl YokanClient {
         limit: usize,
     ) -> PendingListKeys {
         let payload = Self::list_request(target, from, prefix, limit);
-        PendingListKeys {
-            inner: self.read(target, OP_LIST_KEYS, payload),
-            limit,
-        }
+        pending_page(self.read(target, OP_LIST_KEYS, payload), limit)
     }
 
     /// Existence checks for a batch of keys in one round-trip; the server
@@ -687,20 +688,69 @@ impl YokanClient {
         limit: usize,
     ) -> PendingFilterScan {
         let program = scan.program.to_bytes();
+        let payload = Self::scan_request(
+            target,
+            &program,
+            scan.prefix,
+            scan.tag_offset,
+            scan.tag,
+            from,
+            limit,
+        );
+        pending_page(self.read(target, OP_FILTER_SCAN, payload), limit)
+    }
+
+    /// The range filter's value form: the server walks the keys after
+    /// `from` under `scan.prefix` and answers every key that ends with
+    /// `scan.tag` at `scan.tag_offset` with its value, in key order. The
+    /// tag must end the key, so a tag `a#T` never returns a key `…a#Tx`.
+    /// `limit` counts returned keys (`0` = no limit); resume from the last
+    /// key returned. Like [`YokanClient::filter_scan_async`] it reads the
+    /// range in sequence, bypasses the server's read cache, and merges the
+    /// dual-read candidates' pages during a live migration (on a key both
+    /// sides hold, the new owner's value wins).
+    pub fn value_scan_async(
+        &self,
+        target: &DbTarget,
+        scan: &ValueScan<'_>,
+        from: &[u8],
+        limit: usize,
+    ) -> PendingValueScan {
+        // The empty program selects the value form of the same op.
+        let payload = Self::scan_request(
+            target,
+            &[],
+            scan.prefix,
+            scan.tag_offset,
+            scan.tag,
+            from,
+            limit,
+        );
+        pending_page(self.read(target, OP_FILTER_SCAN, payload), limit)
+    }
+
+    /// An `OP_FILTER_SCAN` request; an empty `program` asks for the value
+    /// form.
+    fn scan_request(
+        target: &DbTarget,
+        program: &[u8],
+        prefix: &[u8],
+        tag_offset: u32,
+        tag: &[u8],
+        from: &[u8],
+        limit: usize,
+    ) -> Bytes {
         let mut buf = Self::header(
             target,
-            24 + program.len() + from.len() + scan.prefix.len() + scan.tag.len(),
+            24 + program.len() + from.len() + prefix.len() + tag.len(),
         );
-        put_bytes(&mut buf, &program);
+        put_bytes(&mut buf, program);
         put_bytes(&mut buf, from);
-        put_bytes(&mut buf, scan.prefix);
-        buf.put_u32_le(scan.tag_offset);
-        put_bytes(&mut buf, scan.tag);
+        put_bytes(&mut buf, prefix);
+        buf.put_u32_le(tag_offset);
+        put_bytes(&mut buf, tag);
         buf.put_u32_le(limit as u32);
-        PendingFilterScan {
-            inner: self.read(target, OP_FILTER_SCAN, buf.freeze()),
-            limit,
-        }
+        buf.freeze()
     }
 
     /// Whether a key exists (with dual-read fallback during a migration).
@@ -1108,6 +1158,18 @@ impl Slot for bool {
     }
 }
 
+/// A value-scan reply: every kept key has its value.
+impl Slot for Bytes {
+    fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
+        let n = get_u32(&mut resp)? as usize;
+        (0..n).map(|_| get_bytes(&mut resp)).collect()
+    }
+
+    fn is_miss(&self) -> bool {
+        false
+    }
+}
+
 impl Slot for FilterReply {
     fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
         let n = get_u32(&mut resp)? as usize;
@@ -1171,11 +1233,12 @@ impl Entry for KeyValue {
     }
 }
 
-/// A range-filter result: the kept key and its per-key reply.
-impl Entry for (Vec<u8>, FilterReply) {
+/// A range-filter result: a kept key with its per-key reply, or with its
+/// value (a zero-copy slice of the response buffer).
+impl<S: Slot> Entry for (Vec<u8>, S) {
     fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
         let keys = decode_keys_factored(&mut resp)?;
-        let replies = FilterReply::decode_all(resp)?;
+        let replies = S::decode_all(resp)?;
         if replies.len() != keys.len() {
             return Err(YokanError::Protocol(format!(
                 "{} filter replies for {} keys",
@@ -1232,59 +1295,43 @@ impl<E: Entry> ReadReply for Page<E> {
     }
 }
 
-/// In-flight asynchronous `get_multi` (see [`YokanClient::get_multi_async`]).
-pub struct PendingGetMulti {
-    inner: InFlight,
-    n_keys: usize,
-}
-
-impl PendingGetMulti {
-    /// Wait for the values: one slot per requested key, in request order.
-    /// Present values are zero-copy `Bytes` slices of a response buffer.
-    /// During a live migration, slots the new owner missed are filled from
-    /// the dual-read candidates.
-    pub fn wait(self) -> Result<Vec<Option<Bytes>>, YokanError> {
-        self.inner.wait_read(self.n_keys)
-    }
-
-    /// Whether the response arrived.
-    pub fn is_ready(&self) -> bool {
-        self.inner.is_ready()
-    }
-}
-
-/// In-flight asynchronous `list_keys` (see [`YokanClient::list_keys_async`]).
-pub struct PendingListKeys {
+/// One listing or scan page in flight: the key page of
+/// [`YokanClient::list_keys_async`], a range filter page of
+/// [`YokanClient::filter_scan_async`], or a value scan page of
+/// [`YokanClient::value_scan_async`].
+pub struct PendingPage<E> {
     inner: InFlight,
     limit: usize,
+    decode: fn(InFlight, usize) -> Result<Vec<E>, YokanError>,
 }
 
-impl PendingListKeys {
-    /// Wait for the key page (merged with the dual-read candidates' pages
+/// In-flight asynchronous `list_keys`: sorted keys.
+pub type PendingListKeys = PendingPage<Vec<u8>>;
+/// In-flight range filter page: kept keys in order, each with its reply.
+pub type PendingFilterScan = PendingPage<(Vec<u8>, FilterReply)>;
+/// In-flight value scan page: kept keys in order, each with its value as a
+/// zero-copy slice of a response buffer.
+pub type PendingValueScan = PendingPage<(Vec<u8>, Bytes)>;
+
+/// A page RPC of entry type `E`, issued as `inner`.
+fn pending_page<E: Entry>(inner: InFlight, limit: usize) -> PendingPage<E> {
+    PendingPage {
+        inner,
+        limit,
+        decode: |inner, limit| Ok(inner.wait_read::<Page<E>>(limit)?.entries),
+    }
+}
+
+impl<E> PendingPage<E> {
+    /// Wait for the page (merged with the dual-read candidates' pages
     /// during a live migration).
-    pub fn wait(self) -> Result<Vec<Vec<u8>>, YokanError> {
-        let page: Page<Vec<u8>> = self.inner.wait_read(self.limit)?;
-        Ok(page.entries)
+    pub fn wait(self) -> Result<Vec<E>, YokanError> {
+        (self.decode)(self.inner, self.limit)
     }
 
     /// Whether the response arrived.
     pub fn is_ready(&self) -> bool {
         self.inner.is_ready()
-    }
-}
-
-/// In-flight page of a range filter (see [`YokanClient::filter_scan_async`]).
-pub struct PendingFilterScan {
-    inner: InFlight,
-    limit: usize,
-}
-
-impl PendingFilterScan {
-    /// Wait for the page: kept keys in order, each with its reply (merged
-    /// with the dual-read candidates' pages during a live migration).
-    pub fn wait(self) -> Result<Vec<(Vec<u8>, FilterReply)>, YokanError> {
-        let page: Page<(Vec<u8>, FilterReply)> = self.inner.wait_read(self.limit)?;
-        Ok(page.entries)
     }
 }
 

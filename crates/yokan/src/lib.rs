@@ -37,8 +37,8 @@ mod service;
 
 pub use backend::{Backend, BackendStats, LsmBackend, MemBackend, WatermarkConfig};
 pub use client::{
-    DbTarget, FilterReply, FilterScan, PendingFilterScan, PendingGetMulti, PendingListKeys,
-    PendingPut, YokanClient,
+    DbTarget, FilterReply, FilterScan, PendingFilterScan, PendingListKeys, PendingPage, PendingPut,
+    PendingValueScan, ValueScan, YokanClient,
 };
 pub use error::YokanError;
 pub use filter::{FilterOutput, Predicate, Program};

@@ -65,6 +65,10 @@ pub(crate) const OP_MIG_COMPLETE: u16 = PROVIDER_RPC_BASE + 19;
 /// tag_offset u32 | tag | limit u32`; `limit` counts kept keys (`0` = no
 /// limit). Reply: the kept keys as one [`encode_keys_factored`] block,
 /// then the per-key replies exactly as [`OP_FILTER`] encodes them.
+///
+/// An empty program asks for the values instead: a kept key must then
+/// *end* with `tag` (be exactly `tag_offset + tag.len()` bytes long), and
+/// the replies are the kept values, each length-prefixed.
 pub(crate) const OP_FILTER_SCAN: u16 = PROVIDER_RPC_BASE + 20;
 
 /// Per-key reply tags for [`OP_FILTER`] and [`OP_FILTER_SCAN`].
@@ -1074,7 +1078,12 @@ impl YokanService {
             }
             x if x == OP_FILTER_SCAN => {
                 let db = get_bytes(&mut p)?;
-                let prog = crate::filter::Program::from_bytes(&get_bytes(&mut p)?)?;
+                let program = get_bytes(&mut p)?;
+                let prog = if program.is_empty() {
+                    None
+                } else {
+                    Some(crate::filter::Program::from_bytes(&program)?)
+                };
                 let from = get_bytes(&mut p)?;
                 let prefix = get_bytes(&mut p)?;
                 let tag_offset = get_u32(&mut p)?;
@@ -1091,13 +1100,20 @@ impl YokanService {
                 let mut replies = BytesMut::new();
                 let mut failed = Ok(());
                 backend.scan(&from, &prefix, &mut |k, v| {
-                    if k.get(window.clone()) == Some(&tag[..]) {
-                        failed = put_filter_reply(&mut replies, Some(&v), &prog);
-                        if failed.is_err() {
-                            return false;
-                        }
-                        keys.push(k);
+                    if k.get(window.clone()) != Some(&tag[..]) {
+                        return true;
                     }
+                    match &prog {
+                        Some(prog) => {
+                            failed = put_filter_reply(&mut replies, Some(v), prog);
+                            if failed.is_err() {
+                                return false;
+                            }
+                        }
+                        None if k.len() == window.end => put_bytes(&mut replies, v),
+                        None => return true,
+                    }
+                    keys.push(k.to_vec());
                     limit == 0 || keys.len() < limit
                 })?;
                 failed?;

@@ -344,13 +344,6 @@ fn dual_read_fills_and_merges_on_every_read_entry_point() {
             }),
         ),
         (
-            "get_multi_async",
-            Box::new(|k| {
-                let mut vals = client.get_multi_async(&new, &[k.to_vec()]).wait().unwrap();
-                vals.pop().unwrap().map(|v| side(&v))
-            }),
-        ),
-        (
             "exists",
             Box::new(|k| present(client.exists(&new, k).unwrap())),
         ),
@@ -970,5 +963,200 @@ fn malformed_filter_scans_fail_and_the_provider_keeps_serving() {
         .wait()
         .unwrap()
         .is_empty());
+    ts.server.finalize();
+}
+
+/// One value scan paged `limit` kept keys at a time, resuming from the
+/// last key of each page, until a short page ends the range.
+fn value_scan_all(
+    client: &YokanClient,
+    target: &DbTarget,
+    scan: &yokan::ValueScan<'_>,
+    limit: usize,
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut from = scan.prefix.to_vec();
+    loop {
+        let page = client
+            .value_scan_async(target, scan, &from, limit)
+            .wait()
+            .unwrap();
+        assert!(limit == 0 || page.len() <= limit, "page over its limit");
+        let done = limit == 0 || page.len() < limit;
+        if let Some((last, _)) = page.last() {
+            from.clone_from(last);
+        }
+        out.extend(page.into_iter().map(|(k, v)| (k, v.to_vec())));
+        if done {
+            return out;
+        }
+    }
+}
+
+/// Kept keys `ds/NNNNslc#col` among keys the scan walks past: a longer
+/// type name the tag only begins (`slc#colx`), another label (`sum#x`),
+/// and keys outside the prefix.
+fn value_scan_keys(i: u64) -> [(String, bool); 4] {
+    [
+        (format!("ds/{i:04}slc#col"), true),
+        (format!("ds/{i:04}slc#colx"), false),
+        (format!("ds/{i:04}sum#x"), false),
+        (format!("dt/{i:04}slc#col"), false),
+    ]
+}
+
+#[test]
+fn value_scan_across_a_dual_read_split_equals_one_owner() {
+    use yokan::ValueScan;
+
+    let ts = setup(NetworkModel::default());
+    ts.svc.add_database(0, "base", Arc::new(MemBackend::new()));
+    ts.svc.add_database(0, "new", Arc::new(MemBackend::new()));
+    ts.svc.add_database(1, "old", Arc::new(MemBackend::new()));
+    let addr = ts.server.address();
+    let (base, new, old) = (
+        DbTarget::new(addr.clone(), 0, "base"),
+        DbTarget::new(addr.clone(), 0, "new"),
+        DbTarget::new(addr, 1, "old"),
+    );
+    let client = YokanClient::new(ts.fabric.endpoint("client"));
+    // Even keys live on the new owner, odd ones on the old; key 5 is on
+    // both, stale on the old side.
+    for i in 0..23u64 {
+        let owner = if i % 2 == 0 { &new } else { &old };
+        for (key, _) in value_scan_keys(i) {
+            let value = format!("{key}={i}").into_bytes();
+            for t in [&base, owner] {
+                client.put(t, key.as_bytes(), &value).unwrap();
+            }
+        }
+    }
+    client
+        .put(&new, b"ds/0005slc#col", b"ds/0005slc#col=5")
+        .unwrap();
+    client.put(&old, b"ds/0005slc#col", b"stale").unwrap();
+    client.install_dual_read("new", vec![old.clone()]);
+
+    let scan = ValueScan {
+        prefix: b"ds/",
+        tag_offset: 7,
+        tag: b"slc#col",
+    };
+    let baseline = value_scan_all(&client, &base, &scan, 0);
+    let want: Vec<(Vec<u8>, Vec<u8>)> = (0..23u64)
+        .map(|i| {
+            let key = format!("ds/{i:04}slc#col");
+            let value = format!("{key}={i}").into_bytes();
+            (key.into_bytes(), value)
+        })
+        .collect();
+    assert_eq!(baseline, want, "one owner returned other keys or values");
+    for limit in [0, 1, 4, 23] {
+        let before = client.retry_stats().dual_reads;
+        let split = value_scan_all(&client, &new, &scan, limit);
+        assert!(split == baseline, "limit {limit}: split scan differs");
+        assert!(
+            client.retry_stats().dual_reads > before,
+            "limit {limit}: the old owner answered nothing"
+        );
+    }
+    ts.server.finalize();
+}
+
+#[test]
+fn value_scan_pages_resume_from_the_last_key_returned() {
+    use yokan::ValueScan;
+
+    let ts = setup(NetworkModel::default());
+    let t = DbTarget::new(ts.server.address(), 0, "products");
+    let client = YokanClient::new(ts.fabric.endpoint("client"));
+    for i in 0..10u64 {
+        for (key, _) in value_scan_keys(i) {
+            client.put(&t, key.as_bytes(), &i.to_le_bytes()).unwrap();
+        }
+    }
+    let scan = ValueScan {
+        prefix: b"ds/",
+        tag_offset: 7,
+        tag: b"slc#col",
+    };
+    let page = |from: &[u8]| -> Vec<(String, u64)> {
+        let entries = client.value_scan_async(&t, &scan, from, 4).wait().unwrap();
+        (entries.into_iter())
+            .map(|(k, v)| {
+                let v = u64::from_le_bytes(v[..].try_into().unwrap());
+                (String::from_utf8(k).unwrap(), v)
+            })
+            .collect()
+    };
+    let kept = |range: std::ops::Range<u64>| -> Vec<(String, u64)> {
+        range.map(|i| (format!("ds/{i:04}slc#col"), i)).collect()
+    };
+    assert_eq!(page(b"ds/"), kept(0..4));
+    // Resuming from the last key returned skips the walked-past keys
+    // between it and the next kept one.
+    assert_eq!(page(b"ds/0003slc#col"), kept(4..8));
+    assert_eq!(page(b"ds/0007slc#col"), kept(8..10));
+    // Resuming from a key the scan walked past, not one it returned.
+    assert_eq!(page(b"ds/0004slc#colx"), kept(5..9));
+    assert!(page(b"ds/0009slc#col").is_empty());
+    ts.server.finalize();
+}
+
+#[test]
+fn value_scan_with_a_bad_program_fails_and_the_provider_keeps_serving() {
+    use bytes::{BufMut, BytesMut};
+    use mercurio::RpcId;
+    use std::time::Duration;
+    use yokan::{ValueScan, PROVIDER_RPC_BASE};
+    const FILTER_SCAN: u16 = PROVIDER_RPC_BASE + 20;
+
+    fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
+        buf.put_u32_le(b.len() as u32);
+        buf.put_slice(b);
+    }
+
+    let ts = setup(NetworkModel::default());
+    let addr = ts.server.address();
+    let ep = ts.fabric.endpoint("raw");
+    let client = YokanClient::new(ts.fabric.endpoint("scan-check"));
+    let t = DbTarget::new(addr.clone(), 0, "products");
+    client.put(&t, b"k1#a", b"one").unwrap();
+    client.put(&t, b"k2#a", b"two").unwrap();
+    client.put(&t, b"k3#ab", b"three").unwrap();
+    let scan = ValueScan {
+        prefix: b"k",
+        tag_offset: 2,
+        tag: b"#a",
+    };
+    // Non-empty programs no decoder accepts: one byte, and three.
+    for program in [&b"\x01"[..], b"\x00\x00\x00"] {
+        let mut payload = BytesMut::new();
+        put_bytes(&mut payload, b"products");
+        put_bytes(&mut payload, program);
+        put_bytes(&mut payload, b"");
+        put_bytes(&mut payload, scan.prefix);
+        payload.put_u32_le(scan.tag_offset);
+        put_bytes(&mut payload, scan.tag);
+        payload.put_u32_le(0);
+        let res = ep
+            .call_async(&addr, RpcId(FILTER_SCAN), 0, payload.freeze())
+            .wait_timeout(Duration::from_secs(10));
+        match res.map_err(YokanError::from) {
+            Err(YokanError::Protocol(_)) => {}
+            other => panic!("program {program:?}: answered {other:?}, expected a protocol error"),
+        }
+        // The provider keeps serving the value form.
+        let page = client.value_scan_async(&t, &scan, b"", 0).wait().unwrap();
+        let page: Vec<_> = page.into_iter().map(|(k, v)| (k, v.to_vec())).collect();
+        assert_eq!(
+            page,
+            vec![
+                (b"k1#a".to_vec(), b"one".to_vec()),
+                (b"k2#a".to_vec(), b"two".to_vec())
+            ],
+            "program {program:?}: provider stopped serving"
+        );
+    }
     ts.server.finalize();
 }
