@@ -15,8 +15,8 @@
 //! * [`launch`] — build the [`argos::Runtime`], wrap the endpoint in a
 //!   [`margo::MargoInstance`], register a [`yokan::YokanService`], create
 //!   the backends, and return a running [`BedrockServer`];
-//! * [`ServiceConfig::hepnos_node`] — generator for the paper's per-node
-//!   topology;
+//! * [`ServiceConfig::hepnos_topology`] — generator for the paper's
+//!   per-node topology;
 //! * [`ConnectionDescriptor`] — the address book handed to clients (the
 //!   paper's `connect("config.json")`).
 //!
@@ -26,7 +26,8 @@
 //! use mercurio::local::Fabric;
 //!
 //! let fabric = Fabric::new(Default::default());
-//! let cfg = bedrock::ServiceConfig::hepnos_node(2, 2, 2, bedrock::BackendKind::Map, None);
+//! let counts = bedrock::DbCounts { datasets: 0, runs: 0, subruns: 0, events: 2, products: 2 };
+//! let cfg = bedrock::ServiceConfig::hepnos_topology(counts, bedrock::BackendKind::Map, None);
 //! let server = bedrock::launch(fabric.endpoint("node0"), &cfg).unwrap();
 //! assert_eq!(server.descriptor().providers.len(), 4);
 //! server.shutdown();
@@ -419,118 +420,6 @@ impl ReplicationConfig {
     }
 }
 
-/// The optional `migration` section: tuning for live rescaling (the
-/// hepnos-side `Migrator` walks key ranges in bounded batches under
-/// traffic) and, optionally, the overload-driven autoscaler that triggers
-/// it. Absent, live rescaling uses the built-in defaults; every knob has a
-/// serde default so handwritten configs set only what they care about.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MigrationConfig {
-    /// Keys copied per migration range (the unit of freezing).
-    #[serde(default = "d_batch_keys")]
-    pub batch_keys: usize,
-    /// Source chains migrated concurrently.
-    #[serde(default = "d_max_inflight_ranges")]
-    pub max_inflight_ranges: usize,
-    /// `Busy { retry_after }` hint (milliseconds) returned to writers that
-    /// touch a frozen range.
-    #[serde(default = "d_freeze_retry_ms")]
-    pub freeze_retry_ms: u64,
-    /// Pause (milliseconds) between ranges of one source chain.
-    #[serde(default)]
-    pub range_pause_ms: u64,
-    /// Autoscale policy; `None` means decisions stay manual.
-    #[serde(default)]
-    pub autoscale: Option<AutoscaleConfig>,
-}
-
-fn d_batch_keys() -> usize {
-    256
-}
-fn d_max_inflight_ranges() -> usize {
-    4
-}
-fn d_freeze_retry_ms() -> u64 {
-    5
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        MigrationConfig {
-            batch_keys: d_batch_keys(),
-            max_inflight_ranges: d_max_inflight_ranges(),
-            freeze_retry_ms: d_freeze_retry_ms(),
-            range_pause_ms: 0,
-            autoscale: None,
-        }
-    }
-}
-
-/// The `migration.autoscale` subsection: thresholds for overload-driven
-/// add-provider / drain-provider decisions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AutoscaleConfig {
-    /// Queue-depth high-water mark at or above which a node counts as
-    /// overloaded.
-    #[serde(default = "d_queue_hwm_trigger")]
-    pub queue_hwm_trigger: u64,
-    /// Shed fraction (0..1) at or above which a node counts as overloaded.
-    #[serde(default = "d_shed_rate_trigger")]
-    pub shed_rate_trigger: f64,
-    /// LSM write stalls + sheds per interval at or above which a node
-    /// counts as overloaded.
-    #[serde(default = "d_stall_trigger")]
-    pub stall_trigger: u64,
-    /// Consecutive overloaded intervals before scaling out.
-    #[serde(default = "d_sustain_intervals")]
-    pub sustain_intervals: u32,
-    /// Minimum seconds between two scaling actions.
-    #[serde(default = "d_cooldown_secs")]
-    pub cooldown_secs: u64,
-    /// Seconds the whole deployment must stay idle before draining.
-    #[serde(default = "d_drain_idle_secs")]
-    pub drain_idle_secs: u64,
-    /// Never drain below this many nodes.
-    #[serde(default = "d_min_nodes")]
-    pub min_nodes: usize,
-}
-
-fn d_queue_hwm_trigger() -> u64 {
-    16
-}
-fn d_shed_rate_trigger() -> f64 {
-    0.05
-}
-fn d_stall_trigger() -> u64 {
-    8
-}
-fn d_sustain_intervals() -> u32 {
-    2
-}
-fn d_cooldown_secs() -> u64 {
-    30
-}
-fn d_drain_idle_secs() -> u64 {
-    120
-}
-fn d_min_nodes() -> usize {
-    1
-}
-
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        AutoscaleConfig {
-            queue_hwm_trigger: d_queue_hwm_trigger(),
-            shed_rate_trigger: d_shed_rate_trigger(),
-            stall_trigger: d_stall_trigger(),
-            sustain_intervals: d_sustain_intervals(),
-            cooldown_secs: d_cooldown_secs(),
-            drain_idle_secs: d_drain_idle_secs(),
-            min_nodes: d_min_nodes(),
-        }
-    }
-}
-
 /// A full Bedrock service configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceConfig {
@@ -549,10 +438,6 @@ pub struct ServiceConfig {
     /// single-copy.
     #[serde(default)]
     pub replication: Option<ReplicationConfig>,
-    /// Live rescaling and autoscale tuning; `None` uses built-in defaults
-    /// and manual scaling.
-    #[serde(default)]
-    pub migration: Option<MigrationConfig>,
 }
 
 /// Errors raised during bootstrap.
@@ -593,81 +478,6 @@ impl ServiceConfig {
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("config serialization cannot fail")
-    }
-
-    /// Generate the paper's per-node server topology (§IV-D): one provider
-    /// per database, each on a dedicated pool and execution stream, serving
-    /// `n_event_dbs` event databases and `n_product_dbs` product databases,
-    /// with `extra_xstreams` additional xstreams draining the shared RPC
-    /// pool. For `Lsm`, `data_dir` is the root under which each database
-    /// gets a subdirectory (the node-local SSD).
-    pub fn hepnos_node(
-        n_event_dbs: usize,
-        n_product_dbs: usize,
-        extra_xstreams: usize,
-        backend: BackendKind,
-        data_dir: Option<PathBuf>,
-    ) -> ServiceConfig {
-        let mut pools = vec![PoolConfig {
-            name: "default".into(),
-            kind: "fifo_wait".into(),
-        }];
-        let mut xstreams = Vec::new();
-        let mut providers = Vec::new();
-        let mut provider_id = 0u16;
-        let mut add = |label: &str, idx: usize, provider_id: u16| {
-            let pool_name = format!("pool_{label}_{idx}");
-            pools.push(PoolConfig {
-                name: pool_name.clone(),
-                kind: "fifo_wait".into(),
-            });
-            xstreams.push(XstreamConfig {
-                name: format!("es_{label}_{idx}"),
-                pools: vec![pool_name.clone(), "default".into()],
-            });
-            let db_name = format!("{label}_{idx}");
-            providers.push(ProviderConfig {
-                name: format!("yokan_{label}_{idx}"),
-                provider_id,
-                pool: pool_name,
-                databases: vec![DatabaseConfig {
-                    name: db_name.clone(),
-                    kind: backend,
-                    path: data_dir.as_ref().map(|d| d.join(&db_name)),
-                }],
-            });
-        };
-        for i in 0..n_event_dbs {
-            add("events", i, provider_id);
-            provider_id += 1;
-        }
-        for i in 0..n_product_dbs {
-            add("products", i, provider_id);
-            provider_id += 1;
-        }
-        for i in 0..extra_xstreams {
-            xstreams.push(XstreamConfig {
-                name: format!("es_rpc_{i}"),
-                pools: vec!["default".into()],
-            });
-        }
-        if extra_xstreams == 0 && xstreams.is_empty() {
-            xstreams.push(XstreamConfig {
-                name: "es_rpc_0".into(),
-                pools: vec!["default".into()],
-            });
-        }
-        ServiceConfig {
-            margo: MargoConfig {
-                argobots: ArgobotsConfig { pools, xstreams },
-                rpc_pool: "default".into(),
-            },
-            providers,
-            overload: None,
-            lsm: None,
-            replication: None,
-            migration: None,
-        }
     }
 }
 
@@ -729,7 +539,6 @@ impl ServiceConfig {
             overload: None,
             lsm: None,
             replication: None,
-            migration: None,
         };
         let mut provider_id = 0u16;
         for (label, n) in [
@@ -1025,13 +834,39 @@ mod tests {
     use mercurio::local::Fabric;
     use yokan::{DbTarget, YokanClient};
 
+    /// A node serving only `events` event and `products` product
+    /// databases: provider 0 is `events_0`.
+    fn node(
+        events: usize,
+        products: usize,
+        backend: BackendKind,
+        data_dir: Option<PathBuf>,
+    ) -> ServiceConfig {
+        let counts = DbCounts {
+            datasets: 0,
+            runs: 0,
+            subruns: 0,
+            events,
+            products,
+        };
+        ServiceConfig::hepnos_topology(counts, backend, data_dir)
+    }
+
     #[test]
-    fn hepnos_node_topology_matches_paper_shape() {
-        let cfg = ServiceConfig::hepnos_node(8, 8, 0, BackendKind::Map, None);
+    fn hepnos_topology_matches_paper_shape() {
+        let cfg = node(8, 8, BackendKind::Map, None);
         assert_eq!(cfg.providers.len(), 16);
         // one pool per provider + default
         assert_eq!(cfg.margo.argobots.pools.len(), 17);
-        assert_eq!(cfg.margo.argobots.xstreams.len(), 16);
+        // one xstream per provider, each on its own pool then the shared
+        // RPC pool, plus `es_rpc` on the RPC pool alone
+        let xs = &cfg.margo.argobots.xstreams;
+        assert_eq!(xs.len(), 17);
+        assert_eq!(xs[0].name, "es_rpc");
+        assert_eq!(xs[0].pools, ["default"]);
+        for (x, p) in xs[1..].iter().zip(&cfg.providers) {
+            assert_eq!(x.pools, [p.pool.as_str(), "default"]);
+        }
         let event_dbs: Vec<_> = cfg
             .providers
             .iter()
@@ -1043,7 +878,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let cfg = ServiceConfig::hepnos_node(2, 2, 1, BackendKind::Map, None);
+        let cfg = node(2, 2, BackendKind::Map, None);
         let text = cfg.to_json();
         let parsed = ServiceConfig::from_json(&text).unwrap();
         assert_eq!(parsed.providers.len(), 4);
@@ -1072,6 +907,52 @@ mod tests {
         assert_eq!(cfg.providers[0].databases[0].kind, BackendKind::Map);
     }
 
+    /// Configs written when the schema had a `migration` section (with a
+    /// nested `autoscale`) still parse, launch and serve: the section is
+    /// skipped as an unknown field.
+    #[test]
+    fn config_with_migration_section_still_launches() {
+        let text = r#"{
+            "margo": {
+                "argobots": {
+                    "pools": [{"name": "default", "kind": "fifo_wait"}],
+                    "xstreams": [{"name": "es0", "pools": ["default"]}]
+                },
+                "rpc_pool": "default"
+            },
+            "providers": [{
+                "name": "kv",
+                "provider_id": 0,
+                "pool": "default",
+                "databases": [{"name": "events_0", "type": "map"}]
+            }],
+            "migration": {
+                "batch_keys": 64,
+                "max_inflight_ranges": 2,
+                "freeze_retry_ms": 10,
+                "range_pause_ms": 1,
+                "autoscale": {
+                    "queue_hwm_trigger": 16,
+                    "shed_rate_trigger": 0.05,
+                    "stall_trigger": 8,
+                    "sustain_intervals": 2,
+                    "cooldown_secs": 30,
+                    "drain_idle_secs": 120,
+                    "min_nodes": 1
+                }
+            }
+        }"#;
+        let cfg = ServiceConfig::from_json(text).unwrap();
+        assert_eq!(cfg.providers.len(), 1);
+        let fabric = Fabric::new(Default::default());
+        let server = launch(fabric.endpoint("node0"), &cfg).unwrap();
+        let client = YokanClient::new(fabric.endpoint("client"));
+        let t = DbTarget::new(server.address(), 0, "events_0");
+        client.put(&t, b"k", b"v").unwrap();
+        assert_eq!(client.get(&t, b"k").unwrap(), Some(b"v".to_vec()));
+        server.shutdown();
+    }
+
     #[test]
     fn parse_rejects_garbage() {
         assert!(ServiceConfig::from_json("{not json").is_err());
@@ -1081,7 +962,7 @@ mod tests {
     #[test]
     fn launch_and_serve() {
         let fabric = Fabric::new(Default::default());
-        let cfg = ServiceConfig::hepnos_node(2, 2, 1, BackendKind::Map, None);
+        let cfg = node(2, 2, BackendKind::Map, None);
         let server = launch(fabric.endpoint("node0"), &cfg).unwrap();
         let desc = server.descriptor().clone();
         assert_eq!(desc.providers.len(), 4);
@@ -1099,7 +980,7 @@ mod tests {
     #[test]
     fn launch_lsm_requires_path() {
         let fabric = Fabric::new(Default::default());
-        let mut cfg = ServiceConfig::hepnos_node(1, 0, 0, BackendKind::Lsm, None);
+        let mut cfg = node(1, 0, BackendKind::Lsm, None);
         cfg.providers[0].databases[0].path = None;
         let err = launch(fabric.endpoint("n"), &cfg).unwrap_err();
         assert!(matches!(err, BedrockError::Invalid(_)));
@@ -1110,7 +991,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bedrock-lsm-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let fabric = Fabric::new(Default::default());
-        let cfg = ServiceConfig::hepnos_node(1, 1, 0, BackendKind::Lsm, Some(dir.clone()));
+        let cfg = node(1, 1, BackendKind::Lsm, Some(dir.clone()));
         let server = launch(fabric.endpoint("n"), &cfg).unwrap();
         let client = YokanClient::new(fabric.endpoint("c"));
         let t = DbTarget::new(server.address(), 0, "events_0");
@@ -1155,7 +1036,7 @@ mod tests {
         };
         assert!(matches!(bad.options(), Err(BedrockError::Invalid(_))));
         // Configs without the section still parse (backward compatible).
-        let old = ServiceConfig::hepnos_node(1, 1, 0, BackendKind::Map, None).to_json();
+        let old = node(1, 1, BackendKind::Map, None).to_json();
         assert!(ServiceConfig::from_json(&old).unwrap().lsm.is_none());
     }
 
@@ -1164,7 +1045,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bedrock-lsmtune-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let fabric = Fabric::new(Default::default());
-        let mut cfg = ServiceConfig::hepnos_node(1, 0, 0, BackendKind::Lsm, Some(dir.clone()));
+        let mut cfg = node(1, 0, BackendKind::Lsm, Some(dir.clone()));
         cfg.lsm = Some(LsmConfig {
             memtable_bytes: 256, // tiny: a handful of puts forces flushes
             inline_compaction: true,
@@ -1193,7 +1074,7 @@ mod tests {
     #[test]
     fn descriptor_serializes_for_clients() {
         let fabric = Fabric::new(Default::default());
-        let cfg = ServiceConfig::hepnos_node(1, 1, 0, BackendKind::Map, None);
+        let cfg = node(1, 1, BackendKind::Map, None);
         let server = launch(fabric.endpoint("node0"), &cfg).unwrap();
         let json = serde_json::to_string(server.descriptor()).unwrap();
         let parsed: ConnectionDescriptor = serde_json::from_str(&json).unwrap();
@@ -1224,14 +1105,14 @@ mod tests {
         assert_eq!(ov.retry_after_ms, 5);
         assert!(ov.watermarks().is_none(), "hard watermark defaults to off");
         // Configs without the section still parse (backward compatible).
-        let old = ServiceConfig::hepnos_node(1, 1, 0, BackendKind::Map, None).to_json();
+        let old = node(1, 1, BackendKind::Map, None).to_json();
         assert!(ServiceConfig::from_json(&old).unwrap().overload.is_none());
     }
 
     #[test]
     fn overload_zero_queue_sheds_everything() {
         let fabric = Fabric::new(Default::default());
-        let mut cfg = ServiceConfig::hepnos_node(1, 0, 0, BackendKind::Map, None);
+        let mut cfg = node(1, 0, BackendKind::Map, None);
         cfg.overload = Some(OverloadConfig {
             max_queued_per_provider: 0,
             ..Default::default()
@@ -1256,7 +1137,7 @@ mod tests {
     #[test]
     fn overload_watermarks_reach_backends() {
         let fabric = Fabric::new(Default::default());
-        let mut cfg = ServiceConfig::hepnos_node(1, 0, 0, BackendKind::Map, None);
+        let mut cfg = node(1, 0, BackendKind::Map, None);
         cfg.overload = Some(OverloadConfig {
             hard_watermark_bytes: 64,
             ..Default::default()
@@ -1296,7 +1177,7 @@ mod tests {
             yokan::ForwardParams::default().timeout
         );
         // Configs without the section still parse (backward compatible).
-        let old = ServiceConfig::hepnos_node(1, 1, 0, BackendKind::Map, None).to_json();
+        let old = node(1, 1, BackendKind::Map, None).to_json();
         assert!(ServiceConfig::from_json(&old)
             .unwrap()
             .replication
@@ -1310,7 +1191,7 @@ mod tests {
     #[test]
     fn launch_advertises_replication_factor() {
         let fabric = Fabric::new(Default::default());
-        let mut cfg = ServiceConfig::hepnos_node(1, 0, 0, BackendKind::Map, None);
+        let mut cfg = node(1, 0, BackendKind::Map, None);
         cfg.replication = Some(ReplicationConfig::default());
         let server = launch(fabric.endpoint("node0"), &cfg).unwrap();
         assert_eq!(server.descriptor().replication.as_ref().unwrap().factor, 2);
@@ -1328,7 +1209,7 @@ mod tests {
     #[test]
     fn wire_replication_forwards_mutations_to_both_replicas() {
         let fabric = Fabric::new(Default::default());
-        let mut cfg = ServiceConfig::hepnos_node(2, 0, 0, BackendKind::Map, None);
+        let mut cfg = node(2, 0, BackendKind::Map, None);
         cfg.replication = Some(ReplicationConfig::default());
         let s0 = launch(fabric.endpoint("node0"), &cfg).unwrap();
         let s1 = launch(fabric.endpoint("node1"), &cfg).unwrap();
@@ -1367,7 +1248,7 @@ mod tests {
     #[test]
     fn invalid_scheduler_kind_rejected() {
         let fabric = Fabric::new(Default::default());
-        let mut cfg = ServiceConfig::hepnos_node(1, 0, 0, BackendKind::Map, None);
+        let mut cfg = node(1, 0, BackendKind::Map, None);
         cfg.margo.argobots.pools[0].kind = "quantum".into();
         let err = launch(fabric.endpoint("x"), &cfg).unwrap_err();
         assert!(matches!(err, BedrockError::Invalid(_)));

@@ -1269,7 +1269,7 @@ fn merge_by_key<E: Keyed>(streams: Vec<Vec<E>>) -> Vec<E> {
 }
 
 /// Maximum product keys per push-down filter RPC; bounds the work one
-/// request pins on a provider (the fan-out path parallelizes within it).
+/// request pins on a provider's handler.
 const FILTER_BATCH: usize = 1024;
 
 impl DataStore {

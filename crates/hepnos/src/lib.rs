@@ -58,7 +58,6 @@
 
 #![warn(missing_docs)]
 
-pub mod autoscale;
 mod batch;
 pub mod binser;
 mod datastore;
@@ -70,7 +69,6 @@ pub mod rescale;
 pub mod testing;
 mod uuid;
 
-pub use autoscale::{AutoScalePolicy, AutoScaler, NodeSample, ScaleDecision};
 pub use batch::{AsyncWriteBatch, BatchStats, WriteBatch};
 pub use datastore::{DataSet, DataStore, Event, ProductLabel, Run, SubRun, LIST_PAGE};
 pub use error::HepnosError;

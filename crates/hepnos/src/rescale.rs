@@ -267,18 +267,6 @@ impl Default for MigratorConfig {
     }
 }
 
-impl MigratorConfig {
-    /// Build from a deployment's `migration` config section.
-    pub fn from_bedrock(cfg: &bedrock::MigrationConfig) -> MigratorConfig {
-        MigratorConfig {
-            batch_keys: cfg.batch_keys.max(1),
-            max_inflight_ranges: cfg.max_inflight_ranges.max(1),
-            freeze_retry_after: Duration::from_millis(cfg.freeze_retry_ms),
-            range_pause: Duration::from_millis(cfg.range_pause_ms),
-        }
-    }
-}
-
 #[derive(Default)]
 struct MigratorProgress {
     keys_scanned: AtomicU64,

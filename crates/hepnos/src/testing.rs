@@ -192,28 +192,6 @@ impl LocalDeployment {
         descriptor
     }
 
-    /// One [`crate::autoscale::NodeSample`] per live server node: its
-    /// admission-control counters plus LSM write stalls/sheds summed over
-    /// its databases — the [`crate::autoscale::AutoScaler`] input.
-    pub fn autoscale_samples(&self) -> Vec<crate::autoscale::NodeSample> {
-        let mut out = Vec::new();
-        for server in self.servers.iter().flatten() {
-            let mut stalls = 0u64;
-            let mut sheds = 0u64;
-            for (_, _, stats) in server.yokan().backend_stats() {
-                stalls += stats.soft_stalls;
-                sheds += stats.hard_sheds;
-            }
-            out.push(crate::autoscale::NodeSample {
-                node: server.address().to_string(),
-                overload: server.overload_stats(),
-                lsm_write_stalls: stalls,
-                lsm_write_sheds: sheds,
-            });
-        }
-        out
-    }
-
     /// Connect an additional, independent client (its own endpoint).
     pub fn connect_client(&self, name: &str) -> DataStore {
         DataStore::connect(self.fabric.endpoint(name), &self.descriptors)

@@ -27,7 +27,14 @@ fn main() {
     let file = args.require("connect", USAGE);
     let dataset_path = args.require("dataset", USAGE);
     let input = PathBuf::from(args.require("input", USAGE));
-    let loaders: usize = args.get_or("loaders", "4").parse().unwrap_or(4);
+    let loaders: usize = args.parsed("loaders", USAGE).unwrap_or(4);
+    let overlap = args.get("overlap").is_some();
+    let xstreams: usize = args.parsed("xstreams", USAGE).unwrap_or(2);
+    // `--columnar` alone uses the default page size; `--columnar N` sets it.
+    let columnar: Option<u32> = match args.get("columnar") {
+        Some("true") => Some(nova::columnar::DEFAULT_PAGE_ROWS),
+        _ => args.parsed("columnar", USAGE),
+    };
     if let Some(spec) = args.get("generate") {
         let (files, events) = spec
             .split_once('x')
@@ -36,7 +43,7 @@ fn main() {
                 eprintln!("bad --generate (want FILESxEVENTS, e.g. 16x500)");
                 std::process::exit(2);
             });
-        let seed: u64 = args.get_or("seed", "1").parse().unwrap_or(1);
+        let seed: u64 = args.parsed("seed", USAGE).unwrap_or(1);
         let gen = NovaGenerator::new(seed);
         nova::files::write_dataset(&input, &gen, files, events).unwrap_or_else(|e| {
             eprintln!("generation failed: {e}");
@@ -68,19 +75,6 @@ fn main() {
             eprintln!("cannot create dataset: {e}");
             std::process::exit(1);
         });
-    let overlap = args.get("overlap").is_some();
-    let xstreams: usize = args.get_or("xstreams", "2").parse().unwrap_or(2);
-    // `--columnar` alone uses the default page size; `--columnar N` sets it.
-    let columnar: Option<u32> = args.get("columnar").map(|v| {
-        if v == "true" {
-            nova::columnar::DEFAULT_PAGE_ROWS
-        } else {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("bad --columnar (want a page row count)\nusage: {USAGE}");
-                std::process::exit(2);
-            })
-        }
-    });
     let t = std::time::Instant::now();
     let rt = overlap.then(|| argos::Runtime::simple(xstreams.max(1)));
     let pool = rt

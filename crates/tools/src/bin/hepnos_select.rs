@@ -36,7 +36,9 @@ fn main() {
     let args = Args::from_env();
     let file = args.require("connect", USAGE);
     let dataset_path = args.require("dataset", USAGE);
-    let workers: usize = args.get_or("workers", "4").parse().unwrap_or(4);
+    let workers: usize = args.parsed("workers", USAGE).unwrap_or(4);
+    let load_batch_size: usize = args.parsed("load-batch", USAGE).unwrap_or(16384);
+    let dispatch_batch_size: usize = args.parsed("dispatch-batch", USAGE).unwrap_or(64);
     let store = connect(Path::new(&file));
     let ds = store.dataset(&dataset_path).unwrap_or_else(|e| {
         eprintln!("cannot open dataset: {e}");
@@ -79,8 +81,8 @@ fn main() {
         store.clone(),
         PepOptions {
             num_workers: workers,
-            load_batch_size: args.get_or("load-batch", "16384").parse().unwrap_or(16384),
-            dispatch_batch_size: args.get_or("dispatch-batch", "64").parse().unwrap_or(64),
+            load_batch_size,
+            dispatch_batch_size,
             // Prefetch both representations: opaque blobs and columnar pages.
             prefetch: vec![
                 (slice_label(), slice_type_name()),

@@ -4,7 +4,7 @@
 //! hepnos-serve [--config bedrock.json] [--port 0] [--backend map|lsm]
 //!              [--data-dir DIR] [--wal-sync none|group|always]
 //!              [--events N] [--products N] [--replication R]
-//!              [--wire-from FILE] [--join [EPOCH]] [--drain]
+//!              [--wire-from FILE] [--join [EPOCH]]
 //!              --descriptor-out FILE [--run-seconds N]
 //! ```
 //!
@@ -25,9 +25,6 @@
 //! `--join EPOCH` marks the node as joining an already-running deployment
 //! mid-rescale: the node adopts the given topology epoch (stale writers
 //! fenced from the first request) and prints the epoch it joined at.
-//! `--drain` marks the node as leaving: at exit it prints the epoch it
-//! left at plus its live-migration counters, so deployment scripts can
-//! log the handoff boundary.
 
 use bedrock::{BackendKind, ConnectionDescriptor, DbCounts, LsmConfig, ServiceConfig};
 use hepnos_tools::Args;
@@ -37,14 +34,17 @@ use std::path::PathBuf;
 const USAGE: &str = "hepnos-serve [--config bedrock.json] [--port N] [--backend map|lsm] \
                      [--data-dir DIR] [--wal-sync none|group|always] \
                      [--events N] [--products N] [--replication R] [--wire-from FILE] \
-                     [--join [EPOCH]] [--drain] --descriptor-out FILE [--run-seconds N]";
+                     [--join [EPOCH]] --descriptor-out FILE [--run-seconds N]";
 
 fn main() {
     let args = Args::from_env();
-    let port: u16 = args.get_or("port", "0").parse().unwrap_or_else(|_| {
-        eprintln!("bad --port");
-        std::process::exit(2);
-    });
+    let port: u16 = args.parsed("port", USAGE).unwrap_or(0);
+    // Bare `--join` keeps the node's own epoch; `--join EPOCH` sets it.
+    let join_epoch: Option<u64> = match args.get("join") {
+        Some("true") => None,
+        _ => args.parsed("join", USAGE),
+    };
+    let run_seconds: Option<u64> = args.parsed("run-seconds", USAGE);
     let config = match args.get("config") {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -74,8 +74,8 @@ fn main() {
                 datasets: 1,
                 runs: 1,
                 subruns: 1,
-                events: args.get_or("events", "8").parse().unwrap_or(8),
-                products: args.get_or("products", "8").parse().unwrap_or(8),
+                events: args.parsed("events", USAGE).unwrap_or(8),
+                products: args.parsed("products", USAGE).unwrap_or(8),
             };
             let mut cfg = ServiceConfig::hepnos_topology(counts, backend, data_dir);
             if let Some(mode) = args.get("wal-sync") {
@@ -88,11 +88,7 @@ fn main() {
                     ..LsmConfig::default()
                 });
             }
-            if let Some(r) = args.get("replication") {
-                let factor: usize = r.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --replication {r} (want a replica count)");
-                    std::process::exit(2);
-                });
+            if let Some(factor) = args.parsed("replication", USAGE) {
                 cfg.replication = Some(bedrock::ReplicationConfig {
                     factor,
                     ..Default::default()
@@ -147,23 +143,17 @@ fn main() {
     // A node joining a live deployment mid-rescale adopts the deployment's
     // topology epoch up front, so a writer still stamping the pre-rescale
     // epoch is fenced from this node's very first request.
-    if let Some(j) = args.get("join") {
-        if j != "true" {
-            let epoch: u64 = j.parse().unwrap_or_else(|_| {
-                eprintln!("bad --join {j} (want an epoch number)");
-                std::process::exit(2);
-            });
-            server.yokan().set_topology_epoch(epoch);
-        }
+    if let Some(epoch) = join_epoch {
+        server.yokan().set_topology_epoch(epoch);
+    }
+    if args.get("join").is_some() {
         eprintln!(
             "hepnos-serve: joined topology at epoch {}",
             server.yokan().topology_epoch()
         );
     }
-    let draining = args.get("drain").is_some();
-    match args.get("run-seconds") {
-        Some(s) => {
-            let secs: u64 = s.parse().unwrap_or(1);
+    match run_seconds {
+        Some(secs) => {
             std::thread::sleep(std::time::Duration::from_secs(secs));
             let ov = server.overload_stats();
             print_lsm_stats(&server);
@@ -183,12 +173,6 @@ fn main() {
                     mig.handoff_keys,
                     mig.frozen_rejects,
                     mig.wrong_epoch_rejects
-                );
-            }
-            if draining {
-                eprintln!(
-                    "hepnos-serve: drained, left topology at epoch {}",
-                    server.yokan().topology_epoch()
                 );
             }
             server.shutdown();

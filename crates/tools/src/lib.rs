@@ -15,6 +15,7 @@ use hepnos::DataStore;
 use mercurio::tcp::TcpEndpoint;
 use std::collections::HashMap;
 use std::path::Path;
+use std::str::FromStr;
 
 /// Minimal `--key value` / `--flag` argument parser.
 #[derive(Debug, Default)]
@@ -55,6 +56,20 @@ impl Args {
     /// Named option with default.
     pub fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.get(key).unwrap_or(default)
+    }
+
+    /// Named option parsed as `T`; `None` when absent. A value that does
+    /// not parse exits 2 with `bad --KEY VALUE` and the usage line instead
+    /// of falling back to a default the caller did not ask for.
+    pub fn parsed<T: FromStr>(&self, key: &str, usage: &str) -> Option<T> {
+        let value = self.get(key)?;
+        match value.parse() {
+            Ok(v) => Some(v),
+            Err(_) => {
+                eprintln!("bad --{key} {value}\nusage: {usage}");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// Required named option; exits with a usage message if absent.
@@ -131,6 +146,8 @@ mod tests {
         );
         assert_eq!(a.get("absent"), None);
         assert_eq!(a.get_or("absent", "d"), "d");
+        assert_eq!(a.parsed::<u16>("port", "usage"), Some(9000));
+        assert_eq!(a.parsed::<u16>("absent", "usage"), None);
     }
 
     #[test]

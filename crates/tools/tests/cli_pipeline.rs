@@ -164,3 +164,49 @@ fn ls_on_empty_deployment() {
     server.wait().ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A numeric option that does not parse is a usage error (exit 2), never a
+/// silent fall-back to the option's default; the server fails before it
+/// binds, so no descriptor is written.
+#[test]
+fn unparsable_numeric_options_exit_with_usage() {
+    let dir = workdir("badnum");
+    let descriptor = dir.join("node.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_hepnos-serve"))
+        .args([
+            "--events",
+            "eight",
+            "--descriptor-out",
+            descriptor.to_str().unwrap(),
+            "--run-seconds",
+            "1",
+        ])
+        .output()
+        .expect("run hepnos-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("bad --events eight"), "{stderr}");
+    assert!(stderr.contains("usage: hepnos-serve"), "{stderr}");
+    assert!(!descriptor.exists(), "server wrote a descriptor");
+
+    let input = dir.join("files");
+    std::fs::create_dir_all(&input).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hepnos-ingest"))
+        .args([
+            "--connect",
+            dir.join("deployment.json").to_str().unwrap(),
+            "--dataset",
+            "cli/bad",
+            "--input",
+            input.to_str().unwrap(),
+            "--loaders",
+            "four",
+        ])
+        .output()
+        .expect("run hepnos-ingest");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("bad --loaders four"), "{stderr}");
+    assert!(stderr.contains("usage: hepnos-ingest"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

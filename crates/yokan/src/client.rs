@@ -636,9 +636,8 @@ impl YokanClient {
         pending_page(self.read(target, OP_LIST_KEYS, payload), limit)
     }
 
-    /// Existence checks for a batch of keys in one round-trip; the server
-    /// fans large batches out across the provider's pool. Absent keys fall
-    /// back to the dual-read candidates during a live migration.
+    /// Existence checks for a batch of keys in one round-trip. Absent keys
+    /// fall back to the dual-read candidates during a live migration.
     pub fn exists_multi(
         &self,
         target: &DbTarget,

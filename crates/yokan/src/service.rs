@@ -138,21 +138,6 @@ fn is_mutation(op: u16) -> bool {
     )
 }
 
-/// Multi-key reads at or above this many keys are fanned out across the
-/// provider's argos pool; below it the per-task overhead outweighs the
-/// parallelism.
-const FANOUT_THRESHOLD: usize = 32;
-
-/// Number of chunks a fanned-out batch is split into.
-const FANOUT_CHUNKS: usize = 4;
-
-/// A batched read against a backend, run per chunk by the fan-out path.
-/// A trait alias in spirit: plain `fn` pointers for the simple reads, and
-/// capturing closures (wrapped in `Arc` by the fan-out) for the filter
-/// path, which carries its predicate program into every chunk.
-trait MultiReadOp<T>: Fn(&dyn Backend, &[Vec<u8>]) -> Result<Vec<T>, YokanError> {}
-impl<T, F: Fn(&dyn Backend, &[Vec<u8>]) -> Result<Vec<T>, YokanError>> MultiReadOp<T> for F {}
-
 /// Append one per-key reply of the filter RPCs to `out`: what happened to
 /// the stored value under that key. Corrupt columnar blobs fail the whole
 /// RPC — they indicate storage damage, not a client mistake.
@@ -183,9 +168,6 @@ fn put_filter_reply(
 
 struct ProviderState {
     databases: HashMap<String, Arc<dyn Backend>>,
-    /// The argos pool this provider is mapped to, used to fan large
-    /// multi-key reads out across the pool's execution streams.
-    pool: Option<argos::Pool>,
 }
 
 /// One remembered mutation in a client's dedup window.
@@ -363,14 +345,12 @@ impl YokanService {
         pool: &str,
     ) -> Result<(), margo::MargoError> {
         margo.assign_provider_pool(provider_id, pool)?;
-        let pool = margo.runtime().pool(pool);
         self.inner
             .providers
             .write()
             .entry(provider_id)
             .or_insert_with(|| ProviderState {
                 databases: HashMap::new(),
-                pool,
             });
         Ok(())
     }
@@ -553,82 +533,16 @@ impl YokanService {
     }
 
     fn db(&self, provider_id: u16, name: &[u8]) -> Result<Arc<dyn Backend>, YokanError> {
-        self.db_and_pool(provider_id, name).map(|(db, _)| db)
-    }
-
-    fn db_and_pool(
-        &self,
-        provider_id: u16,
-        name: &[u8],
-    ) -> Result<(Arc<dyn Backend>, Option<argos::Pool>), YokanError> {
         let name = std::str::from_utf8(name)
             .map_err(|_| YokanError::Protocol("db name not utf8".into()))?;
         let provs = self.inner.providers.read();
         let prov = provs
             .get(&provider_id)
             .ok_or(YokanError::NoSuchProvider(provider_id))?;
-        let db = prov
-            .databases
+        prov.databases
             .get(name)
             .cloned()
-            .ok_or_else(|| YokanError::NoSuchDatabase(name.to_string()))?;
-        Ok((db, prov.pool.clone()))
-    }
-
-    /// Run a multi-key *read* against `backend`, fanning chunks out across
-    /// the provider's pool when the batch is large enough.
-    ///
-    /// Only reads are fanned out: `put_multi` is one atomic batch at the
-    /// backend (a single `WriteBatch` on the LSM engine, an all-shards-locked
-    /// apply on the in-memory map), and splitting it would break that
-    /// contract. Reads have no ordering between keys, so chunking is free.
-    ///
-    /// The handler itself may be running on the only execution stream that
-    /// drains this pool, in which case waiting passively on the spawned
-    /// chunks would deadlock. While any chunk is unfinished we *work-help*:
-    /// pop and run queued tasks from the pool (our own chunks included), and
-    /// only yield when the queue is momentarily empty.
-    fn fan_out_read<T, F>(
-        pool: Option<argos::Pool>,
-        backend: Arc<dyn Backend>,
-        keys: Vec<Vec<u8>>,
-        op: F,
-    ) -> Result<Vec<T>, YokanError>
-    where
-        T: Send + 'static,
-        F: MultiReadOp<T> + Send + Sync + 'static,
-    {
-        let fan = match pool {
-            Some(p) if keys.len() >= FANOUT_THRESHOLD && !p.is_closed() => p,
-            _ => return op(&*backend, &keys),
-        };
-        let op = Arc::new(op);
-        let chunk = keys.len().div_ceil(FANOUT_CHUNKS);
-        let mut handles = Vec::with_capacity(FANOUT_CHUNKS);
-        let mut rest = keys;
-        while !rest.is_empty() {
-            let tail = if rest.len() > chunk {
-                rest.split_off(chunk)
-            } else {
-                Vec::new()
-            };
-            let part = std::mem::replace(&mut rest, tail);
-            let b = Arc::clone(&backend);
-            let op2 = Arc::clone(&op);
-            handles.push(fan.spawn(move || op2(&*b, &part)));
-        }
-        let mut out = Vec::new();
-        for h in handles {
-            while !h.is_finished() {
-                if let Some(task) = fan.try_pop() {
-                    task();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            out.extend(h.join()?);
-        }
-        Ok(out)
+            .ok_or_else(|| YokanError::NoSuchDatabase(name.to_string()))
     }
 
     fn handle(&self, req: Request) -> Result<Bytes, YokanError> {
@@ -1008,15 +922,13 @@ impl YokanService {
             x if x == OP_GET_MULTI => {
                 let db = get_bytes(&mut p)?;
                 let keys = decode_keys(&mut p)?;
-                let (backend, pool) = self.db_and_pool(req.provider_id, &db)?;
-                let vals = Self::fan_out_read(pool, backend, keys, |b, ks| b.get_multi(ks))?;
+                let vals = self.db(req.provider_id, &db)?.get_multi(&keys)?;
                 Ok(encode_optionals(&vals))
             }
             x if x == OP_EXISTS_MULTI => {
                 let db = get_bytes(&mut p)?;
                 let keys = decode_keys(&mut p)?;
-                let (backend, pool) = self.db_and_pool(req.provider_id, &db)?;
-                let found = Self::fan_out_read(pool, backend, keys, |b, ks| b.exists_multi(ks))?;
+                let found = self.db(req.provider_id, &db)?.exists_multi(&keys)?;
                 let mut out = BytesMut::with_capacity(found.len());
                 for e in found {
                     out.put_u8(e as u8);
@@ -1053,26 +965,11 @@ impl YokanService {
                 let db = get_bytes(&mut p)?;
                 let prog = crate::filter::Program::from_bytes(&get_bytes(&mut p)?)?;
                 let keys = decode_keys_factored(&mut p)?;
-                let (backend, pool) = self.db_and_pool(req.provider_id, &db)?;
-                let n = keys.len();
-                // Each key becomes one encoded reply; the predicate program
-                // rides into every chunk of the fan-out.
-                let replies = Self::fan_out_read(pool, backend, keys, move |b, ks| {
-                    let vals = b.get_multi(ks)?;
-                    vals.iter()
-                        .map(|v| {
-                            let mut out = BytesMut::new();
-                            put_filter_reply(&mut out, v.as_deref(), &prog)?;
-                            Ok(out.freeze())
-                        })
-                        .collect()
-                })?;
-                let mut out = BytesMut::with_capacity(
-                    4 + replies.iter().map(|r: &Bytes| r.len()).sum::<usize>(),
-                );
-                out.put_u32_le(n as u32);
-                for r in replies {
-                    out.put_slice(&r);
+                let vals = self.db(req.provider_id, &db)?.get_multi(&keys)?;
+                let mut out = BytesMut::new();
+                out.put_u32_le(vals.len() as u32);
+                for v in &vals {
+                    put_filter_reply(&mut out, v.as_deref(), &prog)?;
                 }
                 Ok(out.freeze())
             }

@@ -256,12 +256,11 @@ fn erase_multi_removes_batch() {
 }
 
 #[test]
-fn exists_multi_and_large_get_multi_fan_out() {
+fn exists_multi_and_large_get_multi() {
     let ts = setup(NetworkModel::default());
     let client = YokanClient::new(ts.fabric.endpoint("client"));
     let t = DbTarget::new(ts.server.address(), 0, "events");
-    // 100 keys is well above the server's fan-out threshold, so these
-    // batches exercise the pool-parallel read path end to end.
+    // 100 stored keys plus two absent ones, read in one batch each way.
     let mut pairs = Vec::new();
     for i in 0..100u32 {
         let k = i.to_be_bytes().to_vec();
@@ -282,7 +281,7 @@ fn exists_multi_and_large_get_multi_fan_out() {
     assert_eq!(found.len(), 102);
     assert!(found[..100].iter().all(|&e| e));
     assert!(!found[100] && !found[101]);
-    // Small batches stay on the direct path; results must be identical.
+    // A sub-batch answers the same as its slice of the large one.
     let small = client.exists_multi(&t, &keys[98..102]).unwrap();
     assert_eq!(small, vec![true, true, false, false]);
     ts.server.finalize();
