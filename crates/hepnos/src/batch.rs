@@ -430,11 +430,6 @@ impl AsyncWriteBatch {
         self
     }
 
-    /// The current adaptive in-flight window.
-    pub fn inflight_window(&self) -> usize {
-        self.cur_window
-    }
-
     /// Queue a typed product store (see [`WriteBatch::store`]).
     pub fn store<T: Serialize>(
         &mut self,

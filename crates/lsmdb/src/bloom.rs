@@ -89,11 +89,6 @@ impl BloomFilter {
             k,
         })
     }
-
-    /// Size of the bit array in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len()
-    }
 }
 
 #[cfg(test)]

@@ -274,12 +274,6 @@ impl DbStats {
     pub fn disk_bytes(&self) -> u64 {
         self.level_bytes.iter().sum()
     }
-
-    /// Total bytes written to storage (WAL + flush + compaction): the
-    /// numerator of write amplification.
-    pub fn storage_write_bytes(&self) -> u64 {
-        self.wal_bytes + self.flush_write_bytes + self.compaction_write_bytes
-    }
 }
 
 /// Deterministic crash injection for recovery tests.
@@ -709,11 +703,6 @@ impl Db {
             Some(c) => c.stats(),
             None => CacheStats::default(),
         }
-    }
-
-    /// Last error recorded by the background worker, if any (cleared).
-    pub fn take_background_error(&self) -> Option<String> {
-        self.inner.bg_error.lock().take()
     }
 
     #[doc(hidden)]

@@ -368,7 +368,7 @@ impl MargoInstance {
         self.endpoint.address()
     }
 
-    /// The underlying endpoint (for calls and bulk operations).
+    /// The underlying endpoint (for calls and traffic counters).
     pub fn endpoint(&self) -> &Arc<dyn Endpoint> {
         &self.endpoint
     }

@@ -2,20 +2,18 @@
 //!
 //! Both transports speak the same protocol, and this module is its only
 //! copy: the handler table with its executor and admission slots, request
-//! ids and the pending-call map, exposed bulk regions, traffic counters,
-//! fault injection, the caller's send skeleton, the callee's
-//! admit → begin → handler → complete sequence and shutdown's drain of the
-//! pending map. A transport supplies a [`Link`] (its way of putting one
-//! [`Frame`] on the wire towards one peer) and feeds every frame it
-//! receives to [`RpcCore::receive`].
+//! ids and the pending-call map, traffic counters, fault injection, the
+//! caller's send skeleton, the callee's admit → begin → handler → complete
+//! sequence and shutdown's drain of the pending map. A transport supplies a
+//! [`Link`] (its way of putting one [`Frame`] on the wire towards one peer)
+//! and feeds every frame it receives to [`RpcCore::receive`].
 
-use crate::bulk::BulkHandle;
 use crate::endpoint::{
     Admission, AdmissionControl, EndpointStats, Executor, PendingResponse, Request, RpcHandler,
 };
 use crate::error::RpcError;
 use crate::fault::{FaultDecision, FaultPlan, FrameDirection};
-use crate::wire::{Frame, RpcId, RPC_BULK_PULL};
+use crate::wire::{Frame, RpcId};
 use argos::Eventual;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -43,7 +41,6 @@ pub(crate) struct Counters {
     pub(crate) requests_received: AtomicU64,
     pub(crate) bytes_sent: AtomicU64,
     pub(crate) bytes_received: AtomicU64,
-    pub(crate) bulk_bytes_served: AtomicU64,
     pub(crate) frames_sent: AtomicU64,
     pub(crate) wire_writes: AtomicU64,
     pub(crate) send_stalls: AtomicU64,
@@ -62,8 +59,6 @@ pub(crate) struct RpcCore {
     /// connection fails exactly the calls routed through it.
     pending: Mutex<HashMap<u64, PendingCall>>,
     next_req: AtomicU64,
-    next_bulk: AtomicU64,
-    bulks: RwLock<HashMap<u64, Bytes>>,
     pub(crate) counters: Counters,
     pub(crate) fault: FaultSlot,
     down: AtomicBool,
@@ -78,8 +73,6 @@ impl RpcCore {
             admission: RwLock::new(None),
             pending: Mutex::new(HashMap::new()),
             next_req: AtomicU64::new(1),
-            next_bulk: AtomicU64::new(1),
-            bulks: RwLock::new(HashMap::new()),
             counters: Counters::default(),
             fault,
             down: AtomicBool::new(false),
@@ -113,40 +106,11 @@ impl RpcCore {
             requests_received: c.requests_received.load(Ordering::Relaxed),
             bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
             bytes_received: c.bytes_received.load(Ordering::Relaxed),
-            bulk_bytes_served: c.bulk_bytes_served.load(Ordering::Relaxed),
+            bulk_bytes_served: 0,
             frames_sent: c.frames_sent.load(Ordering::Relaxed),
             wire_writes: c.wire_writes.load(Ordering::Relaxed),
             send_stalls: c.send_stalls.load(Ordering::Relaxed),
         }
-    }
-
-    pub(crate) fn expose_bulk(&self, data: Bytes) -> BulkHandle {
-        let id = self.next_bulk.fetch_add(1, Ordering::Relaxed);
-        let len = data.len();
-        self.bulks.write().insert(id, data);
-        BulkHandle { id, len }
-    }
-
-    pub(crate) fn release_bulk(&self, handle: &BulkHandle) {
-        self.bulks.write().remove(&handle.id);
-    }
-
-    /// The `len` bytes at `offset` of exposed region `id`.
-    pub(crate) fn bulk_slice(&self, id: u64, offset: usize, len: usize) -> Result<Bytes, RpcError> {
-        let region = self
-            .bulks
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or(RpcError::NoSuchBulk(id))?;
-        if offset.checked_add(len).is_none_or(|end| end > region.len()) {
-            return Err(RpcError::BulkOutOfRange {
-                offset,
-                len,
-                size: region.len(),
-            });
-        }
-        Ok(region.slice(offset..offset + len))
     }
 
     fn fault_decision(&self, dir: FrameDirection, rpc_id: RpcId, req_id: u64) -> FaultDecision {
@@ -250,15 +214,10 @@ impl RpcCore {
         self.counters
             .requests_received
             .fetch_add(1, Ordering::Relaxed);
-        // Admission check on the delivery thread; internal bulk pulls are
-        // exempt (they serve already-admitted requests). A shed request is
+        // Admission check on the delivery thread. A shed request is
         // answered Busy right here, bypassing the executor — rejected,
         // never silently dropped.
-        let admission = if rpc_id == RPC_BULK_PULL {
-            None
-        } else {
-            self.admission.read().clone()
-        };
+        let admission = self.admission.read().clone();
         if let Some(ctrl) = &admission {
             if let Admission::Shed { retry_after } = ctrl.admit(rpc_id, provider_id) {
                 self.respond(link, rpc_id, req_id, Err(RpcError::Busy { retry_after }));

@@ -1,6 +1,5 @@
 //! The transport-independent endpoint API.
 
-use crate::bulk::BulkHandle;
 use crate::error::RpcError;
 use crate::wire::RpcId;
 use argos::Eventual;
@@ -60,8 +59,7 @@ pub enum Admission {
 }
 
 /// Per-endpoint overload policy, consulted by the transport for every
-/// incoming request (internal bulk pulls are exempt — they serve requests
-/// that were already admitted).
+/// incoming request.
 ///
 /// The contract is exactly-once accounting: a request whose [`admit`] returns
 /// [`Admission::Admit`] holds one admission slot until [`complete`] is called
@@ -152,11 +150,13 @@ pub struct EndpointStats {
     pub requests_sent: u64,
     /// Requests received (and dispatched to handlers).
     pub requests_received: u64,
-    /// Total bytes sent (headers + payloads + bulk).
+    /// Total bytes sent (headers + payloads).
     pub bytes_sent: u64,
     /// Total bytes received.
     pub bytes_received: u64,
-    /// Bulk bytes pulled *from* this endpoint by remote peers.
+    /// Always 0: every payload travels inline in its RPC frame, so no peer
+    /// pulls bytes from this endpoint. The field stays so code that builds
+    /// or reads the struct field by field keeps compiling.
     pub bulk_bytes_served: u64,
     /// Frames handed to the send path (requests and responses).
     pub frames_sent: u64,
@@ -220,22 +220,6 @@ pub trait Endpoint: Send + Sync {
         self.call_async(target, id, provider_id, payload)
             .wait_timeout(deadline)
     }
-
-    /// Expose a read-only memory region for remote bulk pulls; returns a
-    /// handle that can be embedded in RPC payloads.
-    fn expose_bulk(&self, data: Bytes) -> BulkHandle;
-
-    /// Release a previously exposed bulk region.
-    fn release_bulk(&self, handle: &BulkHandle);
-
-    /// Pull `len` bytes at `offset` from a bulk region exposed by `owner`.
-    fn bulk_pull(
-        &self,
-        owner: &str,
-        handle: &BulkHandle,
-        offset: usize,
-        len: usize,
-    ) -> Result<Bytes, RpcError>;
 
     /// Traffic counters.
     fn stats(&self) -> EndpointStats;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors surfaced by RPC calls and bulk transfers.
+/// Errors surfaced by RPC calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcError {
     /// The target address is not registered on the fabric / reachable.
@@ -17,17 +17,6 @@ pub enum RpcError {
     /// network model is configured to fail on saturation (the Aries failure
     /// mode from the paper's evaluation).
     NetworkSaturated,
-    /// The referenced bulk region does not exist (or was released).
-    NoSuchBulk(u64),
-    /// Requested byte range exceeds the bulk region.
-    BulkOutOfRange {
-        /// Offset requested.
-        offset: usize,
-        /// Length requested.
-        len: usize,
-        /// Actual region size.
-        size: usize,
-    },
     /// Transport-level failure (connection refused, reset, framing error...).
     Transport(String),
     /// A message could not be encoded or decoded.
@@ -52,12 +41,6 @@ impl fmt::Display for RpcError {
             RpcError::Handler(msg) => write!(f, "handler error: {msg}"),
             RpcError::Timeout => write!(f, "rpc timed out"),
             RpcError::NetworkSaturated => write!(f, "NIC injection bandwidth saturated"),
-            RpcError::NoSuchBulk(id) => write!(f, "no such bulk region: {id}"),
-            RpcError::BulkOutOfRange { offset, len, size } => write!(
-                f,
-                "bulk range {offset}..{} out of bounds for region of {size} bytes",
-                offset + len
-            ),
             RpcError::Transport(msg) => write!(f, "transport error: {msg}"),
             RpcError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             RpcError::Shutdown => write!(f, "endpoint is shut down"),
@@ -81,8 +64,8 @@ impl RpcError {
             RpcError::Handler(m) => (3, m.clone()),
             RpcError::Timeout => (4, String::new()),
             RpcError::NetworkSaturated => (5, String::new()),
-            RpcError::NoSuchBulk(id) => (6, id.to_string()),
-            RpcError::BulkOutOfRange { offset, len, size } => (7, format!("{offset}:{len}:{size}")),
+            // 6 and 7 carried the retired bulk-region errors; they stay
+            // unassigned so no code changes meaning across versions.
             RpcError::Transport(m) => (8, m.clone()),
             RpcError::Protocol(m) => (9, m.clone()),
             RpcError::Shutdown => (10, String::new()),
@@ -97,15 +80,6 @@ impl RpcError {
             3 => RpcError::Handler(detail.to_string()),
             4 => RpcError::Timeout,
             5 => RpcError::NetworkSaturated,
-            6 => RpcError::NoSuchBulk(detail.parse().unwrap_or(0)),
-            7 => {
-                let mut it = detail.splitn(3, ':').map(|s| s.parse().unwrap_or(0));
-                RpcError::BulkOutOfRange {
-                    offset: it.next().unwrap_or(0),
-                    len: it.next().unwrap_or(0),
-                    size: it.next().unwrap_or(0),
-                }
-            }
             8 => RpcError::Transport(detail.to_string()),
             10 => RpcError::Shutdown,
             11 => RpcError::Busy {
@@ -128,12 +102,6 @@ mod tests {
             RpcError::Handler("boom".into()),
             RpcError::Timeout,
             RpcError::NetworkSaturated,
-            RpcError::NoSuchBulk(42),
-            RpcError::BulkOutOfRange {
-                offset: 1,
-                len: 2,
-                size: 3,
-            },
             RpcError::Transport("reset".into()),
             RpcError::Protocol("bad frame".into()),
             RpcError::Shutdown,
@@ -152,13 +120,11 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let s = RpcError::BulkOutOfRange {
-            offset: 10,
-            len: 5,
-            size: 12,
+        let s = RpcError::Busy {
+            retry_after: std::time::Duration::from_millis(25),
         }
         .to_string();
-        assert!(s.contains("10..15"));
-        assert!(s.contains("12 bytes"));
+        assert!(s.contains("overloaded"));
+        assert!(s.contains("25ms"));
     }
 }

@@ -182,8 +182,6 @@ on_both_transports!(
     provider_id_reaches_handler,
     custom_executor_receives_all_requests,
     stats_count_encoded_frames,
-    bulk_expose_pull_release,
-    bulk_pulls_are_exempt_from_admission,
     admit_shed_answers_busy_without_leaking,
     begin_shed_releases_slot_exactly_once,
     admitted_calls_balance_admission_accounting,
@@ -254,46 +252,8 @@ fn stats_count_encoded_frames(p: &Pair) {
     assert_eq!((cs.requests_sent, ss.requests_received), (1, 1));
     assert_eq!((cs.bytes_sent, ss.bytes_received), (20, 20));
     assert_eq!((ss.bytes_sent, cs.bytes_received), (16, 16));
-}
-
-fn bulk_expose_pull_release(p: &Pair) {
-    let h = p.s.expose_bulk(Bytes::from_static(b"0123456789"));
-    let owner = p.s.address();
-    assert_eq!(&p.c.bulk_pull(&owner, &h, 2, 4).unwrap()[..], b"2345");
-    assert_eq!(
-        &p.c.bulk_pull(&owner, &h, 0, 10).unwrap()[..],
-        b"0123456789"
-    );
-    assert_eq!(p.s.stats().bulk_bytes_served, 14);
-    assert_eq!(
-        p.c.bulk_pull(&owner, &h, 8, 5).unwrap_err(),
-        RpcError::BulkOutOfRange {
-            offset: 8,
-            len: 5,
-            size: 10
-        }
-    );
-    p.s.release_bulk(&h);
-    assert_eq!(
-        p.c.bulk_pull(&owner, &h, 0, 1).unwrap_err(),
-        RpcError::NoSuchBulk(h.id)
-    );
-}
-
-fn bulk_pulls_are_exempt_from_admission(p: &Pair) {
-    let ctl = p.admission(TestAdmission {
-        shed_at_admit: true,
-        ..Default::default()
-    });
-    // The region belongs to an already-admitted request; pulling it must
-    // not be shed even while the endpoint rejects new work.
-    let data = Bytes::from_static(b"bulk payload survives overload");
-    let handle = p.s.expose_bulk(data.clone());
-    let out =
-        p.c.bulk_pull(&p.s.address(), &handle, 0, data.len())
-            .unwrap();
-    assert_eq!(out, data);
-    assert_eq!(ctl.counts(), [0, 0, 0]);
+    // Every payload travels inline: nothing is ever pulled from an endpoint.
+    assert_eq!((cs.bulk_bytes_served, ss.bulk_bytes_served), (0, 0));
 }
 
 fn admit_shed_answers_busy_without_leaking(p: &Pair) {

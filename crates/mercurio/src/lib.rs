@@ -1,19 +1,20 @@
-//! `mercurio` — an RPC and bulk-transfer framework modeled after [Mercury].
+//! `mercurio` — an RPC framework modeled after [Mercury].
 //!
 //! Mercury provides the communication layer of the Mochi stack: registered
 //! RPCs addressed by id, small payloads inlined in the RPC message, and
-//! *bulk* handles through which large payloads are pulled over RDMA. HEPnOS
-//! (via Yokan) uses RPCs for single small objects and bulk transfers for
-//! large objects and batches.
+//! *bulk* handles through which large payloads are pulled over RDMA. Neither
+//! transport here has one-sided RDMA, so this crate has no bulk handles:
+//! every payload, batches included, travels inline in its RPC frame, and a
+//! server never calls back into its client to fetch a request's data.
 //!
 //! This crate rebuilds that layer in safe Rust (the paper's stack has no Rust
 //! bindings):
 //!
 //! * [`Endpoint`] — the common API: register handlers, issue blocking or
-//!   asynchronous calls, expose and pull bulk regions.
+//!   asynchronous calls.
 //! * One transport-independent RPC core behind every endpoint: handlers,
 //!   executor and admission control, request ids and pending calls with
-//!   deadlines, bulk regions, traffic counters and [`fault`] injection.
+//!   deadlines, traffic counters and [`fault`] injection.
 //!   A transport only moves frames between endpoints.
 //! * [`local`] — an in-process transport routed through a shared
 //!   [`local::Fabric`], governed by a configurable [`NetworkModel`]
@@ -52,7 +53,6 @@
 
 #![warn(missing_docs)]
 
-mod bulk;
 mod core;
 mod endpoint;
 mod error;
@@ -64,7 +64,6 @@ mod model;
 pub mod tcp;
 mod wire;
 
-pub use bulk::BulkHandle;
 pub use endpoint::{
     Admission, AdmissionControl, Endpoint, EndpointStats, Executor, PendingResponse, Request,
     RpcHandler,

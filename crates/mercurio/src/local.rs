@@ -7,7 +7,6 @@
 //! transfer time, and per-NIC injection-bandwidth accounting (optionally
 //! failing on saturation, as the Aries NIC did in the paper's runs).
 
-use crate::bulk::BulkHandle;
 use crate::core::{FaultSlot, Link, RpcCore};
 use crate::endpoint::{
     AdmissionControl, Endpoint, EndpointStats, Executor, PendingResponse, RpcHandler,
@@ -138,6 +137,13 @@ struct SenderState {
     closed: bool,
 }
 
+/// Bound of an endpoint's outbound frame queue; a full queue blocks the
+/// sender, mirroring the TCP transport's backpressure.
+const SEND_QUEUE_FRAMES: usize = 256;
+
+/// Most frames the sender thread charges to the NIC as one coalesced burst.
+const COALESCE_FRAMES: usize = 64;
+
 /// Bounded outbound queue drained by a per-endpoint sender thread — the
 /// local-transport mirror of the TCP writer thread. All frames drained
 /// together are charged to the injection gauge as ONE coalesced burst.
@@ -145,12 +151,10 @@ struct Sender {
     state: Mutex<SenderState>,
     not_empty: Condvar,
     not_full: Condvar,
-    max_queued: usize,
-    max_coalesce: usize,
 }
 
 impl Sender {
-    fn new(max_queued: usize, max_coalesce: usize) -> Sender {
+    fn new() -> Sender {
         Sender {
             state: Mutex::new(SenderState {
                 queue: VecDeque::new(),
@@ -158,8 +162,6 @@ impl Sender {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            max_queued: max_queued.max(1),
-            max_coalesce: max_coalesce.max(1),
         }
     }
 
@@ -182,7 +184,7 @@ fn sender_loop(ep: Arc<EndpointInner>, fabric: Arc<FabricInner>) {
                 }
                 sender.not_empty.wait(&mut st);
             }
-            let n = st.queue.len().min(sender.max_coalesce);
+            let n = st.queue.len().min(COALESCE_FRAMES);
             batch.extend(st.queue.drain(..n));
         }
         sender.not_full.notify_all();
@@ -240,9 +242,9 @@ impl EndpointInner {
             }
             Some(sender) => {
                 let mut st = sender.state.lock();
-                if st.queue.len() >= sender.max_queued && !st.closed {
+                if st.queue.len() >= SEND_QUEUE_FRAMES && !st.closed {
                     counters.send_stalls.fetch_add(1, Ordering::Relaxed);
-                    while st.queue.len() >= sender.max_queued && !st.closed {
+                    while st.queue.len() >= SEND_QUEUE_FRAMES && !st.closed {
                         sender.not_full.wait(&mut st);
                     }
                 }
@@ -345,14 +347,7 @@ impl Fabric {
     pub fn endpoint(&self, name: &str) -> Arc<LocalEndpoint> {
         let addr = format!("{SCHEME}{name}");
         let model = &self.inner.model;
-        let sender = if model.is_ideal() {
-            None
-        } else {
-            Some(Arc::new(Sender::new(
-                model.send_queue_frames,
-                model.coalesce_frames,
-            )))
-        };
+        let sender = (!model.is_ideal()).then(|| Arc::new(Sender::new()));
         let inner = Arc::new(EndpointInner {
             core: RpcCore::new(addr.clone(), Arc::clone(&self.inner.fault)),
             gauge: InjectionGauge::new(model),
@@ -406,8 +401,8 @@ impl Fabric {
     }
 
     /// Install a [`FaultPlan`] applied to every RPC frame crossing this
-    /// fabric (requests and responses; bulk pulls and handshakes are not
-    /// faulted). Replaces any previously installed plan.
+    /// fabric (requests and responses). Replaces any previously installed
+    /// plan.
     pub fn install_fault_plan(&self, plan: Arc<FaultPlan>) {
         *self.inner.fault.write() = Some(plan);
     }
@@ -442,11 +437,6 @@ pub struct LocalEndpoint {
 }
 
 impl LocalEndpoint {
-    /// Bytes this endpoint has pushed through its NIC injection gauge.
-    pub fn injected_bytes(&self) -> u64 {
-        self.inner.gauge.total_bytes()
-    }
-
     /// Number of sends that exceeded the injection budget.
     pub fn saturation_events(&self) -> u64 {
         self.inner.gauge.saturation_events()
@@ -505,55 +495,6 @@ impl Endpoint for LocalEndpoint {
                 _ => Err(RpcError::NoSuchEndpoint(target.to_string())),
             }
         })
-    }
-
-    fn expose_bulk(&self, data: Bytes) -> BulkHandle {
-        self.inner.core.expose_bulk(data)
-    }
-
-    fn release_bulk(&self, handle: &BulkHandle) {
-        self.inner.core.release_bulk(handle);
-    }
-
-    fn bulk_pull(
-        &self,
-        owner: &str,
-        handle: &BulkHandle,
-        offset: usize,
-        len: usize,
-    ) -> Result<Bytes, RpcError> {
-        if self.inner.core.is_down() {
-            return Err(RpcError::Shutdown);
-        }
-        let owner_inner = self
-            .fabric
-            .endpoints
-            .read()
-            .get(owner)
-            .cloned()
-            .ok_or_else(|| RpcError::NoSuchEndpoint(owner.to_string()))?;
-        let data = owner_inner.core.bulk_slice(handle.id, offset, len)?;
-        // The transfer consumes the owner's injection budget (it is the
-        // owner's NIC that pushes the data, as in an RDMA get).
-        let ok = owner_inner.gauge.inject(len);
-        if !ok && self.fabric.model.fail_on_saturation {
-            return Err(RpcError::NetworkSaturated);
-        }
-        owner_inner
-            .core
-            .counters
-            .bulk_bytes_served
-            .fetch_add(len as u64, Ordering::Relaxed);
-        self.inner
-            .core
-            .counters
-            .bytes_received
-            .fetch_add(len as u64, Ordering::Relaxed);
-        let t = self.fabric.model.transfer_time(len);
-        if !t.is_zero() {
-            std::thread::sleep(t);
-        }
-        Ok(data)
     }
 
     fn stats(&self) -> EndpointStats {

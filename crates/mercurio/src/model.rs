@@ -26,13 +26,6 @@ pub struct NetworkModel {
     /// [`crate::RpcError::NetworkSaturated`] instead of being throttled —
     /// the Aries NIC failure mode the paper reports.
     pub fail_on_saturation: bool,
-    /// Bound of the per-endpoint outbound frame queue used by the
-    /// coalescing sender (non-ideal models only); a full queue blocks the
-    /// sender, mirroring the TCP transport's backpressure.
-    pub send_queue_frames: usize,
-    /// Maximum frames the sender charges to the NIC as one coalesced
-    /// burst. `1` degenerates to per-frame injection accounting.
-    pub coalesce_frames: usize,
 }
 
 impl Default for NetworkModel {
@@ -45,8 +38,6 @@ impl Default for NetworkModel {
             injection_bandwidth: f64::INFINITY,
             injection_window: Duration::from_millis(100),
             fail_on_saturation: false,
-            send_queue_frames: 256,
-            coalesce_frames: 64,
         }
     }
 }
@@ -61,8 +52,6 @@ impl NetworkModel {
             injection_bandwidth: 8.0e9,
             injection_window: Duration::from_millis(50),
             fail_on_saturation: false,
-            send_queue_frames: 256,
-            coalesce_frames: 64,
         }
     }
 

@@ -14,20 +14,15 @@
 //! many concurrent ingest writers share a connection without serializing on
 //! per-frame `write`/`flush` pairs. A full queue blocks the sender — that
 //! transport backpressure is counted in [`EndpointStats::send_stalls`].
-//!
-//! Bulk transfers are implemented with an internal RPC
-//! (`RPC_BULK_PULL`, a reserved id) that streams the requested range back —
-//! the closest TCP analogue of an RDMA get.
 
-use crate::bulk::BulkHandle;
 use crate::core::{FaultSlot, Link, RpcCore};
 use crate::endpoint::{
-    AdmissionControl, Endpoint, EndpointStats, Executor, PendingResponse, Request, RpcHandler,
+    AdmissionControl, Endpoint, EndpointStats, Executor, PendingResponse, RpcHandler,
 };
 use crate::error::RpcError;
 use crate::fault::FaultPlan;
-use crate::wire::{Frame, RpcId, RPC_BULK_PULL};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{Frame, RpcId};
+use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -259,7 +254,6 @@ impl TcpEndpoint {
             dials: Mutex::new(HashMap::new()),
             send_cfg,
         });
-        register_bulk_handler(&inner.core);
         let accept_inner = Arc::clone(&inner);
         std::thread::Builder::new()
             .name(format!("mercurio-accept-{actual}"))
@@ -345,30 +339,6 @@ impl TcpEndpoint {
     }
 }
 
-/// Install the reserved `RPC_BULK_PULL` handler serving this endpoint's
-/// exposed regions to remote pulls.
-fn register_bulk_handler(core: &Arc<RpcCore>) {
-    let weak = Arc::downgrade(core);
-    core.register(
-        RPC_BULK_PULL,
-        Arc::new(move |req: Request| {
-            let mut p = req.payload;
-            if p.remaining() < 24 {
-                return Err(RpcError::Protocol("short bulk-pull request".into()));
-            }
-            let id = p.get_u64_le();
-            let offset = p.get_u64_le() as usize;
-            let len = p.get_u64_le() as usize;
-            let core = weak.upgrade().ok_or(RpcError::Shutdown)?;
-            let region = core.bulk_slice(id, offset, len)?;
-            core.counters
-                .bulk_bytes_served
-                .fetch_add(len as u64, Ordering::Relaxed);
-            Ok(region)
-        }),
-    );
-}
-
 fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
     while let Ok((stream, _)) = listener.accept() {
         if inner.core.is_down() {
@@ -401,11 +371,6 @@ impl Endpoint for TcpEndpoint {
     }
 
     fn register(&self, id: RpcId, handler: Arc<dyn RpcHandler>) {
-        assert!(
-            id != RPC_BULK_PULL,
-            "rpc id {} is reserved",
-            RPC_BULK_PULL.0
-        );
         self.inner.core.register(id, handler);
     }
 
@@ -429,32 +394,6 @@ impl Endpoint for TcpEndpoint {
             .call_async(id, provider_id, payload, || self.connect(target))
     }
 
-    fn expose_bulk(&self, data: Bytes) -> BulkHandle {
-        self.inner.core.expose_bulk(data)
-    }
-
-    fn release_bulk(&self, handle: &BulkHandle) {
-        self.inner.core.release_bulk(handle);
-    }
-
-    fn bulk_pull(
-        &self,
-        owner: &str,
-        handle: &BulkHandle,
-        offset: usize,
-        len: usize,
-    ) -> Result<Bytes, RpcError> {
-        if owner == self.inner.core.addr {
-            // Local fast path: pulling from ourselves needs no socket.
-            return self.inner.core.bulk_slice(handle.id, offset, len);
-        }
-        let mut payload = BytesMut::with_capacity(24);
-        payload.put_u64_le(handle.id);
-        payload.put_u64_le(offset as u64);
-        payload.put_u64_le(len as u64);
-        self.call(owner, RPC_BULK_PULL, 0, payload.freeze())
-    }
-
     fn stats(&self) -> EndpointStats {
         self.inner.core.stats()
     }
@@ -472,6 +411,7 @@ impl Endpoint for TcpEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::Request;
     use std::sync::Barrier;
     use std::time::Duration;
 

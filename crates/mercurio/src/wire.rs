@@ -13,9 +13,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RpcId(pub u16);
 
-/// RPC id reserved for internal bulk pulls.
-pub(crate) const RPC_BULK_PULL: RpcId = RpcId(u16::MAX);
-
 const TAG_REQUEST: u8 = 1;
 const TAG_RESPONSE_OK: u8 = 2;
 const TAG_RESPONSE_ERR: u8 = 3;

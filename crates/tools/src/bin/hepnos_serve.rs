@@ -22,6 +22,10 @@
 //! `--wire-from`: the server polls for the file and installs its
 //! chain-forward routes once it parses.
 //!
+//! `--config FILE` takes the whole topology from a Bedrock JSON file, so
+//! `--backend`, `--data-dir`, `--wal-sync`, `--events`, `--products` and
+//! `--replication` are refused beside it (exit 2) instead of ignored.
+//!
 //! `--join EPOCH` marks the node as joining an already-running deployment
 //! mid-rescale: the node adopts the given topology epoch (stale writers
 //! fenced from the first request) and prints the epoch it joined at.
@@ -36,6 +40,16 @@ const USAGE: &str = "hepnos-serve [--config bedrock.json] [--port N] [--backend 
                      [--events N] [--products N] [--replication R] [--wire-from FILE] \
                      [--join [EPOCH]] --descriptor-out FILE [--run-seconds N]";
 
+/// Options that shape the topology `--config` spells out in full.
+const TOPOLOGY_OPTIONS: [&str; 6] = [
+    "backend",
+    "data-dir",
+    "wal-sync",
+    "events",
+    "products",
+    "replication",
+];
+
 fn main() {
     let args = Args::from_env();
     let port: u16 = args.parsed("port", USAGE).unwrap_or(0);
@@ -47,6 +61,10 @@ fn main() {
     let run_seconds: Option<u64> = args.parsed("run-seconds", USAGE);
     let config = match args.get("config") {
         Some(path) => {
+            if let Some(key) = TOPOLOGY_OPTIONS.iter().find(|k| args.get(k).is_some()) {
+                eprintln!("--{key} cannot be combined with --config\nusage: {USAGE}");
+                std::process::exit(2);
+            }
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("cannot read config {path}: {e}");
                 std::process::exit(2);

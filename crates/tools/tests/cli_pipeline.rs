@@ -210,3 +210,78 @@ fn unparsable_numeric_options_exit_with_usage() {
     assert!(stderr.contains("usage: hepnos-ingest"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--config` spells out the whole topology, so each option that would
+/// also shape it is refused (exit 2, before binding, no descriptor)
+/// instead of silently ignored. `--config` beside `--port` still serves.
+#[test]
+fn config_rejects_topology_options() {
+    let dir = workdir("config-conflict");
+    let cfg = dir.join("bedrock.json");
+    std::fs::write(
+        &cfg,
+        r#"{
+            "margo": {
+                "argobots": {
+                    "pools": [{"name": "default", "kind": "fifo_wait"}],
+                    "xstreams": [{"name": "es0", "pools": ["default"]}]
+                },
+                "rpc_pool": "default"
+            },
+            "providers": [{
+                "name": "kv",
+                "provider_id": 0,
+                "pool": "default",
+                "databases": [{"name": "events_0", "type": "map"}]
+            }]
+        }"#,
+    )
+    .unwrap();
+    let data_dir = dir.join("data");
+    let cases = [
+        ("backend", "lsm"),
+        ("data-dir", data_dir.to_str().unwrap()),
+        ("wal-sync", "group"),
+        ("events", "3"),
+        ("products", "3"),
+        ("replication", "2"),
+        ("port", "0"),
+    ];
+    let serve = |key: &str, value: &str| {
+        let descriptor = dir.join(format!("{key}.json"));
+        let child = Command::new(env!("CARGO_BIN_EXE_hepnos-serve"))
+            .args([
+                "--config",
+                cfg.to_str().unwrap(),
+                &format!("--{key}"),
+                value,
+            ])
+            .args(["--descriptor-out", descriptor.to_str().unwrap()])
+            .args(["--run-seconds", "1"])
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("run hepnos-serve");
+        (key.to_string(), descriptor, child)
+    };
+    let runs: Vec<_> = cases.iter().map(|(k, v)| serve(k, v)).collect();
+    for (key, descriptor, child) in runs {
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if key == "port" {
+            assert!(out.status.success(), "--config with --port: {stderr}");
+            assert!(
+                descriptor.exists(),
+                "--config with --port wrote no descriptor"
+            );
+            continue;
+        }
+        assert_eq!(out.status.code(), Some(2), "--{key}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--{key} cannot be combined with --config")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: hepnos-serve"), "{stderr}");
+        assert!(!descriptor.exists(), "--{key}: server wrote a descriptor");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

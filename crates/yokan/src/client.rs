@@ -216,13 +216,12 @@ pub struct ValueScan<'a> {
 
 /// A Yokan client bound to a local endpoint.
 ///
-/// Batched writes larger than `bulk_threshold` bytes are shipped as bulk
-/// transfers (the client exposes the encoded block and the server pulls it),
-/// matching Yokan's RPC-for-small / RDMA-for-batches split (paper §II-B).
+/// Every request carries its data inline, batched writes included: neither
+/// transport has one-sided RDMA, so Yokan's RDMA path for large batches
+/// (paper §II-B) would only make the server call back for the bytes.
 #[derive(Clone)]
 pub struct YokanClient {
     endpoint: Arc<dyn Endpoint>,
-    bulk_threshold: usize,
     retry: Option<RetryPolicy>,
     session: Arc<ClientSession>,
     /// Replica-chain routes keyed by database name (chain members share
@@ -241,16 +240,10 @@ pub struct YokanClient {
 }
 
 impl YokanClient {
-    /// Create a client with the default 8 KiB bulk threshold.
+    /// Create a client issuing its calls through `endpoint`.
     pub fn new(endpoint: Arc<dyn Endpoint>) -> YokanClient {
-        Self::with_bulk_threshold(endpoint, 8 << 10)
-    }
-
-    /// Override the bulk threshold (`usize::MAX` disables bulk entirely).
-    pub fn with_bulk_threshold(endpoint: Arc<dyn Endpoint>, threshold: usize) -> YokanClient {
         YokanClient {
             endpoint,
-            bulk_threshold: threshold,
             retry: None,
             session: ClientSession::new(),
             routes: Arc::new(RwLock::new(HashMap::new())),
@@ -514,7 +507,7 @@ impl YokanClient {
         Ok(())
     }
 
-    /// Store a batch of pairs in one RPC (inline or bulk depending on size).
+    /// Store a batch of pairs in one RPC.
     pub fn put_multi(
         &self,
         target: &DbTarget,
@@ -535,7 +528,7 @@ impl YokanClient {
     }
 
     /// Asynchronous [`YokanClient::put_multi`]; the returned handle must be
-    /// waited on (it also releases the bulk region, if one was used).
+    /// waited on.
     pub fn put_multi_async(
         &self,
         target: &DbTarget,
@@ -557,46 +550,20 @@ impl YokanClient {
         pairs: &[(Vec<u8>, Vec<u8>)],
         scratch: &mut BytesMut,
     ) -> Result<PendingPut, YokanError> {
-        let block_len = pairs_encoded_len(pairs);
-        scratch.clear();
-        let bulk = if block_len > self.bulk_threshold {
-            // Bulk mode: the pair block itself is exposed for the server to
-            // pull; only a small header travels inline.
-            scratch.reserve(block_len);
-            encode_pairs_into(scratch, pairs);
-            let block = scratch.split_to(block_len).freeze();
-            Some(self.endpoint.expose_bulk(block))
-        } else {
-            None
-        };
         let seq = self.session.next_seq.fetch_add(1, Ordering::Relaxed);
         let epoch = self.session.epoch.load(Ordering::Relaxed);
         // 24-byte dedup+epoch stamp + length-prefixed db name + mode byte.
-        let header_len = 24 + 4 + target.db.len() + 1;
-        let payload = match &bulk {
-            Some(handle) => {
-                let mut buf = BytesMut::with_capacity(header_len + 24);
-                buf.put_u64_le(self.session.client_id);
-                buf.put_u64_le(seq);
-                buf.put_u64_le(epoch);
-                put_bytes(&mut buf, target.db.as_bytes());
-                buf.put_u8(MODE_BULK);
-                handle.encode_into(&mut buf);
-                buf.freeze()
-            }
-            None => {
-                scratch.reserve(header_len + block_len);
-                scratch.put_u64_le(self.session.client_id);
-                scratch.put_u64_le(seq);
-                scratch.put_u64_le(epoch);
-                put_bytes(scratch, target.db.as_bytes());
-                scratch.put_u8(MODE_INLINE);
-                encode_pairs_into(scratch, pairs);
-                scratch.split_to(header_len + block_len).freeze()
-            }
-        };
-        let mut inner = InFlight::issue(self, target, Kind::Mutation, OP_PUT_MULTI, payload);
-        inner.bulk = bulk;
+        let len = 24 + 4 + target.db.len() + 1 + pairs_encoded_len(pairs);
+        scratch.clear();
+        scratch.reserve(len);
+        scratch.put_u64_le(self.session.client_id);
+        scratch.put_u64_le(seq);
+        scratch.put_u64_le(epoch);
+        put_bytes(scratch, target.db.as_bytes());
+        scratch.put_u8(MODE_INLINE);
+        encode_pairs_into(scratch, pairs);
+        let payload = scratch.split_to(len).freeze();
+        let inner = InFlight::issue(self, target, Kind::Mutation, OP_PUT_MULTI, payload);
         Ok(PendingPut { inner })
     }
 
@@ -949,19 +916,15 @@ impl Route {
 }
 
 /// One RPC of a [`YokanClient`] from issue to reply: its route, the
-/// payload re-sent on retry and failover, the in-flight response, and the
-/// bulk region a `put_multi` exposed. Reads finish through
-/// [`InFlight::wait_read`], which also runs the dual-read step of a live
-/// migration.
+/// payload re-sent on retry and failover, and the in-flight response.
+/// Reads finish through [`InFlight::wait_read`], which also runs the
+/// dual-read step of a live migration.
 struct InFlight {
     client: YokanClient,
     route: Route,
     op: u16,
     payload: Bytes,
     pending: PendingResponse,
-    /// Released once the last attempt is done, so every retry and failover
-    /// target can still pull it.
-    bulk: Option<mercurio::BulkHandle>,
 }
 
 impl InFlight {
@@ -998,7 +961,6 @@ impl InFlight {
             op,
             payload,
             pending,
-            bulk: None,
         }
     }
 
@@ -1010,11 +972,7 @@ impl InFlight {
     fn wait(self) -> Result<Bytes, YokanError> {
         let resp = self
             .route
-            .walk(&self.client, self.op, &self.payload, self.pending);
-        if let Some(h) = &self.bulk {
-            self.client.endpoint.release_bulk(h);
-        }
-        let resp = resp?;
+            .walk(&self.client, self.op, &self.payload, self.pending)?;
         if self.route.mutation {
             strip_replay_marker(resp, &self.client.session.counters)
         } else {
@@ -1341,12 +1299,9 @@ pub struct PendingPut {
 
 impl PendingPut {
     /// Wait for the server to acknowledge the batch, retrying per the
-    /// client's policy; releases the bulk region if one was exposed (only
-    /// after the last attempt, so retries can still pull it). On a replica
-    /// chain, a dead head is failed over: the identical stamped payload is
-    /// re-issued to the next chain member (the bulk region, if any, stays
-    /// exposed on this client, so any replica can still pull it), and the
-    /// member that accepts is promoted.
+    /// client's policy. On a replica chain, a dead head is failed over: the
+    /// identical stamped payload is re-issued to the next chain member, and
+    /// the member that accepts is promoted.
     pub fn wait(self) -> Result<(), YokanError> {
         self.inner.wait()?;
         Ok(())

@@ -62,8 +62,7 @@ pub(crate) fn encode_pairs_into(buf: &mut BytesMut, pairs: &[crate::backend::Key
     }
 }
 
-/// Encode a list of `(key, value)` pairs into one contiguous buffer
-/// (used both inline and as a bulk payload).
+/// Encode a list of `(key, value)` pairs into one contiguous buffer.
 pub(crate) fn encode_pairs(pairs: &[crate::backend::KeyValue]) -> Bytes {
     let mut buf = BytesMut::with_capacity(pairs_encoded_len(pairs));
     encode_pairs_into(&mut buf, pairs);

@@ -3,11 +3,11 @@
 //!
 //! Yokan is the storage heart of HEPnOS (paper §II-B): each server node runs
 //! a set of Yokan *providers*, each serving one or more *databases* backed
-//! either by memory (`std::map`) or by a persistent engine (RocksDB). Small
-//! values travel inlined in RPCs; large values and batches move through bulk
-//! (RDMA) transfers. Keys are sorted, and iteration primitives
-//! (`list_keys` / `list_keyvals` with a lower bound and prefix) are what
-//! HEPnOS builds its container hierarchy on.
+//! either by memory (`std::map`) or by a persistent engine (RocksDB). The
+//! original moves large batches by RDMA; here every request, batches
+//! included, carries its data inline in the RPC. Keys are sorted, and
+//! iteration primitives (`list_keys` / `list_keyvals` with a lower bound and
+//! prefix) are what HEPnOS builds its container hierarchy on.
 //!
 //! This crate provides:
 //!
@@ -18,8 +18,7 @@
 //!   [`margo::MargoInstance`] and routes `(provider_id, db_name)` to
 //!   backends;
 //! * [`YokanClient`] / [`DbTarget`] — the client side, offering single and
-//!   batched operations, automatically switching to bulk transfers above a
-//!   configurable threshold.
+//!   batched operations.
 //!
 //! [Yokan]: https://mochi.readthedocs.io/en/latest/yokan.html
 

@@ -439,11 +439,6 @@ impl<'a> PageReader<'a> {
         ((start + self.page_rows as usize).min(self.n_rows as usize)) - start
     }
 
-    /// Starting row index of page `page`.
-    pub fn page_start(&self, page: usize) -> usize {
-        self.page_starts[page] as usize
-    }
-
     /// Zone map of `column` within `page`.
     pub fn zone(&self, page: usize, column: usize) -> &ZoneMap {
         &self.directory[page][column].0

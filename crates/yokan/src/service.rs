@@ -40,9 +40,8 @@ pub(crate) const OP_FILTER: u16 = PROVIDER_RPC_BASE + 13;
 /// A mutation forwarded down a replica chain. Payload after the (original
 /// client's) dedup stamp: the remaining chain as `count` then per hop a
 /// length-prefixed address and a `u32` provider id, the inner mutation op
-/// as `u32`, then the inner payload starting at the database name —
-/// always inline, encoded from the sender's decoded mutation (a bulk
-/// handle is only pullable from its original exposer).
+/// as `u32`, then the inner payload starting at the database name, encoded
+/// from the sender's decoded mutation.
 pub(crate) const OP_REPL_FORWARD: u16 = PROVIDER_RPC_BASE + 14;
 /// Read the service's current topology epoch (reply: `u64`).
 pub(crate) const OP_MIG_EPOCH_GET: u16 = PROVIDER_RPC_BASE + 15;
@@ -76,8 +75,9 @@ pub(crate) const FILTER_MISSING: u8 = 0;
 pub(crate) const FILTER_NOT_COLUMNAR: u8 = 1;
 pub(crate) const FILTER_IDS: u8 = 2;
 
+/// The one `put_multi` body mode: the pairs follow inline. Any other mode
+/// byte is rejected.
 pub(crate) const MODE_INLINE: u8 = 0;
-pub(crate) const MODE_BULK: u8 = 1;
 
 /// Replay markers prefixed to every mutation response: whether the service
 /// applied the mutation now or answered from its dedup window.
@@ -653,8 +653,8 @@ impl YokanService {
 
     /// Apply one mutation RPC. `p` starts at the database name (the dedup
     /// stamp has been consumed by the caller) and is decoded here, once: a
-    /// replay answered from the dedup window never pulls a bulk block, and
-    /// a decode error releases the slot like any failed apply.
+    /// replay answered from the dedup window is never decoded, and a decode
+    /// error releases the slot like any failed apply.
     fn apply_mutation(
         &self,
         req: &Request,
@@ -679,12 +679,12 @@ impl YokanService {
                 remaining.push((addr, pid));
             }
             let inner_op = get_u32(&mut p)? as u16;
-            let m = Mutation::decode(inner_op, p, None)?;
+            let m = Mutation::decode(inner_op, p)?;
             let resp = self.apply_and_forward(req.provider_id, client_id, seq, &m, &remaining)?;
             self.inner.forwards_applied.fetch_add(1, Ordering::Relaxed);
             return Ok(resp);
         }
-        let m = Mutation::decode(req.rpc_id.0, p, Some((&*self.inner.endpoint, &req.source)))?;
+        let m = Mutation::decode(req.rpc_id.0, p)?;
         // Live-migration gate: mutations touching a frozen interval are
         // shed `Busy`; mutations touching keys already handed off are
         // dual-written to their destination chains below.

@@ -6,14 +6,11 @@
 //! carry is encoded here. The body layout is the client's: the database
 //! name, then the op's own fields.
 
-use super::{
-    MODE_BULK, MODE_INLINE, OP_ERASE, OP_ERASE_MULTI, OP_PUT, OP_PUT_IF_ABSENT, OP_PUT_MULTI,
-};
+use super::{MODE_INLINE, OP_ERASE, OP_ERASE_MULTI, OP_PUT, OP_PUT_IF_ABSENT, OP_PUT_MULTI};
 use crate::backend::{Backend, KeyValue};
 use crate::encoding::*;
 use crate::error::YokanError;
 use bytes::{BufMut, Bytes, BytesMut};
-use mercurio::{BulkHandle, Endpoint};
 
 /// One mutation: the database it addresses and what it does there.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,16 +31,9 @@ enum Op {
 
 impl Mutation {
     /// Decode the body of mutation RPC `op`, starting at the database name.
-    /// A bulk `put_multi` pulls its pair block through `bulk`: the local
-    /// endpoint and the address of the caller that exposed the block.
-    /// Chain forwards decode without it, so bulk mode is rejected there:
-    /// forwards and dual-writes are always sent inline, since a bulk handle
-    /// is only pullable from its exposer.
-    pub(super) fn decode(
-        op: u16,
-        mut p: Bytes,
-        bulk: Option<(&dyn Endpoint, &str)>,
-    ) -> Result<Mutation, YokanError> {
+    /// A `put_multi` carries its pairs inline after a mode byte; any mode
+    /// other than [`MODE_INLINE`] is rejected.
+    pub(super) fn decode(op: u16, mut p: Bytes) -> Result<Mutation, YokanError> {
         let db = get_bytes(&mut p)?;
         let db = std::str::from_utf8(&db)
             .map_err(|_| YokanError::Protocol("db name not utf8".into()))?
@@ -55,17 +45,6 @@ impl Mutation {
             OP_ERASE_MULTI => Op::EraseMulti(decode_keys(&mut p)?),
             OP_PUT_MULTI => Op::PutMulti(match get_u8(&mut p)? {
                 MODE_INLINE => decode_pairs(&mut p)?,
-                MODE_BULK => {
-                    let (endpoint, source) = bulk.ok_or_else(|| {
-                        YokanError::Protocol("bulk mode in forwarded mutation".into())
-                    })?;
-                    let handle = BulkHandle::decode_from(&mut p)
-                        .ok_or_else(|| YokanError::Protocol("bad bulk handle".into()))?;
-                    let mut block = endpoint
-                        .bulk_pull(source, &handle, 0, handle.len)
-                        .map_err(YokanError::Rpc)?;
-                    decode_pairs(&mut block)?
-                }
                 m => return Err(YokanError::Protocol(format!("bad put mode {m}"))),
             }),
             other => return Err(YokanError::Protocol(format!("bad mutation op {other}"))),
@@ -209,14 +188,14 @@ mod tests {
 
         #[test]
         fn decode_inverts_encode(m in mutation()) {
-            let back = Mutation::decode(m.rpc_op(), encode(&m), None).unwrap();
+            let back = Mutation::decode(m.rpc_op(), encode(&m)).unwrap();
             prop_assert_eq!(back, m);
         }
 
         #[test]
         fn reencoding_a_client_body_reproduces_its_bytes(m in mutation()) {
             let body = client_body(&m);
-            let decoded = Mutation::decode(m.rpc_op(), body.clone(), None).unwrap();
+            let decoded = Mutation::decode(m.rpc_op(), body.clone()).unwrap();
             prop_assert_eq!(encode(&decoded), body);
         }
     }
@@ -237,7 +216,22 @@ mod tests {
                 db: String::new(),
                 op,
             };
-            assert_eq!(Mutation::decode(m.rpc_op(), encode(&m), None).unwrap(), m);
+            assert_eq!(Mutation::decode(m.rpc_op(), encode(&m)).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn put_multi_modes_other_than_inline_are_rejected() {
+        for mode in [1u8, 2, 0xff] {
+            let mut body = BytesMut::new();
+            put_bytes(&mut body, b"db");
+            body.put_u8(mode);
+            body.put_slice(&encode_pairs(&[(b"k".to_vec(), b"v".to_vec())]));
+            let err = Mutation::decode(OP_PUT_MULTI, body.freeze()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("protocol error: bad put mode {mode}")
+            );
         }
     }
 }

@@ -83,22 +83,27 @@ fn missing_database_and_provider_errors() {
 #[test]
 fn put_multi_inline_and_bulk() {
     let ts = setup(NetworkModel::default());
-    // Tiny threshold forces the bulk path for the big batch.
     let ep = ts.fabric.endpoint("client");
-    let client = YokanClient::with_bulk_threshold(Arc::clone(&ep) as Arc<dyn Endpoint>, 256);
+    let client = YokanClient::new(Arc::clone(&ep) as Arc<dyn Endpoint>);
     let t = DbTarget::new(ts.server.address(), 0, "products");
-    // Small batch: inline.
     let small: Vec<_> = (0..3u8).map(|i| (vec![b's', i], vec![i; 4])).collect();
     client.put_multi(&t, &small).unwrap();
-    // Large batch: bulk.
-    let large: Vec<_> = (0..100u8).map(|i| (vec![b'l', i], vec![i; 64])).collect();
+    // A batch of ~70 KB, far above the 8 KiB that once switched a batch
+    // to a bulk pull, travels inline in its one request like the small one.
+    let large: Vec<_> = (0..1000u16)
+        .map(|i| (i.to_be_bytes().to_vec(), vec![i as u8; 64]))
+        .collect();
+    let large_bytes: usize = large.iter().map(|(k, v)| k.len() + v.len()).sum();
+    assert!(large_bytes > 64 << 10);
+    let before = ep.stats();
     client.put_multi(&t, &large).unwrap();
-    assert_eq!(client.count(&t).unwrap(), 103);
-    for i in 0..100u8 {
-        assert_eq!(client.get(&t, &[b'l', i]).unwrap(), Some(vec![i; 64]));
+    let after = ep.stats();
+    assert_eq!(after.requests_sent - before.requests_sent, 1);
+    assert!(after.bytes_sent - before.bytes_sent > large_bytes as u64);
+    assert_eq!(client.count(&t).unwrap(), 1003);
+    for (k, v) in &large {
+        assert_eq!(client.get(&t, k).unwrap().as_ref(), Some(v));
     }
-    // The bulk path must actually have served bytes from the client NIC.
-    assert!(ep.stats().bulk_bytes_served > 0);
     ts.server.finalize();
 }
 
@@ -465,7 +470,6 @@ enum MutCase {
     Erase,
     EraseMulti,
     PutMultiInline,
-    PutMultiBulk,
 }
 
 /// The live-migration state the source database is in when the op lands.
@@ -485,20 +489,16 @@ enum MigState {
 type Model = std::collections::BTreeMap<Vec<u8>, Vec<u8>>;
 
 impl MutCase {
-    const ALL: [MutCase; 6] = [
+    const ALL: [MutCase; 5] = [
         MutCase::Put,
         MutCase::PutIfAbsent,
         MutCase::Erase,
         MutCase::EraseMulti,
         MutCase::PutMultiInline,
-        MutCase::PutMultiBulk,
     ];
 
     fn multi(self) -> bool {
-        matches!(
-            self,
-            MutCase::EraseMulti | MutCase::PutMultiInline | MutCase::PutMultiBulk
-        )
+        matches!(self, MutCase::EraseMulti | MutCase::PutMultiInline)
     }
 
     /// Erases need something to erase; puts start from absent keys.
@@ -510,26 +510,19 @@ impl MutCase {
         [key, b"=new"].concat()
     }
 
-    /// Issue the op on `keys` through the matching client.
-    fn issue(
-        self,
-        inline: &YokanClient,
-        bulk: &YokanClient,
-        t: &DbTarget,
-        keys: &[Vec<u8>],
-    ) -> Result<(), YokanError> {
+    /// Issue the op on `keys` through `client`.
+    fn issue(self, client: &YokanClient, t: &DbTarget, keys: &[Vec<u8>]) -> Result<(), YokanError> {
         let pairs: Vec<_> = keys.iter().map(|k| (k.clone(), Self::value(k))).collect();
         match self {
-            MutCase::Put => inline.put(t, &keys[0], &Self::value(&keys[0])),
+            MutCase::Put => client.put(t, &keys[0], &Self::value(&keys[0])),
             MutCase::PutIfAbsent => {
-                let prev = inline.put_if_absent(t, &keys[0], &Self::value(&keys[0]))?;
+                let prev = client.put_if_absent(t, &keys[0], &Self::value(&keys[0]))?;
                 assert_eq!(prev, None, "put_if_absent on an absent key");
                 Ok(())
             }
-            MutCase::Erase => inline.erase(t, &keys[0]),
-            MutCase::EraseMulti => inline.erase_multi(t, keys),
-            MutCase::PutMultiInline => inline.put_multi(t, &pairs),
-            MutCase::PutMultiBulk => bulk.put_multi(t, &pairs),
+            MutCase::Erase => client.erase(t, &keys[0]),
+            MutCase::EraseMulti => client.erase_multi(t, keys),
+            MutCase::PutMultiInline => client.put_multi(t, &pairs),
         }
     }
 
@@ -579,10 +572,7 @@ fn mutation_path_table_every_op_in_every_migration_state() {
     let succ = DbTarget::new(remote.address(), 1, "dest");
     src_svc.set_forward_routes(1, "dest", std::slice::from_ref(&succ));
 
-    let ep: Arc<dyn Endpoint> = fabric.endpoint("table-client");
-    let client = YokanClient::new(Arc::clone(&ep));
-    // A zero threshold sends every batch as a bulk block.
-    let bulk = YokanClient::with_bulk_threshold(ep, 0);
+    let client = YokanClient::new(fabric.endpoint("table-client"));
     let states = [
         MigState::Steady,
         MigState::Frozen,
@@ -631,7 +621,7 @@ fn mutation_path_table_every_op_in_every_migration_state() {
                 }
             }
             let before = src_svc.migration_stats();
-            let res = op.issue(&client, &bulk, &data, &keys);
+            let res = op.issue(&client, &data, &keys);
             let after = src_svc.migration_stats();
             client.migration_complete(&data).unwrap();
 
@@ -716,9 +706,6 @@ fn malformed_mutations_fail_and_release_their_dedup_slot() {
     put_bytes(&mut block, b"k");
     put_bytes(&mut block, b"v");
     let block = block.freeze();
-    // A live bulk region: the forward below is rejected for its mode, not
-    // for an unpullable handle.
-    let handle = ep.expose_bulk(block.clone());
 
     let mut cases: Vec<(&str, u16, BytesMut)> = Vec::new();
     let mut short = stamp(1);
@@ -729,28 +716,35 @@ fn malformed_mutations_fail_and_release_their_dedup_slot() {
     bad_mode.put_u8(7);
     bad_mode.put_slice(&block);
     cases.push(("unknown put mode", PUT_MULTI, bad_mode));
-    let mut fwd_bulk = forward(3, PUT_MULTI);
+    // Mode 1 was the retired bulk mode. It is rejected for its mode byte
+    // alone: the well-formed pair block after it is never read.
+    let mut old_bulk = stamp(3);
+    put_bytes(&mut old_bulk, b"events");
+    old_bulk.put_u8(1);
+    old_bulk.put_slice(&block);
+    cases.push(("retired bulk mode from a client", PUT_MULTI, old_bulk));
+    let mut fwd_bulk = forward(4, PUT_MULTI);
     put_bytes(&mut fwd_bulk, b"events");
     fwd_bulk.put_u8(1);
-    handle.encode_into(&mut fwd_bulk);
-    cases.push(("bulk mode inside a forward", REPL_FORWARD, fwd_bulk));
-    let mut nested = forward(4, REPL_FORWARD);
+    fwd_bulk.put_slice(&block);
+    cases.push(("retired bulk mode inside a forward", REPL_FORWARD, fwd_bulk));
+    let mut nested = forward(5, REPL_FORWARD);
     nested.put_u32_le(0);
     nested.put_u32_le(PUT as u32);
     put_bytes(&mut nested, b"events");
     put_bytes(&mut nested, b"k");
     put_bytes(&mut nested, b"v");
     cases.push(("nested forward", REPL_FORWARD, nested));
-    let mut read = forward(5, GET);
+    let mut read = forward(6, GET);
     put_bytes(&mut read, b"events");
     put_bytes(&mut read, b"k");
     cases.push(("non-mutation inner op", REPL_FORWARD, read));
-    let mut bad_name = stamp(6);
+    let mut bad_name = stamp(7);
     put_bytes(&mut bad_name, &[0xff, 0xfe]);
     put_bytes(&mut bad_name, b"k");
     put_bytes(&mut bad_name, b"v");
     cases.push(("non-UTF-8 database name", PUT, bad_name));
-    let mut cut = stamp(7);
+    let mut cut = stamp(8);
     put_bytes(&mut cut, b"events");
     cut.put_u8(0);
     cut.put_slice(&block[..block.len() - 1]);
@@ -779,7 +773,6 @@ fn malformed_mutations_fail_and_release_their_dedup_slot() {
         assert_eq!(resp[0], 0, "{what}: resend not applied fresh");
         assert_eq!(client.count(&t).unwrap(), seq, "{what}");
     }
-    ep.release_bulk(&handle);
     ts.server.finalize();
 }
 

@@ -71,7 +71,7 @@ fn main() {
     assert_eq!(back, hits);
     println!("stored and loaded {} hits over TCP sockets", back.len());
 
-    // Batched writes also cross the socket (bulk path for large batches).
+    // Batched writes also cross the socket, each batch inline in one RPC.
     let sr = ds.run(1).unwrap().subrun(2).unwrap();
     let uuid = ds.uuid().unwrap();
     let mut batch = hepnos::WriteBatch::new(&store);

@@ -1,6 +1,6 @@
 //! HEPnOS over the TCP transport: the multi-process deployment path works
 //! end to end through real sockets, including descriptor exchange as JSON
-//! and batched writes (which use the socket bulk path above the threshold).
+//! and batched writes (each batch inline in one `put_multi` request).
 
 use bedrock::{BackendKind, ConnectionDescriptor, DbCounts, ServiceConfig};
 use hepnos::{DataStore, ProductLabel, WriteBatch};
@@ -44,7 +44,7 @@ fn full_flow_over_tcp_sockets() {
     ev.store(&label, &big).unwrap();
     let back: Blob = ev.load(&label).unwrap().unwrap();
     assert_eq!(back, big);
-    // Batched creation: bulk transfer over TCP.
+    // Batched creation: whole batches inline over TCP.
     let uuid = ds.uuid().unwrap();
     let mut batch = WriteBatch::new(&store);
     for e in 100..400u64 {
