@@ -8,9 +8,8 @@
 //!
 //! This crate reproduces that programming model in safe Rust:
 //!
-//! * [`Pool`] — a thread-safe work queue with a pluggable scheduling
-//!   discipline ([`SchedulingDiscipline::Fifo`] or
-//!   [`SchedulingDiscipline::Priority`]).
+//! * [`Pool`] — a thread-safe FIFO work queue; pools are how work is
+//!   *placed*, not ordered.
 //! * [`ExecutionStream`] — an OS thread running a scheduler loop over one or
 //!   more pools.
 //! * [`Eventual`] — a one-shot, thread-safe future used for task completion
@@ -31,10 +30,10 @@
 //! # Example
 //!
 //! ```
-//! use argos::{Runtime, SchedulingDiscipline};
+//! use argos::Runtime;
 //!
 //! let rt = Runtime::builder()
-//!     .pool("work", SchedulingDiscipline::Fifo)
+//!     .pool("work")
 //!     .xstream("es0", &["work"])
 //!     .build()
 //!     .unwrap();
@@ -49,11 +48,10 @@
 mod eventual;
 mod pool;
 mod runtime;
-pub mod sync;
 mod xstream;
 
 pub use eventual::Eventual;
-pub use pool::{JoinHandle, Pool, PoolStats, SchedulingDiscipline, Task, TaskPriority};
+pub use pool::{JoinHandle, Pool, PoolStats, Task};
 pub use runtime::{Runtime, RuntimeBuilder, RuntimeError};
 pub use xstream::{ExecutionStream, XstreamStats};
 

@@ -1,8 +1,8 @@
-//! Work pools and scheduling disciplines (`ABT_pool` analogue).
+//! FIFO work pools (`ABT_pool` analogue).
 
 use crate::eventual::Eventual;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,89 +11,17 @@ use std::time::Duration;
 /// by whichever execution stream pops it.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Priority of a task in a [`SchedulingDiscipline::Priority`] pool.
-/// Larger values run first; FIFO order breaks ties.
-pub type TaskPriority = u8;
-
-/// The scheduling discipline of a pool, mirroring the scheduler choices
-/// Bedrock exposes for Argobots pools.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulingDiscipline {
-    /// First-in first-out.
-    Fifo,
-    /// Highest [`TaskPriority`] first, FIFO among equal priorities.
-    Priority,
-}
-
-impl SchedulingDiscipline {
-    /// Parse from the names used in Bedrock-style JSON configs.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fifo" | "fifo_wait" | "basic" | "basic_wait" => Some(Self::Fifo),
-            "prio" | "priority" | "prio_wait" => Some(Self::Priority),
-            _ => None,
-        }
-    }
-}
-
-struct PrioTask {
-    prio: TaskPriority,
-    seq: u64,
-    task: Task,
-}
-
-impl PartialEq for PrioTask {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
-    }
-}
-impl Eq for PrioTask {}
-impl PartialOrd for PrioTask {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PrioTask {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap on priority; min on sequence number for FIFO tie-break.
-        self.prio
-            .cmp(&other.prio)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-enum Queue {
-    Fifo(VecDeque<Task>),
-    Priority(BinaryHeap<PrioTask>),
-}
-
-impl Queue {
-    fn len(&self) -> usize {
-        match self {
-            Queue::Fifo(q) => q.len(),
-            Queue::Priority(q) => q.len(),
-        }
-    }
-    fn pop(&mut self) -> Option<Task> {
-        match self {
-            Queue::Fifo(q) => q.pop_front(),
-            Queue::Priority(q) => q.pop().map(|p| p.task),
-        }
-    }
-}
-
 struct PoolInner {
-    queue: Mutex<Queue>,
+    queue: Mutex<VecDeque<Task>>,
     cond: Condvar,
     closed: Mutex<bool>,
-    seq: AtomicU64,
     pushed: AtomicU64,
     popped: AtomicU64,
     name: String,
 }
 
-/// A thread-safe work queue shared between producers (RPC dispatch, client
-/// code) and consumer execution streams.
+/// A thread-safe FIFO work queue shared between producers (RPC dispatch,
+/// client code) and consumer execution streams.
 ///
 /// Pools are the placement mechanism of the Mochi stack: a provider is mapped
 /// to a pool, and the xstreams draining that pool are the compute resources
@@ -115,18 +43,13 @@ pub struct PoolStats {
 }
 
 impl Pool {
-    /// Create a new pool with the given name and discipline.
-    pub fn new(name: impl Into<String>, discipline: SchedulingDiscipline) -> Self {
-        let queue = match discipline {
-            SchedulingDiscipline::Fifo => Queue::Fifo(VecDeque::new()),
-            SchedulingDiscipline::Priority => Queue::Priority(BinaryHeap::new()),
-        };
+    /// Create a new pool with the given name.
+    pub fn new(name: impl Into<String>) -> Self {
         Pool {
             inner: Arc::new(PoolInner {
-                queue: Mutex::new(queue),
+                queue: Mutex::new(VecDeque::new()),
                 cond: Condvar::new(),
                 closed: Mutex::new(false),
-                seq: AtomicU64::new(0),
                 pushed: AtomicU64::new(0),
                 popped: AtomicU64::new(0),
                 name: name.into(),
@@ -139,27 +62,16 @@ impl Pool {
         &self.inner.name
     }
 
-    /// Push a raw task with default priority.
+    /// Push a raw task at the back of the queue.
     ///
     /// # Panics
     ///
     /// Panics if the pool is closed: submitting work during teardown is a
     /// lifecycle bug in the caller.
     pub fn push(&self, task: Task) {
-        self.push_prio(task, 0)
-    }
-
-    /// Push a raw task with an explicit priority (ignored by FIFO pools).
-    pub fn push_prio(&self, task: Task, prio: TaskPriority) {
         assert!(!*self.inner.closed.lock(), "push into closed pool");
         let mut q = self.inner.queue.lock();
-        match &mut *q {
-            Queue::Fifo(q) => q.push_back(task),
-            Queue::Priority(q) => {
-                let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-                q.push(PrioTask { prio, seq, task });
-            }
-        }
+        q.push_back(task);
         self.inner.pushed.fetch_add(1, Ordering::Relaxed);
         drop(q);
         self.inner.cond.notify_one();
@@ -172,18 +84,9 @@ impl Pool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.spawn_prio(f, 0)
-    }
-
-    /// Spawn with an explicit priority.
-    pub fn spawn_prio<T, F>(&self, f: F, prio: TaskPriority) -> JoinHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
         let ev = Eventual::new();
         let ev2 = ev.clone();
-        self.push_prio(Box::new(move || ev2.set(f())), prio);
+        self.push(Box::new(move || ev2.set(f())));
         JoinHandle { ev }
     }
 
@@ -193,7 +96,7 @@ impl Pool {
         let deadline = std::time::Instant::now() + timeout;
         let mut q = self.inner.queue.lock();
         loop {
-            if let Some(t) = q.pop() {
+            if let Some(t) = q.pop_front() {
                 self.inner.popped.fetch_add(1, Ordering::Relaxed);
                 return Some(t);
             }
@@ -201,7 +104,7 @@ impl Pool {
                 return None;
             }
             if self.inner.cond.wait_until(&mut q, deadline).timed_out() {
-                let t = q.pop();
+                let t = q.pop_front();
                 if t.is_some() {
                     self.inner.popped.fetch_add(1, Ordering::Relaxed);
                 }
@@ -212,7 +115,7 @@ impl Pool {
 
     /// Pop without blocking.
     pub fn try_pop(&self) -> Option<Task> {
-        let t = self.inner.queue.lock().pop();
+        let t = self.inner.queue.lock().pop_front();
         if t.is_some() {
             self.inner.popped.fetch_add(1, Ordering::Relaxed);
         }
@@ -289,7 +192,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..5 {
             let log = Arc::clone(&log);
@@ -300,20 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn priority_order_with_fifo_tiebreak() {
-        let pool = Pool::new("p", SchedulingDiscipline::Priority);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for (i, prio) in [(0, 1u8), (1, 3), (2, 3), (3, 0), (4, 2)] {
-            let log = Arc::clone(&log);
-            pool.push_prio(Box::new(move || log.lock().push(i)), prio);
-        }
-        drain(&pool);
-        assert_eq!(*log.lock(), vec![1, 2, 4, 0, 3]);
-    }
-
-    #[test]
     fn spawn_join() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         let h = pool.spawn(|| 10);
         let t = pool.try_pop().unwrap();
         t();
@@ -323,7 +214,7 @@ mod tests {
 
     #[test]
     fn stats_track_traffic() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         pool.push(Box::new(|| ()));
         pool.push(Box::new(|| ()));
         assert_eq!(
@@ -347,13 +238,13 @@ mod tests {
 
     #[test]
     fn pop_timeout_returns_none_when_empty() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         assert!(pool.pop_timeout(Duration::from_millis(5)).is_none());
     }
 
     #[test]
     fn close_wakes_poppers() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         let p2 = pool.clone();
         let t = std::thread::spawn(move || p2.pop_timeout(Duration::from_secs(30)).is_none());
         std::thread::sleep(Duration::from_millis(10));
@@ -363,7 +254,7 @@ mod tests {
 
     #[test]
     fn close_still_drains_queued_tasks() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         let counter = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&counter);
         pool.push(Box::new(move || {
@@ -377,21 +268,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "closed pool")]
     fn push_after_close_panics() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         pool.close();
         pool.push(Box::new(|| ()));
-    }
-
-    #[test]
-    fn discipline_parse() {
-        assert_eq!(
-            SchedulingDiscipline::parse("fifo_wait"),
-            Some(SchedulingDiscipline::Fifo)
-        );
-        assert_eq!(
-            SchedulingDiscipline::parse("prio"),
-            Some(SchedulingDiscipline::Priority)
-        );
-        assert_eq!(SchedulingDiscipline::parse("bogus"), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Runtime: named pools + xstreams with ordered teardown
 //! (`ABT_init`/`ABT_finalize` analogue).
 
-use crate::pool::{Pool, SchedulingDiscipline};
+use crate::pool::Pool;
 use crate::xstream::ExecutionStream;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -35,14 +35,14 @@ impl std::error::Error for RuntimeError {}
 /// Bedrock "argobots" configuration section.
 #[derive(Default)]
 pub struct RuntimeBuilder {
-    pools: Vec<(String, SchedulingDiscipline)>,
+    pools: Vec<String>,
     xstreams: Vec<(String, Vec<String>)>,
 }
 
 impl RuntimeBuilder {
-    /// Declare a pool.
-    pub fn pool(mut self, name: &str, discipline: SchedulingDiscipline) -> Self {
-        self.pools.push((name.to_string(), discipline));
+    /// Declare a FIFO pool.
+    pub fn pool(mut self, name: &str) -> Self {
+        self.pools.push(name.to_string());
         self
     }
 
@@ -58,11 +58,11 @@ impl RuntimeBuilder {
     /// Validate the declaration and start all xstream threads.
     pub fn build(self) -> Result<Runtime, RuntimeError> {
         let mut pools: HashMap<String, Pool> = HashMap::with_capacity(self.pools.len());
-        for (name, disc) in self.pools {
+        for name in self.pools {
             if pools.contains_key(&name) {
                 return Err(RuntimeError::DuplicateName(name));
             }
-            pools.insert(name.clone(), Pool::new(name, disc));
+            pools.insert(name.clone(), Pool::new(name));
         }
         let mut seen = std::collections::HashSet::new();
         let mut xstreams = Vec::with_capacity(self.xstreams.len());
@@ -124,7 +124,7 @@ impl Runtime {
 
     /// Convenience: one FIFO pool named `"default"` drained by `n` xstreams.
     pub fn simple(n_xstreams: usize) -> Runtime {
-        let mut b = Runtime::builder().pool("default", SchedulingDiscipline::Fifo);
+        let mut b = Runtime::builder().pool("default");
         for i in 0..n_xstreams.max(1) {
             b = b.xstream(&format!("es{i}"), &["default"]);
         }
@@ -187,18 +187,14 @@ mod tests {
 
     #[test]
     fn builder_validates_duplicate_pool() {
-        let err = Runtime::builder()
-            .pool("a", SchedulingDiscipline::Fifo)
-            .pool("a", SchedulingDiscipline::Fifo)
-            .build()
-            .unwrap_err();
+        let err = Runtime::builder().pool("a").pool("a").build().unwrap_err();
         assert_eq!(err, RuntimeError::DuplicateName("a".into()));
     }
 
     #[test]
     fn builder_validates_unknown_pool() {
         let err = Runtime::builder()
-            .pool("a", SchedulingDiscipline::Fifo)
+            .pool("a")
             .xstream("es", &["nope"])
             .build()
             .unwrap_err();
@@ -208,7 +204,7 @@ mod tests {
     #[test]
     fn builder_validates_empty_xstream() {
         let err = Runtime::builder()
-            .pool("a", SchedulingDiscipline::Fifo)
+            .pool("a")
             .xstream("es", &[])
             .build()
             .unwrap_err();
@@ -247,9 +243,9 @@ mod tests {
         // The HEPnOS server shape: dedicated pool per provider plus a shared
         // RPC pool.
         let rt = Runtime::builder()
-            .pool("rpc", SchedulingDiscipline::Fifo)
-            .pool("db0", SchedulingDiscipline::Fifo)
-            .pool("db1", SchedulingDiscipline::Fifo)
+            .pool("rpc")
+            .pool("db0")
+            .pool("db1")
             .xstream("es-rpc", &["rpc"])
             .xstream("es-db0", &["db0", "rpc"])
             .xstream("es-db1", &["db1", "rpc"])

@@ -126,12 +126,11 @@ fn scheduler_loop(pools: &[Pool], shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::SchedulingDiscipline;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn executes_submitted_tasks() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         let xs = ExecutionStream::spawn("es", vec![pool.clone()]);
         let counter = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..100)
@@ -153,7 +152,7 @@ mod tests {
 
     #[test]
     fn drains_before_stopping() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
             let c = Arc::clone(&counter);
@@ -169,8 +168,8 @@ mod tests {
 
     #[test]
     fn round_robin_over_multiple_pools() {
-        let p1 = Pool::new("a", SchedulingDiscipline::Fifo);
-        let p2 = Pool::new("b", SchedulingDiscipline::Fifo);
+        let p1 = Pool::new("a");
+        let p2 = Pool::new("b");
         let xs = ExecutionStream::spawn("es", vec![p1.clone(), p2.clone()]);
         let h1 = p1.spawn(|| 1);
         let h2 = p2.spawn(|| 2);
@@ -182,7 +181,7 @@ mod tests {
 
     #[test]
     fn multiple_xstreams_share_a_pool() {
-        let pool = Pool::new("p", SchedulingDiscipline::Fifo);
+        let pool = Pool::new("p");
         let xs: Vec<_> = (0..4)
             .map(|i| ExecutionStream::spawn(format!("es{i}"), vec![pool.clone()]))
             .collect();

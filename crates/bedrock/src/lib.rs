@@ -35,7 +35,7 @@
 
 #![warn(missing_docs)]
 
-use argos::{Runtime, SchedulingDiscipline};
+use argos::Runtime;
 use margo::MargoInstance;
 use mercurio::Endpoint;
 use serde::{Deserialize, Serialize};
@@ -59,7 +59,8 @@ pub enum BackendKind {
 pub struct PoolConfig {
     /// Pool name, unique within the instance.
     pub name: String,
-    /// Scheduler kind: `fifo`, `fifo_wait`, `prio`, ...
+    /// Scheduler kind: `fifo`, `fifo_wait`, `basic` or `basic_wait`. Every
+    /// pool is FIFO; the names mirror Argobots' and any other is rejected.
     #[serde(default = "default_kind")]
     pub kind: String,
 }
@@ -255,10 +256,6 @@ pub struct LsmConfig {
     /// WAL durability mode: `"always"`, `"group"`, or `"none"`.
     #[serde(default = "d_wal_sync")]
     pub wal_sync: String,
-    /// Run flush/compaction inline on the write path instead of on the
-    /// background worker (testing/debugging only).
-    #[serde(default)]
-    pub inline_compaction: bool,
     /// Longest one write stalls at the L0 slowdown trigger (milliseconds).
     #[serde(default = "d_max_stall_ms")]
     pub max_stall_ms: u64,
@@ -325,7 +322,6 @@ impl Default for LsmConfig {
             bloom_bits_per_key: d_bloom_bits_per_key(),
             read_cache_bytes: d_read_cache_bytes(),
             wal_sync: d_wal_sync(),
-            inline_compaction: false,
             max_stall_ms: d_max_stall_ms(),
             retry_after_ms: d_retry_after_ms(),
         }
@@ -350,11 +346,7 @@ impl LsmConfig {
             bloom_bits_per_key: self.bloom_bits_per_key,
             read_cache_bytes: self.read_cache_bytes,
             wal_sync,
-            compaction: if self.inline_compaction {
-                lsmdb::CompactionMode::Inline
-            } else {
-                lsmdb::CompactionMode::Background
-            },
+            compaction: lsmdb::CompactionMode::Background,
             max_stall: std::time::Duration::from_millis(self.max_stall_ms),
             retry_after_hint: std::time::Duration::from_millis(self.retry_after_ms),
         })
@@ -678,9 +670,12 @@ pub fn launch(
     // Build the argos runtime.
     let mut rb = Runtime::builder();
     for p in &config.margo.argobots.pools {
-        let disc = SchedulingDiscipline::parse(&p.kind)
-            .ok_or_else(|| BedrockError::Invalid(format!("unknown scheduler kind: {}", p.kind)))?;
-        rb = rb.pool(&p.name, disc);
+        let kind = p.kind.as_str();
+        if !matches!(kind, "fifo" | "fifo_wait" | "basic" | "basic_wait") {
+            let msg = format!("unknown scheduler kind: {kind}");
+            return Err(BedrockError::Invalid(msg));
+        }
+        rb = rb.pool(&p.name);
     }
     for x in &config.margo.argobots.xstreams {
         let pool_refs: Vec<&str> = x.pools.iter().map(|s| s.as_str()).collect();
@@ -1048,7 +1043,6 @@ mod tests {
         let mut cfg = node(1, 0, BackendKind::Lsm, Some(dir.clone()));
         cfg.lsm = Some(LsmConfig {
             memtable_bytes: 256, // tiny: a handful of puts forces flushes
-            inline_compaction: true,
             ..LsmConfig::default()
         });
         let server = launch(fabric.endpoint("n"), &cfg).unwrap();
@@ -1059,14 +1053,25 @@ mod tests {
                 .put(&t, format!("k{i:03}").as_bytes(), &[7u8; 32])
                 .unwrap();
         }
-        // The tiny memtable must have flushed — visible through stats.
-        let all = server.yokan().backend_stats();
-        let (_, _, stats) = all
-            .iter()
-            .find(|(pid, name, _)| *pid == 0 && name == "events_0")
-            .expect("events_0 stats present");
-        let lsm = stats.lsm.as_ref().expect("lsm stats present");
-        assert!(lsm.flushes > 0, "tuned memtable size was not applied");
+        // The tiny memtable must have flushed — visible through stats once
+        // the background worker has caught up.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            let all = server.yokan().backend_stats();
+            let (_, _, stats) = all
+                .iter()
+                .find(|(pid, name, _)| *pid == 0 && name == "events_0")
+                .expect("events_0 stats present");
+            let lsm = stats.lsm.as_ref().expect("lsm stats present");
+            if lsm.flushes > 0 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "tuned memtable size was not applied"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1248,10 +1253,25 @@ mod tests {
     #[test]
     fn invalid_scheduler_kind_rejected() {
         let fabric = Fabric::new(Default::default());
-        let mut cfg = node(1, 0, BackendKind::Map, None);
-        cfg.margo.argobots.pools[0].kind = "quantum".into();
-        let err = launch(fabric.endpoint("x"), &cfg).unwrap_err();
-        assert!(matches!(err, BedrockError::Invalid(_)));
+        for kind in ["quantum", "prio_wait"] {
+            let mut cfg = node(1, 0, BackendKind::Map, None);
+            cfg.margo.argobots.pools[0].kind = kind.into();
+            let err = launch(fabric.endpoint(&format!("x-{kind}")), &cfg).unwrap_err();
+            assert!(matches!(err, BedrockError::Invalid(_)), "{kind}");
+        }
+    }
+
+    #[test]
+    fn every_fifo_scheduler_kind_launches() {
+        let fabric = Fabric::new(Default::default());
+        for kind in ["fifo", "fifo_wait", "basic", "basic_wait"] {
+            let mut cfg = node(1, 0, BackendKind::Map, None);
+            for p in &mut cfg.margo.argobots.pools {
+                p.kind = kind.into();
+            }
+            let server = launch(fabric.endpoint(&format!("fifo-{kind}")), &cfg).unwrap();
+            server.shutdown();
+        }
     }
 }
 

@@ -124,6 +124,16 @@ pub enum PlacementInput {
     Product,
 }
 
+/// The candidate parent (container) keys of a product key, longest
+/// first: each container length the key exceeds whose remainder carries
+/// [`keys::PRODUCT_SEP`].
+fn parent_candidates(key: &[u8]) -> impl Iterator<Item = &[u8]> {
+    [keys::EVENT_KEY_LEN, keys::SUBRUN_KEY_LEN, keys::RUN_KEY_LEN]
+        .into_iter()
+        .filter(move |&len| key.len() > len && key[len..].contains(&keys::PRODUCT_SEP))
+        .map(move |len| &key[..len])
+}
+
 /// Recover the parent (container) key of a product key.
 ///
 /// A product key is its container's key — 24 bytes for runs, 32 for
@@ -142,17 +152,7 @@ pub fn product_parent<'k>(
     n_old: usize,
     placement: &dyn Placement,
 ) -> Option<&'k [u8]> {
-    for len in [40usize, 32, 24] {
-        if key.len() > len {
-            let suffix = &key[len..];
-            if suffix.contains(&keys::PRODUCT_SEP)
-                && placement.place(&key[..len], n_old) == current_db
-            {
-                return Some(&key[..len]);
-            }
-        }
-    }
-    None
+    parent_candidates(key).find(|cand| placement.place(cand, n_old) == current_db)
 }
 
 /// Classify one key of old chain `old_idx`: `Some(new_idx)` for the new
@@ -189,15 +189,12 @@ fn classify(
             Some(placement.place(&k[..n], n_new))
         }
         PlacementInput::Product => {
-            for len in [40usize, 32, 24] {
-                if k.len() > len && k[len..].contains(&keys::PRODUCT_SEP) {
-                    let cand = &k[..len];
-                    if placement.place(cand, n_old) == old_idx {
-                        return Some(placement.place(cand, n_new));
-                    }
-                    if new_self == Some(placement.place(cand, n_new)) {
-                        return None;
-                    }
+            for cand in parent_candidates(k) {
+                if placement.place(cand, n_old) == old_idx {
+                    return Some(placement.place(cand, n_new));
+                }
+                if new_self == Some(placement.place(cand, n_new)) {
+                    return None;
                 }
             }
             None

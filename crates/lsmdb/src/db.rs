@@ -9,8 +9,8 @@
 //! * **L1..Lmax** — sorted non-overlapping runs with exponentially growing
 //!   byte targets (`level_base_bytes * level_multiplier^(i-1)`).
 //!
-//! Flushes and compactions run on a background worker draining an
-//! [`argos::Pool`] (flush jobs at higher priority), so the write path never
+//! Flushes and compactions run on one background worker thread, a pending
+//! flush always ahead of a pending compaction, so the write path never
 //! merges tables inside a lock. When L0 builds up faster than compaction
 //! drains it, writers first soft-stall (bounded wait) and then shed with
 //! [`DbError::Busy`], mirroring the service-level watermark machinery so
@@ -27,12 +27,11 @@ use crate::levels::{key_span, Levels};
 use crate::memtable::{Memtable, Value};
 use crate::sstable::{SstError, SstRangeIter, SstReader, SstWriter};
 use crate::wal::{parse_wal_file_name, wal_file_name, Wal, WalRecord};
-use argos::{Pool, SchedulingDiscipline};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// When to fsync the WAL.
@@ -332,15 +331,10 @@ struct DbInner {
     /// Serializes flush/compaction executors (background worker vs the
     /// inline `flush`/`compact`/`wait_idle` paths).
     work: Mutex<()>,
-    /// The compaction queue: jobs pushed by writers, drained by the worker.
-    jobs: Arc<Pool>,
-    /// Guards job pushes against the pool closing during shutdown
-    /// (`true` = closed).
-    sched: Mutex<bool>,
-    flush_queued: AtomicBool,
-    compact_queued: AtomicBool,
+    /// Work requested of the background worker, woken through `bg_cv`.
+    bg: Mutex<BgRequests>,
+    bg_cv: Condvar,
     compaction_paused: AtomicBool,
-    shutdown: Arc<AtomicBool>,
     stall_lock: Mutex<()>,
     stall_cv: Condvar,
     group: Mutex<GroupState>,
@@ -369,8 +363,15 @@ pub struct Db {
     worker: Option<std::thread::JoinHandle<()>>,
 }
 
-const FLUSH_PRIO: u8 = 2;
-const COMPACT_PRIO: u8 = 1;
+/// The background worker's job flags. A flag set again before the worker
+/// takes it is still one job.
+#[derive(Default)]
+struct BgRequests {
+    flush: bool,
+    compact: bool,
+    /// Set by `Drop`: later requests are ignored, pending ones still run.
+    closed: bool,
+}
 
 impl Db {
     /// Open (creating if needed) a database in `dir`, replaying WALs,
@@ -478,12 +479,9 @@ impl Db {
             }),
             cache,
             work: Mutex::new(()),
-            jobs: Arc::new(Pool::new("lsm-compaction", SchedulingDiscipline::Priority)),
-            sched: Mutex::new(false),
-            flush_queued: AtomicBool::new(false),
-            compact_queued: AtomicBool::new(false),
+            bg: Mutex::new(BgRequests::default()),
+            bg_cv: Condvar::new(),
             compaction_paused: AtomicBool::new(false),
-            shutdown: Arc::new(AtomicBool::new(false)),
             stall_lock: Mutex::new(()),
             stall_cv: Condvar::new(),
             group: Mutex::new(GroupState {
@@ -508,34 +506,18 @@ impl Db {
             tombstones_dropped: AtomicU64::new(0),
         });
         let worker = if background {
-            let jobs = Arc::clone(&inner.jobs);
-            let shutdown = Arc::clone(&inner.shutdown);
+            let db = Arc::clone(&inner);
             Some(
                 std::thread::Builder::new()
                     .name("lsm-worker".into())
-                    .spawn(move || loop {
-                        match jobs.pop_timeout(Duration::from_millis(100)) {
-                            Some(task) => task(),
-                            None => {
-                                if shutdown.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                            }
-                        }
-                    })?,
+                    .spawn(move || db.bg_loop())?,
             )
         } else {
             None
         };
         // A reopened database may already be over its triggers.
-        if background {
-            let needs = {
-                let st = inner.state.read();
-                st.levels.max_score(&inner.opts) >= 1.0
-            };
-            if needs {
-                inner.schedule_compact();
-            }
+        if background && inner.state.read().levels.max_score(&inner.opts) >= 1.0 {
+            inner.request(|r| &mut r.compact);
         }
         Ok(Db { inner, worker })
     }
@@ -718,12 +700,8 @@ impl Db {
 
 impl Drop for Db {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        {
-            let mut closed = self.inner.sched.lock();
-            *closed = true;
-            self.inner.jobs.close();
-        }
+        self.inner.bg.lock().closed = true;
+        self.inner.bg_cv.notify_one();
         if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
@@ -765,7 +743,7 @@ impl DbInner {
 
     // ---- write path -----------------------------------------------------
 
-    fn commit(self: &Arc<Self>, ops: &[WalRecord]) -> Result<(), DbError> {
+    fn commit(&self, ops: &[WalRecord]) -> Result<(), DbError> {
         self.gate()?;
         let seq = {
             let mut st = self.state.write();
@@ -774,11 +752,7 @@ impl DbInner {
         self.after_commit(seq)
     }
 
-    fn put_if_absent(
-        self: &Arc<Self>,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<Option<Vec<u8>>, DbError> {
+    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, DbError> {
         self.gate()?;
         let seq = {
             let mut st = self.state.write();
@@ -793,7 +767,7 @@ impl DbInner {
 
     /// Append + apply one commit under the held write lock; returns its
     /// sequence number for group commit.
-    fn apply_locked(self: &Arc<Self>, st: &mut State, ops: &[WalRecord]) -> Result<u64, DbError> {
+    fn apply_locked(&self, st: &mut State, ops: &[WalRecord]) -> Result<u64, DbError> {
         for op in ops {
             st.wal.append(op)?;
         }
@@ -822,7 +796,7 @@ impl DbInner {
         Ok(seq)
     }
 
-    fn after_commit(self: &Arc<Self>, seq: u64) -> Result<(), DbError> {
+    fn after_commit(&self, seq: u64) -> Result<(), DbError> {
         if self.opts.wal_sync == WalSync::Group {
             self.group_commit(seq)?;
         }
@@ -895,7 +869,7 @@ impl DbInner {
 
     /// Rotate the active memtable into the frozen queue with a fresh WAL.
     /// Caller holds the state write lock.
-    fn freeze(self: &Arc<Self>, st: &mut State) -> Result<(), DbError> {
+    fn freeze(&self, st: &mut State) -> Result<(), DbError> {
         if st.memtable.is_empty() {
             return Ok(());
         }
@@ -924,7 +898,7 @@ impl DbInner {
         st.wal_id += 1;
         st.wal = Wal::create(&self.wal_path(st.wal_id))?;
         if self.background() {
-            self.schedule_flush();
+            self.request(|r| &mut r.flush);
         }
         Ok(())
     }
@@ -969,77 +943,64 @@ impl DbInner {
         }
     }
 
-    // ---- background scheduling ------------------------------------------
+    // ---- background worker ----------------------------------------------
 
-    fn schedule_flush(self: &Arc<Self>) {
-        if self.flush_queued.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let weak = Arc::downgrade(self);
-        self.push_job(
-            Box::new(move || DbInner::flush_job(&weak)),
-            FLUSH_PRIO,
-            &self.flush_queued,
-        );
-    }
-
-    fn schedule_compact(self: &Arc<Self>) {
-        if self.compact_queued.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let weak = Arc::downgrade(self);
-        self.push_job(
-            Box::new(move || DbInner::compact_job(&weak)),
-            COMPACT_PRIO,
-            &self.compact_queued,
-        );
-    }
-
-    fn push_job(&self, job: argos::Task, prio: u8, flag: &AtomicBool) {
-        let closed = self.sched.lock();
-        if *closed {
-            flag.store(false, Ordering::SeqCst);
-            return;
-        }
-        self.jobs.push_prio(job, prio);
-    }
-
-    fn flush_job(weak: &Weak<DbInner>) {
-        let Some(db) = weak.upgrade() else { return };
-        db.flush_queued.store(false, Ordering::SeqCst);
-        let result = (|| -> Result<(), DbError> {
-            let _g = db.work.lock();
-            while db.flush_one()? {}
-            Ok(())
-        })();
-        if let Err(e) = result {
-            *db.bg_error.lock() = Some(e.to_string());
-            return;
-        }
-        let needs = {
-            let st = db.state.read();
-            st.levels.max_score(&db.opts) >= 1.0
-        };
-        if needs {
-            db.schedule_compact();
+    /// Ask the background worker for the job `pick` flags. Ignored once
+    /// `Drop` has closed the loop.
+    fn request(&self, pick: fn(&mut BgRequests) -> &mut bool) {
+        let mut r = self.bg.lock();
+        if !r.closed {
+            *pick(&mut r) = true;
+            self.bg_cv.notify_one();
         }
     }
 
-    fn compact_job(weak: &Weak<DbInner>) {
-        let Some(db) = weak.upgrade() else { return };
-        db.compact_queued.store(false, Ordering::SeqCst);
-        let result = (|| -> Result<(), DbError> {
-            let _g = db.work.lock();
-            while db.compact_once(None)? {}
-            Ok(())
-        })();
-        if let Err(e) = result {
-            *db.bg_error.lock() = Some(e.to_string());
+    /// The worker thread: takes a pending flush before a pending
+    /// compaction, clearing its flag as it does, and exits once `Drop` has
+    /// closed the loop and no requested job is left.
+    fn bg_loop(&self) {
+        loop {
+            let flush = {
+                let mut r = self.bg.lock();
+                loop {
+                    if std::mem::take(&mut r.flush) {
+                        break true;
+                    }
+                    if std::mem::take(&mut r.compact) {
+                        break false;
+                    }
+                    if r.closed {
+                        return;
+                    }
+                    self.bg_cv.wait(&mut r);
+                }
+            };
+            // A flush drains every frozen memtable; a compaction runs until
+            // nothing is picked. An error is recorded before `work` is
+            // released, so a `wait_idle` that runs next sees it, and skips
+            // the follow-up compaction.
+            let work = self.work.lock();
+            let result = (|| -> Result<(), DbError> {
+                if flush {
+                    while self.flush_one()? {}
+                } else {
+                    while self.compact_once(None)? {}
+                }
+                Ok(())
+            })();
+            if let Err(e) = result {
+                *self.bg_error.lock() = Some(e.to_string());
+                continue;
+            }
+            drop(work);
+            if flush && self.state.read().levels.max_score(&self.opts) >= 1.0 {
+                self.request(|r| &mut r.compact);
+            }
         }
     }
 
     /// Flush + drain used by `Db::flush` and the inline paths.
-    fn flush_sync(self: &Arc<Self>) -> Result<(), DbError> {
+    fn flush_sync(&self) -> Result<(), DbError> {
         {
             let mut st = self.state.write();
             self.freeze(&mut st)?;
@@ -2386,6 +2347,48 @@ mod tests {
         db.wait_idle().unwrap();
         for i in 0..1000u32 {
             assert!(db.get(format!("k{i:06}").as_bytes()).unwrap().is_some());
+        }
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn background_flush_error_surfaces_in_wait_idle() {
+        let d = tmpdir("bgerr");
+        let db = Db::open(&d, bg_opts()).unwrap();
+        db.set_failpoint(Failpoint::FlushBeforeInstall);
+        // Write until a memtable freezes: the flush it requests fails, so
+        // the frozen memtable stays queued.
+        let mut acked = Vec::new();
+        while db.stats().imm_memtables == 0 {
+            assert!(acked.len() < 10_000, "no memtable froze");
+            let k = format!("k{:06}", acked.len());
+            db.put(k.as_bytes(), &[5u8; 48]).unwrap();
+            acked.push(k);
+        }
+        // The worker's failed flush leaves its table renamed into place
+        // but not installed; once it is there, the error is the worker's.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !std::fs::read_dir(&d).unwrap().any(|e| {
+            let name = e.unwrap().file_name();
+            name.to_string_lossy().ends_with(".sst")
+        }) {
+            assert!(Instant::now() < deadline, "the worker never flushed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(db.stats().flushes, 0);
+        let err = db.wait_idle().unwrap_err();
+        assert!(err.to_string().contains("injected failpoint"), "{err}");
+        for _ in 0..500 {
+            let k = format!("k{:06}", acked.len());
+            db.put(k.as_bytes(), &[5u8; 48]).unwrap();
+            acked.push(k);
+        }
+        db.wait_idle().unwrap();
+        let stats = db.stats();
+        assert!(stats.flushes > 0, "{stats:?}");
+        assert_eq!(stats.imm_memtables, 0, "{stats:?}");
+        for k in &acked {
+            assert_eq!(db.get(k.as_bytes()).unwrap(), Some(vec![5u8; 48]), "{k}");
         }
         std::fs::remove_dir_all(&d).ok();
     }

@@ -15,8 +15,8 @@
 //! * [`levels`](crate) — N sorted runs with exponential size targets,
 //!   compaction-score prioritization, trivial moves, and key-range
 //!   partitioned outputs; tombstones drop only at the bottom of the tree;
-//! * background flush/compaction on a dedicated worker draining an
-//!   `argos::Pool`, with L0-buildup write stalls surfacing as
+//! * background flush/compaction on one dedicated worker thread (flushes
+//!   ahead of compactions), with L0-buildup write stalls surfacing as
 //!   [`DbError::Busy`] so overload degrades gracefully;
 //! * a `MANIFEST` recording the set of live tables (atomic-rename updates),
 //!   replayed on open alongside the numbered WALs.

@@ -18,14 +18,13 @@
 //! ```
 //! use margo::MargoInstance;
 //! use mercurio::{local::Fabric, Endpoint, RpcId};
-//! use argos::SchedulingDiscipline;
 //! use bytes::Bytes;
 //! use std::sync::Arc;
 //!
 //! let fabric = Fabric::new(Default::default());
 //! let rt = argos::Runtime::builder()
-//!     .pool("default", SchedulingDiscipline::Fifo)
-//!     .pool("db", SchedulingDiscipline::Fifo)
+//!     .pool("default")
+//!     .pool("db")
 //!     .xstream("es0", &["default", "db"])
 //!     .build()
 //!     .unwrap();
@@ -467,15 +466,14 @@ impl InstanceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use argos::SchedulingDiscipline;
     use mercurio::local::Fabric;
     use mercurio::Request;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rt_two_pools() -> Runtime {
         Runtime::builder()
-            .pool("default", SchedulingDiscipline::Fifo)
-            .pool("db", SchedulingDiscipline::Fifo)
+            .pool("default")
+            .pool("db")
             .xstream("es0", &["default"])
             .xstream("es1", &["db"])
             .build()
@@ -550,9 +548,9 @@ mod tests {
     fn concurrent_rpcs_across_providers() {
         let fabric = Fabric::new(Default::default());
         let rt = Runtime::builder()
-            .pool("default", SchedulingDiscipline::Fifo)
-            .pool("p0", SchedulingDiscipline::Fifo)
-            .pool("p1", SchedulingDiscipline::Fifo)
+            .pool("default")
+            .pool("p0")
+            .pool("p1")
             .xstream("e0", &["p0", "default"])
             .xstream("e1", &["p1", "default"])
             .build()

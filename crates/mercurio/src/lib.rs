@@ -70,5 +70,5 @@ pub use endpoint::{
 };
 pub use error::RpcError;
 pub use fault::{FaultAction, FaultConfig, FaultDecision, FaultEvent, FaultPlan, FrameDirection};
-pub use model::{InjectionGauge, NetworkModel};
+pub use model::NetworkModel;
 pub use wire::RpcId;

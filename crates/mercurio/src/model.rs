@@ -72,7 +72,7 @@ impl NetworkModel {
 
 /// Sliding-window byte counter implementing the injection-bandwidth budget
 /// of one NIC.
-pub struct InjectionGauge {
+pub(crate) struct InjectionGauge {
     window: Duration,
     budget_bytes: f64,
     state: Mutex<GaugeState>,
@@ -81,7 +81,6 @@ pub struct InjectionGauge {
 struct GaugeState {
     window_start: Instant,
     bytes_in_window: u64,
-    total_bytes: u64,
     total_frames: u64,
     bursts: u64,
     saturation_events: u64,
@@ -100,19 +99,11 @@ impl InjectionGauge {
             state: Mutex::new(GaugeState {
                 window_start: Instant::now(),
                 bytes_in_window: 0,
-                total_bytes: 0,
                 total_frames: 0,
                 bursts: 0,
                 saturation_events: 0,
             }),
         }
-    }
-
-    /// Record `bytes` of injected traffic. Returns `false` if this send
-    /// pushed the window over budget (the caller decides whether that means
-    /// failure or throttling).
-    pub fn inject(&self, bytes: usize) -> bool {
-        self.inject_burst(1, bytes)
     }
 
     /// Record a coalesced burst of `frames` frames totalling `bytes`. The
@@ -127,7 +118,6 @@ impl InjectionGauge {
             st.bytes_in_window = 0;
         }
         st.bytes_in_window += bytes as u64;
-        st.total_bytes += bytes as u64;
         st.total_frames += frames;
         st.bursts += 1;
         let ok =
@@ -136,11 +126,6 @@ impl InjectionGauge {
             st.saturation_events += 1;
         }
         ok
-    }
-
-    /// Total bytes ever injected through this gauge.
-    pub fn total_bytes(&self) -> u64 {
-        self.state.lock().total_bytes
     }
 
     /// Total frames ever injected (a burst of N frames counts N).
@@ -187,7 +172,7 @@ mod tests {
     fn gauge_unlimited_never_saturates() {
         let g = InjectionGauge::new(&NetworkModel::default());
         for _ in 0..100 {
-            assert!(g.inject(usize::MAX / 200));
+            assert!(g.inject_burst(1, usize::MAX / 200));
         }
         assert_eq!(g.saturation_events(), 0);
     }
@@ -200,10 +185,9 @@ mod tests {
             ..Default::default()
         };
         let g = InjectionGauge::new(&m);
-        assert!(g.inject(600));
-        assert!(!g.inject(600)); // 1200 > 1000 budget
+        assert!(g.inject_burst(1, 600));
+        assert!(!g.inject_burst(1, 600)); // 1200 > 1000 budget
         assert_eq!(g.saturation_events(), 1);
-        assert_eq!(g.total_bytes(), 1200);
     }
 
     #[test]
@@ -219,7 +203,6 @@ mod tests {
         assert!(g.inject_burst(8, 800));
         assert_eq!(g.bursts(), 1);
         assert_eq!(g.total_frames(), 8);
-        assert_eq!(g.total_bytes(), 800);
         assert_eq!(g.saturation_events(), 0);
         // A second burst trips the budget exactly once, not per frame.
         assert!(!g.inject_burst(4, 400));
@@ -235,10 +218,10 @@ mod tests {
             ..Default::default()
         };
         let g = InjectionGauge::new(&m);
-        assert!(g.inject(20)); // budget = 20 bytes per 20ms window
-        assert!(!g.inject(20));
+        assert!(g.inject_burst(1, 20)); // budget = 20 bytes per 20ms window
+        assert!(!g.inject_burst(1, 20));
         std::thread::sleep(Duration::from_millis(25));
-        assert!(g.inject(10));
+        assert!(g.inject_burst(1, 10));
     }
 
     #[test]

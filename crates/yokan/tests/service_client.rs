@@ -1,7 +1,7 @@
 //! End-to-end tests: YokanClient against a YokanService over the local
 //! fabric, through Margo pools — the full Mochi server shape.
 
-use argos::{Runtime, SchedulingDiscipline};
+use argos::Runtime;
 use margo::MargoInstance;
 use mercurio::local::Fabric;
 use mercurio::{Endpoint, NetworkModel};
@@ -17,9 +17,9 @@ struct TestServer {
 fn setup(model: NetworkModel) -> TestServer {
     let fabric = Fabric::new(model);
     let rt = Runtime::builder()
-        .pool("default", SchedulingDiscipline::Fifo)
-        .pool("db0", SchedulingDiscipline::Fifo)
-        .pool("db1", SchedulingDiscipline::Fifo)
+        .pool("default")
+        .pool("db0")
+        .pool("db1")
         .xstream("es0", &["db0", "default"])
         .xstream("es1", &["db1", "default"])
         .build()
