@@ -785,11 +785,14 @@ impl DataSet {
     /// adjacent reply per type, in type-name order; an event with none has
     /// no reply. The scan reads each product range in sequence and
     /// bypasses the servers' read cache.
+    ///
+    /// Each reply names its event by a plain [`EventDescriptor`];
+    /// [`Event::from_descriptor`] builds a handle where one is needed.
     pub fn filter_event_products(
         &self,
         label: &ProductLabel,
         program: &yokan::Program,
-    ) -> Result<Vec<(Event, yokan::FilterReply)>, HepnosError> {
+    ) -> Result<Vec<(EventDescriptor, yokan::FilterReply)>, HepnosError> {
         let uuid = self.require_uuid()?;
         let mut tag = label.as_str().as_bytes().to_vec();
         tag.push(keys::PRODUCT_SEP);
@@ -809,9 +812,9 @@ impl DataSet {
         )?;
         replies
             .into_iter()
-            .map(|(mut key, reply)| {
-                key.truncate(keys::EVENT_KEY_LEN);
-                Ok((Event::listed(store, key)?, reply))
+            .map(|(key, reply)| {
+                let event = &key[..key.len().min(keys::EVENT_KEY_LEN)];
+                Ok((parse_event_key(event)?, reply))
             })
             .collect()
     }

@@ -127,45 +127,11 @@ fn decode_err(e: yokan::YokanError) -> HepnosError {
     HepnosError::Serialization(format!("columnar slice blob: {e}"))
 }
 
-fn u64_col(r: &PageReader<'_>, col: u16) -> Result<Vec<u64>, HepnosError> {
-    match r.decode_column(col as usize).map_err(decode_err)? {
-        Column::U64(v) => Ok(v),
-        _ => Err(HepnosError::Serialization(format!(
-            "column {col} is not u64"
-        ))),
-    }
-}
-
-fn u32_col(r: &PageReader<'_>, col: u16) -> Result<Vec<u32>, HepnosError> {
-    match r.decode_column(col as usize).map_err(decode_err)? {
-        Column::U32(v) => Ok(v),
-        _ => Err(HepnosError::Serialization(format!(
-            "column {col} is not u32"
-        ))),
-    }
-}
-
-fn f32_col(r: &PageReader<'_>, col: u16) -> Result<Vec<f32>, HepnosError> {
-    match r.decode_column(col as usize).map_err(decode_err)? {
-        Column::F32(v) => Ok(v),
-        _ => Err(HepnosError::Serialization(format!(
-            "column {col} is not f32"
-        ))),
-    }
-}
-
-fn f64_col(r: &PageReader<'_>, col: u16) -> Result<Vec<f64>, HepnosError> {
-    match r.decode_column(col as usize).map_err(decode_err)? {
-        Column::F64(v) => Ok(v),
-        _ => Err(HepnosError::Serialization(format!(
-            "column {col} is not f64"
-        ))),
-    }
-}
-
 /// Decode a columnar blob back into slices (bit-exact round trip; the
-/// global-id column is redundant for reconstruction and is ignored).
+/// global-id column is redundant for reconstruction and is ignored). One
+/// walk over the pages decodes every column.
 pub fn decode_slices(blob: &[u8]) -> Result<Vec<SliceQuantities>, HepnosError> {
+    use Column::{F32, F64, U32, U64};
     let r = PageReader::open(blob).map_err(decode_err)?;
     if r.n_columns() != N_COLUMNS {
         return Err(HepnosError::Serialization(format!(
@@ -173,22 +139,16 @@ pub fn decode_slices(blob: &[u8]) -> Result<Vec<SliceQuantities>, HepnosError> {
             r.n_columns()
         )));
     }
-    let slice_id = u64_col(&r, COL_SLICE_ID)?;
-    let nhit = u32_col(&r, COL_NHIT)?;
-    let cal_e = f32_col(&r, COL_CAL_E)?;
-    let shower_energy = f32_col(&r, COL_SHOWER_ENERGY)?;
-    let shower_length = f32_col(&r, COL_SHOWER_LENGTH)?;
-    let track_length = f32_col(&r, COL_TRACK_LENGTH)?;
-    let cvn_nue = f32_col(&r, COL_CVN_NUE)?;
-    let cvn_numu = f32_col(&r, COL_CVN_NUMU)?;
-    let cvn_nc = f32_col(&r, COL_CVN_NC)?;
-    let cosmic_score = f32_col(&r, COL_COSMIC_SCORE)?;
-    let vertex_x = f32_col(&r, COL_VERTEX_X)?;
-    let vertex_y = f32_col(&r, COL_VERTEX_Y)?;
-    let vertex_z = f32_col(&r, COL_VERTEX_Z)?;
-    let time_ns = f64_col(&r, COL_TIME_NS)?;
-    let remid = f32_col(&r, COL_REMID)?;
-    let nu_energy = f32_col(&r, COL_NU_ENERGY)?;
+    let columns = r.decode_columns().map_err(decode_err)?;
+    // Field order of the slice schema, `COL_GID` through `COL_NU_ENERGY`.
+    let Ok(
+        [U64(_), U64(slice_id), U32(nhit), F32(cal_e), F32(shower_energy), F32(shower_length), F32(track_length), F32(cvn_nue), F32(cvn_numu), F32(cvn_nc), F32(cosmic_score), F32(vertex_x), F32(vertex_y), F32(vertex_z), F64(time_ns), F32(remid), F32(nu_energy)],
+    ) = <[Column; N_COLUMNS]>::try_from(columns)
+    else {
+        return Err(HepnosError::Serialization(
+            "columnar slice blob has the wrong column types".into(),
+        ));
+    };
     Ok((0..r.n_rows() as usize)
         .map(|i| SliceQuantities {
             slice_id: slice_id[i],
@@ -329,5 +289,48 @@ mod tests {
         let blob = encode_event(&ev, 4);
         let out = yokan::filter::eval_program(&blob, &prog).unwrap();
         assert_eq!(out.ids, select_slices(&ev, &cuts));
+    }
+
+    /// A value that states `n_rows` rows in pages of `page_rows`, with
+    /// `n_columns` u64 columns and, when `body` is set, one first page
+    /// whose every column body is that one byte.
+    fn stating(n_columns: u16, n_rows: u32, page_rows: u32, body: Option<u8>) -> Vec<u8> {
+        let mut b = yokan::pages::PAGE_MAGIC.to_vec();
+        b.extend_from_slice(&n_columns.to_le_bytes());
+        b.extend_from_slice(&n_rows.to_le_bytes());
+        b.extend_from_slice(&page_rows.to_le_bytes());
+        b.extend(std::iter::repeat_n(0u8, n_columns as usize));
+        if let Some(byte) = body {
+            for _ in 0..n_columns {
+                b.extend_from_slice(&[0u8; 17]);
+                b.extend_from_slice(&1u32.to_le_bytes());
+                b.push(byte);
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn stated_counts_never_size_a_decode() {
+        let ids_only = Program {
+            id_column: 0,
+            predicates: vec![],
+        };
+        let cuts = compile_cuts(&SelectionCuts::default());
+        let many_pages = stating(1, u32::MAX, 1, None);
+        let huge_page = stating(1, u32::MAX, u32::MAX, Some(0));
+        assert_eq!((many_pages.len(), huge_page.len()), (15, 37));
+        let wide = N_COLUMNS as u16;
+        for (blob, program) in [
+            (many_pages, &ids_only),
+            (huge_page, &ids_only),
+            (stating(wide, u32::MAX, 1, None), &cuts),
+            (stating(wide, u32::MAX, u32::MAX, Some(0)), &cuts),
+        ] {
+            let err = yokan::filter::eval_program(&blob, program).unwrap_err();
+            assert!(matches!(err, yokan::YokanError::Protocol(_)), "{err}");
+            let err = decode_slices(&blob).unwrap_err();
+            assert!(matches!(err, HepnosError::Serialization(_)), "{err}");
+        }
     }
 }

@@ -19,7 +19,7 @@ use crate::columnar;
 use crate::data::EventRecord;
 use crate::loader;
 use crate::selection::{select_slices_into, SelectScratch, SelectionCuts};
-use hepnos::{DataSet, DataStore, HepnosError};
+use hepnos::{DataSet, DataStore, Event, HepnosError};
 use yokan::FilterReply;
 
 /// Statistics of one selection pass over a dataset.
@@ -70,7 +70,6 @@ pub fn select_dataset_pushdown(
     dataset: &DataSet,
     cuts: &SelectionCuts,
 ) -> Result<(Vec<u64>, SelectStats), HepnosError> {
-    let _ = store;
     let program = columnar::compile_cuts(cuts);
     let mut replies = dataset
         .filter_event_products(&loader::slice_label(), &program)?
@@ -81,7 +80,7 @@ pub fn select_dataset_pushdown(
     let mut scratch = SelectScratch::new();
     while let Some((event, mut reply)) = replies.next() {
         // One event's replies are adjacent: keep a columnar one if any.
-        while let Some((_, next)) = replies.next_if(|(e, _)| e.key() == event.key()) {
+        while let Some((_, next)) = replies.next_if(|(e, _)| *e == event) {
             if matches!(next, FilterReply::Ids { .. }) {
                 reply = next;
             }
@@ -104,14 +103,14 @@ pub fn select_dataset_pushdown(
             }
             FilterReply::Missing | FilterReply::NotColumnar => {
                 stats.fallback_events += 1;
-                let Some(slices) = loader::load_slices(&event)? else {
+                let Some(slices) = loader::load_slices(&Event::from_descriptor(store, &event))?
+                else {
                     continue;
                 };
-                let (run, subrun, number) = event.coordinates();
                 let rec = EventRecord {
-                    run,
-                    subrun,
-                    event: number,
+                    run: event.run,
+                    subrun: event.subrun,
+                    event: event.event,
                     slices,
                 };
                 stats.rows_in += rec.slices.len() as u64;

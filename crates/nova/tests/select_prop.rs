@@ -225,8 +225,7 @@ proptest! {
         let blob = encode_columns(&cols, page_rows);
         let r = PageReader::open(&blob).unwrap();
         prop_assert_eq!(r.n_rows() as usize, n);
-        for (i, col) in cols.iter().enumerate() {
-            let got = r.decode_column(i).unwrap();
+        for (i, (col, got)) in cols.iter().zip(r.decode_columns().unwrap()).enumerate() {
             match (col, &got) {
                 (Column::U64(a), Column::U64(b)) => prop_assert_eq!(a, b),
                 (Column::U32(a), Column::U32(b)) => prop_assert_eq!(a, b),

@@ -110,35 +110,43 @@ pub(crate) fn decode_keys(buf: &mut Bytes) -> Result<Vec<Vec<u8>>, YokanError> {
     Ok(out)
 }
 
-/// Length of the byte prefix shared by every key in `keys`.
-fn common_prefix_len(keys: &[Vec<u8>]) -> usize {
-    let Some(first) = keys.first() else { return 0 };
-    let mut p = first.len();
-    for k in &keys[1..] {
-        p = p.min(k.len());
-        let mut i = 0;
-        while i < p && k[i] == first[i] {
-            i += 1;
-        }
-        p = i;
-    }
-    p
+/// The word of `s` at byte `at`, for comparing keys eight bytes at a time.
+fn word(s: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(s[at..at + 8].try_into().expect("eight bytes"))
 }
 
-/// Length of the byte suffix shared by every key once the first
-/// `prefix_len` bytes are set aside (so prefix and suffix never overlap).
-fn common_suffix_len(keys: &[Vec<u8>], prefix_len: usize) -> usize {
-    let Some(first) = keys.first() else { return 0 };
-    let mut s = first.len() - prefix_len;
-    for k in &keys[1..] {
-        s = s.min(k.len() - prefix_len);
-        let mut i = 0;
-        while i < s && k[k.len() - 1 - i] == first[first.len() - 1 - i] {
-            i += 1;
+/// Length of the byte prefix `a` and `b` share.
+fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + 8 <= n {
+        let diff = word(a, i) ^ word(b, i);
+        if diff != 0 {
+            return i + (diff.trailing_zeros() / 8) as usize;
         }
-        s = i;
+        i += 8;
     }
-    s
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// Length of the byte suffix `a` and `b` share.
+fn shared_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + 8 <= n {
+        let diff = word(a, a.len() - i - 8) ^ word(b, b.len() - i - 8);
+        if diff != 0 {
+            return i + (diff.leading_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && a[a.len() - 1 - i] == b[b.len() - 1 - i] {
+        i += 1;
+    }
+    i
 }
 
 /// Encode a key batch with the shared prefix and suffix factored out —
@@ -147,25 +155,82 @@ fn common_suffix_len(keys: &[Vec<u8>], prefix_len: usize) -> usize {
 /// `<label>#<type>` tail, so for big batches the per-key payload shrinks
 /// to the event coordinates alone.
 pub(crate) fn encode_keys_factored(keys: &[Vec<u8>]) -> Bytes {
-    let p = common_prefix_len(keys);
-    let s = common_suffix_len(keys, p);
-    let middles: usize = keys.iter().map(|k| 4 + k.len() - p - s).sum();
-    let mut buf = BytesMut::with_capacity(4 + p + 4 + s + 4 + middles);
-    match keys.first() {
-        Some(first) => {
-            put_bytes(&mut buf, &first[..p]);
-            put_bytes(&mut buf, &first[first.len() - s..]);
-        }
-        None => {
-            put_bytes(&mut buf, b"");
-            put_bytes(&mut buf, b"");
-        }
-    }
-    buf.put_u32_le(keys.len() as u32);
+    let mut block = KeyBlock::default();
     for k in keys {
-        put_bytes(&mut buf, &k[p..k.len() - s]);
+        block.push(k);
     }
+    let mut buf = BytesMut::with_capacity(block.encoded_len());
+    block.encode_into(&mut buf);
     buf.freeze()
+}
+
+/// A key batch back to back in one buffer, for [`encode_keys_factored`]'s
+/// block. The byte prefix and suffix all keys share are narrowed as each
+/// key arrives, so a range filter collects its kept keys here without a
+/// `Vec` per key.
+#[derive(Debug, Default)]
+pub(crate) struct KeyBlock {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+    /// Bytes every key starts with.
+    prefix: usize,
+    /// Bytes every key ends with (may overlap `prefix` in a short key).
+    suffix: usize,
+    min_len: usize,
+}
+
+impl KeyBlock {
+    /// Append one key.
+    pub(crate) fn push(&mut self, key: &[u8]) {
+        match self.ends.first() {
+            None => (self.prefix, self.suffix, self.min_len) = (key.len(), key.len(), key.len()),
+            Some(&end) => {
+                let first = &self.bytes[..end];
+                self.prefix = shared_prefix(&first[..self.prefix], key);
+                self.suffix = shared_suffix(&first[first.len() - self.suffix..], key);
+                self.min_len = self.min_len.min(key.len());
+            }
+        }
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Keys held.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The factored prefix and suffix lengths: the suffix is counted only
+    /// once the prefix is set aside, so the two never overlap in any key.
+    fn factored(&self) -> (usize, usize) {
+        (self.prefix, self.suffix.min(self.min_len - self.prefix))
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.bytes[start..self.ends[i]]
+        })
+    }
+
+    /// Bytes [`KeyBlock::encode_into`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let (p, s) = self.factored();
+        12 + p + s + 4 * self.len() + self.bytes.len() - self.len() * (p + s)
+    }
+
+    /// Append the block: the shared prefix and suffix, the key count, then
+    /// each key's middle.
+    pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
+        let (p, s) = self.factored();
+        let first = self.keys().next().unwrap_or_default();
+        put_bytes(buf, &first[..p]);
+        put_bytes(buf, &first[first.len() - s..]);
+        buf.put_u32_le(self.len() as u32);
+        for k in self.keys() {
+            put_bytes(buf, &k[p..k.len() - s]);
+        }
+    }
 }
 
 /// Decode a batch produced by [`encode_keys_factored`], reassembling each
@@ -309,6 +374,94 @@ mod tests {
             factored.len(),
             plain.len()
         );
+    }
+
+    /// The factored block byte by byte, as the handler built it before the
+    /// flat key buffer: the longest common prefix, then the longest common
+    /// suffix of what the prefix leaves, then each key's middle.
+    fn reference_factored(keys: &[Vec<u8>]) -> Vec<u8> {
+        let common = |len: usize, same: &dyn Fn(&[u8], usize) -> bool| {
+            (0..=len)
+                .take_while(|&i| keys.iter().all(|k| same(k, i)))
+                .last()
+                .unwrap_or(0)
+        };
+        let min = keys.iter().map(Vec::len).min().unwrap_or(0);
+        let p = common(min, &|k, i| k[..i] == keys[0][..i]);
+        let s = common(min - p, &|k, i| {
+            k[k.len() - i..] == keys[0][keys[0].len() - i..]
+        });
+        let mut out = BytesMut::new();
+        let first = keys.first().map_or(&[][..], |k| &k[..]);
+        put_bytes(&mut out, &first[..p]);
+        put_bytes(&mut out, &first[first.len() - s..]);
+        out.put_u32_le(keys.len() as u32);
+        for k in keys {
+            put_bytes(&mut out, &k[p..k.len() - s]);
+        }
+        out.to_vec()
+    }
+
+    /// The flat-buffer block a range filter replies with, pinned to the
+    /// bytes the handler sent before it.
+    fn assert_block_matches(keys: &[Vec<u8>]) {
+        let want = reference_factored(keys);
+        let mut block = KeyBlock::default();
+        for k in keys {
+            block.push(k);
+        }
+        let mut flat = BytesMut::new();
+        block.encode_into(&mut flat);
+        assert_eq!(block.encoded_len(), want.len(), "length for {keys:?}");
+        assert_eq!(&flat[..], &want[..], "bytes for {keys:?}");
+        assert_eq!(&encode_keys_factored(keys)[..], &want[..], "{keys:?}");
+    }
+
+    #[test]
+    fn key_block_bytes_equal_the_byte_wise_encoding() {
+        let event = |n: u64, tail: &[u8]| {
+            let mut k = b"0123456789abcdef-run-sub".to_vec();
+            k.extend_from_slice(&n.to_be_bytes());
+            k.extend_from_slice(tail);
+            k
+        };
+        let cases: Vec<Vec<Vec<u8>>> = vec![
+            // Zero keys, one key.
+            vec![],
+            vec![event(7, b"rec.slc#T")],
+            // Only a prefix in common.
+            vec![event(1, b"a"), event(2, b"bc"), event(3, b"def")],
+            // A prefix and a suffix.
+            vec![
+                event(1, b"rec.slc#T"),
+                event(300, b"rec.slc#T"),
+                event(1 << 40, b"rec.slc#T"),
+            ],
+            // Unequal lengths, where prefix and suffix would overlap.
+            vec![
+                b"aa".to_vec(),
+                b"aaa".to_vec(),
+                b"aaaaaaaaaaaaaaaaaaa".to_vec(),
+            ],
+            vec![
+                b"head-1-tail".to_vec(),
+                b"head-22-tail".to_vec(),
+                Vec::new(),
+            ],
+            vec![b"x".to_vec(), b"completely".to_vec(), b"different".to_vec()],
+        ];
+        for keys in &cases {
+            assert_block_matches(keys);
+        }
+        // Differences at every offset of keys longer than a word.
+        let base: Vec<u8> = (0u8..37).collect();
+        for at in 0..base.len() {
+            let mut other = base.clone();
+            other[at] ^= 0x80;
+            assert_block_matches(&[base.clone(), other.clone()]);
+            assert_block_matches(&[base.clone(), base.clone(), other[..at].to_vec()]);
+            assert_block_matches(&[base[at..].to_vec(), other[at..].to_vec()]);
+        }
     }
 
     #[test]

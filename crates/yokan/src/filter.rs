@@ -5,9 +5,10 @@
 //! of per-column predicates), serializes it into the `filter` RPC, and the
 //! service evaluates it against stored [`crate::pages`] blobs: pages whose
 //! zone map proves no row can pass are skipped without decoding, the rest
-//! are evaluated vectorized (one predicate over a whole column into a
-//! selection bitmap), and only the id-column values of surviving rows are
-//! returned. The ~99% of rows a HEP selection rejects never cross the wire.
+//! are evaluated over a selection vector of live rows (one predicate at a
+//! time, reading only live rows' float lanes), and only the id-column
+//! values of surviving rows are returned. The ~99% of rows a HEP selection
+//! rejects never cross the wire.
 //!
 //! Predicate semantics mirror the scalar cut style they compile from, NaN
 //! included: `NotGt(b)` passes NaN (because `NaN > b` is false, so the
@@ -16,7 +17,7 @@
 //! property tests in `nova`.
 
 use crate::error::YokanError;
-use crate::pages::{Column, PageReader, ZoneMap};
+use crate::pages::{for_each_int, lane_f32, lane_f64, PageColumn, PageReader, ZoneMap};
 
 /// One predicate over one column. All predicates *pass* rows; the program
 /// is their conjunction.
@@ -290,9 +291,36 @@ pub struct FilterOutput {
     pub pages_skipped: u32,
 }
 
+/// What the kernel reuses from blob to blob: the column headers of the
+/// page under evaluation, its live rows, and the output. One per request
+/// lets a handler filter any number of blobs without allocating per blob.
+#[derive(Debug, Default)]
+pub(crate) struct FilterScratch {
+    cols: Vec<PageColumn>,
+    live: Vec<u32>,
+    out: FilterOutput,
+}
+
 /// Evaluate `program` over an encoded columnar blob: zone-map pruning per
-/// page, then a vectorized bitmap pass over the decoded columns.
+/// page, then a selection-vector pass over the surviving pages.
 pub fn eval_program(blob: &[u8], program: &Program) -> Result<FilterOutput, YokanError> {
+    let mut scratch = FilterScratch::default();
+    eval_program_with(blob, program, &mut scratch)?;
+    Ok(scratch.out)
+}
+
+/// The filter kernel. It walks the blob in place one page at a time:
+/// a page some predicate's zone map rejects is skipped; otherwise the live
+/// rows start as the whole page and each predicate the zone map cannot
+/// settle keeps only the live rows it passes, reading float lanes of live
+/// rows alone; once no row is live the page is done. The id column is
+/// decoded only for a page with survivors, and only their ids are kept.
+/// The output is overwritten in `scratch`, reusing its `ids` buffer.
+pub(crate) fn eval_program_with<'s>(
+    blob: &[u8],
+    program: &Program,
+    scratch: &'s mut FilterScratch,
+) -> Result<&'s FilterOutput, YokanError> {
     let reader = PageReader::open(blob)?;
     let n_cols = reader.n_columns();
     let id_col = program.id_column as usize;
@@ -304,88 +332,83 @@ pub fn eval_program(blob: &[u8], program: &Program) -> Result<FilterOutput, Yoka
             return Err(YokanError::Protocol("predicate column out of range".into()));
         }
     }
-    let mut out = FilterOutput {
-        rows_in: reader.n_rows(),
-        ..Default::default()
-    };
-    let mut pass = Vec::new();
-    for page in 0..reader.n_pages() {
-        // Zone-map pass: skip the page when any predicate proves all rows
-        // fail; remember predicates the zone map already proves all-pass.
-        let mut needed: Vec<&Predicate> = Vec::with_capacity(program.predicates.len());
-        let mut skip = false;
-        for p in &program.predicates {
-            let c = p.col() as usize;
-            let z = reader.zone(page, c);
-            let ty = reader.column_type(c);
-            if !p.page_may_pass(z, ty) {
-                skip = true;
-                break;
-            }
-            if !p.page_all_pass(z, ty) {
-                needed.push(p);
-            }
-        }
-        if skip {
+    let FilterScratch { cols, live, out } = scratch;
+    out.ids.clear();
+    out.rows_in = reader.n_rows();
+    out.pages_scanned = 0;
+    out.pages_skipped = 0;
+    let mut pages = reader.pages();
+    while let Some(rows) = pages.next_page(cols)? {
+        let zone_rejects = program.predicates.iter().any(|p| {
+            let c = &cols[p.col() as usize];
+            !p.page_may_pass(&c.zone(), c.ty)
+        });
+        if zone_rejects {
             out.pages_skipped += 1;
             continue;
         }
         out.pages_scanned += 1;
-        let rows = reader.page_len(page);
-        pass.clear();
-        pass.resize(rows, true);
-        for p in &needed {
-            let col = reader.decode_page_column(page, p.col() as usize)?;
-            apply_predicate(p, &col, &mut pass);
-        }
-        if pass.iter().any(|&b| b) {
-            match reader.decode_page_column(page, id_col)? {
-                Column::U64(ids) => {
-                    for (i, &keep) in pass.iter().enumerate() {
-                        if keep {
-                            out.ids.push(ids[i]);
-                        }
-                    }
-                }
-                _ => {
-                    return Err(YokanError::Protocol("id column is not u64".into()));
+        live.clear();
+        live.extend(0..rows as u32);
+        for p in &program.predicates {
+            let c = &cols[p.col() as usize];
+            if !p.page_all_pass(&c.zone(), c.ty) {
+                retain_passing(p, c.ty, reader.body(c), rows, live)?;
+                if live.is_empty() {
+                    break;
                 }
             }
         }
+        if live.is_empty() {
+            continue;
+        }
+        let c = &cols[id_col];
+        if c.ty != 0 {
+            return Err(YokanError::Protocol("id column is not u64".into()));
+        }
+        let mut next = live.iter().copied().peekable();
+        for_each_int(reader.body(c), rows, c.ty, |row, id| {
+            if next.next_if_eq(&(row as u32)).is_some() {
+                out.ids.push(id);
+            }
+        })?;
     }
     Ok(out)
 }
 
-/// AND one predicate's column-wide verdict into the selection bitmap.
-fn apply_predicate(p: &Predicate, col: &Column, pass: &mut [bool]) {
-    match col {
-        Column::F32(v) => {
-            for (b, &x) in pass.iter_mut().zip(v) {
-                *b &= p.pass_f64(x as f64);
-            }
-        }
-        Column::F64(v) => {
-            for (b, &x) in pass.iter_mut().zip(v) {
-                *b &= p.pass_f64(x);
-            }
-        }
-        Column::U32(v) => {
-            for (b, &x) in pass.iter_mut().zip(v) {
-                *b &= p.pass_u64(x as u64);
-            }
-        }
-        Column::U64(v) => {
-            for (b, &x) in pass.iter_mut().zip(v) {
-                *b &= p.pass_u64(x);
-            }
+/// Keep the `live` rows (ascending) of an `n`-row page body that pass `p`.
+fn retain_passing(
+    p: &Predicate,
+    ty: u8,
+    body: &[u8],
+    n: usize,
+    live: &mut Vec<u32>,
+) -> Result<(), YokanError> {
+    match ty {
+        2 => live.retain(|&row| p.pass_f64(lane_f32(body, n, row as usize) as f64)),
+        3 => live.retain(|&row| p.pass_f64(lane_f64(body, n, row as usize))),
+        _ => {
+            let (mut next, mut kept) = (0, 0);
+            for_each_int(body, n, ty, |row, v| {
+                if live.get(next) == Some(&(row as u32)) {
+                    if p.pass_u64(v) {
+                        live[kept] = row as u32;
+                        kept += 1;
+                    }
+                    next += 1;
+                }
+            })?;
+            live.truncate(kept);
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pages::encode_columns;
+    use crate::pages::{encode_columns, oversized_blobs, Column};
+    use proptest::prelude::*;
 
     fn blob() -> Vec<u8> {
         // ids, score(f32), count(u32)
@@ -501,5 +524,190 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    #[test]
+    fn oversized_counts_are_protocol_errors() {
+        let prog = Program {
+            id_column: 0,
+            predicates: vec![Predicate::NotGt { col: 0, bound: 1.0 }],
+        };
+        for blob in oversized_blobs() {
+            assert!(matches!(
+                eval_program(&blob, &prog),
+                Err(YokanError::Protocol(_))
+            ));
+        }
+    }
+
+    /// The kernel's result the slow way: decode every column of the blob,
+    /// then evaluate every predicate on every row of each page no zone map
+    /// rejects.
+    fn reference(blob: &[u8], program: &Program) -> Result<FilterOutput, YokanError> {
+        let reader = PageReader::open(blob)?;
+        let n_cols = reader.n_columns();
+        let id_col = program.id_column as usize;
+        if id_col >= n_cols
+            || program
+                .predicates
+                .iter()
+                .any(|p| p.col() as usize >= n_cols)
+        {
+            return Err(YokanError::Protocol("column out of range".into()));
+        }
+        let columns = reader.decode_columns()?;
+        let passes = |p: &Predicate, row: usize| match &columns[p.col() as usize] {
+            Column::U64(v) => p.pass_u64(v[row]),
+            Column::U32(v) => p.pass_u64(v[row] as u64),
+            Column::F32(v) => p.pass_f64(v[row] as f64),
+            Column::F64(v) => p.pass_f64(v[row]),
+        };
+        let mut out = FilterOutput {
+            rows_in: reader.n_rows(),
+            ..FilterOutput::default()
+        };
+        let (mut pages, mut headers, mut first_row) = (reader.pages(), Vec::new(), 0);
+        while let Some(rows) = pages.next_page(&mut headers)? {
+            let page = first_row..first_row + rows;
+            first_row += rows;
+            if program.predicates.iter().any(|p| {
+                let c = &headers[p.col() as usize];
+                !p.page_may_pass(&c.zone(), c.ty)
+            }) {
+                out.pages_skipped += 1;
+                continue;
+            }
+            out.pages_scanned += 1;
+            for row in page {
+                if program.predicates.iter().all(|p| passes(p, row)) {
+                    match &columns[id_col] {
+                        Column::U64(ids) => out.ids.push(ids[row]),
+                        _ => return Err(YokanError::Protocol("id column is not u64".into())),
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Columns u64, u32, f32, f64 of `n` rows; floats from a narrow range
+    /// with NaN mixed in, so predicates and zone maps cut both ways.
+    fn columns() -> impl Strategy<Value = (Vec<Column>, u32)> {
+        let float = || prop_oneof![4 => -3.0f64..3.0, 1 => Just(f64::NAN)];
+        (0usize..40, 1u32..9).prop_flat_map(move |(n, page_rows)| {
+            (
+                proptest::collection::vec(0u64..1000, n),
+                proptest::collection::vec(0u32..100, n),
+                proptest::collection::vec(float(), n),
+                proptest::collection::vec(float(), n),
+            )
+                .prop_map(move |(a, b, c, d)| {
+                    let cols = vec![
+                        Column::U64(a),
+                        Column::U32(b),
+                        Column::F32(c.into_iter().map(|x| x as f32).collect()),
+                        Column::F64(d),
+                    ];
+                    (cols, page_rows)
+                })
+        })
+    }
+
+    fn predicate() -> impl Strategy<Value = Predicate> {
+        (
+            0u16..4,
+            0u8..5,
+            -3.0f64..3.0,
+            0.0f64..3.0,
+            0u64..100,
+            0u64..60,
+        )
+            .prop_map(|(col, kind, x, width, lo, span)| match kind {
+                0 => Predicate::AbsNotGt { col, bound: width },
+                1 => Predicate::NotLt { col, bound: x },
+                2 => Predicate::NotGt { col, bound: x },
+                3 => Predicate::InRange {
+                    col,
+                    lo: x,
+                    hi: x + width,
+                },
+                _ => Predicate::UIntInRange {
+                    col,
+                    lo,
+                    hi: lo + span,
+                },
+            })
+    }
+
+    fn program() -> impl Strategy<Value = Program> {
+        // Mostly the u64 column as ids; sometimes the u32 one, which must
+        // fail once a row survives.
+        let id = prop_oneof![6 => Just(0u16), 1 => Just(1u16)];
+        (id, proptest::collection::vec(predicate(), 0..4)).prop_map(|(id_column, predicates)| {
+            Program {
+                id_column,
+                predicates,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+        #[test]
+        fn kernel_equals_decode_every_column_reference(
+            (cols, page_rows) in columns(),
+            prog in program(),
+        ) {
+            let blob = encode_columns(&cols, page_rows);
+            let want = reference(&blob, &prog);
+            // One scratch across two blobs, as a handler reuses it.
+            let mut scratch = FilterScratch::default();
+            for _ in 0..2 {
+                let got = eval_program_with(&blob, &prog, &mut scratch).ok().cloned();
+                prop_assert_eq!(&got, &want.as_ref().ok().cloned());
+            }
+        }
+    }
+
+    #[test]
+    fn the_property_reaches_every_page_outcome() {
+        // The generators above must produce zone skips, all-pass pages,
+        // scanned pages with and without survivors, and zero-row blobs.
+        let (mut skipped, mut all_pass, mut empty, mut id_errors) = (0, 0, 0, 0);
+        let (cols_s, prog_s) = (columns(), program());
+        for case in 0..1024 {
+            let mut rng = proptest::case_rng(case);
+            let (cols, page_rows) = cols_s.sample(&mut rng);
+            let prog = prog_s.sample(&mut rng);
+            let blob = encode_columns(&cols, page_rows);
+            match reference(&blob, &prog) {
+                Ok(out) => {
+                    skipped += out.pages_skipped;
+                    empty += (out.rows_in == 0) as u32;
+                    all_pass += (out.rows_in > 0 && out.ids.len() == out.rows_in as usize) as u32;
+                }
+                Err(_) => id_errors += 1,
+            }
+        }
+        assert!(skipped > 0 && all_pass > 0 && empty > 0 && id_errors > 0);
+    }
+
+    #[test]
+    fn zero_row_blobs_and_non_u64_ids() {
+        let zero = encode_columns(&[Column::U64(Vec::new()), Column::F32(Vec::new())], 4);
+        let prog = Program {
+            id_column: 0,
+            predicates: vec![Predicate::NotLt { col: 1, bound: 0.0 }],
+        };
+        assert_eq!(eval_program(&zero, &prog).unwrap(), FilterOutput::default());
+        let prog = Program {
+            id_column: 2,
+            predicates: vec![],
+        };
+        assert!(matches!(
+            eval_program(&blob(), &prog),
+            Err(YokanError::Protocol(_))
+        ));
     }
 }

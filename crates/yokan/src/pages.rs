@@ -142,20 +142,6 @@ fn encode_delta_varint(values: &[u64], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_delta_varint(data: &[u8], n: usize, out: &mut Vec<u64>) -> Result<(), YokanError> {
-    let mut pos = 0usize;
-    let mut prev = 0u64;
-    for _ in 0..n {
-        let d = unzigzag(get_varint(data, &mut pos)?);
-        prev = prev.wrapping_add(d as u64);
-        out.push(prev);
-    }
-    if pos != data.len() {
-        return Err(YokanError::Protocol("trailing bytes in varint page".into()));
-    }
-    Ok(())
-}
-
 /// Byte-shuffle `width`-byte lanes: all first bytes, then all second bytes,
 /// ... Same-significance bytes (exponents, sign bits) cluster, which is what
 /// a downstream general-purpose compressor or the wire itself benefits from,
@@ -167,17 +153,6 @@ fn shuffle_bytes(raw: &[u8], width: usize, out: &mut Vec<u8>) {
             out.push(raw[row * width + byte]);
         }
     }
-}
-
-fn unshuffle_bytes(data: &[u8], width: usize) -> Vec<u8> {
-    let n = data.len() / width;
-    let mut out = vec![0u8; data.len()];
-    for byte in 0..width {
-        for row in 0..n {
-            out[row * width + byte] = data[byte * n + row];
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------- encode
@@ -304,17 +279,60 @@ pub fn encode_columns(columns: &[Column], page_rows: u32) -> Vec<u8> {
 
 // ---------------------------------------------------------------- decode
 
-/// A lazily-decodable view over an encoded blob: header parsed, page
-/// directory resolved, column bytes untouched until asked for.
+/// Bytes one column header of one page takes: min, max, flags, body length.
+const COLUMN_HEADER_LEN: usize = 8 + 8 + 1 + 4;
+
+/// A columnar blob opened in place: the header is parsed and checked, the
+/// pages are not. `PageReader::pages` walks them one at a time into
+/// caller-owned scratch, so reading a blob builds no page directory and
+/// sizes nothing from a count the blob states before bytes back it.
+#[derive(Debug, Clone, Copy)]
 pub struct PageReader<'a> {
     data: &'a [u8],
-    types: Vec<u8>,
+    types: &'a [u8],
     n_rows: u32,
     page_rows: u32,
-    /// Per page, per column: (zone map, body offset, body length).
-    directory: Vec<Vec<(ZoneMap, usize, usize)>>,
-    /// Per page: starting row.
-    page_starts: Vec<u32>,
+    first_page: usize,
+}
+
+/// One column of one page, as [`Pages::next_page`] parses it: the type,
+/// the raw zone map and where the body lies in the blob. The body's length
+/// is already checked against the page's rows: at least one byte a row for
+/// a varint column, exactly 4 or 8 for an f32 or f64 one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PageColumn {
+    /// Type tag (0=u64, 1=u32, 2=f32, 3=f64).
+    pub(crate) ty: u8,
+    has_nan: bool,
+    min_bits: u64,
+    max_bits: u64,
+    start: usize,
+    end: usize,
+}
+
+impl PageColumn {
+    /// Zone map over the page's values of this column.
+    pub(crate) fn zone(&self) -> ZoneMap {
+        let (min, max) = match self.ty {
+            0 | 1 => (self.min_bits as f64, self.max_bits as f64),
+            _ => (f64::from_bits(self.min_bits), f64::from_bits(self.max_bits)),
+        };
+        ZoneMap {
+            min,
+            max,
+            min_bits: self.min_bits,
+            max_bits: self.max_bits,
+            has_nan: self.has_nan,
+        }
+    }
+}
+
+/// A walk over the pages of a [`PageReader`], one page header at a time.
+pub(crate) struct Pages<'a> {
+    reader: PageReader<'a>,
+    pos: usize,
+    /// Rows in the pages already walked.
+    row: u32,
 }
 
 fn get_u16_at(data: &[u8], pos: &mut usize) -> Result<u16, YokanError> {
@@ -333,23 +351,14 @@ fn get_u32_at(data: &[u8], pos: &mut usize) -> Result<u32, YokanError> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-fn get_u64_at(data: &[u8], pos: &mut usize) -> Result<u64, YokanError> {
-    let b = data
-        .get(*pos..*pos + 8)
-        .ok_or_else(|| YokanError::Protocol("truncated page header".into()))?;
-    *pos += 8;
-    Ok(u64::from_le_bytes([
-        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-    ]))
-}
-
 /// Whether a value blob looks like a columnar page container.
 pub fn is_columnar(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[0..4] == PAGE_MAGIC
 }
 
 impl<'a> PageReader<'a> {
-    /// Parse the header and page directory of an encoded blob.
+    /// Parse and check the blob's header: magic, geometry and column types.
+    /// The pages are checked as they are walked.
     pub fn open(data: &'a [u8]) -> Result<PageReader<'a>, YokanError> {
         if !is_columnar(data) {
             return Err(YokanError::Protocol("not a columnar page blob".into()));
@@ -363,58 +372,16 @@ impl<'a> PageReader<'a> {
         }
         let types = data
             .get(pos..pos + n_columns)
-            .ok_or_else(|| YokanError::Protocol("truncated column types".into()))?
-            .to_vec();
-        pos += n_columns;
+            .ok_or_else(|| YokanError::Protocol("truncated column types".into()))?;
         if types.iter().any(|&t| t > 3) {
             return Err(YokanError::Protocol("unknown column type".into()));
-        }
-        let n_pages = (n_rows as usize).div_ceil(page_rows as usize);
-        let mut directory = Vec::with_capacity(n_pages);
-        let mut page_starts = Vec::with_capacity(n_pages);
-        for page in 0..n_pages {
-            page_starts.push(page as u32 * page_rows);
-            let mut cols = Vec::with_capacity(n_columns);
-            for &ty in &types {
-                let min_bits = get_u64_at(data, &mut pos)?;
-                let max_bits = get_u64_at(data, &mut pos)?;
-                let flags = *data
-                    .get(pos)
-                    .ok_or_else(|| YokanError::Protocol("truncated page flags".into()))?;
-                pos += 1;
-                let len = get_u32_at(data, &mut pos)? as usize;
-                if data.len() < pos + len {
-                    return Err(YokanError::Protocol("truncated page body".into()));
-                }
-                let (min, max) = match ty {
-                    0 | 1 => (min_bits as f64, max_bits as f64),
-                    _ => (f64::from_bits(min_bits), f64::from_bits(max_bits)),
-                };
-                cols.push((
-                    ZoneMap {
-                        min,
-                        max,
-                        min_bits,
-                        max_bits,
-                        has_nan: flags & FLAG_HAS_NAN != 0,
-                    },
-                    pos,
-                    len,
-                ));
-                pos += len;
-            }
-            directory.push(cols);
-        }
-        if pos != data.len() {
-            return Err(YokanError::Protocol("trailing bytes after pages".into()));
         }
         Ok(PageReader {
             data,
             types,
             n_rows,
             page_rows,
-            directory,
-            page_starts,
+            first_page: pos + n_columns,
         })
     }
 
@@ -428,120 +395,165 @@ impl<'a> PageReader<'a> {
         self.types.len()
     }
 
-    /// Number of pages.
-    pub fn n_pages(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// Rows in page `page`.
-    pub fn page_len(&self, page: usize) -> usize {
-        let start = self.page_starts[page] as usize;
-        ((start + self.page_rows as usize).min(self.n_rows as usize)) - start
-    }
-
-    /// Zone map of `column` within `page`.
-    pub fn zone(&self, page: usize, column: usize) -> &ZoneMap {
-        &self.directory[page][column].0
-    }
-
-    /// Type tag of `column` (0=u64, 1=u32, 2=f32, 3=f64).
-    pub fn column_type(&self, column: usize) -> u8 {
-        self.types[column]
-    }
-
-    /// Decode `column` of `page` into a freshly allocated [`Column`].
-    pub fn decode_page_column(&self, page: usize, column: usize) -> Result<Column, YokanError> {
-        let (_, off, len) = self.directory[page][column];
-        let body = &self.data[off..off + len];
-        let n = self.page_len(page);
-        match self.types[column] {
-            0 => {
-                let mut out = Vec::with_capacity(n);
-                decode_delta_varint(body, n, &mut out)?;
-                Ok(Column::U64(out))
-            }
-            1 => {
-                let mut wide = Vec::with_capacity(n);
-                decode_delta_varint(body, n, &mut wide)?;
-                let mut out = Vec::with_capacity(n);
-                for v in wide {
-                    out.push(u32::try_from(v).map_err(|_| {
-                        YokanError::Protocol("u32 column value out of range".into())
-                    })?);
-                }
-                Ok(Column::U32(out))
-            }
-            2 => {
-                if body.len() != n * 4 {
-                    return Err(YokanError::Protocol("bad f32 page length".into()));
-                }
-                let raw = unshuffle_bytes(body, 4);
-                let out = raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-                    .collect();
-                Ok(Column::F32(out))
-            }
-            3 => {
-                if body.len() != n * 8 {
-                    return Err(YokanError::Protocol("bad f64 page length".into()));
-                }
-                let raw = unshuffle_bytes(body, 8);
-                let out = raw
-                    .chunks_exact(8)
-                    .map(|c| {
-                        f64::from_bits(u64::from_le_bytes([
-                            c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                        ]))
-                    })
-                    .collect();
-                Ok(Column::F64(out))
-            }
-            t => Err(YokanError::Protocol(format!("unknown column type {t}"))),
+    /// Walk the pages from the first.
+    pub(crate) fn pages(&self) -> Pages<'a> {
+        Pages {
+            reader: *self,
+            pos: self.first_page,
+            row: 0,
         }
     }
 
-    /// Decode a whole column across all pages.
-    pub fn decode_column(&self, column: usize) -> Result<Column, YokanError> {
-        let mut acc: Option<Column> = None;
-        for page in 0..self.n_pages() {
-            let part = self.decode_page_column(page, column)?;
-            acc = Some(match (acc, part) {
-                (None, p) => p,
-                (Some(Column::U64(mut a)), Column::U64(b)) => {
-                    a.extend(b);
-                    Column::U64(a)
-                }
-                (Some(Column::U32(mut a)), Column::U32(b)) => {
-                    a.extend(b);
-                    Column::U32(a)
-                }
-                (Some(Column::F32(mut a)), Column::F32(b)) => {
-                    a.extend(b);
-                    Column::F32(a)
-                }
-                (Some(Column::F64(mut a)), Column::F64(b)) => {
-                    a.extend(b);
-                    Column::F64(a)
-                }
-                _ => unreachable!("column type is fixed per column"),
-            });
-        }
-        acc.ok_or_else(|| YokanError::Protocol("blob has no pages".into()))
-            .or_else(|e| {
-                // Zero-row blobs have no pages but a valid empty column.
-                if self.n_rows == 0 {
-                    Ok(match self.types[column] {
-                        0 => Column::U64(Vec::new()),
-                        1 => Column::U32(Vec::new()),
-                        2 => Column::F32(Vec::new()),
-                        _ => Column::F64(Vec::new()),
-                    })
-                } else {
-                    Err(e)
-                }
+    /// The encoded body of a column parsed from this blob.
+    pub(crate) fn body(&self, column: &PageColumn) -> &'a [u8] {
+        &self.data[column.start..column.end]
+    }
+
+    /// Decode every column across all pages, in one walk.
+    pub fn decode_columns(&self) -> Result<Vec<Column>, YokanError> {
+        let mut out: Vec<Column> = self
+            .types
+            .iter()
+            .map(|&ty| match ty {
+                0 => Column::U64(Vec::new()),
+                1 => Column::U32(Vec::new()),
+                2 => Column::F32(Vec::new()),
+                _ => Column::F64(Vec::new()),
             })
+            .collect();
+        let mut cols = Vec::with_capacity(self.types.len());
+        let mut pages = self.pages();
+        while let Some(n) = pages.next_page(&mut cols)? {
+            for (c, col) in cols.iter().zip(&mut out) {
+                let body = self.body(c);
+                match col {
+                    Column::U64(v) => for_each_int(body, n, c.ty, |_, x| v.push(x))?,
+                    Column::U32(v) => for_each_int(body, n, c.ty, |_, x| v.push(x as u32))?,
+                    Column::F32(v) => v.extend((0..n).map(|row| lane_f32(body, n, row))),
+                    Column::F64(v) => v.extend((0..n).map(|row| lane_f64(body, n, row))),
+                }
+            }
+        }
+        Ok(out)
     }
+}
+
+impl Pages<'_> {
+    /// Parse the next page's column headers into `cols` (cleared first) and
+    /// return its row count; `None` once every page is walked and no byte
+    /// trails the last one. Each header and body must lie inside the blob,
+    /// and each body's length must fit the page's rows.
+    pub(crate) fn next_page(
+        &mut self,
+        cols: &mut Vec<PageColumn>,
+    ) -> Result<Option<usize>, YokanError> {
+        let r = self.reader;
+        let data = r.data;
+        cols.clear();
+        if self.row == r.n_rows {
+            if self.pos != data.len() {
+                return Err(YokanError::Protocol("trailing bytes after pages".into()));
+            }
+            return Ok(None);
+        }
+        let rows = (r.n_rows - self.row).min(r.page_rows);
+        let n = rows as usize;
+        let mut pos = self.pos;
+        for &ty in r.types {
+            let h = data
+                .get(pos..pos + COLUMN_HEADER_LEN)
+                .ok_or_else(|| YokanError::Protocol("truncated page header".into()))?;
+            let word = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("8 bytes"));
+            let len = u32::from_le_bytes(h[17..21].try_into().expect("4 bytes")) as usize;
+            pos += COLUMN_HEADER_LEN;
+            if data.len() - pos < len {
+                return Err(YokanError::Protocol("truncated page body".into()));
+            }
+            let fits = match ty {
+                0 | 1 => len >= n,
+                2 => n.checked_mul(4) == Some(len),
+                _ => n.checked_mul(8) == Some(len),
+            };
+            if !fits {
+                return Err(YokanError::Protocol(format!(
+                    "{len}-byte type-{ty} page body for {n} rows"
+                )));
+            }
+            cols.push(PageColumn {
+                ty,
+                has_nan: h[16] & FLAG_HAS_NAN != 0,
+                min_bits: word(0),
+                max_bits: word(8),
+                start: pos,
+                end: pos + len,
+            });
+            pos += len;
+        }
+        self.pos = pos;
+        self.row += rows;
+        Ok(Some(n))
+    }
+}
+
+/// Visit the `n` values of an integer page body in row order. Checks what
+/// a full decode checks, whichever rows the caller wants: no truncated or
+/// overlong varint, no byte after the last one, and for a u32 column (type
+/// 1) no value past `u32::MAX`.
+pub(crate) fn for_each_int(
+    body: &[u8],
+    n: usize,
+    ty: u8,
+    mut visit: impl FnMut(usize, u64),
+) -> Result<(), YokanError> {
+    let mut pos = 0usize;
+    let mut value = 0u64;
+    for row in 0..n {
+        value = value.wrapping_add(unzigzag(get_varint(body, &mut pos)?) as u64);
+        if ty == 1 && value > u32::MAX as u64 {
+            return Err(YokanError::Protocol("u32 column value out of range".into()));
+        }
+        visit(row, value);
+    }
+    if pos != body.len() {
+        return Err(YokanError::Protocol("trailing bytes in varint page".into()));
+    }
+    Ok(())
+}
+
+/// Row `row` of a shuffled f32 body of `n` rows: its bytes lie `n` apart.
+pub(crate) fn lane_f32(body: &[u8], n: usize, row: usize) -> f32 {
+    f32::from_bits(u32::from_le_bytes(std::array::from_fn(|b| {
+        body[b * n + row]
+    })))
+}
+
+/// Row `row` of a shuffled f64 body of `n` rows: its bytes lie `n` apart.
+pub(crate) fn lane_f64(body: &[u8], n: usize, row: usize) -> f64 {
+    f64::from_bits(u64::from_le_bytes(std::array::from_fn(|b| {
+        body[b * n + row]
+    })))
+}
+
+/// A 15-byte value announcing `u32::MAX` one-row pages of one u64
+/// column, and a 37-byte one announcing one `u32::MAX`-row page with a
+/// 1-byte body: neither may be trusted for a size.
+#[cfg(test)]
+pub(crate) fn oversized_blobs() -> [Vec<u8>; 2] {
+    let header = |n_rows: u32, page_rows: u32| {
+        let mut b = PAGE_MAGIC.to_vec();
+        b.extend_from_slice(&1u16.to_le_bytes());
+        b.extend_from_slice(&n_rows.to_le_bytes());
+        b.extend_from_slice(&page_rows.to_le_bytes());
+        b.push(0);
+        b
+    };
+    let many_pages = header(u32::MAX, 1);
+    let mut huge_page = header(u32::MAX, u32::MAX);
+    huge_page.extend_from_slice(&[0u8; 17]);
+    huge_page.extend_from_slice(&1u32.to_le_bytes());
+    huge_page.push(0);
+    assert_eq!((many_pages.len(), huge_page.len()), (15, 37));
+    [many_pages, huge_page]
 }
 
 #[cfg(test)]
@@ -561,10 +573,9 @@ mod tests {
             let r = PageReader::open(&blob).unwrap();
             assert_eq!(r.n_rows(), 5);
             assert_eq!(r.n_columns(), 4);
-            for (i, c) in cols.iter().enumerate() {
-                let got = r.decode_column(i).unwrap();
+            for (got, c) in r.decode_columns().unwrap().iter().zip(&cols) {
                 // NaN != NaN, so compare bits.
-                match (&got, c) {
+                match (got, c) {
                     (Column::F32(a), Column::F32(b)) => {
                         let a: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
                         let b: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
@@ -587,9 +598,11 @@ mod tests {
         let blob = encode_columns(&cols, 64);
         let r = PageReader::open(&blob).unwrap();
         assert_eq!(r.n_rows(), 0);
-        assert_eq!(r.n_pages(), 0);
-        assert_eq!(r.decode_column(0).unwrap(), Column::U64(Vec::new()));
-        assert_eq!(r.decode_column(1).unwrap(), Column::F32(Vec::new()));
+        assert_eq!(r.pages().next_page(&mut Vec::new()).unwrap(), None);
+        assert_eq!(
+            r.decode_columns().unwrap(),
+            vec![Column::U64(Vec::new()), Column::F32(Vec::new())]
+        );
     }
 
     #[test]
@@ -597,11 +610,15 @@ mod tests {
         let cols = vec![Column::F32(vec![1.0, 5.0, -3.0, f32::NAN, 2.0, 9.0])];
         let blob = encode_columns(&cols, 3);
         let r = PageReader::open(&blob).unwrap();
-        assert_eq!(r.n_pages(), 2);
-        let z0 = r.zone(0, 0);
+        let mut pages = r.pages();
+        let mut cols = Vec::new();
+        assert_eq!(pages.next_page(&mut cols).unwrap(), Some(3));
+        let z0 = cols[0].zone();
         assert_eq!((z0.min, z0.max, z0.has_nan), (-3.0, 5.0, false));
-        let z1 = r.zone(1, 0);
+        assert_eq!(pages.next_page(&mut cols).unwrap(), Some(3));
+        let z1 = cols[0].zone();
         assert_eq!((z1.min, z1.max, z1.has_nan), (2.0, 9.0, true));
+        assert_eq!(pages.next_page(&mut cols).unwrap(), None);
     }
 
     #[test]
@@ -609,8 +626,13 @@ mod tests {
         let cols = vec![Column::U64(vec![1, 2, 3])];
         let blob = encode_columns(&cols, 2);
         for cut in [3usize, 8, blob.len() - 1] {
-            assert!(PageReader::open(&blob[..cut]).is_err());
+            let opened = PageReader::open(&blob[..cut]);
+            assert!(opened.and_then(|r| r.decode_columns()).is_err());
         }
+        let mut long = blob.clone();
+        long.push(0);
+        let r = PageReader::open(&long).unwrap();
+        assert!(r.decode_columns().is_err(), "a trailing byte was accepted");
         assert!(!is_columnar(b"blob"));
         assert!(is_columnar(&blob));
     }
@@ -621,5 +643,24 @@ mod tests {
         let blob = encode_columns(&[Column::U64(ids)], 1024);
         // 4096 near-sequential u64s should land far below 8 bytes each.
         assert!(blob.len() < 4096 * 2, "blob {} bytes", blob.len());
+    }
+
+    #[test]
+    fn stated_counts_never_size_a_decode() {
+        for blob in oversized_blobs() {
+            let r = PageReader::open(&blob).unwrap();
+            assert!(matches!(r.decode_columns(), Err(YokanError::Protocol(_))));
+        }
+    }
+
+    #[test]
+    fn body_lengths_must_fit_the_rows() {
+        // One f32 column of 2 rows: the body must be exactly 8 bytes.
+        let blob = encode_columns(&[Column::F32(vec![1.0, 2.0])], 2);
+        let len_at = blob.len() - 8 - 4;
+        let mut short = blob[..blob.len() - 1].to_vec();
+        short[len_at..len_at + 4].copy_from_slice(&7u32.to_le_bytes());
+        let r = PageReader::open(&short).unwrap();
+        assert!(r.decode_columns().is_err());
     }
 }

@@ -4,6 +4,7 @@ use crate::backend::Backend;
 use crate::client::DbTarget;
 use crate::encoding::*;
 use crate::error::YokanError;
+use crate::filter::FilterScratch;
 use crate::replica::{ForwardParams, ForwardStats};
 use crate::retry::RetryPolicy;
 use argos::Eventual;
@@ -140,17 +141,19 @@ fn is_mutation(op: u16) -> bool {
 
 /// Append one per-key reply of the filter RPCs to `out`: what happened to
 /// the stored value under that key. Corrupt columnar blobs fail the whole
-/// RPC — they indicate storage damage, not a client mistake.
+/// RPC — they indicate storage damage, not a client mistake. `scratch` is
+/// the request's, reused for every key.
 fn put_filter_reply(
     out: &mut BytesMut,
     value: Option<&[u8]>,
     prog: &crate::filter::Program,
+    scratch: &mut FilterScratch,
 ) -> Result<(), YokanError> {
     match value {
         None => out.put_u8(FILTER_MISSING),
         Some(v) if !crate::pages::is_columnar(v) => out.put_u8(FILTER_NOT_COLUMNAR),
         Some(v) => {
-            let res = crate::filter::eval_program(v, prog)?;
+            let res = crate::filter::eval_program_with(v, prog, scratch)?;
             out.reserve(1 + 20 + 8 * res.ids.len());
             out.put_u8(FILTER_IDS);
             out.put_u32_le(res.rows_in);
@@ -968,8 +971,9 @@ impl YokanService {
                 let vals = self.db(req.provider_id, &db)?.get_multi(&keys)?;
                 let mut out = BytesMut::new();
                 out.put_u32_le(vals.len() as u32);
+                let mut scratch = FilterScratch::default();
                 for v in &vals {
-                    put_filter_reply(&mut out, v.as_deref(), &prog)?;
+                    put_filter_reply(&mut out, v.as_deref(), &prog, &mut scratch)?;
                 }
                 Ok(out.freeze())
             }
@@ -993,8 +997,9 @@ impl YokanService {
                     .ok_or_else(|| YokanError::Protocol("tag window past every key".into()))?;
                 let window = tag_offset as usize..tag_end as usize;
                 let backend = self.db(req.provider_id, &db)?;
-                let mut keys = Vec::new();
+                let mut keys = KeyBlock::default();
                 let mut replies = BytesMut::new();
+                let mut scratch = FilterScratch::default();
                 let mut failed = Ok(());
                 backend.scan(&from, &prefix, &mut |k, v| {
                     if k.get(window.clone()) != Some(&tag[..]) {
@@ -1002,7 +1007,7 @@ impl YokanService {
                     }
                     match &prog {
                         Some(prog) => {
-                            failed = put_filter_reply(&mut replies, Some(v), prog);
+                            failed = put_filter_reply(&mut replies, Some(v), prog, &mut scratch);
                             if failed.is_err() {
                                 return false;
                             }
@@ -1010,13 +1015,12 @@ impl YokanService {
                         None if k.len() == window.end => put_bytes(&mut replies, v),
                         None => return true,
                     }
-                    keys.push(k.to_vec());
+                    keys.push(k);
                     limit == 0 || keys.len() < limit
                 })?;
                 failed?;
-                let keys_block = encode_keys_factored(&keys);
-                let mut out = BytesMut::with_capacity(keys_block.len() + 4 + replies.len());
-                out.put_slice(&keys_block);
+                let mut out = BytesMut::with_capacity(keys.encoded_len() + 4 + replies.len());
+                keys.encode_into(&mut out);
                 out.put_u32_le(keys.len() as u32);
                 out.put_slice(&replies);
                 Ok(out.freeze())

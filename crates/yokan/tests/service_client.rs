@@ -958,6 +958,84 @@ fn malformed_filter_scans_fail_and_the_provider_keeps_serving() {
     ts.server.finalize();
 }
 
+/// A stored value under a kept key that is a columnar blob in name only —
+/// its header states more rows than its bytes can hold — fails the filter
+/// RPCs that read it with a protocol error, sizes nothing from the stated
+/// counts, and leaves the provider serving.
+#[test]
+fn malformed_columnar_values_fail_filters_and_the_provider_keeps_serving() {
+    use yokan::pages::{encode_columns, Column, PAGE_MAGIC};
+    use yokan::{FilterReply, FilterScan, Program};
+
+    // One u64 column; `n_rows` rows in pages of `page_rows`, and when
+    // `body` is set one first page whose body is that one byte.
+    let stating = |n_rows: u32, page_rows: u32, body: Option<u8>| {
+        let mut b = PAGE_MAGIC.to_vec();
+        b.extend_from_slice(&1u16.to_le_bytes());
+        b.extend_from_slice(&n_rows.to_le_bytes());
+        b.extend_from_slice(&page_rows.to_le_bytes());
+        b.push(0);
+        if let Some(byte) = body {
+            b.extend_from_slice(&[0u8; 17]);
+            b.extend_from_slice(&1u32.to_le_bytes());
+            b.push(byte);
+        }
+        b
+    };
+    let malformed = [
+        stating(u32::MAX, 1, None),
+        stating(u32::MAX, u32::MAX, Some(0)),
+    ];
+    assert_eq!((malformed[0].len(), malformed[1].len()), (15, 37));
+
+    let ts = setup(NetworkModel::default());
+    let client = YokanClient::new(ts.fabric.endpoint("client"));
+    let t = DbTarget::new(ts.server.address(), 0, "products");
+    let good = encode_columns(&[Column::U64(vec![1, 2, 3])], 8);
+    client.put(&t, b"a1#c", &good).unwrap();
+    client.put(&t, b"a2#c", &good).unwrap();
+    let program = Program {
+        id_column: 0,
+        predicates: Vec::new(),
+    };
+    let scan = |prefix| FilterScan {
+        program: &program,
+        prefix,
+        tag_offset: 2,
+        tag: b"#",
+    };
+    for value in &malformed {
+        client.put(&t, b"b1#c", value).unwrap();
+        match client.filter_scan_async(&t, &scan(b""), b"", 0).wait() {
+            Err(YokanError::Protocol(_)) => {}
+            other => panic!("range filter answered {other:?}, expected a protocol error"),
+        }
+        match client.filter(&t, &program, &[b"b1#c".to_vec()]) {
+            Err(YokanError::Protocol(_)) => {}
+            other => panic!("per-key filter answered {other:?}, expected a protocol error"),
+        }
+        // The provider keeps serving the well-formed values.
+        let page = client
+            .filter_scan_async(&t, &scan(b"a"), b"", 0)
+            .wait()
+            .unwrap();
+        assert_eq!(page.len(), 2);
+        assert!(page
+            .iter()
+            .all(|(_, r)| matches!(r, FilterReply::Ids { ids, .. } if ids == &[1, 2, 3])));
+    }
+    client.erase(&t, b"b1#c").unwrap();
+    assert_eq!(
+        client
+            .filter_scan_async(&t, &scan(b""), b"", 0)
+            .wait()
+            .unwrap()
+            .len(),
+        2
+    );
+    ts.server.finalize();
+}
+
 /// One value scan paged `limit` kept keys at a time, resuming from the
 /// last key of each page, until a short page ends the range.
 fn value_scan_all(

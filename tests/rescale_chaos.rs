@@ -559,7 +559,10 @@ fn dual_reads_never_miss_acked_keys_during_handoff() {
             "Run::events during handoff"
         );
         let replies = ds.filter_event_products(&label, &program).unwrap();
-        let replied: Vec<_> = replies.iter().map(|(ev, _)| ev.coordinates()).collect();
+        let replied: Vec<_> = replies
+            .iter()
+            .map(|(ev, _)| (ev.run, ev.subrun, ev.event))
+            .collect();
         assert_eq!(
             replied, listed,
             "push-down scan during handoff missed or repeated events"
