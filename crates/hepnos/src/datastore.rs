@@ -10,16 +10,16 @@ use crate::binser;
 use crate::error::HepnosError;
 use crate::keys::{self, DatasetPath, EventNumber, RunNumber, SubRunNumber};
 use crate::pep::EventDescriptor;
-use crate::placement::{ModuloPlacement, Placement};
+use crate::placement::{stable_hash, stable_hash_extend, ModuloPlacement, Placement};
 use crate::uuid::Uuid;
 use bedrock::ConnectionDescriptor;
 use mercurio::Endpoint;
 use parking_lot::RwLock;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use yokan::{DbTarget, YokanClient, YokanError};
+use yokan::{DbTarget, FilterView, PendingPage, ScanPage, YokanClient, YokanError};
 
 /// Entries per listing RPC: container listings page their one database
 /// this many keys at a time, and the multi-database listings
@@ -27,6 +27,10 @@ use yokan::{DbTarget, YokanClient, YokanError};
 /// [`DataSet::filter_event_products`]) keep one such page in flight per
 /// database.
 pub const LIST_PAGE: usize = 1024;
+
+/// Entries a multi-database listing merges between two polls of its pages
+/// in flight.
+const POLL_EVERY: usize = 64;
 
 /// A validated product label (must not contain `#`, the label/type
 /// separator in product keys).
@@ -208,9 +212,10 @@ impl DataStoreInner {
         db_idx: usize,
         parent_len: usize,
         key: &[u8],
+        hash: &mut ParentHash,
     ) -> bool {
         key.get(..parent_len)
-            .is_none_or(|parent| self.placement.place(parent, dbs.len()) == db_idx)
+            .is_none_or(|parent| self.placement.place_hash(hash.of(parent), dbs.len()) == db_idx)
     }
 
     /// Page through `db`'s entries after `from` under `prefix`, mapping each
@@ -238,35 +243,186 @@ impl DataStoreInner {
         }
     }
 
-    /// Walk every database of `dbs` at once, starting after `from`:
-    /// `issue(db, from)` puts one page in flight per database and `wait`
-    /// collects it. A full page resumes from its last key at once; a short
-    /// one ends that database's walk. Entries not homed on the database
-    /// that listed them (see [`Self::is_homed`]) are dropped, and the
-    /// per-database streams are merged by key.
-    fn pump<P, E: Keyed>(
+    /// Walk every database of `dbs` at once, starting after `from`, and
+    /// hand each entry to `visit(page, index, key)` in key order.
+    /// `issue(db, from, limit)` puts a page of `limit` entries in flight;
+    /// each database keeps one page in flight at all times: a full page
+    /// puts the next one in flight as soon as it arrives, and a short one
+    /// ends that database's walk. The per-database streams are merged as
+    /// their pages arrive; the merge waits only on a database that has no
+    /// entry left to show. Entries not homed on the database that listed
+    /// them (see [`Self::is_homed`]) are skipped.
+    fn pump<G: KeyPage>(
         &self,
         dbs: &[DbTarget],
         parent_len: usize,
         from: &[u8],
-        issue: impl Fn(&DbTarget, &[u8]) -> P,
-        wait: fn(P) -> Page<E>,
-    ) -> Result<Vec<E>, HepnosError> {
-        let mut pending: Vec<Option<P>> = dbs.iter().map(|db| Some(issue(db, from))).collect();
-        let mut streams: Vec<Vec<E>> = dbs.iter().map(|_| Vec::new()).collect();
-        while pending.iter().any(Option::is_some) {
-            for (db_idx, (slot, stream)) in pending.iter_mut().zip(&mut streams).enumerate() {
-                let Some(page) = slot.take() else { continue };
-                let mut page = wait(page)?;
-                // The raw page decides the walk, before the homing filter.
-                if page.len() == LIST_PAGE {
-                    *slot = Some(issue(&dbs[db_idx], page[LIST_PAGE - 1].key()));
+        limit: usize,
+        issue: impl Fn(&DbTarget, &[u8], usize) -> PendingPage<G>,
+        mut visit: impl FnMut(&G, usize, &[u8]) -> Result<(), HepnosError>,
+    ) -> Result<(), HepnosError> {
+        debug_assert!(limit > 0, "a pump page needs a limit");
+        let mut walks: Vec<_> = (dbs.iter())
+            .map(|db| {
+                let pending = Some(issue(db, from, limit));
+                (pending, Cursor::default(), ParentHash::default())
+            })
+            .collect();
+        let mut resume = Vec::new();
+        let mut visits = 0usize;
+        loop {
+            // Polling a page in flight costs a lock, so the walks are polled
+            // every few entries, not at each.
+            let poll = visits.is_multiple_of(POLL_EVERY);
+            visits = visits.wrapping_add(1);
+            for (db_idx, (pending, cursor, hash)) in walks.iter_mut().enumerate() {
+                let mut homed = |key: &[u8]| self.is_homed(dbs, db_idx, parent_len, key, hash);
+                let mut arrived = poll && pending.as_ref().is_some_and(PendingPage::is_ready);
+                while arrived || (!cursor.settle(&mut homed) && pending.is_some()) {
+                    let page = pending.take().expect("a page is in flight").wait()?;
+                    // The raw page decides the walk, before the homing check.
+                    if page.len() == limit {
+                        page.key_into(limit - 1, &mut resume);
+                        *pending = Some(issue(&dbs[db_idx], &resume, limit));
+                    }
+                    cursor.push(page);
+                    arrived = false;
                 }
-                page.retain(|e| self.is_homed(dbs, db_idx, parent_len, e.key()));
-                stream.extend(page);
+            }
+            let smallest = (walks.iter().enumerate())
+                .filter_map(|(i, (_, cursor, _))| Some((i, cursor.head()?.2)))
+                .min_by(|a, b| a.1.cmp(b.1))
+                .map(|(i, _)| i);
+            let Some(i) = smallest else { return Ok(()) };
+            let cursor = &mut walks[i].1;
+            let (page, at, key) = cursor.head().expect("the smallest head exists");
+            visit(page, at, key)?;
+            cursor.advance();
+        }
+    }
+}
+
+/// A page of a listing or range scan: entries in key order.
+pub(crate) trait KeyPage {
+    fn len(&self) -> usize;
+    /// Entry `i`'s key into `key`, replacing what it held.
+    fn key_into(&self, i: usize, key: &mut Vec<u8>);
+}
+
+impl KeyPage for Vec<Vec<u8>> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn key_into(&self, i: usize, key: &mut Vec<u8>) {
+        key.clear();
+        key.extend_from_slice(&self[i]);
+    }
+}
+
+impl KeyPage for ScanPage {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn key_into(&self, i: usize, key: &mut Vec<u8>) {
+        self.key_into(i, key);
+    }
+}
+
+/// The [`stable_hash`] of the parent keys of one walk, met in key order.
+/// Consecutive keys share the head of their parent key (all of it but the
+/// last eight bytes: a run key under a subrun key, a subrun key under an
+/// event key), so the head's hash is kept and each key hashes only the
+/// rest.
+pub(crate) struct ParentHash {
+    head: Vec<u8>,
+    state: u64,
+}
+
+impl Default for ParentHash {
+    fn default() -> Self {
+        ParentHash {
+            head: Vec::new(),
+            state: stable_hash(&[]),
+        }
+    }
+}
+
+impl ParentHash {
+    /// `stable_hash(parent)`.
+    pub(crate) fn of(&mut self, parent: &[u8]) -> u64 {
+        let (head, tail) = parent.split_at(parent.len().saturating_sub(8));
+        if head != self.head {
+            self.head.clear();
+            self.head.extend_from_slice(head);
+            self.state = stable_hash(head);
+        }
+        stable_hash_extend(self.state, tail)
+    }
+}
+
+/// The entries of a paged walk that have arrived and are not consumed
+/// yet, read in place: the pages in key order and a position in the first.
+/// [`Cursor::settle`] moves the position to an entry worth visiting and
+/// copies its key into one reused buffer.
+pub(crate) struct Cursor<G> {
+    pages: VecDeque<G>,
+    at: usize,
+    key: Vec<u8>,
+    /// Whether `key` is the key of the entry at `at`.
+    settled: bool,
+}
+
+impl<G> Default for Cursor<G> {
+    fn default() -> Self {
+        Cursor {
+            pages: VecDeque::new(),
+            at: 0,
+            key: Vec::new(),
+            settled: false,
+        }
+    }
+}
+
+impl<G: KeyPage> Cursor<G> {
+    /// Append an arrived page.
+    pub(crate) fn push(&mut self, page: G) {
+        self.pages.push_back(page);
+    }
+
+    /// Move to the first entry from here on that `keep` accepts; returns
+    /// whether the arrived pages hold one.
+    pub(crate) fn settle(&mut self, mut keep: impl FnMut(&[u8]) -> bool) -> bool {
+        while !self.settled {
+            let Some(page) = self.pages.front() else {
+                return false;
+            };
+            if self.at == page.len() {
+                self.pages.pop_front();
+                self.at = 0;
+                continue;
+            }
+            page.key_into(self.at, &mut self.key);
+            self.settled = keep(&self.key);
+            if !self.settled {
+                self.at += 1;
             }
         }
-        Ok(merge_by_key(streams))
+        true
+    }
+
+    /// The settled entry: its page, index and key.
+    pub(crate) fn head(&self) -> Option<(&G, usize, &[u8])> {
+        let page = self.pages.front().filter(|_| self.settled)?;
+        Some((page, self.at, &self.key))
+    }
+
+    /// Step past the settled entry.
+    pub(crate) fn advance(&mut self) {
+        debug_assert!(self.settled, "advance past an unsettled entry");
+        self.at += 1;
+        self.settled = false;
     }
 }
 
@@ -277,7 +433,7 @@ type Page<E> = Result<Vec<E>, YokanError>;
 type KeyValue = (Vec<u8>, Vec<u8>);
 
 /// One entry of a listing, ordered by its key.
-pub(crate) trait Keyed {
+trait Keyed {
     fn key(&self) -> &[u8];
 }
 
@@ -344,14 +500,19 @@ fn dataset_uuid(value: &[u8]) -> Result<Uuid, HepnosError> {
 /// Every event under `prefix` (a dataset UUID or a run key), in key order:
 /// one listing pumped out of every event database at once.
 fn events_under(store: &Arc<DataStoreInner>, prefix: &[u8]) -> Result<Vec<Event>, HepnosError> {
-    let keys = store.pump(
+    let mut events = Vec::new();
+    store.pump(
         &store.topo.event_dbs,
         keys::SUBRUN_KEY_LEN,
         prefix,
-        |db, from| store.client.list_keys_async(db, from, prefix, LIST_PAGE),
-        yokan::PendingListKeys::wait,
+        LIST_PAGE,
+        |db, from, limit| store.client.list_keys_async(db, from, prefix, limit),
+        |_, _, key| {
+            events.push(Event::listed(store, key.to_vec())?);
+            Ok(())
+        },
     )?;
-    keys.into_iter().map(|k| Event::listed(store, k)).collect()
+    Ok(events)
 }
 
 /// A handle to a HEPnOS deployment: the analogue of
@@ -642,19 +803,22 @@ pub(crate) fn subruns_under(
     uuid: &Uuid,
 ) -> Result<Vec<Vec<u8>>, HepnosError> {
     let prefix = uuid.as_bytes();
-    let keys = store.pump(
+    let mut subruns = Vec::new();
+    store.pump(
         &store.topo.subrun_dbs,
         keys::RUN_KEY_LEN,
         prefix,
-        |db, from| store.client.list_keys_async(db, from, prefix, LIST_PAGE),
-        yokan::PendingListKeys::wait,
+        LIST_PAGE,
+        |db, from, limit| store.client.list_keys_async(db, from, prefix, limit),
+        |_, _, key| {
+            parse_key(key, "subrun", |k| {
+                (k.len() == keys::SUBRUN_KEY_LEN).then_some(())
+            })?;
+            subruns.push(key.to_vec());
+            Ok(())
+        },
     )?;
-    for key in &keys {
-        parse_key(key, "subrun", |k| {
-            (k.len() == keys::SUBRUN_KEY_LEN).then_some(())
-        })?;
-    }
-    Ok(keys)
+    Ok(subruns)
 }
 
 /// A dataset: a named container of datasets and runs.
@@ -778,21 +942,36 @@ impl DataSet {
     /// product database scans the dataset's key range (prefix: the dataset
     /// UUID) and evaluates the program on each product whose label sits
     /// right after an event key, one page of [`LIST_PAGE`] replies in
-    /// flight per database at once. Each database keeps only the products
-    /// homed on it, so a live migration repeats none, and the per-database
-    /// streams are merged by key: replies come in [`DataSet::events`]
-    /// order. An event with `label` products of several types has one
-    /// adjacent reply per type, in type-name order; an event with none has
-    /// no reply. The scan reads each product range in sequence and
-    /// bypasses the servers' read cache.
+    /// flight per database at all times. Each database keeps only the
+    /// products homed on it, so a live migration repeats none, and the
+    /// per-database streams are merged by key as their pages arrive:
+    /// `visit` receives each reply in [`DataSet::events`] order. An event
+    /// with `label` products of several types has one adjacent reply per
+    /// type, in type-name order; an event with none has no reply. The scan
+    /// reads each product range in sequence and bypasses the servers' read
+    /// cache.
     ///
-    /// Each reply names its event by a plain [`EventDescriptor`];
-    /// [`Event::from_descriptor`] builds a handle where one is needed.
+    /// Each reply names its event by a plain [`EventDescriptor`]
+    /// ([`Event::from_descriptor`] builds a handle where one is needed) and
+    /// is a view of the page it arrived in. The first error `visit` returns
+    /// ends the walk.
     pub fn filter_event_products(
         &self,
         label: &ProductLabel,
         program: &yokan::Program,
-    ) -> Result<Vec<(EventDescriptor, yokan::FilterReply)>, HepnosError> {
+        visit: impl FnMut(EventDescriptor, FilterView<'_>) -> Result<(), HepnosError>,
+    ) -> Result<(), HepnosError> {
+        self.filter_event_products_paged(label, program, LIST_PAGE, visit)
+    }
+
+    /// [`DataSet::filter_event_products`] in pages of `limit` replies.
+    fn filter_event_products_paged(
+        &self,
+        label: &ProductLabel,
+        program: &yokan::Program,
+        limit: usize,
+        mut visit: impl FnMut(EventDescriptor, FilterView<'_>) -> Result<(), HepnosError>,
+    ) -> Result<(), HepnosError> {
         let uuid = self.require_uuid()?;
         let mut tag = label.as_str().as_bytes().to_vec();
         tag.push(keys::PRODUCT_SEP);
@@ -803,20 +982,17 @@ impl DataSet {
             tag: &tag,
         };
         let store = &self.store;
-        let replies = store.pump(
+        store.pump(
             &store.topo.product_dbs,
             keys::EVENT_KEY_LEN,
             uuid.as_bytes(),
-            |db, from| store.client.filter_scan_async(db, &scan, from, LIST_PAGE),
-            yokan::PendingFilterScan::wait,
-        )?;
-        replies
-            .into_iter()
-            .map(|(key, reply)| {
+            limit,
+            |db, from, limit| store.client.filter_scan_async(db, &scan, from, limit),
+            |page, i, key| {
                 let event = &key[..key.len().min(keys::EVENT_KEY_LEN)];
-                Ok((parse_event_key(event)?, reply))
-            })
-            .collect()
+                visit(parse_event_key(event)?, page.reply(i))
+            },
+        )
     }
 
     fn require_uuid(&self) -> Result<Uuid, HepnosError> {
@@ -1250,27 +1426,6 @@ impl Event {
     }
 }
 
-/// Merge streams that are each sorted by key into one sorted stream (a
-/// k-way merge; the streams are few, so the smallest head is found by a
-/// linear pass).
-fn merge_by_key<E: Keyed>(streams: Vec<Vec<E>>) -> Vec<E> {
-    let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-    let mut heads: Vec<_> = streams
-        .into_iter()
-        .map(|s| s.into_iter().peekable())
-        .collect();
-    loop {
-        let smallest = heads
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, h)| h.peek().map(|e| (i, e.key())))
-            .min_by(|a, b| a.1.cmp(b.1))
-            .map(|(i, _)| i);
-        let Some(i) = smallest else { return out };
-        out.extend(heads[i].next());
-    }
-}
-
 /// Maximum product keys per push-down filter RPC; bounds the work one
 /// request pins on a provider's handler.
 const FILTER_BATCH: usize = 1024;
@@ -1361,5 +1516,134 @@ impl DataStore {
     ) -> (DbTarget, Vec<u8>) {
         let key = keys::product_key(container_key, label.as_str(), type_name);
         (self.inner.product_db(container_key).clone(), key)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testing::local_deployment;
+    use yokan::pages::{encode_columns, Column};
+    use yokan::{FilterReply, Program};
+
+    /// The streamed pump against collect-then-merge: every product
+    /// database holds a stale copy of every product (as a rescale leaves
+    /// them until it erases its old copies), with ids that differ from the
+    /// home copy's. At page limits of 1, 4 and [`LIST_PAGE`] the pump must
+    /// visit exactly the home copies, in key order, each event once, as
+    /// collecting every database's whole walk and merging it would.
+    #[test]
+    fn streamed_pump_equals_collect_then_merge() {
+        let counts = bedrock::DbCounts {
+            products: 3,
+            ..bedrock::DbCounts::default()
+        };
+        let dep = local_deployment(1, counts);
+        let store = dep.datastore();
+        let ds = store.root().create_dataset("pump").unwrap();
+        let uuid = ds.uuid().unwrap();
+        let label = ProductLabel::new("slc").unwrap();
+        let blob = |ids: Vec<u64>| encode_columns(&[Column::U64(ids)], 4);
+        let inner = &store.inner;
+        let mut n_events = 0u64;
+        for r in 0..2u64 {
+            let run = ds.create_run(r).unwrap();
+            for s in 0..3u64 {
+                let sr = run.create_subrun(s).unwrap();
+                // Every fifth event has no product; the others a home copy.
+                for e in (0..40u64).filter(|e| e % 5 != 4) {
+                    let ek = keys::event_key(&uuid, r, s, e);
+                    let pk = keys::product_key(&ek, label.as_str(), "Cols");
+                    let id = (r << 32) | (s << 16) | e;
+                    for db in &inner.topo.product_dbs {
+                        inner
+                            .client
+                            .put(db, &pk, &blob(vec![id, u64::MAX]))
+                            .unwrap();
+                    }
+                    let ev = sr.create_event(e).unwrap();
+                    ev.store_raw(&label, "Cols", &blob(vec![id])).unwrap();
+                    n_events += 1;
+                }
+            }
+        }
+        let program = Program {
+            id_column: 0,
+            predicates: Vec::new(),
+        };
+        for limit in [1, 4, LIST_PAGE] {
+            let mut streamed = Vec::new();
+            ds.filter_event_products_paged(&label, &program, limit, |event, reply| {
+                streamed.push((event, FilterReply::from(reply)));
+                Ok(())
+            })
+            .unwrap();
+            let collected = collect_then_merge(&ds, &label, &program, limit);
+            assert_eq!(streamed.len() as u64, n_events, "limit {limit}");
+            assert!(
+                streamed == collected,
+                "limit {limit}: streamed != collected"
+            );
+            assert!(
+                streamed.windows(2).all(|w| {
+                    let at = |d: &EventDescriptor| (d.run, d.subrun, d.event);
+                    at(&w[0].0) < at(&w[1].0)
+                }),
+                "limit {limit}: an event repeated or out of order"
+            );
+            for (event, reply) in &streamed {
+                let id = (event.run << 32) | (event.subrun << 16) | event.event;
+                assert!(
+                    matches!(reply, FilterReply::Ids { ids, .. } if ids == &[id]),
+                    "limit {limit}: {event:?} answered {reply:?}"
+                );
+            }
+        }
+        dep.shutdown();
+    }
+
+    /// The pass as the pump ran it before it streamed: every database's
+    /// walk collected page by page, the unhomed entries dropped, then the
+    /// streams merged by key.
+    fn collect_then_merge(
+        ds: &DataSet,
+        label: &ProductLabel,
+        program: &Program,
+        limit: usize,
+    ) -> Vec<(EventDescriptor, FilterReply)> {
+        let store = &ds.store;
+        let uuid = ds.uuid().unwrap();
+        let tag = [label.as_str().as_bytes(), &[keys::PRODUCT_SEP]].concat();
+        let scan = yokan::FilterScan {
+            program,
+            prefix: uuid.as_bytes(),
+            tag_offset: keys::EVENT_KEY_LEN as u32,
+            tag: &tag,
+        };
+        let dbs = &store.topo.product_dbs;
+        let mut all = Vec::new();
+        for (db_idx, db) in dbs.iter().enumerate() {
+            let mut from = uuid.as_bytes().to_vec();
+            loop {
+                let page = (store.client.filter_scan_async(db, &scan, &from, limit))
+                    .wait()
+                    .unwrap();
+                for i in 0..page.len() {
+                    let key = page.key(i);
+                    let hash = &mut ParentHash::default();
+                    if store.is_homed(dbs, db_idx, keys::EVENT_KEY_LEN, &key, hash) {
+                        all.push((key, FilterReply::from(page.reply(i))));
+                    }
+                }
+                if page.len() < limit {
+                    break;
+                }
+                from = page.key(page.len() - 1);
+            }
+        }
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        (all.into_iter())
+            .map(|(k, r)| (parse_event_key(&k[..keys::EVENT_KEY_LEN]).unwrap(), r))
+            .collect()
     }
 }

@@ -206,26 +206,31 @@ pub fn product_key(container_key: &[u8], label: &str, type_name: &str) -> Vec<u8
 /// Particle>` → `Vec<Particle>`), matching how the C++ implementation uses
 /// demangled class names.
 pub fn short_type_name<T: ?Sized>() -> String {
-    let full = std::any::type_name::<T>();
-    let mut out = String::with_capacity(full.len());
-    let mut segment_start = 0usize;
-    let bytes = full.as_bytes();
-    for i in 0..=bytes.len() {
-        let boundary = i == bytes.len()
-            || matches!(
-                bytes[i],
-                b'<' | b'>' | b',' | b' ' | b'(' | b')' | b'[' | b']' | b';'
-            );
-        if boundary {
-            let seg = &full[segment_start..i];
-            out.push_str(seg.rsplit("::").next().unwrap_or(seg));
-            if i < bytes.len() {
-                out.push(bytes[i] as char);
-            }
-            segment_start = i + 1;
+    short_type_pieces(std::any::type_name::<T>()).collect()
+}
+
+/// Whether `name` is [`short_type_name::<T>()`](short_type_name), checked
+/// piece by piece without building the name.
+pub fn is_short_type_name<T: ?Sized>(name: &str) -> bool {
+    let mut rest = name;
+    for piece in short_type_pieces(std::any::type_name::<T>()) {
+        match rest.strip_prefix(piece) {
+            Some(tail) => rest = tail,
+            None => return false,
         }
     }
-    out
+    rest.is_empty()
+}
+
+/// The pieces of a short type name, in order: each path segment of `full`
+/// without its crate path, then the delimiter that ended it.
+fn short_type_pieces(full: &str) -> impl Iterator<Item = &str> {
+    let delimiter = |c: char| matches!(c, '<' | '>' | ',' | ' ' | '(' | ')' | '[' | ']' | ';');
+    full.split_inclusive(delimiter).flat_map(move |piece| {
+        let cut = piece.len() - piece.ends_with(delimiter) as usize;
+        let (path, end) = piece.split_at(cut);
+        [path.rsplit("::").next().unwrap_or(path), end]
+    })
 }
 
 #[cfg(test)]
@@ -330,6 +335,42 @@ mod tests {
         );
         struct Local;
         assert!(short_type_name::<Local>().ends_with("Local"));
+    }
+
+    /// The allocation-free check agrees with the built name on nested
+    /// generics, tuples, arrays, slices and references, and rejects every
+    /// name that differs by a prefix, a suffix or one segment.
+    #[test]
+    fn type_name_check_agrees_with_the_built_name() {
+        struct Hit;
+        struct HitList;
+        fn agrees<T: ?Sized>(want: &str) {
+            let name = short_type_name::<T>();
+            assert_eq!(name, want);
+            assert!(is_short_type_name::<T>(&name), "{name}");
+            for cut in 0..name.len() {
+                assert!(
+                    !is_short_type_name::<T>(&name[..cut]),
+                    "{name} cut at {cut}"
+                );
+            }
+            assert!(!is_short_type_name::<T>(&format!("{name}x")), "{name}x");
+            assert!(!is_short_type_name::<T>(&format!("x{name}")), "x{name}");
+        }
+        agrees::<Hit>("Hit");
+        agrees::<HitList>("HitList");
+        agrees::<Vec<Hit>>("Vec<Hit>");
+        agrees::<std::collections::HashMap<String, Vec<Option<Hit>>>>(
+            "HashMap<String, Vec<Option<Hit>>>",
+        );
+        agrees::<(u32, Hit, (f32, Vec<u8>))>("(u32, Hit, (f32, Vec<u8>))");
+        agrees::<[Hit; 4]>("[Hit; 4]");
+        agrees::<[Vec<HitList>]>("[Vec<HitList>]");
+        agrees::<&str>("&str");
+        agrees::<()>("()");
+        assert!(!is_short_type_name::<Hit>("HitList"));
+        assert!(!is_short_type_name::<HitList>("Hit"));
+        assert!(!is_short_type_name::<Vec<Hit>>("Vec<HitList>"));
     }
 
     #[test]

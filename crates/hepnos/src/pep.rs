@@ -47,7 +47,8 @@
 
 use crate::binser;
 use crate::datastore::{
-    parse_event_key, subruns_under, DataSet, DataStore, DataStoreInner, Event, Keyed, ProductLabel,
+    parse_event_key, subruns_under, Cursor, DataSet, DataStore, DataStoreInner, Event, KeyPage,
+    ParentHash, ProductLabel,
 };
 use crate::error::HepnosError;
 use crate::keys::{self, EventNumber, RunNumber, SubRunNumber};
@@ -56,11 +57,10 @@ use bytes::Bytes;
 use crossbeam::deque::{Injector, Steal};
 use parking_lot::{Condvar, Mutex};
 use serde::de::DeserializeOwned;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use yokan::{PendingPage, ValueScan};
+use yokan::{PendingPage, ScanPage, ValueScan};
 
 /// Plain-data identification of one event, cheap to queue and ship.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -278,11 +278,10 @@ impl PrefetchedEvent {
         &self,
         label: &ProductLabel,
     ) -> Result<Option<T>, HepnosError> {
-        let type_name = keys::short_type_name::<T>();
         if let Some(idx) = self
             .labels
             .iter()
-            .position(|(l, t)| l == label && *t == type_name)
+            .position(|(l, t)| l == label && keys::is_short_type_name::<T>(t))
         {
             return match &self.products[idx] {
                 None => Ok(None),
@@ -426,40 +425,44 @@ impl DispatchQueue {
 // ---------------------------------------------------------------- reader
 
 /// Issues the page of a walk that starts after a key.
-type Resume<'a, E> = Box<dyn Fn(&[u8]) -> PendingPage<E> + 'a>;
+type Resume<'a, G> = Box<dyn Fn(&[u8]) -> PendingPage<G> + 'a>;
 
 /// One paged walk over a subrun's key range: the page in flight, how to
 /// resume after a full page, the entries received and not yet joined, and
 /// the last key walked.
-struct Stream<'a, E> {
-    pending: Option<(PendingPage<E>, Instant)>,
-    resume: Resume<'a, E>,
+struct Stream<'a, G> {
+    pending: Option<(PendingPage<G>, Instant)>,
+    resume: Resume<'a, G>,
     limit: usize,
-    entries: VecDeque<E>,
+    entries: Cursor<G>,
     /// Every entry up to this key has arrived.
     walked: Vec<u8>,
+    /// Hashes the entries' parent keys for the homing check.
+    parent_hash: ParentHash,
 }
 
-impl<'a, E: Keyed> Stream<'a, E> {
+impl<'a, G: KeyPage> Stream<'a, G> {
     /// Start the walk after `from`; a page is full at `limit` entries.
-    fn new(from: &[u8], limit: usize, resume: impl Fn(&[u8]) -> PendingPage<E> + 'a) -> Self {
+    fn new(from: &[u8], limit: usize, resume: impl Fn(&[u8]) -> PendingPage<G> + 'a) -> Self {
         Stream {
             pending: Some((resume(from), Instant::now())),
             resume: Box::new(resume),
             limit,
-            entries: VecDeque::new(),
+            entries: Cursor::default(),
             walked: Vec::new(),
+            parent_hash: ParentHash::default(),
         }
     }
 
-    /// The page in flight, once it has arrived (or at once when `block`).
-    /// A full page puts the next one in flight; a short one ends the walk.
+    /// Take the page in flight into the walk's entries, once it has
+    /// arrived (or at once when `block`), returning its length. A full
+    /// page puts the next one in flight; a short one ends the walk.
     fn take(
         &mut self,
         block: bool,
         wait: &mut Duration,
         rpc_time: &mut Duration,
-    ) -> Result<Option<Vec<E>>, HepnosError> {
+    ) -> Result<Option<usize>, HepnosError> {
         let ready = self.pending.as_ref().is_some_and(|(p, _)| p.is_ready());
         if !ready && !block {
             return Ok(None);
@@ -474,14 +477,15 @@ impl<'a, E: Keyed> Stream<'a, E> {
             *wait += now - wait_start;
         }
         *rpc_time += now - issued;
-        if let Some(last) = page.last() {
-            self.walked.clear();
-            self.walked.extend_from_slice(last.key());
+        let len = page.len();
+        if len > 0 {
+            page.key_into(len - 1, &mut self.walked);
         }
-        if self.limit != 0 && page.len() == self.limit {
+        if self.limit != 0 && len == self.limit {
             self.pending = Some(((self.resume)(&self.walked), Instant::now()));
         }
-        Ok(Some(page))
+        self.entries.push(page);
+        Ok(Some(len))
     }
 
     /// Whether the walk has passed `event ++ tag`: the walk is over, or
@@ -502,39 +506,56 @@ impl<'a, E: Keyed> Stream<'a, E> {
 /// One subrun being read: its event keys, and one value scan per
 /// (prefetched label, product database), label-major.
 struct SubrunRead<'a> {
-    events: Stream<'a, Vec<u8>>,
-    products: Vec<Stream<'a, (Vec<u8>, Bytes)>>,
+    events: Stream<'a, Vec<Vec<u8>>>,
+    products: Vec<Stream<'a, ScanPage>>,
 }
 
 impl SubrunRead<'_> {
-    fn finished(&self) -> bool {
-        self.events.pending.is_none() && self.events.entries.is_empty()
+    fn finished(&mut self) -> bool {
+        self.events.pending.is_none() && !self.events.entries.settle(|_| true)
     }
 
     /// Merge-join the events every product walk has passed with their
     /// products, appending them to `out`. An event without a product of a
-    /// label gets `None`; a product of no listed event is dropped.
-    fn join(&mut self, tags: &[Vec<u8>], out: &mut DispatchBatch) -> Result<(), HepnosError> {
-        let n_dbs = self.products.len() / tags.len().max(1);
-        while let Some(event) = self.events.entries.front() {
-            let passed =
-                (self.products.iter().enumerate()).all(|(i, s)| s.passed(event, &tags[i / n_dbs]));
+    /// label gets `None`; a product of no listed event is dropped, and so
+    /// is one not homed on the database that listed it, so each is joined
+    /// once during a live migration.
+    fn join(
+        &mut self,
+        store: &DataStoreInner,
+        tags: &[Vec<u8>],
+        out: &mut DispatchBatch,
+    ) -> Result<(), HepnosError> {
+        let dbs = &store.topo.product_dbs;
+        while self.events.entries.settle(|_| true) {
+            let (_, _, event) = self.events.entries.head().expect("settled");
+            let passed = (self.products.iter().enumerate())
+                .all(|(i, s)| s.passed(event, &tags[i / dbs.len()]));
             if !passed {
                 return Ok(());
             }
-            let event = self.events.entries.pop_front().expect("front exists");
             let mut products = vec![None; tags.len()];
             for (i, stream) in self.products.iter_mut().enumerate() {
-                let owner =
-                    |e: &(Vec<u8>, Bytes)| e.0.get(..keys::EVENT_KEY_LEN).cmp(&Some(&event));
-                while stream.entries.front().is_some_and(|e| owner(e).is_lt()) {
-                    stream.entries.pop_front();
-                }
-                if stream.entries.front().is_some_and(|e| owner(e).is_eq()) {
-                    products[i / n_dbs] = stream.entries.pop_front().map(|(_, v)| v);
+                let hash = &mut stream.parent_hash;
+                let mut homed =
+                    |k: &[u8]| store.is_homed(dbs, i % dbs.len(), keys::EVENT_KEY_LEN, k, hash);
+                while stream.entries.settle(&mut homed) {
+                    let (page, at, key) = stream.entries.head().expect("settled");
+                    let owner = key.get(..keys::EVENT_KEY_LEN).cmp(&Some(event));
+                    if owner.is_eq() {
+                        products[i / dbs.len()] = Some(page.value(at));
+                    }
+                    if owner.is_gt() {
+                        break;
+                    }
+                    stream.entries.advance();
+                    if owner.is_eq() {
+                        break;
+                    }
                 }
             }
-            out.push((parse_event_key(&event)?, products));
+            out.push((parse_event_key(event)?, products));
+            self.events.entries.advance();
         }
         Ok(())
     }
@@ -589,26 +610,19 @@ impl<'a> ReaderCtx<'a> {
     ) -> Result<bool, HepnosError> {
         let events = &mut read.events;
         let mut taken = false;
-        if let Some(page) = events.take(block, &mut stats.list_wait, &mut stats.rpc_time)? {
+        if let Some(len) = events.take(block, &mut stats.list_wait, &mut stats.rpc_time)? {
             stats.pages += 1;
-            stats.events_loaded += page.len() as u64;
-            events.entries.extend(page);
+            stats.events_loaded += len as u64;
             if block {
                 return Ok(true);
             }
             taken = true;
         }
-        let dbs = &self.store.topo.product_dbs;
-        for (i, stream) in read.products.iter_mut().enumerate() {
+        for stream in &mut read.products {
             let wait = &mut stats.prefetch_wait;
-            let Some(mut page) = stream.take(block, wait, &mut stats.rpc_time)? else {
+            if stream.take(block, wait, &mut stats.rpc_time)?.is_none() {
                 continue;
-            };
-            // Keep only this database's own products, so each is joined
-            // once during a live migration.
-            let db_idx = i % dbs.len();
-            page.retain(|(k, _)| self.store.is_homed(dbs, db_idx, keys::EVENT_KEY_LEN, k));
-            stream.entries.extend(page);
+            }
             taken = true;
             if block {
                 break;
@@ -661,9 +675,9 @@ impl<'a> ReaderCtx<'a> {
                 self.receive(&mut window[0], true, stats)?;
             }
             for read in &mut window {
-                read.join(self.tags, &mut ready)?;
+                read.join(self.store, self.tags, &mut ready)?;
             }
-            window.retain(|read| !read.finished());
+            window.retain_mut(|read| !read.finished());
             let mut events = ready.drain(..);
             loop {
                 let batch: DispatchBatch = events.by_ref().take(batch_size).collect();

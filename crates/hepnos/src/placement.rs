@@ -19,7 +19,13 @@
 /// identical across every client process, so we fix the algorithm rather
 /// than using `DefaultHasher` (whose seeds vary per process).
 pub fn stable_hash(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    stable_hash_extend(0xcbf2_9ce4_8422_2325, data)
+}
+
+/// Continue a [`stable_hash`] with `data`:
+/// `stable_hash_extend(stable_hash(a), b) == stable_hash(a ++ b)`, so keys
+/// sharing a head hash it once.
+pub fn stable_hash_extend(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -35,10 +41,17 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Strategy mapping a parent key to one of `n` databases.
+/// Strategy mapping a parent key to one of `n` databases, through the
+/// parent key's [`stable_hash`].
 pub trait Placement: Send + Sync {
+    /// Index of the database responsible for children of a parent key
+    /// whose [`stable_hash`] is `parent_hash`.
+    fn place_hash(&self, parent_hash: u64, n_databases: usize) -> usize;
+
     /// Index of the database responsible for children of `parent_key`.
-    fn place(&self, parent_key: &[u8], n_databases: usize) -> usize;
+    fn place(&self, parent_key: &[u8], n_databases: usize) -> usize {
+        self.place_hash(stable_hash(parent_key), n_databases)
+    }
 }
 
 /// `hash(parent) % n` — what the HEPnOS implementation effectively does for
@@ -47,9 +60,9 @@ pub trait Placement: Send + Sync {
 pub struct ModuloPlacement;
 
 impl Placement for ModuloPlacement {
-    fn place(&self, parent_key: &[u8], n_databases: usize) -> usize {
+    fn place_hash(&self, parent_hash: u64, n_databases: usize) -> usize {
         assert!(n_databases > 0, "placement needs at least one database");
-        (stable_hash(parent_key) % n_databases as u64) as usize
+        (parent_hash % n_databases as u64) as usize
     }
 }
 
@@ -106,7 +119,7 @@ impl Default for RingPlacement {
 }
 
 impl Placement for RingPlacement {
-    fn place(&self, parent_key: &[u8], n_databases: usize) -> usize {
+    fn place_hash(&self, parent_hash: u64, n_databases: usize) -> usize {
         assert!(n_databases > 0, "placement needs at least one database");
         let points = {
             let mut cache = self.cache.lock();
@@ -116,7 +129,7 @@ impl Placement for RingPlacement {
                     .or_insert_with(|| std::sync::Arc::new(self.ring_points(n_databases))),
             )
         };
-        let h = splitmix64(stable_hash(parent_key));
+        let h = splitmix64(parent_hash);
         match points.binary_search_by_key(&h, |&(p, _)| p) {
             Ok(i) => points[i].1,
             Err(i) if i == points.len() => points[0].1,

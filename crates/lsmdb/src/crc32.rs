@@ -1,18 +1,29 @@
 //! CRC-32 (IEEE 802.3) used to checksum WAL records and SSTable footers.
+//!
+//! Slicing-by-8: eight derived tables let the loop fold eight input bytes
+//! per step instead of one; the values are those of the bytewise loop.
 
 const POLY: u32 = 0xEDB8_8320;
 
-fn table() -> &'static [u32; 256] {
+/// `TABLES[0]` is the bytewise table; `TABLES[k][b]` is the CRC of byte
+/// `b` followed by `k` zero bytes.
+fn tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             }
             *slot = c;
+        }
+        for k in 1..8 {
+            let (done, rest) = t.split_at_mut(k);
+            for (slot, &prev) in rest[0].iter_mut().zip(&done[k - 1]) {
+                *slot = (prev >> 8) ^ done[0][(prev & 0xFF) as usize];
+            }
         }
         t
     })
@@ -20,10 +31,23 @@ fn table() -> &'static [u32; 256] {
 
 /// Compute the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = table();
+    let t = tables();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -31,12 +55,27 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The bytewise loop, one table lookup per byte.
+    fn bytewise(data: &[u8]) -> u32 {
+        let t = &tables()[0];
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn known_vectors() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]
@@ -44,5 +83,19 @@ mod tests {
         let a = crc32(b"hello world");
         let b = crc32(b"hello worle");
         assert_ne!(a, b);
+    }
+
+    /// Every length up to past a few words, and random lengths, at every
+    /// start offset within a word: the sliced loop equals the bytewise one.
+    #[test]
+    fn sliced_equals_bytewise_at_any_length_and_offset() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let data: Vec<u8> = (0..4096).map(|_| rng.gen()).collect();
+        for start in 0..8 {
+            for len in (0..40).chain((0..200).map(|_| rng.gen_range(0..4000))) {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), bytewise(s), "start {start} len {len}");
+            }
+        }
     }
 }

@@ -491,13 +491,14 @@ impl SstReader {
         SstRangeIter {
             file: Arc::clone(&self.file),
             buf: Vec::new(),
+            end: 0,
             cur: 0,
             len: 0,
             key_end: 0,
             put: false,
             next_read: start,
             data_end: self.data_end,
-            lower: lower.to_vec(),
+            lower: Some(lower.to_vec()),
             upper: upper.map(|u| u.to_vec()),
             done: false,
         }
@@ -513,8 +514,11 @@ const ITER_CHUNK: usize = 8 << 10;
 /// fails one `advance` and ends the cursor.
 pub struct SstRangeIter {
     file: Arc<File>,
-    /// Bytes read ahead; the current entry is `buf[cur..cur + len]`.
+    /// Bytes read ahead are `buf[..end]`; the current entry is
+    /// `buf[cur..cur + len]`. The buffer keeps its size from refill to
+    /// refill and grows only for an entry larger than it.
     buf: Vec<u8>,
+    end: usize,
     cur: usize,
     len: usize,
     /// End of the current entry's key in `buf`.
@@ -524,7 +528,9 @@ pub struct SstRangeIter {
     /// File offset just past `buf`.
     next_read: u64,
     data_end: u64,
-    lower: Vec<u8>,
+    /// Entries below this key are skipped; `None` once the cursor has
+    /// passed it, as every later key is larger.
+    lower: Option<Vec<u8>>,
     upper: Option<Vec<u8>>,
     done: bool,
 }
@@ -555,7 +561,7 @@ impl SstRangeIter {
     fn step(&mut self) -> Result<bool, SstError> {
         self.cur += std::mem::take(&mut self.len);
         loop {
-            let avail = &self.buf[self.cur..];
+            let avail = &self.buf[self.cur..self.end];
             match entry_len(avail)? {
                 Some(n) if n <= avail.len() => {}
                 need => {
@@ -566,9 +572,12 @@ impl SstRangeIter {
                 }
             }
             let entry = decode_entry(avail)?;
-            if entry.key < self.lower.as_slice() {
-                self.cur += entry.len;
-                continue;
+            if let Some(lower) = &self.lower {
+                if entry.key < lower.as_slice() {
+                    self.cur += entry.len;
+                    continue;
+                }
+                self.lower = None;
             }
             if self.upper.as_deref().is_some_and(|u| entry.key >= u) {
                 return Ok(false);
@@ -583,7 +592,7 @@ impl SstRangeIter {
     /// Make at least `need` bytes available at `buf[cur]`; `Ok(false)` is
     /// the clean end of the data section.
     fn refill(&mut self, need: usize) -> Result<bool, SstError> {
-        let have = self.buf.len() - self.cur;
+        let have = self.end - self.cur;
         let left = self.data_end - self.next_read;
         if have == 0 && left == 0 {
             return Ok(false);
@@ -591,11 +600,18 @@ impl SstRangeIter {
         if have as u64 + left < need as u64 {
             return Err(SstError::Corrupt("entry runs past the data section".into()));
         }
-        self.buf.drain(..self.cur);
+        // Move the unread tail to the front and fill the rest of the
+        // buffer behind it; `need` exceeds `have`, so the read is never
+        // empty.
+        self.buf.copy_within(self.cur..self.end, 0);
         self.cur = 0;
-        let n = left.min((need - have).max(ITER_CHUNK) as u64) as usize;
-        self.buf.resize(have + n, 0);
-        read_at(&self.file, &mut self.buf[have..], self.next_read)?;
+        let size = self.buf.len().max(ITER_CHUNK).max(need);
+        if self.buf.len() < size {
+            self.buf.resize(size, 0);
+        }
+        let n = left.min((size - have) as u64) as usize;
+        self.end = have + n;
+        read_at(&self.file, &mut self.buf[have..self.end], self.next_read)?;
         self.next_read += n as u64;
         Ok(true)
     }
@@ -676,6 +692,60 @@ mod tests {
             } else {
                 assert_eq!(got, Value::Put(format!("val{i}").into_bytes()));
             }
+        }
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// Entries from 1 B to 20 KiB, smaller than, straddling and larger
+    /// than one refill of the cursor's buffer, read by cursors over the
+    /// whole table and over sub-ranges starting at every few keys, equal
+    /// point reads of the same keys.
+    #[test]
+    fn cursor_over_entries_around_the_refill_size_matches_point_reads() {
+        let d = tmpdir("chunky");
+        let sizes = [
+            1,
+            7,
+            300,
+            ITER_CHUNK - 40,
+            ITER_CHUNK - 1,
+            ITER_CHUNK,
+            ITER_CHUNK + 1,
+            2 * ITER_CHUNK + 3,
+            20 << 10,
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut w = SstWriter::create(&d.join("t.sst"), 10).unwrap();
+        let mut keys = Vec::new();
+        for i in 0..160u32 {
+            let key = format!("key{i:05}").into_bytes();
+            if rng.gen_range(0..9) == 0 {
+                w.add(&key, None).unwrap();
+            } else {
+                let n = sizes[rng.gen_range(0..sizes.len())];
+                let value: Vec<u8> = (0..n).map(|j| (i as usize * 31 + j) as u8).collect();
+                w.add(&key, Some(&value)).unwrap();
+            }
+            keys.push(key);
+        }
+        let r = w.finish().unwrap();
+        let point = |key: &[u8]| r.get(key).unwrap().expect("every key was written");
+        for start in (0..keys.len()).step_by(13) {
+            let upper = keys.get(start + 40).map(Vec::as_slice);
+            let got = entries(r.iter_range(&keys[start], upper));
+            let want: Vec<_> = keys[start..(start + 40).min(keys.len())]
+                .iter()
+                .map(|k| (k.clone(), point(k)))
+                .collect();
+            assert_eq!(got.len(), want.len(), "range from key {start}");
+            for (g, w) in got.into_iter().zip(want) {
+                assert_eq!(g.unwrap(), w, "range from key {start}");
+            }
+        }
+        let all = entries(r.iter_range(b"", None));
+        assert_eq!(all.len(), keys.len());
+        for (got, key) in all.into_iter().zip(&keys) {
+            assert_eq!(got.unwrap(), (key.clone(), point(key)));
         }
         std::fs::remove_dir_all(&d).ok();
     }

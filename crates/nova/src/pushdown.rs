@@ -19,8 +19,8 @@ use crate::columnar;
 use crate::data::EventRecord;
 use crate::loader;
 use crate::selection::{select_slices_into, SelectScratch, SelectionCuts};
-use hepnos::{DataSet, DataStore, Event, HepnosError};
-use yokan::FilterReply;
+use hepnos::{DataSet, DataStore, Event, EventDescriptor, HepnosError};
+use yokan::FilterView;
 
 /// Statistics of one selection pass over a dataset.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,56 +71,91 @@ pub fn select_dataset_pushdown(
     cuts: &SelectionCuts,
 ) -> Result<(Vec<u64>, SelectStats), HepnosError> {
     let program = columnar::compile_cuts(cuts);
-    let mut replies = dataset
-        .filter_event_products(&loader::slice_label(), &program)?
-        .into_iter()
-        .peekable();
-    let mut ids = Vec::new();
-    let mut stats = SelectStats::default();
-    let mut scratch = SelectScratch::new();
-    while let Some((event, mut reply)) = replies.next() {
-        // One event's replies are adjacent: keep a columnar one if any.
-        while let Some((_, next)) = replies.next_if(|(e, _)| *e == event) {
-            if matches!(next, FilterReply::Ids { .. }) {
-                reply = next;
-            }
+    let mut pass = Pass {
+        store,
+        cuts,
+        ids: Vec::new(),
+        stats: SelectStats::default(),
+        scratch: SelectScratch::new(),
+        current: None,
+    };
+    dataset.filter_event_products(&loader::slice_label(), &program, |event, reply| {
+        pass.reply(event, reply)
+    })?;
+    pass.finish_event()?;
+    Ok((pass.ids, pass.stats))
+}
+
+/// One push-down pass in progress.
+struct Pass<'a> {
+    store: &'a DataStore,
+    cuts: &'a SelectionCuts,
+    ids: Vec<u64>,
+    stats: SelectStats,
+    scratch: SelectScratch,
+    /// The event whose replies are arriving (one event's replies are
+    /// adjacent), and whether a columnar reply has answered it.
+    current: Option<(EventDescriptor, bool)>,
+}
+
+impl Pass<'_> {
+    /// Take one reply. The first columnar reply of an event answers it; an
+    /// event that has none by the time the next event's replies start
+    /// takes the blob fallback.
+    fn reply(&mut self, event: EventDescriptor, reply: FilterView<'_>) -> Result<(), HepnosError> {
+        if self.current.is_some_and(|(e, _)| e != event) {
+            self.finish_event()?;
         }
-        stats.events += 1;
-        match reply {
-            FilterReply::Ids {
-                ids: survivors,
-                rows_in,
-                pages_scanned,
-                pages_skipped,
-                stored_bytes,
-            } => {
-                stats.rows_in += rows_in as u64;
-                stats.rows_out += survivors.len() as u64;
-                stats.pages_scanned += pages_scanned as u64;
-                stats.pages_skipped += pages_skipped as u64;
-                stats.bytes_stored += stored_bytes as u64;
-                ids.extend(survivors);
-            }
-            FilterReply::Missing | FilterReply::NotColumnar => {
-                stats.fallback_events += 1;
-                let Some(slices) = loader::load_slices(&Event::from_descriptor(store, &event))?
-                else {
-                    continue;
-                };
-                let rec = EventRecord {
-                    run: event.run,
-                    subrun: event.subrun,
-                    event: event.event,
-                    slices,
-                };
-                stats.rows_in += rec.slices.len() as u64;
-                let before = ids.len();
-                select_slices_into(&rec, cuts, &mut scratch, &mut ids);
-                stats.rows_out += (ids.len() - before) as u64;
-            }
+        let answered = &mut self.current.get_or_insert((event, false)).1;
+        let FilterView::Ids {
+            ids,
+            rows_in,
+            pages_scanned,
+            pages_skipped,
+            stored_bytes,
+        } = reply
+        else {
+            return Ok(());
+        };
+        if std::mem::replace(answered, true) {
+            return Ok(());
         }
+        let stats = &mut self.stats;
+        stats.rows_in += rows_in as u64;
+        stats.rows_out += ids.len() as u64;
+        stats.pages_scanned += pages_scanned as u64;
+        stats.pages_skipped += pages_skipped as u64;
+        stats.bytes_stored += stored_bytes as u64;
+        self.ids.extend(ids.iter());
+        Ok(())
     }
-    Ok((ids, stats))
+
+    /// Count the current event, serving it through the blob fallback if
+    /// no columnar reply answered it.
+    fn finish_event(&mut self) -> Result<(), HepnosError> {
+        let Some((event, answered)) = self.current.take() else {
+            return Ok(());
+        };
+        self.stats.events += 1;
+        if answered {
+            return Ok(());
+        }
+        self.stats.fallback_events += 1;
+        let Some(slices) = loader::load_slices(&Event::from_descriptor(self.store, &event))? else {
+            return Ok(());
+        };
+        let rec = EventRecord {
+            run: event.run,
+            subrun: event.subrun,
+            event: event.event,
+            slices,
+        };
+        self.stats.rows_in += rec.slices.len() as u64;
+        let before = self.ids.len();
+        select_slices_into(&rec, self.cuts, &mut self.scratch, &mut self.ids);
+        self.stats.rows_out += (self.ids.len() - before) as u64;
+        Ok(())
+    }
 }
 
 /// The baseline workload: fetch every event's slice product and run the

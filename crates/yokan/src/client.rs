@@ -12,6 +12,7 @@ use crate::encoding::*;
 use crate::error::YokanError;
 use crate::replica::{self, ChainState};
 use crate::retry::{RetryCounters, RetryPolicy, RetryStats};
+use crate::scan::{FilterReply, FilterView, ScanForm, ScanPage};
 use crate::service::*;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mercurio::{Endpoint, PendingResponse, RpcError, RpcId};
@@ -158,29 +159,6 @@ impl DbTarget {
             db: db.into(),
         }
     }
-}
-
-/// Per-key outcome of a push-down [`YokanClient::filter`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FilterReply {
-    /// No value stored under the key.
-    Missing,
-    /// A value is stored but it is not a columnar page blob; the caller
-    /// should fall back to fetching and filtering it client-side.
-    NotColumnar,
-    /// The predicate program ran server-side over the columnar pages.
-    Ids {
-        /// Id-column values of surviving rows, in row order.
-        ids: Vec<u64>,
-        /// Rows stored in the blob.
-        rows_in: u32,
-        /// Pages whose columns were decoded and evaluated.
-        pages_scanned: u32,
-        /// Pages skipped via zone maps without decoding.
-        pages_skipped: u32,
-        /// Stored size of the blob (bytes that did *not* cross the wire).
-        stored_bytes: u32,
-    },
 }
 
 /// The fixed part of a push-down range filter (see
@@ -600,7 +578,11 @@ impl YokanClient {
         limit: usize,
     ) -> PendingListKeys {
         let payload = Self::list_request(target, from, prefix, limit);
-        pending_page(self.read(target, OP_LIST_KEYS, payload), limit)
+        PendingPage {
+            inner: self.read(target, OP_LIST_KEYS, payload),
+            limit,
+            decode: |inner, limit| Ok(inner.wait_read::<Page<Vec<u8>>>(limit)?.entries),
+        }
     }
 
     /// Existence checks for a batch of keys in one round-trip. Absent keys
@@ -652,7 +634,7 @@ impl YokanClient {
         scan: &FilterScan<'_>,
         from: &[u8],
         limit: usize,
-    ) -> PendingFilterScan {
+    ) -> PendingPage<ScanPage> {
         let program = scan.program.to_bytes();
         let payload = Self::scan_request(
             target,
@@ -663,7 +645,11 @@ impl YokanClient {
             from,
             limit,
         );
-        pending_page(self.read(target, OP_FILTER_SCAN, payload), limit)
+        PendingPage {
+            inner: self.read(target, OP_FILTER_SCAN, payload),
+            limit,
+            decode: |inner, limit| Ok(inner.wait_read::<Scan<false>>(limit)?.page),
+        }
     }
 
     /// The range filter's value form: the server walks the keys after
@@ -681,7 +667,7 @@ impl YokanClient {
         scan: &ValueScan<'_>,
         from: &[u8],
         limit: usize,
-    ) -> PendingValueScan {
+    ) -> PendingPage<ScanPage> {
         // The empty program selects the value form of the same op.
         let payload = Self::scan_request(
             target,
@@ -692,7 +678,11 @@ impl YokanClient {
             from,
             limit,
         );
-        pending_page(self.read(target, OP_FILTER_SCAN, payload), limit)
+        PendingPage {
+            inner: self.read(target, OP_FILTER_SCAN, payload),
+            limit,
+            decode: |inner, limit| Ok(inner.wait_read::<Scan<true>>(limit)?.page),
+        }
     }
 
     /// An `OP_FILTER_SCAN` request; an empty `program` asks for the value
@@ -1008,7 +998,7 @@ impl InFlight {
             buf.put_slice(&sub_body);
             let resp =
                 InFlight::issue(&self.client, c, Kind::Read, self.op, buf.freeze()).wait()?;
-            served += out.absorb(wanted.as_deref(), R::decode(resp, sub_n)?);
+            served += out.absorb(wanted.as_deref(), R::decode(resp, sub_n)?)?;
         }
         self.client
             .session
@@ -1052,7 +1042,7 @@ trait ReadReply: Sized {
     fn wanted(&self) -> Option<Vec<usize>>;
     /// Fold in an old owner's reply to the `wanted` request; returns how
     /// many result entries it supplied (the `dual_reads` count).
-    fn absorb(&mut self, wanted: Option<&[usize]>, old: Self) -> u64;
+    fn absorb(&mut self, wanted: Option<&[usize]>, old: Self) -> Result<u64, YokanError>;
 }
 
 /// One slot of a per-key read reply.
@@ -1082,7 +1072,7 @@ impl<S: Slot> ReadReply for Vec<S> {
         )
     }
 
-    fn absorb(&mut self, wanted: Option<&[usize]>, old: Self) -> u64 {
+    fn absorb(&mut self, wanted: Option<&[usize]>, old: Self) -> Result<u64, YokanError> {
         let mut filled = 0;
         for (&i, s) in wanted.unwrap_or_default().iter().zip(old) {
             if !s.is_miss() {
@@ -1090,7 +1080,7 @@ impl<S: Slot> ReadReply for Vec<S> {
                 filled += 1;
             }
         }
-        filled
+        Ok(filled)
     }
 }
 
@@ -1115,46 +1105,16 @@ impl Slot for bool {
     }
 }
 
-/// A value-scan reply: every kept key has its value.
-impl Slot for Bytes {
-    fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
-        let n = get_u32(&mut resp)? as usize;
-        (0..n).map(|_| get_bytes(&mut resp)).collect()
-    }
-
-    fn is_miss(&self) -> bool {
-        false
-    }
-}
-
 impl Slot for FilterReply {
+    /// Each slot goes through the range filter's slot decoder.
     fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
         let n = get_u32(&mut resp)? as usize;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(resp.len()));
+        let mut at = 0;
         for _ in 0..n {
-            out.push(match get_u8(&mut resp)? {
-                FILTER_MISSING => FilterReply::Missing,
-                FILTER_NOT_COLUMNAR => FilterReply::NotColumnar,
-                FILTER_IDS => {
-                    let rows_in = get_u32(&mut resp)?;
-                    let pages_scanned = get_u32(&mut resp)?;
-                    let pages_skipped = get_u32(&mut resp)?;
-                    let stored_bytes = get_u32(&mut resp)?;
-                    let n_ids = get_u32(&mut resp)? as usize;
-                    let mut ids = Vec::with_capacity(n_ids);
-                    for _ in 0..n_ids {
-                        ids.push(get_u64(&mut resp)?);
-                    }
-                    FilterReply::Ids {
-                        ids,
-                        rows_in,
-                        pages_scanned,
-                        pages_skipped,
-                        stored_bytes,
-                    }
-                }
-                t => return Err(YokanError::Protocol(format!("bad filter reply tag {t}"))),
-            });
+            let (view, len) = FilterView::parse(&resp[at..])?;
+            out.push(view.into());
+            at += len;
         }
         Ok(out)
     }
@@ -1190,27 +1150,6 @@ impl Entry for KeyValue {
     }
 }
 
-/// A range-filter result: a kept key with its per-key reply, or with its
-/// value (a zero-copy slice of the response buffer).
-impl<S: Slot> Entry for (Vec<u8>, S) {
-    fn decode_all(mut resp: Bytes) -> Result<Vec<Self>, YokanError> {
-        let keys = decode_keys_factored(&mut resp)?;
-        let replies = S::decode_all(resp)?;
-        if replies.len() != keys.len() {
-            return Err(YokanError::Protocol(format!(
-                "{} filter replies for {} keys",
-                replies.len(),
-                keys.len()
-            )));
-        }
-        Ok(keys.into_iter().zip(replies).collect())
-    }
-
-    fn key(&self) -> &[u8] {
-        &self.0
-    }
-}
-
 /// A listing page: sorted entries, at most `limit` of them (`0` = no
 /// limit).
 struct Page<E> {
@@ -1230,59 +1169,82 @@ impl<E: Entry> ReadReply for Page<E> {
         None
     }
 
-    /// Merge the two pages into the first `limit` entries of their union;
-    /// on a key both hold, the entry already here (the new owner's) wins.
-    /// Each source listed its first `limit` keys after `from`, so the
-    /// merged page is exactly the union's first page.
-    fn absorb(&mut self, _: Option<&[usize]>, old: Self) -> u64 {
-        let mine = self.entries.drain(..).map(|e| (e, false));
-        let mut all: Vec<(E, bool)> = mine
-            .chain(old.entries.into_iter().map(|e| (e, true)))
-            .collect();
-        // Stable: on equal keys the new owner's entry stays first and
-        // survives the dedup.
-        all.sort_by(|a, b| a.0.key().cmp(b.0.key()));
-        all.dedup_by(|later, earlier| later.0.key() == earlier.0.key());
-        if self.limit > 0 {
-            all.truncate(self.limit);
-        }
-        let supplied = all.iter().filter(|(_, from_old)| *from_old).count();
-        self.entries = all.into_iter().map(|(e, _)| e).collect();
-        supplied as u64
+    fn absorb(&mut self, _: Option<&[usize]>, old: Self) -> Result<u64, YokanError> {
+        let mine = std::mem::take(&mut self.entries);
+        let (merged, supplied) = merge_pages(mine, old.entries, self.limit, E::key);
+        self.entries = merged;
+        Ok(supplied)
+    }
+}
+
+/// Merge two listing pages into the first `limit` entries of their union
+/// (`0` = no limit), returning how many of them came from `old`. On a key
+/// both hold, the entry of `mine` (the new owner's) wins. Each source
+/// listed its first `limit` keys after `from`, so the merged page is
+/// exactly the union's first page.
+fn merge_pages<E>(mine: Vec<E>, old: Vec<E>, limit: usize, key: fn(&E) -> &[u8]) -> (Vec<E>, u64) {
+    let mine = mine.into_iter().map(|e| (e, false));
+    let mut all: Vec<(E, bool)> = mine.chain(old.into_iter().map(|e| (e, true))).collect();
+    // Stable: on equal keys the new owner's entry stays first and survives
+    // the dedup.
+    all.sort_by(|a, b| key(&a.0).cmp(key(&b.0)));
+    all.dedup_by(|later, earlier| key(&later.0) == key(&earlier.0));
+    if limit > 0 {
+        all.truncate(limit);
+    }
+    let supplied = all.iter().filter(|(_, from_old)| *from_old).count();
+    (all.into_iter().map(|(e, _)| e).collect(), supplied as u64)
+}
+
+/// A range-filter page (`VALUES`: a value-scan page) and its limit. The
+/// rare dual-read merge rebuilds the page through its owned entries.
+struct Scan<const VALUES: bool> {
+    page: ScanPage,
+    limit: usize,
+}
+
+impl<const VALUES: bool> Scan<VALUES> {
+    const FORM: ScanForm = if VALUES {
+        ScanForm::Values
+    } else {
+        ScanForm::Filter
+    };
+}
+
+impl<const VALUES: bool> ReadReply for Scan<VALUES> {
+    fn decode(resp: Bytes, limit: usize) -> Result<Self, YokanError> {
+        let page = ScanPage::decode(resp, Self::FORM)?;
+        Ok(Scan { page, limit })
+    }
+
+    fn wanted(&self) -> Option<Vec<usize>> {
+        None
+    }
+
+    fn absorb(&mut self, _: Option<&[usize]>, old: Self) -> Result<u64, YokanError> {
+        let (mine, old) = (self.page.to_owned_entries(), old.page.to_owned_entries());
+        let (merged, supplied) = merge_pages(mine, old, self.limit, |e| &e.0);
+        self.page = ScanPage::from_owned_entries(&merged, Self::FORM)?;
+        Ok(supplied)
     }
 }
 
 /// One listing or scan page in flight: the key page of
-/// [`YokanClient::list_keys_async`], a range filter page of
-/// [`YokanClient::filter_scan_async`], or a value scan page of
-/// [`YokanClient::value_scan_async`].
-pub struct PendingPage<E> {
+/// [`YokanClient::list_keys_async`], or the [`ScanPage`] of
+/// [`YokanClient::filter_scan_async`] or [`YokanClient::value_scan_async`].
+pub struct PendingPage<T> {
     inner: InFlight,
     limit: usize,
-    decode: fn(InFlight, usize) -> Result<Vec<E>, YokanError>,
+    decode: fn(InFlight, usize) -> Result<T, YokanError>,
 }
 
 /// In-flight asynchronous `list_keys`: sorted keys.
-pub type PendingListKeys = PendingPage<Vec<u8>>;
-/// In-flight range filter page: kept keys in order, each with its reply.
-pub type PendingFilterScan = PendingPage<(Vec<u8>, FilterReply)>;
-/// In-flight value scan page: kept keys in order, each with its value as a
-/// zero-copy slice of a response buffer.
-pub type PendingValueScan = PendingPage<(Vec<u8>, Bytes)>;
+pub type PendingListKeys = PendingPage<Vec<Vec<u8>>>;
 
-/// A page RPC of entry type `E`, issued as `inner`.
-fn pending_page<E: Entry>(inner: InFlight, limit: usize) -> PendingPage<E> {
-    PendingPage {
-        inner,
-        limit,
-        decode: |inner, limit| Ok(inner.wait_read::<Page<E>>(limit)?.entries),
-    }
-}
-
-impl<E> PendingPage<E> {
+impl<T> PendingPage<T> {
     /// Wait for the page (merged with the dual-read candidates' pages
     /// during a live migration).
-    pub fn wait(self) -> Result<Vec<E>, YokanError> {
+    pub fn wait(self) -> Result<T, YokanError> {
         (self.decode)(self.inner, self.limit)
     }
 

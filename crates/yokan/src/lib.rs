@@ -32,16 +32,17 @@ pub mod filter;
 pub mod pages;
 pub mod replica;
 mod retry;
+mod scan;
 mod service;
 
 pub use backend::{Backend, BackendStats, LsmBackend, MemBackend, WatermarkConfig};
 pub use client::{
-    DbTarget, FilterReply, FilterScan, PendingFilterScan, PendingListKeys, PendingPage, PendingPut,
-    PendingValueScan, ValueScan, YokanClient,
+    DbTarget, FilterScan, PendingListKeys, PendingPage, PendingPut, ValueScan, YokanClient,
 };
 pub use error::YokanError;
 pub use filter::{FilterOutput, Predicate, Program};
 pub use pages::{Column, PageReader};
 pub use replica::{build_chains, resync_replicas, ForwardParams, ForwardStats, ResyncStats};
 pub use retry::{RetryPolicy, RetryStats};
+pub use scan::{FilterReply, FilterView, ScanPage, SurvivorIds};
 pub use service::{MigrationStats, YokanService, PROVIDER_RPC_BASE};

@@ -154,16 +154,13 @@ fn put_filter_reply(
         Some(v) if !crate::pages::is_columnar(v) => out.put_u8(FILTER_NOT_COLUMNAR),
         Some(v) => {
             let res = crate::filter::eval_program_with(v, prog, scratch)?;
-            out.reserve(1 + 20 + 8 * res.ids.len());
-            out.put_u8(FILTER_IDS);
-            out.put_u32_le(res.rows_in);
-            out.put_u32_le(res.pages_scanned);
-            out.put_u32_le(res.pages_skipped);
-            out.put_u32_le(v.len() as u32);
-            out.put_u32_le(res.ids.len() as u32);
-            for id in &res.ids {
-                out.put_u64_le(*id);
-            }
+            let counts = [
+                res.rows_in,
+                res.pages_scanned,
+                res.pages_skipped,
+                v.len() as u32,
+            ];
+            crate::scan::put_ids_slot(out, counts, &res.ids);
         }
     }
     Ok(())

@@ -776,6 +776,20 @@ fn malformed_mutations_fail_and_release_their_dedup_slot() {
     ts.server.finalize();
 }
 
+/// A range-filter page's entries, owned.
+fn filter_entries(page: &yokan::ScanPage) -> Vec<(Vec<u8>, yokan::FilterReply)> {
+    (0..page.len())
+        .map(|i| (page.key(i), page.reply(i).into()))
+        .collect()
+}
+
+/// A value-scan page's entries, owned.
+fn value_entries(page: &yokan::ScanPage) -> Vec<(Vec<u8>, Vec<u8>)> {
+    (0..page.len())
+        .map(|i| (page.key(i), page.value(i).to_vec()))
+        .collect()
+}
+
 /// One range-filter scan paged `limit` kept keys at a time, resuming from
 /// the last key of each page, until a short page ends the range.
 fn filter_scan_all(
@@ -787,10 +801,12 @@ fn filter_scan_all(
     let mut out = Vec::new();
     let mut from = scan.prefix.to_vec();
     loop {
-        let page = client
-            .filter_scan_async(target, scan, &from, limit)
-            .wait()
-            .unwrap();
+        let page = filter_entries(
+            &client
+                .filter_scan_async(target, scan, &from, limit)
+                .wait()
+                .unwrap(),
+        );
         assert!(limit == 0 || page.len() <= limit, "page over its limit");
         let done = limit == 0 || page.len() < limit;
         if let Some((last, _)) = page.last() {
@@ -1020,7 +1036,7 @@ fn malformed_columnar_values_fail_filters_and_the_provider_keeps_serving() {
             .wait()
             .unwrap();
         assert_eq!(page.len(), 2);
-        assert!(page
+        assert!(filter_entries(&page)
             .iter()
             .all(|(_, r)| matches!(r, FilterReply::Ids { ids, .. } if ids == &[1, 2, 3])));
     }
@@ -1047,16 +1063,18 @@ fn value_scan_all(
     let mut out = Vec::new();
     let mut from = scan.prefix.to_vec();
     loop {
-        let page = client
-            .value_scan_async(target, scan, &from, limit)
-            .wait()
-            .unwrap();
+        let page = value_entries(
+            &client
+                .value_scan_async(target, scan, &from, limit)
+                .wait()
+                .unwrap(),
+        );
         assert!(limit == 0 || page.len() <= limit, "page over its limit");
         let done = limit == 0 || page.len() < limit;
         if let Some((last, _)) = page.last() {
             from.clone_from(last);
         }
-        out.extend(page.into_iter().map(|(k, v)| (k, v.to_vec())));
+        out.extend(page);
         if done {
             return out;
         }
@@ -1151,8 +1169,8 @@ fn value_scan_pages_resume_from_the_last_key_returned() {
         tag: b"slc#col",
     };
     let page = |from: &[u8]| -> Vec<(String, u64)> {
-        let entries = client.value_scan_async(&t, &scan, from, 4).wait().unwrap();
-        (entries.into_iter())
+        let page = client.value_scan_async(&t, &scan, from, 4).wait().unwrap();
+        (value_entries(&page).into_iter())
             .map(|(k, v)| {
                 let v = u64::from_le_bytes(v[..].try_into().unwrap());
                 (String::from_utf8(k).unwrap(), v)
@@ -1218,9 +1236,8 @@ fn value_scan_with_a_bad_program_fails_and_the_provider_keeps_serving() {
         }
         // The provider keeps serving the value form.
         let page = client.value_scan_async(&t, &scan, b"", 0).wait().unwrap();
-        let page: Vec<_> = page.into_iter().map(|(k, v)| (k, v.to_vec())).collect();
         assert_eq!(
-            page,
+            value_entries(&page),
             vec![
                 (b"k1#a".to_vec(), b"one".to_vec()),
                 (b"k2#a".to_vec(), b"two".to_vec())

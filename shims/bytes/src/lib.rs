@@ -409,6 +409,11 @@ impl BytesMut {
         self.buf.truncate(len);
     }
 
+    /// Grow or shrink to `new_len` bytes, filling new ones with `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.buf.resize(new_len, value);
+    }
+
     /// Convert into an immutable [`Bytes`] without copying.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
@@ -423,6 +428,9 @@ impl BytesMut {
 }
 
 impl BufMut for BytesMut {
+    // Inlined across crates, as in the real crate: a `put_u32_le` is then
+    // a four-byte store, not a call into `memcpy`.
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }

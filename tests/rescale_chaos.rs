@@ -558,11 +558,12 @@ fn dual_reads_never_miss_acked_keys_during_handoff() {
             listed,
             "Run::events during handoff"
         );
-        let replies = ds.filter_event_products(&label, &program).unwrap();
-        let replied: Vec<_> = replies
-            .iter()
-            .map(|(ev, _)| (ev.run, ev.subrun, ev.event))
-            .collect();
+        let mut replied = Vec::new();
+        ds.filter_event_products(&label, &program, |ev, _| {
+            replied.push((ev.run, ev.subrun, ev.event));
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(
             replied, listed,
             "push-down scan during handoff missed or repeated events"
