@@ -33,7 +33,7 @@
 //! repeats, and a product page keeps only the products placed on the
 //! database that listed them.
 //!
-//! Dispatch uses one injector deque per worker with work stealing: readers
+//! Dispatch uses one FIFO deque per worker with work stealing: readers
 //! push batches round-robin, each worker drains its own deque first and
 //! steals from the others when empty, so a slow callback on one worker
 //! never serializes the rest. No batch is pushed before every worker has
@@ -54,9 +54,9 @@ use crate::error::HepnosError;
 use crate::keys::{self, EventNumber, RunNumber, SubRunNumber};
 use crate::uuid::Uuid;
 use bytes::Bytes;
-use crossbeam::deque::{Injector, Steal};
 use parking_lot::{Condvar, Mutex};
 use serde::de::DeserializeOwned;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -319,16 +319,14 @@ type DispatchBatch = Vec<(EventDescriptor, Vec<Option<Bytes>>)>;
 
 // ---------------------------------------------------------------- dispatch
 
-/// Bounded work-stealing dispatch: one injector deque per worker, plus a
-/// shared counter/condvar pair for blocking and backpressure.
+/// Bounded work-stealing dispatch: one FIFO deque per worker, all under one
+/// mutex, plus a condvar pair for blocking and backpressure.
 ///
 /// Invariants: a batch lives in exactly one deque and is popped by exactly
-/// one worker (the deques are atomic pop); `queued` counts batches across
-/// all deques and is only mutated under `state`; workers sleep on
+/// one worker; `queued` is the total across all deques; workers sleep on
 /// `not_empty` only while `queued == 0` and readers are still active, so
 /// the final `reader_done` broadcast wakes everyone for shutdown.
 struct DispatchQueue {
-    deques: Vec<Injector<DispatchBatch>>,
     state: Mutex<QueueState>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -336,6 +334,7 @@ struct DispatchQueue {
 }
 
 struct QueueState {
+    deques: Vec<VecDeque<DispatchBatch>>,
     queued: usize,
     readers_active: usize,
     workers_started: usize,
@@ -344,8 +343,8 @@ struct QueueState {
 impl DispatchQueue {
     fn new(n_workers: usize, n_readers: usize, capacity: usize) -> DispatchQueue {
         DispatchQueue {
-            deques: (0..n_workers).map(|_| Injector::new()).collect(),
             state: Mutex::new(QueueState {
+                deques: (0..n_workers).map(|_| VecDeque::new()).collect(),
                 queued: 0,
                 readers_active: n_readers,
                 workers_started: 0,
@@ -361,10 +360,11 @@ impl DispatchQueue {
     /// alone) and while the total queued count is at capacity.
     fn push(&self, target: usize, batch: DispatchBatch) {
         let mut state = self.state.lock();
-        while state.workers_started < self.deques.len() || state.queued >= self.capacity {
+        while state.workers_started < state.deques.len() || state.queued >= self.capacity {
             self.not_full.wait(&mut state);
         }
-        self.deques[target % self.deques.len()].push(batch);
+        let n = state.deques.len();
+        state.deques[target % n].push_back(batch);
         state.queued += 1;
         drop(state);
         self.not_empty.notify_one();
@@ -374,35 +374,29 @@ impl DispatchQueue {
     /// the others. Returns `None` only when all readers have finished and
     /// every deque is drained. The `bool` is `true` for a stolen batch.
     fn pop(&self, worker: usize) -> Option<(DispatchBatch, bool)> {
-        let n = self.deques.len();
         let mut state = self.state.lock();
-        loop {
-            if state.queued > 0 {
-                for i in 0..n {
-                    let idx = (worker + i) % n;
-                    if let Steal::Success(batch) = self.deques[idx].steal() {
-                        state.queued -= 1;
-                        drop(state);
-                        self.not_full.notify_one();
-                        return Some((batch, idx != worker % n));
-                    }
-                }
-                // `queued > 0` but nothing found can only be a transient
-                // Retry from a concurrent steal; loop and rescan.
-                continue;
-            }
+        while state.queued == 0 {
             if state.readers_active == 0 {
                 return None;
             }
             self.not_empty.wait(&mut state);
         }
+        let n = state.deques.len();
+        let (idx, batch) = (0..n)
+            .map(|i| (worker + i) % n)
+            .find_map(|idx| Some((idx, state.deques[idx].pop_front()?)))
+            .expect("queued counts a batch in some deque");
+        state.queued -= 1;
+        drop(state);
+        self.not_full.notify_one();
+        Some((batch, idx != worker % n))
     }
 
     /// A worker is running; the last one to start lets the readers push.
     fn worker_started(&self) {
         let mut state = self.state.lock();
         state.workers_started += 1;
-        let all = state.workers_started == self.deques.len();
+        let all = state.workers_started == state.deques.len();
         drop(state);
         if all {
             self.not_full.notify_all();
@@ -841,5 +835,139 @@ impl ParallelEventProcessor {
             readers,
         };
         (stats, first_error.into_inner())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// A one-event batch numbered `seq` by reader `reader`, aimed at deque
+    /// `target` (kept in the descriptor so a worker can tell where it
+    /// came from).
+    fn numbered(reader: u64, seq: u64, target: u64) -> DispatchBatch {
+        let desc = EventDescriptor {
+            dataset: Uuid::from_bytes([0; 16]),
+            run: target,
+            subrun: reader,
+            event: seq,
+        };
+        vec![(desc, Vec::new())]
+    }
+
+    fn number(batch: &DispatchBatch) -> (u64, u64, u64) {
+        let d = batch[0].0;
+        (d.subrun, d.event, d.run)
+    }
+
+    #[test]
+    fn dispatch_queue_pops_own_deque_first_then_steals_in_order() {
+        let queue = DispatchQueue::new(3, 1, 8);
+        for _ in 0..3 {
+            queue.worker_started();
+        }
+        queue.push(0, numbered(0, 0, 0));
+        queue.push(1, numbered(0, 1, 1));
+        queue.push(5, numbered(0, 2, 2));
+        queue.push(2, numbered(0, 3, 2));
+        let pop = |worker| {
+            let (batch, stolen) = queue.pop(worker).unwrap();
+            (number(&batch).1, stolen)
+        };
+        // Own deque in FIFO order, then the next deque after its own.
+        assert_eq!(pop(2), (2, false));
+        assert_eq!(pop(2), (3, false));
+        assert_eq!(pop(2), (0, true));
+        assert_eq!(pop(1), (1, false));
+        queue.reader_done();
+        assert!(queue.pop(0).is_none());
+    }
+
+    #[test]
+    fn dispatch_queue_delivers_each_batch_once_under_concurrency() {
+        const READERS: u64 = 3;
+        const WORKERS: usize = 4;
+        const PER_READER: u64 = 200;
+        const CAPACITY: usize = 5;
+        let queue = DispatchQueue::new(WORKERS, READERS as usize, CAPACITY);
+        // Counted just before each call into the queue, so a push that
+        // returns before every worker started, or a `None` before the last
+        // reader finished, sees a short count.
+        let started = AtomicUsize::new(0);
+        let readers_done = AtomicUsize::new(0);
+        // Threads record violations instead of panicking: a reader that
+        // never calls `reader_done` would leave the workers waiting.
+        let violations = Mutex::new(Vec::<String>::new());
+        let check = |ok: bool, what: String| {
+            if !ok {
+                violations.lock().push(what);
+            }
+        };
+        let popped = std::thread::scope(|s| {
+            for reader in 0..READERS {
+                let (queue, started, readers_done, check) =
+                    (&queue, &started, &readers_done, &check);
+                s.spawn(move || {
+                    for seq in 0..PER_READER {
+                        let target = (reader + seq) % WORKERS as u64;
+                        queue.push(target as usize, numbered(reader, seq, target));
+                        let n = started.load(Ordering::SeqCst);
+                        check(n == WORKERS, format!("push returned with {n} workers"));
+                        let state = queue.state.lock();
+                        let held: usize = state.deques.iter().map(VecDeque::len).sum();
+                        check(state.queued <= CAPACITY, format!("{} queued", state.queued));
+                        check(held == state.queued, format!("{held} held"));
+                    }
+                    readers_done.fetch_add(1, Ordering::SeqCst);
+                    queue.reader_done();
+                });
+            }
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|worker| {
+                    let (queue, started, readers_done, check) =
+                        (&queue, &started, &readers_done, &check);
+                    s.spawn(move || {
+                        // Start late, so the readers reach `push` first. The
+                        // sleeps only make a broken queue likely to show; a
+                        // correct one passes under any interleaving.
+                        std::thread::sleep(Duration::from_millis(20));
+                        started.fetch_add(1, Ordering::SeqCst);
+                        queue.worker_started();
+                        let mut got = Vec::new();
+                        while let Some((batch, stolen)) = queue.pop(worker) {
+                            let (reader, seq, target) = number(&batch);
+                            let own = target as usize == worker;
+                            check(stolen != own, format!("{reader}/{seq} stolen {stolen}"));
+                            got.push((reader, seq));
+                            // Worker 0 is slow, so the others steal from it
+                            // and the readers meet the capacity bound.
+                            let pause = if worker == 0 { 200 } else { 20 };
+                            std::thread::sleep(Duration::from_micros(pause));
+                        }
+                        let done = readers_done.load(Ordering::SeqCst);
+                        check(
+                            done == READERS as usize,
+                            format!("None after {done} readers"),
+                        );
+                        let state = queue.state.lock();
+                        let empty = state.deques.iter().all(VecDeque::is_empty);
+                        check(
+                            state.queued == 0 && empty,
+                            "None with batches queued".into(),
+                        );
+                        got
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(violations.into_inner(), Vec::<String>::new());
+        let unique: HashSet<_> = popped.iter().copied().collect();
+        assert_eq!(popped.len(), (READERS * PER_READER) as usize);
+        assert_eq!(unique.len(), popped.len(), "a batch was popped twice");
     }
 }

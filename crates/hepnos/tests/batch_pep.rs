@@ -320,3 +320,56 @@ fn pep_respects_reader_count() {
     assert_eq!(stats.total_events, 40);
     dep.shutdown();
 }
+
+#[test]
+fn pep_defaults_to_one_reader_per_event_database() {
+    // `counts()` has 4 events databases.
+    let dep = local_deployment(1, counts());
+    let store = dep.datastore();
+    for (name, subruns, readers) in [("many", 6u64, 4), ("few", 3, 3)] {
+        let ds = store.root().create_dataset(name).unwrap();
+        let run = ds.create_run(1).unwrap();
+        for s in 0..subruns {
+            let sr = run.create_subrun(s).unwrap();
+            for e in 0..5u64 {
+                sr.create_event(e).unwrap();
+            }
+        }
+        let pep = ParallelEventProcessor::new(store.clone(), PepOptions::default());
+        let stats = pep.process(&ds, |_w, _e| {}).unwrap();
+        assert_eq!(stats.readers.len(), readers, "{subruns} subruns");
+        assert_eq!(stats.total_events, subruns * 5);
+    }
+    dep.shutdown();
+}
+
+#[test]
+fn events_of_one_subrun_live_in_one_database() {
+    // Paper §II-C3: an event is placed by the hash of its parent (subrun)
+    // key, so listing a subrun reads one database.
+    let dep = local_deployment(
+        1,
+        DbCounts {
+            events: 16,
+            ..counts()
+        },
+    );
+    let store = dep.datastore();
+    let ds = store.root().create_dataset("placement").unwrap();
+    let sr = ds.create_run(1).unwrap().create_subrun(0).unwrap();
+    let mut batch = WriteBatch::new(&store);
+    for e in 0..200u64 {
+        batch.create_event(&sr, &ds.uuid().unwrap(), e).unwrap();
+    }
+    batch.flush().unwrap();
+    let entries: Vec<usize> = (dep.backend_stats().into_iter())
+        .filter(|(name, _)| name.contains("/events"))
+        .map(|(_, stats)| stats.shard_entries.iter().sum())
+        .collect();
+    assert_eq!(entries.len(), 16);
+    assert_eq!(entries.iter().filter(|&&n| n > 0).count(), 1, "{entries:?}");
+    assert_eq!(entries.iter().sum::<usize>(), 200);
+    let listed: Vec<u64> = sr.events().unwrap().iter().map(|e| e.number()).collect();
+    assert_eq!(listed, (0..200).collect::<Vec<_>>());
+    dep.shutdown();
+}

@@ -211,23 +211,6 @@ impl Bytes {
         self.start += at;
         head
     }
-
-    /// Split off and return the tail from `at`; `self` keeps the head.
-    pub fn split_off(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len(), "split_off out of bounds");
-        let tail = Bytes {
-            repr: self.repr.clone(),
-            start: self.start + at,
-            end: self.end,
-        };
-        self.end = self.start + at;
-        tail
-    }
-
-    /// Copy the view into a `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
 }
 
 impl Buf for Bytes {
@@ -384,19 +367,9 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Current capacity.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
     /// Reserve space for `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
-    }
-
-    /// Append a slice.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
     }
 
     /// Drop all contents.

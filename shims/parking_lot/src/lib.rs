@@ -6,7 +6,7 @@
 //! swallowed (parking_lot has no poisoning), and all locks are created
 //! through `const`-compatible constructors where std allows it.
 
-use std::sync::{self, TryLockError};
+use std::sync;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -51,17 +51,6 @@ impl<T: ?Sized> Mutex<T> {
         }
     }
 
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: p.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         match self.inner.get_mut() {
@@ -79,10 +68,7 @@ impl<T: Default> Default for Mutex<T> {
 
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.write_str("Mutex { <locked> }"),
-        }
+        self.inner.fmt(f)
     }
 }
 
@@ -162,28 +148,6 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
-    /// Try to acquire a shared read lock without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { inner: g }),
-            Err(TryLockError::Poisoned(p)) => Some(RwLockReadGuard {
-                inner: p.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Try to acquire an exclusive write lock without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { inner: g }),
-            Err(TryLockError::Poisoned(p)) => Some(RwLockWriteGuard {
-                inner: p.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         match self.inner.get_mut() {
@@ -201,10 +165,7 @@ impl<T: Default> Default for RwLock<T> {
 
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.try_read() {
-            Some(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
-            None => f.write_str("RwLock { <locked> }"),
-        }
+        self.inner.fmt(f)
     }
 }
 
@@ -360,7 +321,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

@@ -348,12 +348,6 @@ pub fn thread_rng() -> rngs::ThreadRng {
     rngs::ThreadRng::new()
 }
 
-/// Prelude matching `rand::prelude`.
-pub mod prelude {
-    pub use super::rngs::{StdRng, ThreadRng};
-    pub use super::{thread_rng, Rng, RngCore, SeedableRng};
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;

@@ -39,13 +39,6 @@ pub trait Error: Sized + std::error::Error {
         ))
     }
 
-    /// The input contained a value out of range.
-    fn invalid_value(unexpected: &str, expected: &dyn Display) -> Self {
-        Self::custom(format_args!(
-            "invalid value: {unexpected}, expected {expected}"
-        ))
-    }
-
     /// A sequence or map had the wrong number of elements.
     fn invalid_length(len: usize, expected: &dyn Display) -> Self {
         Self::custom(format_args!("invalid length {len}, expected {expected}"))
@@ -549,7 +542,6 @@ int_visitor!(u32, deserialize_u32, U32Visitor);
 int_visitor!(u64, deserialize_u64, U64Visitor);
 int_visitor!(u128, deserialize_u128, U128Visitor);
 int_visitor!(usize, deserialize_u64, UsizeVisitor);
-int_visitor!(isize, deserialize_i64, IsizeVisitor);
 
 struct BoolVisitor;
 impl<'de> Visitor<'de> for BoolVisitor {
@@ -727,74 +719,6 @@ impl<'de, K: Deserialize<'de> + Ord, V: Deserialize<'de>> Deserialize<'de>
     }
 }
 
-struct HashMapVisitor<K, V>(PhantomData<(K, V)>);
-impl<'de, K: Deserialize<'de> + Eq + std::hash::Hash, V: Deserialize<'de>> Visitor<'de>
-    for HashMapVisitor<K, V>
-{
-    type Value = std::collections::HashMap<K, V>;
-    fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
-        f.write_str("a map")
-    }
-    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
-        let mut out = std::collections::HashMap::new();
-        while let Some((k, v)) = map.next_entry()? {
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-}
-impl<'de, K: Deserialize<'de> + Eq + std::hash::Hash, V: Deserialize<'de>> Deserialize<'de>
-    for std::collections::HashMap<K, V>
-{
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_map(HashMapVisitor(PhantomData))
-    }
-}
-
-struct BTreeSetVisitor<T>(PhantomData<T>);
-impl<'de, T: Deserialize<'de> + Ord> Visitor<'de> for BTreeSetVisitor<T> {
-    type Value = std::collections::BTreeSet<T>;
-    fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
-        f.write_str("a sequence")
-    }
-    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Self::Value, A::Error> {
-        let mut out = std::collections::BTreeSet::new();
-        while let Some(item) = seq.next_element()? {
-            out.insert(item);
-        }
-        Ok(out)
-    }
-}
-impl<'de, T: Deserialize<'de> + Ord> Deserialize<'de> for std::collections::BTreeSet<T> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_seq(BTreeSetVisitor(PhantomData))
-    }
-}
-
-struct ArrayVisitor<T, const N: usize>(PhantomData<T>);
-impl<'de, T: Deserialize<'de>, const N: usize> Visitor<'de> for ArrayVisitor<T, N> {
-    type Value = [T; N];
-    fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
-        write!(f, "an array of length {N}")
-    }
-    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<[T; N], A::Error> {
-        let mut out = Vec::with_capacity(N);
-        for i in 0..N {
-            match seq.next_element()? {
-                Some(v) => out.push(v),
-                None => return Err(Error::invalid_length(i, &format_args!("array of {N}"))),
-            }
-        }
-        out.try_into()
-            .map_err(|_| Error::custom("array length mismatch"))
-    }
-}
-impl<'de, T: Deserialize<'de>, const N: usize> Deserialize<'de> for [T; N] {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<[T; N], D::Error> {
-        deserializer.deserialize_tuple(N, ArrayVisitor(PhantomData))
-    }
-}
-
 macro_rules! deserialize_tuples {
     ($(($len:expr => $($t:ident),+))+) => {$(
         impl<'de, $($t: Deserialize<'de>),+> Deserialize<'de> for ($($t,)+) {
@@ -835,12 +759,6 @@ deserialize_tuples! {
     (6 => T0, T1, T2, T3, T4, T5)
     (7 => T0, T1, T2, T3, T4, T5, T6)
     (8 => T0, T1, T2, T3, T4, T5, T6, T7)
-}
-
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Box<T>, D::Error> {
-        T::deserialize(deserializer).map(Box::new)
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -164,11 +164,6 @@ pub trait SerializeStruct {
         value: &T,
     ) -> Result<(), Self::Error>;
     fn end(self) -> Result<Self::Ok, Self::Error>;
-
-    /// Skip a field (no-op by default).
-    fn skip_field(&mut self, _key: &'static str) -> Result<(), Self::Error> {
-        Ok(())
-    }
 }
 
 /// Sub-serializer for struct enum variants.
@@ -220,12 +215,6 @@ impl Serialize for usize {
     }
 }
 
-impl Serialize for isize {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_i64(*self as i64)
-    }
-}
-
 impl Serialize for str {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(self)
@@ -245,30 +234,6 @@ impl Serialize for () {
 }
 
 impl<T: ?Sized + Serialize> Serialize for &T {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
-}
-
-impl<T: ?Sized + Serialize> Serialize for &mut T {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
-}
-
-impl<T: ?Sized + Serialize> Serialize for Box<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
-}
-
-impl<T: ?Sized + Serialize> Serialize for std::sync::Arc<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
-}
-
-impl<T: ?Sized + Serialize> Serialize for std::rc::Rc<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(serializer)
     }
@@ -299,16 +264,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut tup = serializer.serialize_tuple(N)?;
-        for item in self {
-            tup.serialize_element(item)?;
-        }
-        tup.end()
-    }
-}
-
 impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let mut map = serializer.serialize_map(Some(self.len()))?;
@@ -316,26 +271,6 @@ impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> 
             map.serialize_entry(k, v)?;
         }
         map.end()
-    }
-}
-
-impl<K: Serialize, V: Serialize, H> Serialize for std::collections::HashMap<K, V, H> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut map = serializer.serialize_map(Some(self.len()))?;
-        for (k, v) in self {
-            map.serialize_entry(k, v)?;
-        }
-        map.end()
-    }
-}
-
-impl<T: Serialize> Serialize for std::collections::BTreeSet<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut seq = serializer.serialize_seq(Some(self.len()))?;
-        for item in self {
-            seq.serialize_element(item)?;
-        }
-        seq.end()
     }
 }
 
@@ -351,12 +286,6 @@ impl Serialize for std::path::Path {
 impl Serialize for std::path::PathBuf {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         self.as_path().serialize(serializer)
-    }
-}
-
-impl<'a, T: ?Sized + ToOwned + Serialize> Serialize for std::borrow::Cow<'a, T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
     }
 }
 
