@@ -221,13 +221,13 @@ pub struct LsmConfig {
     /// Memtable size before it freezes and flushes (bytes).
     #[serde(default = "d_memtable_bytes")]
     pub memtable_bytes: usize,
-    /// L0 table count that triggers a compaction into L1.
+    /// L0 flush count that triggers a compaction into L1.
     #[serde(default = "d_l0_compaction_trigger")]
     pub l0_compaction_trigger: usize,
-    /// L0 table count above which writes stall briefly.
+    /// L0 flush count above which writes stall briefly.
     #[serde(default = "d_l0_slowdown_trigger")]
     pub l0_slowdown_trigger: usize,
-    /// L0 table count at which writes are shed with `Busy`.
+    /// L0 flush count at which writes are shed with `Busy`.
     #[serde(default = "d_l0_stop_trigger")]
     pub l0_stop_trigger: usize,
     /// Number of levels in the tree (L0 plus the sorted runs).
@@ -349,6 +349,8 @@ impl LsmConfig {
             compaction: lsmdb::CompactionMode::Background,
             max_stall: std::time::Duration::from_millis(self.max_stall_ms),
             retry_after_hint: std::time::Duration::from_millis(self.retry_after_ms),
+            // Set per database by `launch`, from the database's group.
+            partition_prefix_len: 0,
         })
     }
 }
@@ -473,6 +475,69 @@ impl ServiceConfig {
     }
 }
 
+/// The container kind a HEPnOS database serves, named by the prefix of its
+/// name (`datasets_0`, `events_3`, ...). Clients place keys by it, and
+/// [`launch`] tunes each LSM database by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DbGroup {
+    /// Dataset databases (paths → UUIDs).
+    Datasets,
+    /// Run databases.
+    Runs,
+    /// Subrun databases.
+    Subruns,
+    /// Event databases.
+    Events,
+    /// Product databases.
+    Products,
+}
+
+/// Length of the dataset UUID that begins every key of the runs,
+/// subruns, events and products databases (paper §II-C).
+pub const DATASET_KEY_PREFIX_LEN: usize = 16;
+
+impl DbGroup {
+    /// Every group, in deployment order.
+    pub const ALL: [DbGroup; 5] = [
+        DbGroup::Datasets,
+        DbGroup::Runs,
+        DbGroup::Subruns,
+        DbGroup::Events,
+        DbGroup::Products,
+    ];
+
+    /// The name prefix of the group's databases.
+    pub fn label(self) -> &'static str {
+        match self {
+            DbGroup::Datasets => "datasets",
+            DbGroup::Runs => "runs",
+            DbGroup::Subruns => "subruns",
+            DbGroup::Events => "events",
+            DbGroup::Products => "products",
+        }
+    }
+
+    /// The group of the database named `db_name`; `None` for a database
+    /// outside the HEPnOS namespace.
+    pub fn of(db_name: &str) -> Option<DbGroup> {
+        DbGroup::ALL
+            .into_iter()
+            .find(|g| db_name.starts_with(g.label()))
+    }
+}
+
+/// The engine options of the LSM database named `db_name`: `base`, with
+/// the tables of a runs, subruns, events or products database partitioned
+/// by the dataset UUID that begins every key. Dataset keys are paths, so
+/// the datasets databases, like any other, are not partitioned.
+fn db_lsm_options(db_name: &str, base: &lsmdb::Options) -> lsmdb::Options {
+    let container = DbGroup::of(db_name).is_some_and(|g| g != DbGroup::Datasets);
+    lsmdb::Options {
+        partition_prefix_len: if container { DATASET_KEY_PREFIX_LEN } else { 0 },
+        ..base.clone()
+    }
+}
+
 /// How many databases of each container kind a HEPnOS deployment uses
 /// (paper §II-C1: "The number of databases for each type of container is
 /// independently configurable").
@@ -533,13 +598,15 @@ impl ServiceConfig {
             replication: None,
         };
         let mut provider_id = 0u16;
-        for (label, n) in [
-            ("datasets", counts.datasets),
-            ("runs", counts.runs),
-            ("subruns", counts.subruns),
-            ("events", counts.events),
-            ("products", counts.products),
-        ] {
+        let per_group = [
+            counts.datasets,
+            counts.runs,
+            counts.subruns,
+            counts.events,
+            counts.products,
+        ];
+        for (group, n) in DbGroup::ALL.into_iter().zip(per_group) {
+            let label = group.label();
             for i in 0..n {
                 let pool_name = format!("pool_{label}_{i}");
                 cfg.margo.argobots.pools.push(PoolConfig {
@@ -710,7 +777,7 @@ pub fn launch(
                         BedrockError::Invalid(format!("database {} needs a path", db.name))
                     })?;
                     Arc::new(
-                        LsmBackend::open_with(path, lsm_opts.clone())
+                        LsmBackend::open_with(path, db_lsm_options(&db.name, &lsm_opts))
                             .map_err(|e| BedrockError::Backend(e.to_string()))?,
                     )
                 }
@@ -1033,6 +1100,38 @@ mod tests {
         // Configs without the section still parse (backward compatible).
         let old = node(1, 1, BackendKind::Map, None).to_json();
         assert!(ServiceConfig::from_json(&old).unwrap().lsm.is_none());
+    }
+
+    #[test]
+    fn container_databases_open_partitioned_by_the_dataset_uuid() {
+        let counts = DbCounts::default();
+        let cfg = ServiceConfig::hepnos_topology(counts, BackendKind::Lsm, Some("/data".into()));
+        let base = LsmConfig::default().options().unwrap();
+        let mut partitioned = Vec::new();
+        let mut unpartitioned = Vec::new();
+        for db in cfg.providers.iter().flat_map(|p| &p.databases) {
+            match db_lsm_options(&db.name, &base).partition_prefix_len {
+                0 => unpartitioned.push(db.name.as_str()),
+                DATASET_KEY_PREFIX_LEN => partitioned.push(db.name.as_str()),
+                n => panic!("{} opens with a {n}-byte prefix", db.name),
+            }
+        }
+        assert_eq!(unpartitioned, ["datasets_0"]);
+        let groups: Vec<_> = partitioned
+            .iter()
+            .map(|n| DbGroup::of(n).unwrap())
+            .collect();
+        assert_eq!(partitioned.len(), 1 + 1 + 8 + 8, "{partitioned:?}");
+        for g in &DbGroup::ALL[1..] {
+            assert!(groups.contains(g), "{g:?} missing from {partitioned:?}");
+        }
+        // The rest of the tuning is the base's.
+        let events = db_lsm_options("events_3", &base);
+        assert_eq!(events.memtable_bytes, base.memtable_bytes);
+        assert_eq!(DbGroup::of("subruns_0"), Some(DbGroup::Subruns));
+        assert_eq!(DbGroup::of("runs_0"), Some(DbGroup::Runs));
+        assert_eq!(DbGroup::of("catalog"), None);
+        assert_eq!(db_lsm_options("catalog", &base).partition_prefix_len, 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::keys::{self, DatasetPath, EventNumber, RunNumber, SubRunNumber};
 use crate::pep::EventDescriptor;
 use crate::placement::{stable_hash, stable_hash_extend, ModuloPlacement, Placement};
 use crate::uuid::Uuid;
-use bedrock::ConnectionDescriptor;
+use bedrock::{ConnectionDescriptor, DbGroup};
 use mercurio::Endpoint;
 use parking_lot::RwLock;
 use serde::de::DeserializeOwned;
@@ -117,46 +117,35 @@ impl Topology {
             }
         }
         for target in targets {
-            let db = &target.db;
-            if db.starts_with("datasets") {
-                topo.dataset_dbs.push(target);
-            } else if db.starts_with("runs") {
-                topo.run_dbs.push(target);
-            } else if db.starts_with("subruns") {
-                topo.subrun_dbs.push(target);
-            } else if db.starts_with("events") {
-                topo.event_dbs.push(target);
-            } else if db.starts_with("products") {
-                topo.product_dbs.push(target);
-            }
             // Unknown databases are simply not part of the HEPnOS
             // namespace; ignore them.
+            if let Some(group) = DbGroup::of(&target.db) {
+                topo.group_mut(group).push(target);
+            }
         }
-        // A deterministic global order: every client must agree on the index
-        // of each database or placement breaks.
-        for group in [
-            &mut topo.dataset_dbs,
-            &mut topo.run_dbs,
-            &mut topo.subrun_dbs,
-            &mut topo.event_dbs,
-            &mut topo.product_dbs,
-        ] {
-            group.sort();
-        }
-        for (name, group) in [
-            ("datasets", &topo.dataset_dbs),
-            ("runs", &topo.run_dbs),
-            ("subruns", &topo.subrun_dbs),
-            ("events", &topo.event_dbs),
-            ("products", &topo.product_dbs),
-        ] {
-            if group.is_empty() {
+        for group in DbGroup::ALL {
+            let dbs = topo.group_mut(group);
+            // A deterministic global order: every client must agree on the
+            // index of each database or placement breaks.
+            dbs.sort();
+            if dbs.is_empty() {
                 return Err(HepnosError::Topology(format!(
-                    "deployment has no {name} databases"
+                    "deployment has no {} databases",
+                    group.label()
                 )));
             }
         }
         Ok(topo)
+    }
+
+    fn group_mut(&mut self, group: DbGroup) -> &mut Vec<DbTarget> {
+        match group {
+            DbGroup::Datasets => &mut self.dataset_dbs,
+            DbGroup::Runs => &mut self.run_dbs,
+            DbGroup::Subruns => &mut self.subrun_dbs,
+            DbGroup::Events => &mut self.event_dbs,
+            DbGroup::Products => &mut self.product_dbs,
+        }
     }
 }
 

@@ -6,12 +6,15 @@
 //! `compact_all` escape hatch, background workers racing foreground writes,
 //! and tombstone lifetimes (a delete must shadow older versions on every
 //! deeper level until it reaches the bottom of the tree, and must never
-//! resurrect a key once dropped).
+//! resurrect a key once dropped). Each property runs without key
+//! partitions and with them, against the same oracle; partitioned, every
+//! table on disk must also hold keys of one partition only.
 
+use lsmdb::sstable::SstReader;
 use lsmdb::{CompactionMode, Db, Options};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -38,10 +41,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Partition prefix lengths the `k000`..`k047` keys run under: none, and
+/// their first three bytes (five partitions).
+const KEY_PARTITIONS: [usize; 2] = [0, 3];
+
 /// Deeper and narrower than model.rs: 6 levels, small multiplier, so data
 /// actually reaches L3+ within a test case.
-fn deep_opts(mode: CompactionMode) -> Options {
+fn deep_opts(mode: CompactionMode, partition_prefix_len: usize) -> Options {
     Options {
+        partition_prefix_len,
         memtable_bytes: 192,
         l0_compaction_trigger: 2,
         l0_slowdown_trigger: 6,
@@ -68,6 +76,46 @@ fn fresh_dir(tag: &str, case: u64) -> PathBuf {
     d
 }
 
+/// Every table in `dir` holds keys of a single `len`-byte partition.
+fn check_partitions(dir: &Path, len: usize) -> Result<(), TestCaseError> {
+    if len == 0 {
+        return Ok(());
+    }
+    let partition = |k: &[u8]| k[..len.min(k.len())].to_vec();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "sst") {
+            let t = SstReader::open(&path).unwrap();
+            prop_assert_eq!(
+                (&path, partition(t.min_key())),
+                (&path, partition(t.max_key()))
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Apply `ops` to `db` and return the oracle's state after them.
+fn apply(db: &Db, ops: &[Op]) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let mut model = BTreeMap::new();
+    for op in ops {
+        match op {
+            Op::Put(k, v) => {
+                db.put(k, v).unwrap();
+                model.insert(k.clone(), v.clone());
+            }
+            Op::Delete(k) => {
+                db.delete(k).unwrap();
+                model.remove(k);
+            }
+            Op::Flush => db.flush().unwrap(),
+            Op::CompactLevel(l) => db.compact_level(*l).unwrap(),
+            Op::CompactAll => db.compact_all().unwrap(),
+        }
+    }
+    model
+}
+
 fn check_against_model(db: &Db, model: &BTreeMap<Vec<u8>, Vec<u8>>) -> Result<(), TestCaseError> {
     for i in 0u32..48 {
         let k = format!("k{i:03}").into_bytes();
@@ -90,39 +138,27 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..150),
         seed in any::<u64>(),
     ) {
-        let dir = fresh_dir("inline", seed);
-        let db = Db::open(&dir, deep_opts(CompactionMode::Inline)).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for op in &ops {
-            match op {
-                Op::Put(k, v) => {
-                    db.put(k, v).unwrap();
-                    model.insert(k.clone(), v.clone());
-                }
-                Op::Delete(k) => {
-                    db.delete(k).unwrap();
-                    model.remove(k);
-                }
-                Op::Flush => db.flush().unwrap(),
-                Op::CompactLevel(l) => db.compact_level(*l).unwrap(),
-                Op::CompactAll => db.compact_all().unwrap(),
-            }
-        }
-        check_against_model(&db, &model)?;
+        for prefix_len in KEY_PARTITIONS {
+            let dir = fresh_dir(&format!("inline{prefix_len}"), seed);
+            let db = Db::open(&dir, deep_opts(CompactionMode::Inline, prefix_len)).unwrap();
+            let model = apply(&db, &ops);
+            check_against_model(&db, &model)?;
 
-        // After compact_all every key lives at the bottom and all shadowed
-        // versions/tombstones are gone: another full pass must be a no-op
-        // for visible state.
-        db.compact_all().unwrap();
-        check_against_model(&db, &model)?;
-        let stats = db.stats();
-        for (lvl, n) in stats.level_tables.iter().enumerate() {
-            if lvl + 1 < stats.level_tables.len() {
-                prop_assert_eq!((lvl, *n), (lvl, 0));
+            // After compact_all every key lives at the bottom and all
+            // shadowed versions/tombstones are gone: another full pass must
+            // be a no-op for visible state.
+            db.compact_all().unwrap();
+            check_against_model(&db, &model)?;
+            let stats = db.stats();
+            for (lvl, n) in stats.level_tables.iter().enumerate() {
+                if lvl + 1 < stats.level_tables.len() {
+                    prop_assert_eq!((lvl, *n), (lvl, 0));
+                }
             }
+            check_partitions(&dir, prefix_len)?;
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        drop(db);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Background mode: the worker flushes/compacts concurrently with the
@@ -134,33 +170,21 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..150),
         seed in any::<u64>(),
     ) {
-        let dir = fresh_dir("bg", seed);
-        let db = Db::open(&dir, deep_opts(CompactionMode::Background)).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for op in &ops {
-            match op {
-                Op::Put(k, v) => {
-                    db.put(k, v).unwrap();
-                    model.insert(k.clone(), v.clone());
-                }
-                Op::Delete(k) => {
-                    db.delete(k).unwrap();
-                    model.remove(k);
-                }
-                Op::Flush => db.flush().unwrap(),
-                Op::CompactLevel(l) => db.compact_level(*l).unwrap(),
-                Op::CompactAll => db.compact_all().unwrap(),
-            }
-        }
-        db.wait_idle().unwrap();
-        check_against_model(&db, &model)?;
+        for prefix_len in KEY_PARTITIONS {
+            let dir = fresh_dir(&format!("bg{prefix_len}"), seed);
+            let db = Db::open(&dir, deep_opts(CompactionMode::Background, prefix_len)).unwrap();
+            let model = apply(&db, &ops);
+            db.wait_idle().unwrap();
+            check_against_model(&db, &model)?;
+            check_partitions(&dir, prefix_len)?;
 
-        // Reopen: durability of the background-maintained tree.
-        drop(db);
-        let db = Db::open(&dir, deep_opts(CompactionMode::Inline)).unwrap();
-        check_against_model(&db, &model)?;
-        drop(db);
-        std::fs::remove_dir_all(&dir).ok();
+            // Reopen: durability of the background-maintained tree.
+            drop(db);
+            let db = Db::open(&dir, deep_opts(CompactionMode::Inline, prefix_len)).unwrap();
+            check_against_model(&db, &model)?;
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
@@ -197,10 +221,10 @@ fn burst_strategy() -> impl Strategy<Value = Burst> {
 
 /// A wider L1 than `deep_opts`, so tables of older bursts stay there while
 /// later L0 compactions straddle them.
-fn dataset_opts() -> Options {
+fn dataset_opts(partition_prefix_len: usize) -> Options {
     Options {
         level_base_bytes: 4096,
-        ..deep_opts(CompactionMode::Inline)
+        ..deep_opts(CompactionMode::Inline, partition_prefix_len)
     }
 }
 
@@ -239,38 +263,42 @@ proptest! {
         bursts in proptest::collection::vec(burst_strategy(), 1..80),
         seed in any::<u64>(),
     ) {
-        let dir = fresh_dir("bursts", seed);
-        let db = Db::open(&dir, dataset_opts()).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for b in &bursts {
-            match *b {
-                Burst::Write { ds, start, len, tag } => {
-                    for i in start..start + len {
-                        let k = dataset_key(&prefixes[ds], i);
-                        let v = vec![tag; 8 + (i % 16) as usize];
-                        db.put(&k, &v).unwrap();
-                        model.insert(k, v);
+        // Unpartitioned, and cut at the 4-byte dataset prefix.
+        for prefix_len in [0, 4] {
+            let dir = fresh_dir(&format!("bursts{prefix_len}"), seed);
+            let db = Db::open(&dir, dataset_opts(prefix_len)).unwrap();
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            for b in &bursts {
+                match *b {
+                    Burst::Write { ds, start, len, tag } => {
+                        for i in start..start + len {
+                            let k = dataset_key(&prefixes[ds], i);
+                            let v = vec![tag; 8 + (i % 16) as usize];
+                            db.put(&k, &v).unwrap();
+                            model.insert(k, v);
+                        }
                     }
-                }
-                Burst::Erase { ds, start, len } => {
-                    for i in start..start + len {
-                        let k = dataset_key(&prefixes[ds], i);
-                        db.delete(&k).unwrap();
-                        model.remove(&k);
+                    Burst::Erase { ds, start, len } => {
+                        for i in start..start + len {
+                            let k = dataset_key(&prefixes[ds], i);
+                            db.delete(&k).unwrap();
+                            model.remove(&k);
+                        }
                     }
+                    Burst::Flush => db.flush().unwrap(),
+                    Burst::CompactLevel(l) => db.compact_level(l).unwrap(),
                 }
-                Burst::Flush => db.flush().unwrap(),
-                Burst::CompactLevel(l) => db.compact_level(l).unwrap(),
+                // Every burst: a misplaced table may be compacted away again
+                // before the end of the case.
+                check_datasets(&db, &prefixes, &model)?;
             }
-            // Every burst: a misplaced table may be compacted away again
-            // before the end of the case.
+            check_partitions(&dir, prefix_len)?;
+            drop(db);
+            let db = Db::open(&dir, dataset_opts(prefix_len)).unwrap();
             check_datasets(&db, &prefixes, &model)?;
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        drop(db);
-        let db = Db::open(&dir, dataset_opts()).unwrap();
-        check_datasets(&db, &prefixes, &model)?;
-        drop(db);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -280,7 +308,7 @@ proptest! {
 #[test]
 fn tombstones_survive_until_bottom_level() {
     let dir = fresh_dir("tomb", 0);
-    let db = Db::open(&dir, deep_opts(CompactionMode::Inline)).unwrap();
+    let db = Db::open(&dir, deep_opts(CompactionMode::Inline, 0)).unwrap();
 
     // Install old values and push them to the bottom of the tree.
     for i in 0..48u32 {

@@ -168,11 +168,102 @@ fn crash_before_flush_install_replays_the_wal() {
         assert!(matches!(err, DbError::Io(_)), "unexpected error: {err}");
         std::mem::forget(db);
     }
-    // The flushed-but-uninstalled table is an orphan; its WAL survives, so
-    // recovery must rebuild the same state from the log.
+    // The failed flush deleted its table; its WAL survives, so recovery
+    // must rebuild the same state from the log.
     let db = Db::open(&d, opts()).unwrap();
     assert_eq!(full_scan(&db), model, "scan differs after recovery");
     assert_no_debris(&d);
+    drop(db);
+    std::fs::remove_dir_all(&d).ok();
+}
+
+/// The `.sst` files in `dir`, sorted.
+fn tables(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".sst"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn failed_flush_deletes_its_tables() {
+    let d = fresh_dir("flushfail");
+    let partitioned = Options {
+        memtable_bytes: 1 << 20,
+        partition_prefix_len: 4,
+        ..opts()
+    };
+    let key = |prefix: &[u8; 4], i: u32| [&prefix[..], &i.to_be_bytes()].concat();
+    let mut model = BTreeMap::new();
+    let installed;
+    {
+        let db = Db::open(&d, partitioned.clone()).unwrap();
+        for (round, prefixes) in [[b"dsA0", b"dsB0"].as_slice(), &[b"dsA0", b"dsB0", b"dsC0"]]
+            .into_iter()
+            .enumerate()
+        {
+            for i in 0..40 {
+                for p in prefixes {
+                    let v = format!("{round}-{i}").into_bytes();
+                    db.put(&key(p, i), &v).unwrap();
+                    model.insert(key(p, i), v);
+                }
+            }
+            if round == 0 {
+                db.flush().unwrap();
+            }
+        }
+        installed = tables(&d);
+        assert_eq!(installed.len(), 2, "one table per prefix: {installed:?}");
+        // The memtable spans three prefixes: the flush writes three tables
+        // before it fails, and must delete all of them.
+        db.set_failpoint(Failpoint::FlushBeforeInstall);
+        let err = db.flush().unwrap_err();
+        assert!(matches!(err, DbError::Io(_)), "unexpected error: {err}");
+        assert_eq!(tables(&d), installed, "the failed flush left tables");
+        assert_no_debris(&d);
+        std::mem::forget(db);
+    }
+    let db = Db::open(&d, partitioned).unwrap();
+    assert_eq!(full_scan(&db), model, "scan differs after recovery");
+    assert_eq!(tables(&d), installed);
+    assert_no_debris(&d);
+    // The WAL still covers the memtable: it flushes into three tables.
+    db.flush().unwrap();
+    assert_eq!(tables(&d).len(), 5);
+    assert_eq!(full_scan(&db), model);
+    drop(db);
+    std::fs::remove_dir_all(&d).ok();
+}
+
+#[test]
+fn a_manifest_without_next_keeps_every_table() {
+    let d = fresh_dir("tornmanifest");
+    let model;
+    {
+        let db = Db::open(&d, opts()).unwrap();
+        model = seed_db(&db, 600);
+        db.compact().unwrap();
+    }
+    let before = tables(&d);
+    assert!(before.len() > 1, "{before:?}");
+    let manifest = std::fs::read(d.join("MANIFEST")).unwrap();
+    // A torn manifest: open must refuse it rather than sweep every table
+    // as unreferenced.
+    std::fs::write(d.join("MANIFEST"), b"").unwrap();
+    match Db::open(&d, opts()) {
+        Err(DbError::Manifest(_)) => {}
+        Err(e) => panic!("unexpected error: {e}"),
+        Ok(_) => panic!("opened with an empty manifest"),
+    }
+    assert_eq!(tables(&d), before, "tables deleted");
+    // With the manifest back, nothing was lost.
+    std::fs::write(d.join("MANIFEST"), manifest).unwrap();
+    let db = Db::open(&d, opts()).unwrap();
+    assert_eq!(full_scan(&db), model);
     drop(db);
     std::fs::remove_dir_all(&d).ok();
 }
