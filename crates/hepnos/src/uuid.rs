@@ -9,16 +9,17 @@ use std::fmt;
 
 /// A 16-byte dataset identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Uuid([u8; 16]);
+pub struct Uuid([u8; Uuid::LEN]);
 
 impl Uuid {
-    /// Size in bytes when embedded in keys.
-    pub const LEN: usize = 16;
+    /// Size in bytes when embedded in keys: the leading key bytes by which
+    /// bedrock partitions the container databases' tables.
+    pub const LEN: usize = bedrock::DATASET_KEY_PREFIX_LEN;
 
     /// Generate a fresh random UUID (v4-style: random with version/variant
     /// bits set).
     pub fn generate() -> Uuid {
-        let mut bytes = [0u8; 16];
+        let mut bytes = [0u8; Uuid::LEN];
         rand::thread_rng().fill_bytes(&mut bytes);
         bytes[6] = (bytes[6] & 0x0F) | 0x40;
         bytes[8] = (bytes[8] & 0x3F) | 0x80;
@@ -26,18 +27,18 @@ impl Uuid {
     }
 
     /// Wrap raw bytes.
-    pub const fn from_bytes(bytes: [u8; 16]) -> Uuid {
+    pub const fn from_bytes(bytes: [u8; Uuid::LEN]) -> Uuid {
         Uuid(bytes)
     }
 
     /// Read from a slice; `None` if it is not exactly 16 bytes.
     pub fn from_slice(s: &[u8]) -> Option<Uuid> {
-        let arr: [u8; 16] = s.try_into().ok()?;
+        let arr: [u8; Uuid::LEN] = s.try_into().ok()?;
         Some(Uuid(arr))
     }
 
     /// The raw bytes.
-    pub const fn as_bytes(&self) -> &[u8; 16] {
+    pub const fn as_bytes(&self) -> &[u8; Uuid::LEN] {
         &self.0
     }
 }

@@ -22,14 +22,17 @@
 //! serve scans and compaction, stream the data section through the same
 //! shared file handle in 8 KiB positioned reads, decode each entry in
 //! place and lend out its key and value without copying them. No reader
-//! holds a lock or a file cursor, so lookups and cursors on one table run
-//! concurrently. This is the RocksDB cost structure: index and filter
-//! pinned, data read from disk by offset, with an index span in the role of
-//! a data block.
+//! holds a file cursor, so lookups and cursors on one table run
+//! concurrently. The handle comes from the process's bounded set of open
+//! table files ([`crate::OPEN_TABLE_FILE_LIMIT`]), not from the reader.
+//! This is the RocksDB cost structure: index and filter pinned, data read
+//! from disk by offset through a table cache, with an index span in the
+//! role of a data block.
 
 use crate::bloom::BloomFilter;
 use crate::crc32::crc32;
 use crate::memtable::Value;
+use crate::table_files::TableFile;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
@@ -284,11 +287,9 @@ struct IndexEntry {
 
 /// A reader over one finished SSTable. Index and bloom filter are held in
 /// memory; entry data is read from disk on demand with positioned reads on
-/// one shared handle, so lookups and iterators run concurrently without a
-/// lock.
+/// one shared handle, so lookups and iterators run concurrently.
 pub struct SstReader {
-    path: PathBuf,
-    file: Arc<File>,
+    file: Arc<TableFile>,
     index: Vec<IndexEntry>,
     bloom: BloomFilter,
     min_key: Vec<u8>,
@@ -402,8 +403,7 @@ impl SstReader {
         let bloom = BloomFilter::decode(&bloom_buf)
             .ok_or_else(|| SstError::Corrupt("bad bloom filter".into()))?;
         Ok(SstReader {
-            path: path.to_path_buf(),
-            file: Arc::new(f),
+            file: Arc::new(TableFile::new(path, f)),
             index,
             bloom,
             min_key,
@@ -436,7 +436,13 @@ impl SstReader {
 
     /// The table's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
+    }
+
+    /// Delete the table's file once this reader and every cursor over the
+    /// table are gone.
+    pub fn delete_when_unused(&self) {
+        self.file.delete_when_unused();
     }
 
     /// Whether the key may be present, per the bloom filter and key range.
@@ -462,7 +468,8 @@ impl SstReader {
         let start = self.index[i].offset;
         let end = self.index.get(i + 1).map_or(self.data_end, |e| e.offset);
         let mut span = vec![0u8; (end - start) as usize];
-        read_at(&self.file, &mut span, start)?;
+        let file = self.file.handle()?;
+        read_at(&file, &mut span, start)?;
         let mut rest = span.as_slice();
         while !rest.is_empty() {
             let entry = decode_entry(rest)?;
@@ -489,7 +496,8 @@ impl SstReader {
     pub fn iter_range(&self, lower: &[u8], upper: Option<&[u8]>) -> SstRangeIter {
         let start = self.span_of(lower).map_or(0, |i| self.index[i].offset);
         SstRangeIter {
-            file: Arc::clone(&self.file),
+            table: Arc::clone(&self.file),
+            file: None,
             buf: Vec::new(),
             end: 0,
             cur: 0,
@@ -513,7 +521,9 @@ const ITER_CHUNK: usize = 8 << 10;
 /// lends out its key and value until the next `advance`. A damaged entry
 /// fails one `advance` and ends the cursor.
 pub struct SstRangeIter {
-    file: Arc<File>,
+    table: Arc<TableFile>,
+    /// The table's handle, taken at the first read and kept to the end.
+    file: Option<Arc<File>>,
     /// Bytes read ahead are `buf[..end]`; the current entry is
     /// `buf[cur..cur + len]`. The buffer keeps its size from refill to
     /// refill and grows only for an entry larger than it.
@@ -611,7 +621,11 @@ impl SstRangeIter {
         }
         let n = left.min((size - have) as u64) as usize;
         self.end = have + n;
-        read_at(&self.file, &mut self.buf[have..self.end], self.next_read)?;
+        let file = match &self.file {
+            Some(f) => f,
+            None => self.file.insert(self.table.handle()?),
+        };
+        read_at(file, &mut self.buf[have..self.end], self.next_read)?;
         self.next_read += n as u64;
         Ok(true)
     }
