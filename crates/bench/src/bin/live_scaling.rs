@@ -135,20 +135,11 @@ fn main() {
     }
     println!("\n# note: with {N_FILES} files, the file-based rows stop improving");
     println!("# once workers > files; HEPnOS keeps scaling with workers.");
-    println!("\n# storage-tier stats after the sweep (shards / entries per shard):");
+    println!("\n# storage-tier stats after the sweep (entries, cache hits/misses/evictions):");
     for (label, s) in dep.backend_stats() {
-        let (min, max) = (
-            s.shard_entries.iter().min().copied().unwrap_or(0),
-            s.shard_entries.iter().max().copied().unwrap_or(0),
-        );
         println!(
-            "#   {label}: {} shards, {} entries (min {min} / max {max} per shard), \
-             cache {}h/{}m/{}e",
-            s.shards,
-            s.shard_entries.iter().sum::<usize>(),
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_evictions,
+            "#   {label}: {} entries, cache {}h/{}m/{}e",
+            s.entries, s.cache_hits, s.cache_misses, s.cache_evictions,
         );
     }
     dep.shutdown();

@@ -206,7 +206,7 @@ impl LocalDeployment {
     }
 
     /// Storage counters of every database on every node, labeled
-    /// `node{n}/provider{p}/{db}` — cache hit rates and shard occupancy for
+    /// `node{n}/provider{p}/{db}` — entry counts and cache hit rates for
     /// benchmark logging.
     pub fn backend_stats(&self) -> Vec<(String, yokan::BackendStats)> {
         let mut out = Vec::new();

@@ -364,7 +364,7 @@ fn events_of_one_subrun_live_in_one_database() {
     batch.flush().unwrap();
     let entries: Vec<usize> = (dep.backend_stats().into_iter())
         .filter(|(name, _)| name.contains("/events"))
-        .map(|(_, stats)| stats.shard_entries.iter().sum())
+        .map(|(_, stats)| stats.entries as usize)
         .collect();
     assert_eq!(entries.len(), 16);
     assert_eq!(entries.iter().filter(|&&n| n > 0).count(), 1, "{entries:?}");

@@ -18,10 +18,9 @@
 //!   A transport only moves frames between endpoints.
 //! * [`local`] — an in-process transport routed through a shared
 //!   [`local::Fabric`], governed by a configurable [`NetworkModel`]
-//!   (per-message latency, serialization bandwidth, and a per-NIC *injection
-//!   bandwidth* token bucket that can be configured to fail when
-//!   oversaturated — reproducing the Cray Aries NIC failure mode reported in
-//!   the paper's evaluation §IV-E).
+//!   (per-message latency and a per-NIC *injection bandwidth* token bucket
+//!   that can be configured to fail when oversaturated — reproducing the
+//!   Cray Aries NIC failure mode reported in the paper's evaluation §IV-E).
 //! * [`tcp`] — a real TCP transport (length-prefixed frames) for
 //!   multi-process deployments.
 //!

@@ -3,9 +3,13 @@
 //!
 //! This is the substitute for Mercury-over-uGNI on the Cray Aries fabric:
 //! every "node" of a simulated deployment creates one endpoint on a common
-//! fabric, and the model injects per-message latency, size-dependent
-//! transfer time, and per-NIC injection-bandwidth accounting (optionally
-//! failing on saturation, as the Aries NIC did in the paper's runs).
+//! fabric, and the model injects per-message latency and per-NIC
+//! injection-bandwidth accounting (optionally failing on saturation, as the
+//! Aries NIC did in the paper's runs).
+//!
+//! There is one send path: every frame is charged to the sending
+//! endpoint's injection gauge, counted, and delivered — inline on an ideal
+//! fabric, through the fabric's delay line when the model has latency.
 
 use crate::core::{FaultSlot, Link, RpcCore};
 use crate::endpoint::{
@@ -17,7 +21,7 @@ use crate::model::{InjectionGauge, NetworkModel};
 use crate::wire::{Frame, RpcId};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,13 +84,21 @@ impl DelayLine {
         line
     }
 
+    /// Run `run` after `delay` — or now, inline, once the line is stopped,
+    /// so a frame sent during teardown is delivered instead of stranded.
     fn schedule(&self, delay: Duration, run: DeliveryFn) {
-        let item = DelayItem {
+        let mut q = self.queue.lock();
+        if self.stop.load(Ordering::Acquire) {
+            drop(q);
+            run();
+            return;
+        }
+        q.push(DelayItem {
             due: Instant::now() + delay,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             run,
-        };
-        self.queue.lock().push(item);
+        });
+        drop(q);
         self.cond.notify_one();
     }
 
@@ -123,142 +135,9 @@ impl DelayLine {
     }
 }
 
-/// One frame awaiting its endpoint's sender thread. `deliver` runs (through
-/// the fabric's delay line) when the injection charge succeeds; `fail` runs
-/// instead when the NIC budget is blown and the model fails on saturation.
-struct OutboundFrame {
-    len: usize,
-    deliver: DeliveryFn,
-    fail: Box<dyn FnOnce(RpcError) + Send + 'static>,
-}
-
-struct SenderState {
-    queue: VecDeque<OutboundFrame>,
-    closed: bool,
-}
-
-/// Bound of an endpoint's outbound frame queue; a full queue blocks the
-/// sender, mirroring the TCP transport's backpressure.
-const SEND_QUEUE_FRAMES: usize = 256;
-
-/// Most frames the sender thread charges to the NIC as one coalesced burst.
-const COALESCE_FRAMES: usize = 64;
-
-/// Bounded outbound queue drained by a per-endpoint sender thread — the
-/// local-transport mirror of the TCP writer thread. All frames drained
-/// together are charged to the injection gauge as ONE coalesced burst.
-struct Sender {
-    state: Mutex<SenderState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-impl Sender {
-    fn new() -> Sender {
-        Sender {
-            state: Mutex::new(SenderState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-fn sender_loop(ep: Arc<EndpointInner>, fabric: Arc<FabricInner>) {
-    let sender = ep.sender.as_ref().expect("sender loop without sender");
-    let mut batch: Vec<OutboundFrame> = Vec::new();
-    loop {
-        {
-            let mut st = sender.state.lock();
-            while st.queue.is_empty() {
-                if st.closed {
-                    return;
-                }
-                sender.not_empty.wait(&mut st);
-            }
-            let n = st.queue.len().min(COALESCE_FRAMES);
-            batch.extend(st.queue.drain(..n));
-        }
-        sender.not_full.notify_all();
-        let total: usize = batch.iter().map(|f| f.len).sum();
-        // One injection charge for the whole burst: the simulated NIC sees
-        // the coalesced write, not `batch.len()` individual frames.
-        let ok = ep.gauge.inject_burst(batch.len() as u64, total);
-        let counters = &ep.core.counters;
-        counters
-            .frames_sent
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        counters.wire_writes.fetch_add(1, Ordering::Relaxed);
-        if !ok && fabric.model.fail_on_saturation {
-            for f in batch.drain(..) {
-                (f.fail)(RpcError::NetworkSaturated);
-            }
-        } else {
-            for f in batch.drain(..) {
-                fabric.deliver(f.len, f.deliver);
-            }
-        }
-    }
-}
-
 struct EndpointInner {
     core: Arc<RpcCore>,
     gauge: InjectionGauge,
-    /// Present on non-ideal fabrics; `None` keeps the ideal model's fully
-    /// synchronous send path (tests rely on synchronous saturation errors).
-    sender: Option<Arc<Sender>>,
-}
-
-impl EndpointInner {
-    /// Route one outbound frame through this endpoint's NIC. Queued to the
-    /// coalescing sender when one exists; otherwise charged and delivered
-    /// synchronously. A full queue blocks (counted as a send stall).
-    fn send_frame(
-        self: &Arc<Self>,
-        fabric: &Arc<FabricInner>,
-        len: usize,
-        deliver: DeliveryFn,
-        fail: Box<dyn FnOnce(RpcError) + Send + 'static>,
-    ) {
-        let counters = &self.core.counters;
-        match &self.sender {
-            None => {
-                let ok = self.gauge.inject_burst(1, len);
-                counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-                counters.wire_writes.fetch_add(1, Ordering::Relaxed);
-                if !ok && fabric.model.fail_on_saturation {
-                    fail(RpcError::NetworkSaturated);
-                } else {
-                    fabric.deliver(len, deliver);
-                }
-            }
-            Some(sender) => {
-                let mut st = sender.state.lock();
-                if st.queue.len() >= SEND_QUEUE_FRAMES && !st.closed {
-                    counters.send_stalls.fetch_add(1, Ordering::Relaxed);
-                    while st.queue.len() >= SEND_QUEUE_FRAMES && !st.closed {
-                        sender.not_full.wait(&mut st);
-                    }
-                }
-                if st.closed {
-                    drop(st);
-                    fail(RpcError::Shutdown);
-                    return;
-                }
-                st.queue.push_back(OutboundFrame { len, deliver, fail });
-                drop(st);
-                sender.not_empty.notify_one();
-            }
-        }
-    }
 }
 
 /// The fabric route from one endpoint to another: frames leave through
@@ -279,23 +158,27 @@ impl Link for LocalLink {
         // The local transport hands frames over without encoding them, but
         // charges and counts them at their encoded size.
         let len = frame.encoded_len();
-        // A frame the NIC cannot send fails the call it belongs to: the
-        // sender's own for a request, the peer's for a response.
-        let (waiter, req_id) = match &frame {
-            Frame::Request { req_id, .. } => (Arc::clone(&self.from.core), *req_id),
-            Frame::Response { req_id, .. } => (Arc::clone(&self.to.core), *req_id),
-        };
+        let ok = self.from.gauge.inject(len);
+        let counters = &self.from.core.counters;
+        counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+        counters.wire_writes.fetch_add(1, Ordering::Relaxed);
+        if !ok && self.fabric.model.fail_on_saturation {
+            // A frame the NIC cannot send fails the call it belongs to: the
+            // sender's own for a request, the peer's for a response.
+            let (waiter, req_id) = match &frame {
+                Frame::Request { req_id, .. } => (&self.from.core, *req_id),
+                Frame::Response { req_id, .. } => (&self.to.core, *req_id),
+            };
+            waiter.complete(req_id, Err(RpcError::NetworkSaturated));
+            return Ok(());
+        }
         let back = LocalLink {
             from: Arc::clone(&self.to),
             to: Arc::clone(&self.from),
             fabric: Arc::clone(&self.fabric),
         };
-        self.from.send_frame(
-            &self.fabric,
-            len,
-            Box::new(move || back.from.core.receive(frame, len, &back)),
-            Box::new(move |e| waiter.complete(req_id, Err(e))),
-        );
+        self.fabric
+            .deliver(Box::new(move || back.from.core.receive(frame, len, &back)));
         Ok(())
     }
 }
@@ -346,21 +229,10 @@ impl Fabric {
     /// unambiguous on a fabric.
     pub fn endpoint(&self, name: &str) -> Arc<LocalEndpoint> {
         let addr = format!("{SCHEME}{name}");
-        let model = &self.inner.model;
-        let sender = (!model.is_ideal()).then(|| Arc::new(Sender::new()));
         let inner = Arc::new(EndpointInner {
             core: RpcCore::new(addr.clone(), Arc::clone(&self.inner.fault)),
-            gauge: InjectionGauge::new(model),
-            sender,
+            gauge: InjectionGauge::new(&self.inner.model),
         });
-        if inner.sender.is_some() {
-            let ep = Arc::clone(&inner);
-            let fabric = Arc::clone(&self.inner);
-            std::thread::Builder::new()
-                .name(format!("mercurio-send-{name}"))
-                .spawn(move || sender_loop(ep, fabric))
-                .expect("failed to spawn sender thread");
-        }
         let mut eps = self.inner.endpoints.write();
         assert!(
             !eps.contains_key(&addr),
@@ -381,15 +253,9 @@ impl Fabric {
         v
     }
 
-    /// Stop the sender threads and the delay-line thread (if any).
-    /// Endpoints remain usable with synchronous delivery semantics
-    /// afterwards only on an ideal model; normally called at teardown.
+    /// Stop the delay-line thread (if any); frames sent afterwards are
+    /// delivered inline, without latency. Normally called at teardown.
     pub fn stop(&self) {
-        for ep in self.inner.endpoints.read().values() {
-            if let Some(s) = &ep.sender {
-                s.close();
-            }
-        }
         if let Some(d) = &self.inner.delay {
             d.stop();
         }
@@ -414,18 +280,12 @@ impl Fabric {
 }
 
 impl FabricInner {
-    /// Deliver a closure after the model's transfer time for `bytes`.
-    fn deliver(&self, bytes: usize, run: DeliveryFn) {
+    /// Run a delivery after the model's latency: inline on an ideal
+    /// fabric, on the delay line otherwise.
+    fn deliver(&self, run: DeliveryFn) {
         match &self.delay {
             None => run(),
-            Some(line) => {
-                let t = self.model.transfer_time(bytes);
-                if t.is_zero() {
-                    run()
-                } else {
-                    line.schedule(t, run)
-                }
-            }
+            Some(line) => line.schedule(self.model.latency, run),
         }
     }
 }
@@ -440,18 +300,6 @@ impl LocalEndpoint {
     /// Number of sends that exceeded the injection budget.
     pub fn saturation_events(&self) -> u64 {
         self.inner.gauge.saturation_events()
-    }
-
-    /// Frames charged through the injection gauge.
-    pub fn injected_frames(&self) -> u64 {
-        self.inner.gauge.total_frames()
-    }
-
-    /// Injection charges made against the NIC token bucket — one per
-    /// coalesced burst, so `injected_frames / injection_bursts` is the
-    /// achieved coalescing factor on the simulated NIC.
-    pub fn injection_bursts(&self) -> u64 {
-        self.inner.gauge.bursts()
     }
 
     /// Calls currently awaiting a response. A timed-out (cancelled) call is
@@ -504,9 +352,6 @@ impl Endpoint for LocalEndpoint {
     fn shutdown(&self) {
         self.inner.core.shutdown();
         self.fabric.endpoints.write().remove(&self.inner.core.addr);
-        if let Some(s) = &self.inner.sender {
-            s.close();
-        }
     }
 }
 
@@ -549,6 +394,9 @@ mod tests {
         c.call(&s.address(), RpcId(1), 0, Bytes::new()).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(20));
         fabric.stop();
+        // A stopped delay line delivers inline rather than stranding frames.
+        c.call(&s.address(), RpcId(1), 0, Bytes::new()).unwrap();
+        assert_eq!(c.pending_calls(), 0);
     }
 
     #[test]
@@ -569,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_bursts_charge_gauge_once_per_drain() {
+    fn pipelined_calls_on_a_latency_fabric_all_complete() {
         let fabric = Fabric::new(NetworkModel {
             latency: Duration::from_millis(2),
             ..Default::default()
@@ -585,11 +433,48 @@ mod tests {
         }
         let st = c.stats();
         assert_eq!(st.frames_sent, 32);
-        assert!(st.wire_writes >= 1 && st.wire_writes <= st.frames_sent);
-        // The NIC token bucket is charged once per drained burst, never
-        // per frame: gauge charges mirror physical writes exactly.
-        assert_eq!(c.injected_frames(), 32);
-        assert_eq!(c.injection_bursts(), st.wire_writes);
+        assert_eq!(st.wire_writes, 32);
+        assert_eq!(c.pending_calls(), 0);
+        fabric.stop();
+    }
+
+    #[test]
+    fn saturation_on_a_latency_fabric_fails_the_call_and_recovers() {
+        let window = Duration::from_millis(100);
+        let fabric = Fabric::new(NetworkModel {
+            latency: Duration::from_millis(5),
+            injection_bandwidth: 2000.0, // 2000 B/s x 100 ms = 200-byte budget
+            injection_window: window,
+            fail_on_saturation: true,
+        });
+        let s = fabric.endpoint("s");
+        let c = fabric.endpoint("c");
+        s.register(RpcId(1), echo_handler());
+        // A small request answered with more than the server's budget.
+        s.register(
+            RpcId(2),
+            Arc::new(|_req: Request| Ok(Bytes::from(vec![0u8; 512]))),
+        );
+        // Request side: the caller's own NIC refuses the frame.
+        let big = Bytes::from(vec![0u8; 512]);
+        let err = c.call(&s.address(), RpcId(1), 0, big).unwrap_err();
+        assert_eq!(err, RpcError::NetworkSaturated);
+        assert_eq!(c.saturation_events(), 1);
+        assert_eq!(c.pending_calls(), 0);
+        // Response side: the server's NIC refuses the reply, failing the
+        // caller's pending call from the delay line.
+        std::thread::sleep(window + Duration::from_millis(20));
+        let err = c.call(&s.address(), RpcId(2), 0, Bytes::new()).unwrap_err();
+        assert_eq!(err, RpcError::NetworkSaturated);
+        assert_eq!(s.saturation_events(), 1);
+        assert_eq!(c.pending_calls(), 0);
+        // Once the window has passed, a call that fits the budget succeeds.
+        std::thread::sleep(window + Duration::from_millis(20));
+        let reply = c
+            .call(&s.address(), RpcId(1), 0, Bytes::from_static(b"ok"))
+            .unwrap();
+        assert_eq!(&reply[..], b"ok");
+        assert_eq!(c.pending_calls(), 0);
         fabric.stop();
     }
 

@@ -5,7 +5,6 @@
 //! [`LsmBackend`] are their direct analogues.
 
 use crate::error::YokanError;
-use crate::replica::stable_hash;
 use lsmdb::{Db, DbError, DbStats, Options, WriteBatch};
 use mercurio::RpcError;
 use parking_lot::RwLock;
@@ -21,10 +20,8 @@ pub type KeyValue = (Vec<u8>, Vec<u8>);
 /// backend has nothing to report).
 #[derive(Debug, Clone, Default)]
 pub struct BackendStats {
-    /// Number of internal shards (1 for unsharded backends).
-    pub shards: usize,
-    /// Live entry count per shard.
-    pub shard_entries: Vec<usize>,
+    /// Live entry count (memory backends only).
+    pub entries: u64,
     /// Read-cache hits (LSM backends only).
     pub cache_hits: u64,
     /// Read-cache misses (LSM backends only).
@@ -175,7 +172,7 @@ pub trait Backend: Send + Sync {
     /// Backend kind name ("map" or "lsm"), mirroring Bedrock config values.
     fn kind(&self) -> &'static str;
 
-    /// Monitoring counters (shard occupancy, cache hit rates).
+    /// Monitoring counters (entry count, cache hit rates).
     fn stats(&self) -> BackendStats {
         BackendStats::default()
     }
@@ -197,18 +194,14 @@ fn prefix_upper_bound(prefix: &[u8]) -> Option<Vec<u8>> {
 
 /// In-memory ordered-map backend (`std::map` analogue).
 ///
-/// The map is split into a fixed array of hash-routed shards, each behind its
-/// own `RwLock`, so concurrent point operations on different keys proceed in
-/// parallel instead of serializing on one map-wide lock. Ordered iteration
-/// (`list_keys` / `list_keyvals`) reconstructs the global lexicographic order
-/// with a k-way merge across the shards' sorted ranges — the sorted-order
-/// contract (big-endian keys iterate in numeric event order) is observable
-/// behavior HEPnOS relies on, so it is preserved exactly. Multi-key writes
-/// lock every touched shard in index order before applying, keeping
-/// `put_multi` / `erase_multi` atomic and deadlock-free.
+/// One `BTreeMap` behind one `RwLock`: point reads share the lock, every
+/// mutation (batches included) takes it exclusively, so `put_multi` /
+/// `erase_multi` are atomic to concurrent readers and a listing is a
+/// consistent cut. The map iterates in lexicographic key order — the
+/// sorted-order contract HEPnOS relies on (big-endian keys iterate in
+/// numeric event order).
 pub struct MemBackend {
-    shards: Box<[MemShard]>,
-    mask: u64,
+    map: RwLock<BTreeMap<Vec<u8>, Vec<u8>>>,
     /// Accounted resident key+value bytes. Reservation-style: a mutation
     /// reserves its incoming bytes *before* applying and rolls back on shed,
     /// so the accounted value never exceeds the hard watermark.
@@ -218,14 +211,6 @@ pub struct MemBackend {
     hard_sheds: AtomicU64,
 }
 
-/// One shard of the in-memory map.
-type MemShard = RwLock<BTreeMap<Vec<u8>, Vec<u8>>>;
-
-/// Write guards for the shards a batch touches (`None` = shard untouched),
-/// indexed by shard.
-type ShardWriteGuards<'a> =
-    Vec<Option<parking_lot::RwLockWriteGuard<'a, BTreeMap<Vec<u8>, Vec<u8>>>>>;
-
 impl Default for MemBackend {
     fn default() -> Self {
         Self::new()
@@ -233,20 +218,10 @@ impl Default for MemBackend {
 }
 
 impl MemBackend {
-    /// Create an empty backend with the default shard count
-    /// (`min(16, available parallelism)`, rounded to a power of two).
+    /// Create an empty backend.
     pub fn new() -> Self {
-        Self::with_shards(lsmdb::cache::default_shard_count())
-    }
-
-    /// Create an empty backend with an explicit shard count (rounded up to a
-    /// power of two).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let shards: Vec<MemShard> = (0..n).map(|_| RwLock::new(BTreeMap::new())).collect();
         MemBackend {
-            shards: shards.into_boxed_slice(),
-            mask: (n - 1) as u64,
+            map: RwLock::new(BTreeMap::new()),
             mem_bytes: AtomicI64::new(0),
             watermarks: None,
             soft_stalls: AtomicU64::new(0),
@@ -286,7 +261,7 @@ impl MemBackend {
         let over_soft = |now: i64| -> bool { (now + incoming).max(0) as usize > cfg.soft_bytes };
         if over_soft(self.mem_bytes.load(Ordering::Acquire)) {
             // Soft watermark: throttle, don't reject. Waiting happens before
-            // any shard lock is taken, so stalled writers block nobody.
+            // the map lock is taken, so stalled writers block nobody.
             self.soft_stalls.fetch_add(1, Ordering::Relaxed);
             let deadline = Instant::now() + cfg.max_stall;
             while over_soft(self.mem_bytes.load(Ordering::Acquire)) && Instant::now() < deadline {
@@ -303,40 +278,12 @@ impl MemBackend {
         }
         Ok(())
     }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_idx(&self, key: &[u8]) -> usize {
-        (stable_hash(key) & self.mask) as usize
-    }
-
-    /// Write-lock every shard touched by `keys`, in ascending index order
-    /// (the global lock order that keeps concurrent batches deadlock-free).
-    fn lock_shards_for<'a, K: AsRef<[u8]>>(
-        &'a self,
-        keys: impl Iterator<Item = K>,
-    ) -> ShardWriteGuards<'a> {
-        let mut needed = vec![false; self.shards.len()];
-        for k in keys {
-            needed[self.shard_idx(k.as_ref())] = true;
-        }
-        self.shards
-            .iter()
-            .zip(needed)
-            .map(|(s, n)| n.then(|| s.write()))
-            .collect()
-    }
 }
 
 impl Backend for MemBackend {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), YokanError> {
         self.reserve_bytes(key.len() + value.len())?;
-        let old = self.shards[self.shard_idx(key)]
-            .write()
-            .insert(key.to_vec(), value.to_vec());
+        let old = self.map.write().insert(key.to_vec(), value.to_vec());
         if let Some(old) = old {
             // Overwrite: the reservation charged a whole new pair, but only
             // the value delta actually grew — credit the replaced bytes.
@@ -347,9 +294,9 @@ impl Backend for MemBackend {
 
     fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, YokanError> {
         self.reserve_bytes(key.len() + value.len())?;
-        // A key lives in exactly one shard, so holding that shard's write
-        // lock across the check-and-insert keeps this linearizable.
-        let mut map = self.shards[self.shard_idx(key)].write();
+        // Holding the write lock across the check-and-insert keeps this
+        // linearizable.
+        let mut map = self.map.write();
         match map.get(key) {
             Some(existing) => {
                 let existing = existing.clone();
@@ -365,22 +312,17 @@ impl Backend for MemBackend {
     }
 
     fn put_multi(&self, pairs: &[(Vec<u8>, Vec<u8>)]) -> Result<(), YokanError> {
-        // The reservation covers the whole batch and happens before any
-        // shard lock is taken: a shed batch is rejected whole, never
-        // partially applied.
+        // The reservation covers the whole batch and happens before the lock
+        // is taken: a shed batch is rejected whole, never partially applied.
         self.reserve_bytes(pairs.iter().map(|(k, v)| k.len() + v.len()).sum())?;
-        let mut guards = self.lock_shards_for(pairs.iter().map(|(k, _)| k));
+        let mut map = self.map.write();
         let mut replaced = 0i64;
         for (k, v) in pairs {
-            let old = guards[self.shard_idx(k)]
-                .as_mut()
-                .expect("shard was locked")
-                .insert(k.clone(), v.clone());
-            if let Some(old) = old {
+            if let Some(old) = map.insert(k.clone(), v.clone()) {
                 replaced += (k.len() + old.len()) as i64;
             }
         }
-        drop(guards);
+        drop(map);
         if replaced != 0 {
             self.charge(-replaced);
         }
@@ -388,53 +330,25 @@ impl Backend for MemBackend {
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, YokanError> {
-        Ok(self.shards[self.shard_idx(key)].read().get(key).cloned())
+        Ok(self.map.read().get(key).cloned())
     }
 
     fn get_multi(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        // Group by shard so each shard is locked once per batch rather than
-        // once per key.
-        let mut out = vec![None; keys.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, k) in keys.iter().enumerate() {
-            by_shard[self.shard_idx(k)].push(i);
-        }
-        for (shard, indices) in self.shards.iter().zip(by_shard) {
-            if indices.is_empty() {
-                continue;
-            }
-            let map = shard.read();
-            for i in indices {
-                out[i] = map.get(&keys[i]).cloned();
-            }
-        }
-        Ok(out)
+        let map = self.map.read();
+        Ok(keys.iter().map(|k| map.get(k).cloned()).collect())
     }
 
     fn exists(&self, key: &[u8]) -> Result<bool, YokanError> {
-        Ok(self.shards[self.shard_idx(key)].read().contains_key(key))
+        Ok(self.map.read().contains_key(key))
     }
 
     fn exists_multi(&self, keys: &[Vec<u8>]) -> Result<Vec<bool>, YokanError> {
-        let mut out = vec![false; keys.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, k) in keys.iter().enumerate() {
-            by_shard[self.shard_idx(k)].push(i);
-        }
-        for (shard, indices) in self.shards.iter().zip(by_shard) {
-            if indices.is_empty() {
-                continue;
-            }
-            let map = shard.read();
-            for i in indices {
-                out[i] = map.contains_key(&keys[i]);
-            }
-        }
-        Ok(out)
+        let map = self.map.read();
+        Ok(keys.iter().map(|k| map.contains_key(k)).collect())
     }
 
     fn erase(&self, key: &[u8]) -> Result<(), YokanError> {
-        let old = self.shards[self.shard_idx(key)].write().remove(key);
+        let old = self.map.write().remove(key);
         if let Some(old) = old {
             self.charge(-((key.len() + old.len()) as i64));
         }
@@ -442,18 +356,14 @@ impl Backend for MemBackend {
     }
 
     fn erase_multi(&self, keys: &[Vec<u8>]) -> Result<(), YokanError> {
-        let mut guards = self.lock_shards_for(keys.iter());
+        let mut map = self.map.write();
         let mut freed = 0i64;
         for k in keys {
-            let old = guards[self.shard_idx(k)]
-                .as_mut()
-                .expect("shard was locked")
-                .remove(k);
-            if let Some(old) = old {
+            if let Some(old) = map.remove(k) {
                 freed += (k.len() + old.len()) as i64;
             }
         }
-        drop(guards);
+        drop(map);
         if freed != 0 {
             self.charge(-freed);
         }
@@ -473,45 +383,19 @@ impl Backend for MemBackend {
         } else {
             std::ops::Bound::Included(prefix)
         };
-        // Snapshot all shards (read locks held together so the listing is a
-        // consistent cut), then k-way merge their sorted ranges.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut iters: Vec<_> = guards
-            .iter()
-            .map(|g| g.range::<[u8], _>((bound, std::ops::Bound::Unbounded)))
-            .collect();
-        let mut heads: Vec<Option<(&Vec<u8>, &Vec<u8>)>> =
-            iters.iter_mut().map(|it| it.next()).collect();
-        loop {
-            // Smallest still-prefixed head wins. Within a shard keys are
-            // sorted and the range starts at/inside the prefix region, so a
-            // non-prefixed head means that shard is exhausted.
-            let mut best: Option<usize> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if let Some((k, _)) = head {
-                    if !k.starts_with(prefix) {
-                        continue;
-                    }
-                    if best.is_none_or(|b| {
-                        let (bk, _) = heads[b].expect("best head present");
-                        k.as_slice() < bk.as_slice()
-                    }) {
-                        best = Some(i);
-                    }
-                }
-            }
-            let Some(i) = best else { break };
-            let (k, v) = heads[i].expect("best head present");
-            if !visit(k, v) {
+        // The prefixed keys are one contiguous run starting at or after
+        // `bound`, so the first key outside the prefix ends the walk.
+        let map = self.map.read();
+        for (k, v) in map.range::<[u8], _>((bound, std::ops::Bound::Unbounded)) {
+            if !k.starts_with(prefix) || !visit(k, v) {
                 break;
             }
-            heads[i] = iters[i].next();
         }
         Ok(())
     }
 
     fn count(&self) -> Result<u64, YokanError> {
-        Ok(self.shards.iter().map(|s| s.read().len() as u64).sum())
+        Ok(self.map.read().len() as u64)
     }
 
     fn kind(&self) -> &'static str {
@@ -519,10 +403,8 @@ impl Backend for MemBackend {
     }
 
     fn stats(&self) -> BackendStats {
-        let shard_entries: Vec<usize> = self.shards.iter().map(|s| s.read().len()).collect();
         BackendStats {
-            shards: self.shards.len(),
-            shard_entries,
+            entries: self.map.read().len() as u64,
             mem_bytes: self.resident_bytes(),
             soft_stalls: self.soft_stalls.load(Ordering::Relaxed),
             hard_sheds: self.hard_sheds.load(Ordering::Relaxed),
@@ -638,8 +520,6 @@ impl Backend for LsmBackend {
         let cache = self.db.read_cache_stats();
         let lsm = self.db.stats();
         BackendStats {
-            shards: cache.shard_entries.len(),
-            shard_entries: cache.shard_entries,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
@@ -820,7 +700,7 @@ mod tests {
 
     #[test]
     fn watermarks_account_resident_bytes() {
-        let b = MemBackend::with_shards(4).with_watermarks(WatermarkConfig {
+        let b = MemBackend::new().with_watermarks(WatermarkConfig {
             soft_bytes: 1 << 20,
             hard_bytes: 2 << 20,
             ..WatermarkConfig::default()
@@ -845,7 +725,7 @@ mod tests {
 
     #[test]
     fn hard_watermark_sheds_whole_batch() {
-        let b = MemBackend::with_shards(4).with_watermarks(WatermarkConfig {
+        let b = MemBackend::new().with_watermarks(WatermarkConfig {
             soft_bytes: 64,
             hard_bytes: 64,
             max_stall: Duration::ZERO,
@@ -870,7 +750,7 @@ mod tests {
 
     #[test]
     fn soft_watermark_stalls_but_applies() {
-        let b = MemBackend::with_shards(1).with_watermarks(WatermarkConfig {
+        let b = MemBackend::new().with_watermarks(WatermarkConfig {
             soft_bytes: 8,
             hard_bytes: 1 << 20,
             max_stall: Duration::from_millis(2),

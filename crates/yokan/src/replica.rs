@@ -26,8 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// FNV-1a over `bytes`; the same stable hash the placement layer uses, so
-/// chain rotation is reproducible across processes and runs. The memory
-/// backend routes keys to its shards with it too.
+/// chain rotation is reproducible across processes and runs.
 pub(crate) fn stable_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -375,8 +375,8 @@ impl YokanService {
 
     /// Per-database storage counters across all providers, as
     /// `(provider_id, database name, stats)` sorted by provider then name.
-    /// Used by benchmarks and operators to see cache effectiveness and
-    /// shard balance.
+    /// Used by benchmarks and operators to see entry counts and cache
+    /// effectiveness.
     pub fn backend_stats(&self) -> Vec<(u16, String, crate::backend::BackendStats)> {
         let provs = self.inner.providers.read();
         let mut out = Vec::new();
